@@ -40,8 +40,12 @@ WORK = ROOT / ".ncbench_work"
 sys.path.insert(0, str(ROOT))
 
 from ncbench import check, gen, tracer  # noqa: E402
+from ncbench.speed import REF_PROBE_S, Speed  # noqa: E402
 
-SETUP_REPS = 15
+SETUP_REPS = 9
+ROUNDS = 2
+SHORT_ROUNDS = 3
+SHORT_S = 1.0
 OP_TIMEOUT_S = 60.0
 RUN_BUDGET_S = 150.0
 CLI_ENTRY = "import sys; from ncprob.cli import main; sys.exit(main())"
@@ -120,18 +124,22 @@ def write_inputs(inp, work: Path) -> dict:
     return {"path": path, **manifest}
 
 
-def measure_setup(manifest: dict, work: Path) -> float:
-    """Median over SETUP_REPS of interpreter start + import + loading inputs."""
+def measure_setup(manifest: dict, work: Path, speed: Speed) -> list[tuple[float, float]]:
+    """(start, seconds) of SETUP_REPS children that start the interpreter,
+    import ncprob and load the inputs."""
     times = []
+    speed.sample()
     for rep in range(SETUP_REPS):
         out = work / f"setup-{rep}.stdout"
         argv = [sys.executable, str(BENCH / "child.py"), "setup", str(manifest["path"])]
+        start = perf_counter()
         code, seconds, _ = run_child(argv, out, OP_TIMEOUT_S)
+        speed.sample(seconds)
         origin = out.read_text(encoding="utf-8").strip()
         if code != 0 or not Path(origin).resolve().is_relative_to(SRC.resolve()):
             raise SystemExit(f"error: set-up failed (exit {code}); ncprob from {origin!r}")
-        times.append(seconds)
-    return statistics.median(times)
+        times.append((start, seconds))
+    return times
 
 
 # -- timed passes ------------------------------------------------------------------
@@ -149,6 +157,7 @@ class Run:
         self.reasons: dict[str, str] = {}
         self.peak_rss_kb = 0  # ru_maxrss is in KiB on Linux
         self.layer_detail: dict = {}
+        self.speed = Speed()
 
     def budget(self) -> float:
         return min(OP_TIMEOUT_S, self.deadline - perf_counter())
@@ -158,18 +167,29 @@ class Run:
         self.reasons.setdefault(name, reason)
 
 
-def cli_pass(run: Run, ops, tag: str, traced: bool) -> dict:
+def cli_pass(run: Run, ops, tag: str, traced: bool, repeat: bool = False) -> dict:
+    """One pass of the op list.  With `repeat`, every op runs in ROUNDS
+    rounds and an op that took less than SHORT_S in SHORT_ROUNDS rounds,
+    and its latency is the median of its rounds: one op is at the mercy of
+    the host's swings, and rounds taken seconds apart see different moments
+    of the host."""
     records = []
-    start = perf_counter()
-    for i, op in enumerate(ops):
-        out = run.work / f"{tag}-{i}.stdout"
-        prefix = run.work / f"{tag}-{i}" if traced else None
-        code, seconds, rss = run_child(cli_argv(op["argv"], prefix), out, run.budget())
-        run.peak_rss_kb = max(run.peak_rss_kb, rss)
-        records.append({"op": i, "code": code, "seconds": seconds, "out": out,
-                        "trace": prefix})
-    return {"wall_s": perf_counter() - start, "records": records,
-            "latencies": [r["seconds"] for r in records]}
+    run.speed.sample()
+    short: list[int] = []
+    for k in range(SHORT_ROUNDS if repeat else 1):
+        todo, short = (range(len(ops)) if k < ROUNDS else short), []
+        for i in todo:
+            out = run.work / f"{tag}-{i}-{k}.stdout"
+            prefix = run.work / f"{tag}-{i}" if traced else None
+            start = perf_counter()
+            code, seconds, rss = run_child(cli_argv(ops[i]["argv"], prefix), out, run.budget())
+            run.speed.sample(seconds)
+            run.peak_rss_kb = max(run.peak_rss_kb, rss)
+            records.append({"op": i, "code": code, "start": start, "seconds": seconds,
+                            "out": out, "trace": prefix})
+            if seconds < SHORT_S:
+                short.append(i)
+    return {"records": records}
 
 
 def check_cli_pass(run: Run, ops, result: dict, memo: dict) -> None:
@@ -198,14 +218,16 @@ def session_pass(run: Run, inp, manifest: dict, tag: str, traced: bool) -> dict:
     argv = [sys.executable, str(BENCH / "child.py"), "session", str(path), str(result_path)]
     if traced:
         argv.append(str(prefix))
+    run.speed.sample()
+    start = perf_counter()
     code, seconds, rss = run_child(argv, run.work / f"{tag}-session.stdout", run.budget())
+    run.speed.sample(seconds)
     run.peak_rss_kb = max(run.peak_rss_kb, rss)
+    span = {"start": start, "seconds": seconds, "trace": prefix}
     if code != 0:
-        return {"ok": False, "code": code, "wall_s": seconds, "latencies": [seconds],
-                "trace": prefix}
+        return {"ok": False, "code": code, "latencies": [seconds], **span}
     result = json.loads(result_path.read_text(encoding="utf-8"))
-    return {"ok": True, "wall_s": result["wall_s"], "latencies": result["latencies"],
-            "values": result["values"], "trace": prefix}
+    return {"ok": True, "latencies": result["latencies"], "values": result["values"], **span}
 
 
 def check_session_pass(run: Run, inp, result: dict, memo: dict) -> None:
@@ -224,16 +246,19 @@ def check_session_pass(run: Run, inp, result: dict, memo: dict) -> None:
 
 
 def measure(run: Run, inp, manifest: dict, seconds: float, workload: str) -> None:
-    """Timed passes until `seconds` have elapsed; checks run afterwards."""
+    """Timed passes while the next one is expected to end within `seconds`
+    (at least one); checks run afterwards."""
     start = perf_counter()
     while True:
         tag = f"p{len(run.passes)}"
+        begun = perf_counter()
         if workload == "session":
             run.passes.append(session_pass(run, inp, manifest, tag, False))
         else:
-            run.passes.append(cli_pass(run, inp.ops, tag, False))
+            run.passes.append(cli_pass(run, inp.ops, tag, False, repeat=True))
         now = perf_counter()
-        if now - start >= seconds or run.deadline - now < run.passes[-1]["wall_s"]:
+        last = now - begun
+        if now + last - start > seconds or run.deadline - now < last:
             break
     memo: dict = {}
     for result in run.passes:
@@ -249,20 +274,36 @@ def _p99(latencies) -> float:
     return statistics.quantiles(latencies, n=100, method="inclusive")[98]
 
 
-def end_to_end(run: Run, setup_s: float) -> dict:
-    """Per-pass statistics, each reported as its median over the passes."""
+def scaled(run: Run, p: dict, raw: bool = False) -> list[float]:
+    """A pass's op latencies in seconds of the reference host (as measured
+    with `raw`): a CLI op is scaled by the host speed around that op and a
+    repeated op reports the median of its repeats; a session query is scaled
+    by the host speed around its session process."""
+    if "records" in p:
+        by_op: dict[int, list[float]] = {}
+        for r in p["records"]:
+            seconds = r["seconds"] if raw else run.speed.scale(r["start"], r["seconds"])
+            by_op.setdefault(r["op"], []).append(seconds)
+        return [statistics.median(by_op[i]) for i in sorted(by_op)]
+    factor = 1.0 if raw else run.speed.factor(p["start"], p["start"] + p["seconds"])
+    return [x / factor for x in p["latencies"]]
 
-    def over_passes(stat):
-        return statistics.median(stat(p) for p in run.passes)
 
-    return {
-        "wall_s": over_passes(lambda p: p["wall_s"]),
-        "op_p50_ms": 1000 * over_passes(lambda p: statistics.median(p["latencies"])),
-        "op_p99_ms": 1000 * over_passes(lambda p: _p99(p["latencies"])),
-        "op_max_s": over_passes(lambda p: max(p["latencies"])),
-        "setup_s": setup_s,
-        "peak_rss_mb": run.peak_rss_kb / 1024,
-    }
+def end_to_end(run: Run, setup: list[tuple[float, float]]) -> dict:
+    """Timings in seconds of the reference host (see speed.py).
+
+    Every pass runs the same ops, so an op's latency is its median over the
+    passes, and the statistics are taken over these per-op latencies:
+    `wall_s` is their sum, the time of one pass with every op at its median.
+    """
+    passes = [scaled(run, p) for p in run.passes]
+    whole = [lat for lat in passes if len(lat) == max(map(len, passes))]
+    latencies = [statistics.median(op) for op in zip(*whole)]
+    stats = {"wall_s": sum(latencies), "op_p50_ms": 1000 * statistics.median(latencies),
+             "op_p99_ms": 1000 * _p99(latencies), "op_max_s": max(latencies)}
+    stats["setup_s"] = statistics.median(run.speed.scale(*rep) for rep in setup)
+    stats["peak_rss_mb"] = run.peak_rss_kb / 1024
+    return stats
 
 
 # -- the traced run ------------------------------------------------------------------
@@ -297,7 +338,7 @@ def traced(run: Run, inp, manifest: dict, workload: str) -> dict:
         stdout_bytes = sum(r["out"].stat().st_size for r in spied["records"])
     spans: dict[str, dict] = {}
     counts: dict[str, float] = {"cli.stdout_bytes": stdout_bytes,
-                                "trace_overhead": spied["wall_s"] / plain["wall_s"]}
+                                "trace_overhead": sum(scaled(run, spied)) / sum(scaled(run, plain))}
     max_bits = 0
     for prefix in prefixes:
         agg = tracer.load(str(prefix))
@@ -340,13 +381,16 @@ def main(argv=None) -> int:
         print(f"error: no ncprob package under {SRC}", file=sys.stderr)
         return 2
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    # One caller at a time: this process, the speed probes and every op share
+    # one CPU, so the probes see the host speed the ops see.
+    os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
     started = perf_counter()
     inp = gen.make(args.workload, args.seed, args.smoke)
     work = WORK / f"{args.workload}-{args.seed}-{os.getpid()}"
     try:
         manifest = write_inputs(inp, work)
-        setup_s = measure_setup(manifest, work)
         run = Run(work, started + RUN_BUDGET_S)
+        setup = measure_setup(manifest, work, run.speed)
         if args.trace:
             layers = traced(run, inp, manifest, args.workload)
             wanted = spec["per_layer"]
@@ -354,7 +398,7 @@ def main(argv=None) -> int:
         else:
             measure(run, inp, manifest, args.seconds, args.workload)
             wanted = spec["end_to_end"]
-            metrics = end_to_end(run, setup_s)
+            metrics = end_to_end(run, setup)
     finally:
         shutil.rmtree(work, ignore_errors=True)
         if WORK.is_dir() and not any(WORK.iterdir()):
@@ -364,10 +408,14 @@ def main(argv=None) -> int:
     if args.trace:
         print("spans: " + json.dumps(run.layer_detail, sort_keys=True))
     print(f"passes: {len(run.passes)}")
+    print(f"host speed factor: {run.speed.factor():.4f} (median probe time / {REF_PROBE_S} s)")
     if args.workload != "session":
+        per_pass = [scaled(run, p) for p in run.passes]
+        per_pass_raw = [scaled(run, p, raw=True) for p in run.passes]
         for i, op in enumerate(inp.ops):
-            times = [p["latencies"][i] for p in run.passes]
-            print(f"op {op['name']}: {statistics.median(times):.4f} s")
+            raw = statistics.median(lat[i] for lat in per_pass_raw)
+            ref = statistics.median(lat[i] for lat in per_pass)
+            print(f"op {op['name']}: {ref:.4f} s ({raw:.4f} s as measured)")
     for name in units:
         print(f"{name}: {metrics[name]} {units[name]}")
     print(f"fail_frac: {run.failed / max(run.attempted, 1)} ({run.failed}/{run.attempted})")

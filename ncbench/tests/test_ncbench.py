@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from ncbench import check, gen, oracles as O, run
+from ncbench import check, gen, oracles as O, run, speed
 
 ROOT = run.ROOT
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -116,6 +116,27 @@ def test_scalar_text_round_trip():
     for value in [(F(0), F(0)), (F(-3, 2), F(0)), (F(0), F(-1, 3)), (F(1, 2), F(1, 3)),
                   (F(1, 2), F(-7, 5))]:
         assert O.parse(O.fmt(value)) == value
+
+
+# -- host speed scaling ------------------------------------------------------------
+
+
+def test_speed_scales_by_the_nearby_probes():
+    s = speed.Speed()
+    s.probes = [(0.0, speed.REF_PROBE_S), (10.0, 2 * speed.REF_PROBE_S),
+                (10.5, 2 * speed.REF_PROBE_S)]
+    assert s.scale(0.0, 0.2) == pytest.approx(0.2)
+    assert s.scale(9.0, 1.0) == pytest.approx(0.5)
+    assert s.factor() == pytest.approx(2.0)
+    assert s.factor(100.0, 101.0) == pytest.approx(2.0)  # no probe near: the whole run
+
+
+def test_speed_probe_takes_more_probes_after_a_long_op():
+    s = speed.Speed()
+    s.sample()
+    s.sample(after_s=2 * speed.PROBES / speed.PROBES_PER_S)
+    assert len(s.probes) == 3 * speed.PROBES
+    assert all(t > 0 for _, t in s.probes)
 
 
 # -- inputs and checks -------------------------------------------------------------
