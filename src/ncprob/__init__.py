@@ -36,12 +36,14 @@ from .moment_space import (
 from .cumulant_calculus import (
     CumulantTable,
     MomentSequence,
+    cumulant_table_from_json,
     cumulants_from_moment_sequence,
     free_convolve_additive,
     kappa_n,
     kappa_pi,
     kappa_pi_via_moebius,
     kappa_words,
+    lattice_sum,
     moment_sequence_from_cumulants,
     moments_from_cumulants,
 )

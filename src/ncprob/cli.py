@@ -6,28 +6,20 @@ aligned table; scalars print as exact rational strings, never floats, and
 the output is byte-identical across runs for identical inputs.
 
 Exit status: 0 on success, 1 when ``verify`` finds a mathematical violation,
-2 on parse/validation errors.  ``NCPROB_LOG`` sets the log level.
+2 on parse/validation errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import sys
 from typing import Sequence
 
 from . import cumulant_calculus as cc
 from .errors import NCProbError, SpecFormatError
 from .free_product import ProductSpace, product_space_from_json
-from .moment_space import (
-    GeneratorSymbol,
-    Letter,
-    Word,
-    factor_state_from_json,
-    parse_word,
-)
+from .moment_space import Letter, Word, factor_state_from_json
 from .nc_lattice import enumerate_nc, moebius, parse_partition
 from .scalar import ComplexRational
 from .verification import (
@@ -35,8 +27,6 @@ from .verification import (
     check_freeness_moments,
     check_positivity,
 )
-
-log = logging.getLogger("ncprob")
 
 
 def _load_json(path: str) -> object:
@@ -131,33 +121,15 @@ def _cmd_cumulants(args) -> int:
 def _cmd_moments(args) -> int:
     obj = _load_json(args.from_cumulants)
     if isinstance(obj, dict) and "generators" in obj:
-        try:
-            raw = obj["cumulants"]
-            factor = obj["factor"]
-            degree_bound = obj["degree_bound"]
-        except KeyError as exc:
-            raise SpecFormatError(f"missing key {exc.args[0]!r}") from exc
-        if not isinstance(raw, dict):
-            raise SpecFormatError("'cumulants' must be an object of word -> scalar")
-        generators = [
-            GeneratorSymbol(g["name"], bool(g.get("selfadjoint", False)))
-            for g in obj["generators"]
-        ]
-        letters_by_name = {g.name: Letter(g, False, factor) for g in generators}
-        letters = []
-        for g in generators:
-            letters.append(Letter(g, False, factor))
-            if not g.selfadjoint:
-                letters.append(Letter(g, True, factor))
-        values = {}
-        for word_text, scalar_text in raw.items():
-            word = parse_word(word_text, letters_by_name)
-            values[word.letters] = ComplexRational.parse(scalar_text)
-        table = cc.CumulantTable.from_values(factor, degree_bound, values)
+        table, letters = cc.cumulant_table_from_json(obj)
         out = {}
-        for tup in _letter_tuples(letters, degree_bound):
+        for tup in _letter_tuples(letters, table.degree_bound):
             out[Word(tup).text()] = str(cc.moments_from_cumulants(table, tup))
-        payload = {"factor": factor, "degree_bound": degree_bound, "moments": out}
+        payload = {
+            "factor": table.factor,
+            "degree_bound": table.degree_bound,
+            "moments": out,
+        }
         lines = [f"{w}  {v}" for w, v in sorted(out.items())]
     else:
         kappas = _parse_moment_file(obj, "cumulants", args.from_cumulants)
@@ -277,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    logging.basicConfig(level=os.environ.get("NCPROB_LOG", "WARNING"))
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

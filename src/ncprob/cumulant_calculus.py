@@ -10,75 +10,78 @@ another, so round-trip tests are meaningful:
   kappa_sigma[a_1..a_n],
 
 with kappa_sigma / phi_sigma the multiplicative (blockwise, order-preserving)
-extensions.  Everything is exact.
-
-Exhaustive lattice sums are capped at ``DEFAULT_DEGREE_CAP`` (= 12, the
-enumeration cap of ``nc_lattice``); callers may pass a smaller cap.
+extensions.  Both are instances of ``lattice_sum``, which is bounded by the
+enumeration cap ``nc_lattice.MAX_ENUM_N``.  Everything is exact.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import (
     DimensionMismatchError,
-    SizeOutOfRangeError,
     TruncationError,
     ValidationError,
 )
-from .moment_space import FactorState, Letter, Word
-from .nc_lattice import Partition, enumerate_nc, leq, moebius
+from .moment_space import (
+    FactorState,
+    Letter,
+    Word,
+    generator_letters,
+    parse_factor_spec,
+)
+from .nc_lattice import Partition, enumerate_nc, leq, moebius, moebius_to_top
 from .scalar import ONE, ZERO, ComplexRational
 
-DEFAULT_DEGREE_CAP = 12
 
+def lattice_sum(
+    n: int,
+    block_value: Callable[[tuple[int, ...]], ComplexRational],
+    weighted: bool,
+) -> ComplexRational:
+    """Sum over sigma in NC(n) of the product of block_value over sigma's blocks,
+    each term times mu(sigma, 1_n) when ``weighted``.
 
-def _check_cap(n: int, cap: int) -> None:
+    A term stops at its first zero factor.  sigma = 1_n comes first, so any
+    error its single block raises is raised before other blocks are tried.
+    """
     if n < 1:
         raise ValidationError("cumulants need at least one argument")
-    if n > cap:
-        raise SizeOutOfRangeError(
-            f"lattice sum over NC({n}) exceeds the cap {cap}"
-        )
+    total = ZERO
+    for sigma in enumerate_nc(n):
+        term = ONE
+        for block in sigma.blocks:
+            term = term * block_value(block)
+            if term.is_zero():
+                break
+        else:
+            total = total + (term * moebius_to_top(sigma) if weighted else term)
+    return total
 
 
-def kappa_words(
-    state: FactorState, words: Sequence[Word], cap: int = DEFAULT_DEGREE_CAP
-) -> ComplexRational:
+def kappa_words(state: FactorState, words: Sequence[Word]) -> ComplexRational:
     """Joint free cumulant of a tuple of factor words, by Moebius inversion.
 
     Words may be empty (the identity); the total degree of every block
     evaluation must stay within the state's bound.
     """
-    n = len(words)
-    _check_cap(n, cap)
-    top = Partition.top(n)
-    total = ZERO
-    for sigma in enumerate_nc(n):
-        phi_sigma = ONE
-        for block in sigma.blocks:
-            concatenated = Word(
-                tuple(l for i in block for l in words[i - 1].letters)
-            )
-            phi_sigma = phi_sigma * state.phi_word(concatenated)
-        total = total + phi_sigma * moebius(sigma, top)
-    return total
+    return lattice_sum(
+        len(words),
+        lambda block: state.phi_word(
+            Word(tuple(l for i in block for l in words[i - 1].letters))
+        ),
+        weighted=True,
+    )
 
 
-def kappa_n(
-    state: FactorState, letters: Sequence[Letter], cap: int = DEFAULT_DEGREE_CAP
-) -> ComplexRational:
+def kappa_n(state: FactorState, letters: Sequence[Letter]) -> ComplexRational:
     """kappa_n(a_1, ..., a_n) for single-letter arguments."""
-    return kappa_words(state, [Word((l,)) for l in letters], cap)
+    return kappa_words(state, [Word((l,)) for l in letters])
 
 
 def kappa_pi(
-    state: FactorState,
-    pi: Partition,
-    letters: Sequence[Letter],
-    cap: int = DEFAULT_DEGREE_CAP,
+    state: FactorState, pi: Partition, letters: Sequence[Letter]
 ) -> ComplexRational:
     """Multiplicative extension: product of kappa over pi's blocks."""
     if len(letters) != pi.n:
@@ -87,15 +90,12 @@ def kappa_pi(
         )
     total = ONE
     for block in pi.blocks:
-        total = total * kappa_n(state, [letters[i - 1] for i in block], cap)
+        total = total * kappa_n(state, [letters[i - 1] for i in block])
     return total
 
 
 def kappa_pi_via_moebius(
-    state: FactorState,
-    pi: Partition,
-    letters: Sequence[Letter],
-    cap: int = DEFAULT_DEGREE_CAP,
+    state: FactorState, pi: Partition, letters: Sequence[Letter]
 ) -> ComplexRational:
     """The same kappa_pi as a Moebius sum over [0_n, pi].
 
@@ -106,7 +106,6 @@ def kappa_pi_via_moebius(
         raise DimensionMismatchError(
             f"partition of {pi.n} elements applied to {len(letters)} letters"
         )
-    _check_cap(pi.n, cap)
     total = ZERO
     for sigma in enumerate_nc(pi.n):
         if not leq(sigma, pi):
@@ -119,8 +118,7 @@ class CumulantTable:
     """kappa values of one factor, keyed by letter tuples of length <= N.
 
     Either backed by a FactorState (values computed lazily via Moebius
-    inversion and memoized) or given explicitly.  Lookup is guarded by a
-    lock so the memo table is safe for concurrent readers.
+    inversion and memoized) or given explicitly.
     """
 
     def __init__(
@@ -137,7 +135,6 @@ class CumulantTable:
         self.degree_bound = degree_bound
         self._state = state
         self._values: dict[tuple[Letter, ...], ComplexRational] = dict(values or {})
-        self._lock = threading.Lock()
 
     @classmethod
     def from_state(cls, state: FactorState) -> "CumulantTable":
@@ -157,33 +154,40 @@ class CumulantTable:
             raise TruncationError(
                 f"cumulant order {len(letters)} outside 1..{self.degree_bound}"
             )
-        with self._lock:
-            cached = self._values.get(letters)
-        if cached is not None:
-            return cached
-        if self._state is None:
-            raise ValidationError(
-                f"no cumulant value for letters {' '.join(l.text() for l in letters)!r}"
-            )
-        computed = kappa_n(self._state, letters)
-        with self._lock:
-            self._values.setdefault(letters, computed)
-        return computed
+        value = self._values.get(letters)
+        if value is None:
+            if self._state is None:
+                raise ValidationError(
+                    f"no cumulant value for letters {' '.join(l.text() for l in letters)!r}"
+                )
+            value = self._values[letters] = kappa_n(self._state, letters)
+        return value
+
+
+def cumulant_table_from_json(
+    obj: object,
+) -> tuple[CumulantTable, tuple[Letter, ...]]:
+    """Load a factor's cumulant table and its letters.
+
+    The schema is the factor spec of ``factor_state_from_json`` with a
+    ``"cumulants"`` object of word -> scalar in place of ``"moments"``.
+    """
+    factor, degree_bound, generators, values = parse_factor_spec(obj, "cumulants")
+    table = CumulantTable.from_values(
+        factor, degree_bound, {word.letters: v for word, v in values.items()}
+    )
+    return table, generator_letters(factor, generators)
 
 
 def moments_from_cumulants(
-    table: CumulantTable, letters: Sequence[Letter], cap: int = DEFAULT_DEGREE_CAP
+    table: CumulantTable, letters: Sequence[Letter]
 ) -> ComplexRational:
     """phi(a_1...a_n) = sum over sigma in NC(n) of the blockwise kappa product."""
-    n = len(letters)
-    _check_cap(n, cap)
-    total = ZERO
-    for sigma in enumerate_nc(n):
-        term = ONE
-        for block in sigma.blocks:
-            term = term * table.value(tuple(letters[i - 1] for i in block))
-        total = total + term
-    return total
+    return lattice_sum(
+        len(letters),
+        lambda block: table.value(tuple(letters[i - 1] for i in block)),
+        weighted=False,
+    )
 
 
 @dataclass(frozen=True)
@@ -194,7 +198,9 @@ class MomentSequence:
     values: tuple[ComplexRational, ...]
 
     def __post_init__(self):
-        if self.degree_bound < 1 or len(self.values) != self.degree_bound:
+        if not self.values:
+            raise ValidationError("need at least one moment, got none")
+        if len(self.values) != self.degree_bound:
             raise ValidationError(
                 f"need exactly {self.degree_bound} moments, got {len(self.values)}"
             )
@@ -214,17 +220,10 @@ class MomentSequence:
 
 def cumulants_from_moment_sequence(seq: MomentSequence) -> tuple[ComplexRational, ...]:
     """(kappa_1, ..., kappa_N) of a single variable, via Moebius inversion."""
-    out = []
-    for n in range(1, seq.degree_bound + 1):
-        top = Partition.top(n)
-        total = ZERO
-        for sigma in enumerate_nc(n):
-            term = ONE
-            for block in sigma.blocks:
-                term = term * seq.m(len(block))
-            total = total + term * moebius(sigma, top)
-        out.append(total)
-    return tuple(out)
+    return tuple(
+        lattice_sum(n, lambda block: seq.m(len(block)), weighted=True)
+        for n in range(1, seq.degree_bound + 1)
+    )
 
 
 def moment_sequence_from_cumulants(
@@ -232,16 +231,10 @@ def moment_sequence_from_cumulants(
 ) -> MomentSequence:
     """Rebuild m_1..m_N from (kappa_1, ..., kappa_N) by the lattice sum."""
     kappas = [ComplexRational.of(c) for c in cumulants]
-    values = []
-    for n in range(1, len(kappas) + 1):
-        total = ZERO
-        for sigma in enumerate_nc(n):
-            term = ONE
-            for block in sigma.blocks:
-                term = term * kappas[len(block) - 1]
-            total = total + term
-        values.append(total)
-    return MomentSequence.of(values)
+    return MomentSequence.of([
+        lattice_sum(n, lambda block: kappas[len(block) - 1], weighted=False)
+        for n in range(1, len(kappas) + 1)
+    ])
 
 
 def free_convolve_additive(x: MomentSequence, y: MomentSequence) -> MomentSequence:

@@ -18,18 +18,17 @@ Cumulant functions are layered exactly as they are defined:
                           expansion into unit/tensor-word slots.
 
 The state is the lattice sum phi(a_1..a_n) = sum over sigma in NC(n) of the
-blockwise base-cumulant product (``state_eval``).  Everything is exact and
-immutable; memo tables are lock-guarded.
+blockwise base-cumulant product (``state_eval``).  Everything is exact;
+the memo tables of a ``ProductSpace`` are plain per-instance dicts.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Iterable, Mapping, Sequence
 
-from .cumulant_calculus import kappa_words
+from .cumulant_calculus import kappa_words, lattice_sum
 from .errors import (
     DimensionMismatchError,
     FactorMismatchError,
@@ -42,6 +41,7 @@ from .moment_space import (
     Letter,
     Polynomial,
     Word,
+    check_degree_bound,
     factor_state_from_json,
 )
 from .nc_lattice import Partition, enumerate_nc, join_nc
@@ -267,7 +267,6 @@ class ProductSpace:
             )
         self.factors: dict[str, FactorState] = {f.factor: f for f in factors}
         self.degree_bound = bounds.pop()
-        self._lock = threading.Lock()
         self._kappa_factor_memo: dict[tuple[str, tuple[Word, ...]], ComplexRational] = {}
         self._kappa_base_memo: dict[tuple[Atom, ...], ComplexRational] = {}
         self._phi_memo: dict[tuple[Atom, ...], ComplexRational] = {}
@@ -404,18 +403,14 @@ class ProductSpace:
         self, factor: str, words: tuple[Word, ...]
     ) -> ComplexRational:
         key = (factor, words)
-        with self._lock:
-            cached = self._kappa_factor_memo.get(key)
-        if cached is not None:
-            return cached
-        value = kappa_words(self.factor_state(factor), words)
-        with self._lock:
-            self._kappa_factor_memo.setdefault(key, value)
+        value = self._kappa_factor_memo.get(key)
+        if value is None:
+            value = kappa_words(self.factor_state(factor), words)
+            self._kappa_factor_memo[key] = value
         return value
 
     def _kappa_base_atoms(self, atoms: tuple[Atom, ...]) -> ComplexRational:
-        with self._lock:
-            cached = self._kappa_base_memo.get(atoms)
+        cached = self._kappa_base_memo.get(atoms)
         if cached is not None:
             return cached
         present = {f for f, _ in atoms if f is not None}
@@ -433,8 +428,7 @@ class ProductSpace:
                 if coeff:
                     words = tuple(w for w, _ in combo)
                     value = value + coeff * self._kappa_factor_words(factor, words)
-        with self._lock:
-            self._kappa_base_memo.setdefault(atoms, value)
+        self._kappa_base_memo[atoms] = value
         return value
 
     def kappa_base(self, letters: Sequence[Letter]) -> ComplexRational:
@@ -461,8 +455,7 @@ class ProductSpace:
 
     def _admissible_tops(self, sizes: tuple[int, ...]) -> tuple[Partition, ...]:
         """All pi in NC(sum sizes) whose join with the interval partition is full."""
-        with self._lock:
-            cached = self._tops_memo.get(sizes)
+        cached = self._tops_memo.get(sizes)
         if cached is not None:
             return cached
         n = sum(sizes)
@@ -474,8 +467,7 @@ class ProductSpace:
         sigma = Partition.of(n, blocks)
         top = Partition.top(n)
         tops = tuple(pi for pi in enumerate_nc(n) if join_nc(pi, sigma) == top)
-        with self._lock:
-            self._tops_memo.setdefault(sizes, tops)
+        self._tops_memo[sizes] = tops
         return tops
 
     def _kappa_products_atoms(
@@ -558,23 +550,15 @@ class ProductSpace:
     def _phi_atoms(self, atoms: tuple[Atom, ...]) -> ComplexRational:
         if not atoms:
             return ONE
-        with self._lock:
-            cached = self._phi_memo.get(atoms)
-        if cached is not None:
-            return cached
-        total = ZERO
-        for sigma in enumerate_nc(len(atoms)):
-            term = ONE
-            for block in sigma.blocks:
-                term = term * self._kappa_base_atoms(
-                    tuple(atoms[i - 1] for i in block)
-                )
-                if term.is_zero():
-                    break
-            total = total + term
-        with self._lock:
-            self._phi_memo.setdefault(atoms, total)
-        return total
+        value = self._phi_memo.get(atoms)
+        if value is None:
+            value = lattice_sum(
+                len(atoms),
+                lambda block: self._kappa_base_atoms(tuple(atoms[i - 1] for i in block)),
+                weighted=False,
+            )
+            self._phi_memo[atoms] = value
+        return value
 
     def state_eval(
         self,
@@ -666,8 +650,7 @@ def product_space_from_json(obj: object) -> ProductSpace:
         factors_raw = obj["factors"]
     except KeyError as exc:
         raise SpecFormatError(f"product spec missing key {exc.args[0]!r}") from exc
-    if not isinstance(degree_bound, int):
-        raise SpecFormatError("'degree_bound' must be an integer")
+    check_degree_bound(degree_bound)
     if not isinstance(factors_raw, list) or not factors_raw:
         raise SpecFormatError("'factors' must be a non-empty list")
     factors = [factor_state_from_json(f) for f in factors_raw]

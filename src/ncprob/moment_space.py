@@ -13,7 +13,7 @@ Positivity of a factor state is NOT assumed here; ``verification`` checks it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import (
     FactorMismatchError,
@@ -255,6 +255,18 @@ def normalize_moments(
     return table
 
 
+def generator_letters(
+    factor: str, generators: Sequence[GeneratorSymbol]
+) -> tuple[Letter, ...]:
+    """Each generator's letter, followed by its star unless it is selfadjoint."""
+    out = []
+    for g in generators:
+        out.append(Letter(g, False, factor))
+        if not g.selfadjoint:
+            out.append(Letter(g, True, factor))
+    return tuple(out)
+
+
 def all_words(letters: Sequence[Letter], max_degree: int) -> Iterator[Word]:
     """Every word of degree 0..max_degree over ``letters``, shortest first."""
     ordered = sorted(set(letters), key=Letter.sort_key)
@@ -295,12 +307,7 @@ class FactorState:
         )
 
     def letters(self) -> tuple[Letter, ...]:
-        out = []
-        for g in self.generators:
-            out.append(Letter(g, False, self.factor))
-            if not g.selfadjoint:
-                out.append(Letter(g, True, self.factor))
-        return tuple(out)
+        return generator_letters(self.factor, self.generators)
 
     def letter(self, name: str) -> Letter:
         for g in self.generators:
@@ -402,46 +409,64 @@ def factor_state_from_json(obj: object) -> FactorState:
     Scalars are strings like ``"-3/2"`` or ``"1/2+1/3 i"``; decimals are
     read exactly.  Words are space-separated letter names, ``"a*"`` starred.
     """
+    factor, degree_bound, generators, moments = parse_factor_spec(obj, "moments")
+    try:
+        return FactorState(factor, degree_bound, generators, moments)
+    except (ValidationError, FactorMismatchError, TruncationError) as exc:
+        raise SpecFormatError(str(exc)) from exc
+
+
+def parse_factor_spec(
+    obj: object, table_key: str
+) -> tuple[str, int, list[GeneratorSymbol], dict[Word, ComplexRational]]:
+    """Read the factor, degree bound, generators and word -> scalar table of a
+    factor spec whose table sits under ``table_key``."""
     if not isinstance(obj, dict):
         raise SpecFormatError("factor spec must be a JSON object")
     try:
         factor = obj["factor"]
         degree_bound = obj["degree_bound"]
         generators_raw = obj["generators"]
-        moments_raw = obj["moments"]
+        table_raw = obj[table_key]
     except KeyError as exc:
         raise SpecFormatError(f"factor spec missing key {exc.args[0]!r}") from exc
     if not isinstance(factor, str):
         raise SpecFormatError("'factor' must be a string")
-    if not isinstance(degree_bound, int):
-        raise SpecFormatError("'degree_bound' must be an integer")
+    check_degree_bound(degree_bound)
+    if not isinstance(generators_raw, list):
+        raise SpecFormatError("'generators' must be a list")
     generators = []
     for idx, g in enumerate(generators_raw):
         if not isinstance(g, dict) or "name" not in g:
             raise SpecFormatError(f"generator #{idx} must be {{'name': ..}}")
+        if not isinstance(g["name"], str):
+            raise SpecFormatError(f"generator #{idx}: 'name' must be a string")
         generators.append(
             GeneratorSymbol(g["name"], bool(g.get("selfadjoint", False)))
         )
     letters_by_name = {}
     for g in generators:
         letters_by_name[g.name] = Letter(g, False, factor)
-    if not isinstance(moments_raw, dict):
-        raise SpecFormatError("'moments' must be an object of word -> scalar")
-    moments: dict[Word, ComplexRational] = {}
-    for word_text, scalar_text in moments_raw.items():
+    if not isinstance(table_raw, dict):
+        raise SpecFormatError(f"{table_key!r} must be an object of word -> scalar")
+    table: dict[Word, ComplexRational] = {}
+    for word_text, scalar_text in table_raw.items():
         word = parse_word(word_text, letters_by_name)
         if not isinstance(scalar_text, str):
             raise SpecFormatError(
-                f"moment of {word_text!r} must be a scalar string"
+                f"{table_key} entry of {word_text!r} must be a scalar string"
             )
         value = ComplexRational.parse(scalar_text)
-        if word in moments and moments[word] != value:
+        if word in table and table[word] != value:
             raise SpecFormatError(
                 f"conflicting entries for word {word.text()!r} "
                 f"(keys normalize via selfadjoint flags)"
             )
-        moments[word] = value
-    try:
-        return FactorState(factor, degree_bound, generators, moments)
-    except (ValidationError, FactorMismatchError, TruncationError) as exc:
-        raise SpecFormatError(str(exc)) from exc
+        table[word] = value
+    return factor, degree_bound, generators, table
+
+
+def check_degree_bound(value: object) -> None:
+    """A JSON degree bound must be a positive integer; JSON true is not 1."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise SpecFormatError("'degree_bound' must be a positive integer")

@@ -7,20 +7,24 @@ string comes first, so the order starts at the one-block partition ``1_n``
 and ends at the all-singletons partition ``0_n``.  The enumeration cap is
 ``MAX_ENUM_N`` = 12 (Catalan(12) = 208012 partitions).
 
-The partial order is reverse refinement, the join is the NC(n) join
-(set-partition join followed by merging crossing blocks), and the Moebius
-function is computed by its defining recursion
+The partial order is reverse refinement and the join is the NC(n) join
+(set-partition join followed by merging crossing blocks).  The Moebius
+function is the closed form (Nica & Speicher, Lectures 9-10): every interval
+[s, p] is a product of full lattices NC(k), one per block of the relative
+Kreweras complement, and mu(0_k, 1_k) = (-1)^(k-1) Catalan(k-1), so
 
-    mu(s, s) = 1,    sum over s <= t <= p of mu(s, t) = 0   for s < p,
+    mu(s, p) = product over blocks B of p, over blocks W of K(s|B),
+               of (-1)^(|W|-1) Catalan(|W|-1),
 
-memoized per interval.  All values are immutable; the memo tables are
-guarded by a lock so concurrent readers see consistent results.
+with s|B the restriction of s to B relabelled 1..|B|.  Reading each block as
+the cycle of its elements in increasing order, the blocks of every K(s|B)
+together are the cycles of the permutation s^-1 p, so mu costs O(n).  All
+values are immutable.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
@@ -35,11 +39,7 @@ from .errors import (
 
 MAX_ENUM_N = 12
 
-_lock = threading.RLock()
 _nc_cache: dict[int, tuple["Partition", ...]] = {}
-_upset_cache: dict["Partition", tuple["Partition", ...]] = {}
-_mu_cache: dict[tuple["Partition", "Partition"], int] = {}
-_block_map_cache: dict["Partition", tuple[int, ...]] = {}
 
 
 @dataclass(frozen=True)
@@ -97,15 +97,6 @@ class Partition:
             for x in block:
                 out[x - 1] = label
         return tuple(out)
-
-    def block_map(self) -> tuple[int, ...]:
-        """block_map()[x-1] = index of the block containing x."""
-        with _lock:
-            cached = _block_map_cache.get(self)
-            if cached is None:
-                cached = self.rgs()
-                _block_map_cache[self] = cached
-            return cached
 
     def block_count(self) -> int:
         return len(self.blocks)
@@ -192,7 +183,7 @@ def leq(sigma: Partition, pi: Partition) -> bool:
     """Reverse refinement: every block of sigma lies inside one block of pi."""
     if sigma.n != pi.n:
         raise DimensionMismatchError(f"ground sets differ: {sigma.n} vs {pi.n}")
-    owner = pi.block_map()
+    owner = pi.rgs()
     for block in sigma.blocks:
         target = owner[block[0] - 1]
         for x in block[1:]:
@@ -260,14 +251,23 @@ def enumerate_nc(n: int) -> tuple[Partition, ...]:
         raise SizeOutOfRangeError(
             f"n must be within 1..{MAX_ENUM_N}, got {n}"
         )
-    with _lock:
-        cached = _nc_cache.get(n)
-    if cached is not None:
-        return cached
-    result = tuple(Partition.from_rgs(r) for r in _iter_nc_rgs(n))
-    with _lock:
-        _nc_cache.setdefault(n, result)
-    return result
+    cached = _nc_cache.get(n)
+    if cached is None:
+        cached = _nc_cache[n] = tuple(_trusted_from_rgs(r) for r in _iter_nc_rgs(n))
+    return cached
+
+
+def _trusted_from_rgs(rgs: tuple[int, ...]) -> Partition:
+    # Labels of a restricted-growth string appear in order of least element
+    # and positions are visited ascending, so the blocks come out canonical;
+    # only strings from _iter_nc_rgs reach here, so validation is skipped.
+    blocks: list[list[int]] = [[] for _ in range(max(rgs) + 1)]
+    for pos, label in enumerate(rgs, start=1):
+        blocks[label].append(pos)
+    p = object.__new__(Partition)
+    object.__setattr__(p, "n", len(rgs))
+    object.__setattr__(p, "blocks", tuple(tuple(b) for b in blocks))
+    return p
 
 
 def _iter_nc_rgs(n: int) -> Iterator[tuple[int, ...]]:
@@ -298,45 +298,63 @@ def catalan(n: int) -> int:
 
 
 def moebius(sigma: Partition, pi: Partition) -> int:
-    """mu(sigma, pi) on NC(n), by the defining recursion, memoized.
+    """mu(sigma, pi) on NC(n) for a validated pair sigma <= pi, in closed form.
 
-    The extension to sigma == pi has value 1 (the recursion base).
+    The extension to sigma == pi has value 1.
     """
-    interval = LatticePair(sigma, pi)
-    return _mu(interval.lower, interval.upper)
+    LatticePair(sigma, pi)
+    return _closed_form_moebius(sigma.n, sigma.blocks, pi.blocks)
 
 
-def _upset(sigma: Partition) -> tuple[Partition, ...]:
-    with _lock:
-        cached = _upset_cache.get(sigma)
-    if cached is not None:
-        return cached
-    ups = tuple(tau for tau in enumerate_nc(sigma.n) if leq(sigma, tau))
-    with _lock:
-        _upset_cache.setdefault(sigma, ups)
-    return ups
+def moebius_to_top(sigma: Partition) -> int:
+    """mu(sigma, 1_n) in closed form, for sigma already known to be in NC(n)."""
+    return _closed_form_moebius(sigma.n, sigma.blocks, (tuple(range(1, sigma.n + 1)),))
 
 
-def _leq_fast(sigma: Partition, owner: tuple[int, ...]) -> bool:
-    for block in sigma.blocks:
-        target = owner[block[0] - 1]
-        for x in block[1:]:
-            if owner[x - 1] != target:
-                return False
-    return True
+def kreweras(sigma: Partition) -> Partition:
+    """The Kreweras complement K(sigma) of a non-crossing partition."""
+    if not is_noncrossing(sigma):
+        raise ValidationError(f"{sigma} is crossing")
+    top = (tuple(range(1, sigma.n + 1)),)
+    return Partition.of(sigma.n, _kreweras_cycles(sigma.n, sigma.blocks, top))
 
 
-def _mu(sigma: Partition, pi: Partition) -> int:
-    if sigma == pi:
-        return 1
-    key = (sigma, pi)
-    with _lock:
-        cached = _mu_cache.get(key)
-    if cached is not None:
-        return cached
-    owner = pi.block_map()
-    below = [tau for tau in _upset(sigma) if tau != pi and _leq_fast(tau, owner)]
-    value = -sum(_mu(sigma, tau) for tau in below)
-    with _lock:
-        _mu_cache.setdefault(key, value)
+def _kreweras_cycles(
+    n: int, lower: Iterable[tuple[int, ...]], upper: Iterable[tuple[int, ...]]
+) -> list[list[int]]:
+    # Read every block, in increasing order, as a cycle of a permutation.  For
+    # lower <= upper the cycles of lower^-1 upper are the blocks of the
+    # relative Kreweras complement of lower in upper; for upper = 1_n that is
+    # i -> lower^-1(i mod n + 1).
+    step = [0] * (n + 1)
+    for block in upper:
+        for x, y in zip(block, block[1:] + block[:1]):
+            step[x] = y
+    back = [0] * (n + 1)
+    for block in lower:
+        for x, y in zip(block, block[1:] + block[:1]):
+            back[y] = x
+    seen = [False] * (n + 1)
+    cycles = []
+    for start in range(1, n + 1):
+        cycle = []
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            cycle.append(i)
+            i = back[step[i]]
+        if cycle:
+            cycles.append(cycle)
+    return cycles
+
+
+def _closed_form_moebius(
+    n: int, lower: Iterable[tuple[int, ...]], upper: Iterable[tuple[int, ...]]
+) -> int:
+    # [lower, upper] is isomorphic to the product of the full lattices NC(|W|)
+    # over the blocks W of the relative Kreweras complement.
+    value = 1
+    for cycle in _kreweras_cycles(n, lower, upper):
+        k = len(cycle)
+        value *= catalan(k - 1) if k % 2 else -catalan(k - 1)
     return value

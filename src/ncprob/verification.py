@@ -18,10 +18,9 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import Iterator, Mapping, Sequence
 
-from .cumulant_calculus import kappa_words
+from .cumulant_calculus import kappa_words, lattice_sum
 from .errors import TruncationError, ValidationError
 from .moment_space import (
-    EMPTY_WORD,
     FactorState,
     GeneratorSymbol,
     Letter,
@@ -32,7 +31,6 @@ from .moment_space import (
     normalize_moments,
 )
 from .free_product import FreeElement, ProductSpace, TensorWord
-from .nc_lattice import Partition, enumerate_nc, moebius
 from .scalar import ONE, ZERO, ComplexRational
 
 
@@ -241,17 +239,11 @@ def _phi_of_centered_product(
 
 def joint_kappa(joint: JointState, letters: Sequence[Letter]) -> ComplexRational:
     """kappa_n recomputed from the joint moments by Moebius inversion."""
-    n = len(letters)
-    if n < 1:
-        raise ValidationError("kappa needs at least one letter")
-    top = Partition.top(n)
-    total = ZERO
-    for sigma in enumerate_nc(n):
-        term = ONE
-        for block in sigma.blocks:
-            term = term * joint.phi_word(tuple(letters[i - 1] for i in block))
-        total = total + term * moebius(sigma, top)
-    return total
+    return lattice_sum(
+        len(letters),
+        lambda block: joint.phi_word(tuple(letters[i - 1] for i in block)),
+        weighted=True,
+    )
 
 
 def check_freeness_cumulants(

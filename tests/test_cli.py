@@ -181,3 +181,49 @@ def test_bad_json_is_status_2(tmp_path, capsys):
 def test_missing_file_is_status_2(capsys):
     code, _, err = run(capsys, ["convolve", "/nonexistent/x.json", "/nonexistent/y.json"])
     assert code == 2
+
+
+def cumulant_table_spec(generators):
+    return {
+        "factor": "A1",
+        "degree_bound": 1,
+        "generators": generators,
+        "cumulants": {"u": "1/2", "u*": "1/2"},
+    }
+
+
+@pytest.mark.parametrize(
+    "generators", [[{"selfadjoint": False}], [{"name": 5}], {"name": "u"}]
+)
+def test_moments_bad_generator_is_status_2(tmp_path, capsys, generators):
+    src = tmp_path / "cumulants.json"
+    src.write_text(json.dumps(cumulant_table_spec(generators)))
+    code, out, err = run(capsys, ["moments", "--from-cumulants", src])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_cumulants_non_string_generator_is_status_2(tmp_path, capsys):
+    spec = {
+        "factor": "A1",
+        "degree_bound": 1,
+        "generators": [{"name": 5}],
+        "moments": {},
+    }
+    src = tmp_path / "factor.json"
+    src.write_text(json.dumps(spec))
+    code, _, err = run(capsys, ["cumulants", "--from-moments", src])
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,key", [
+    ("cumulants", "moments"), ("moments", "cumulants"),
+])
+def test_empty_sequence_needs_one_value(tmp_path, capsys, command, key):
+    src = tmp_path / "empty.json"
+    src.write_text(json.dumps({key: []}))
+    code, _, err = run(capsys, [command, f"--from-{key}", src])
+    assert code == 2
+    assert "at least one moment" in err

@@ -13,9 +13,12 @@ from ncprob import (
     MomentSequence,
     Partition,
     Polynomial,
+    SizeOutOfRangeError,
+    SpecFormatError,
     TruncationError,
     ValidationError,
     Word,
+    cumulant_table_from_json,
     cumulants_from_moment_sequence,
     enumerate_nc,
     free_convolve_additive,
@@ -23,6 +26,7 @@ from ncprob import (
     kappa_pi,
     kappa_pi_via_moebius,
     kappa_words,
+    lattice_sum,
     moebius,
     moment_sequence_from_cumulants,
     moments_from_cumulants,
@@ -311,3 +315,87 @@ def test_convolution_errors():
             MomentSequence.of([ComplexRational.parse("i"), ZERO]),
             MomentSequence.of([0, 1]),
         )
+
+
+# -- the lattice-sum kernel and the cumulant-table loader ----------------------------
+
+
+def test_lattice_sum_counts_and_moebius_identity():
+    for n in range(1, 9):
+        assert lattice_sum(n, lambda block: ONE, weighted=False) == ComplexRational.of(
+            len(enumerate_nc(n))
+        )
+        # sum over sigma of mu(sigma, 1_n) is 0 unless the lattice is a point
+        expected = ONE if n == 1 else ZERO
+        assert lattice_sum(n, lambda block: ONE, weighted=True) == expected
+
+
+def test_lattice_sum_range():
+    with pytest.raises(ValidationError):
+        lattice_sum(0, lambda block: ONE, weighted=True)
+    with pytest.raises(SizeOutOfRangeError):
+        lattice_sum(13, lambda block: ONE, weighted=False)
+    la = Letter(GeneratorSymbol("a", selfadjoint=True), False, "A")
+    table = CumulantTable.from_values("A", 13, {(la,) * 13: ONE})
+    with pytest.raises(SizeOutOfRangeError):
+        moments_from_cumulants(table, (la,) * 13)
+
+
+def test_lattice_sum_raises_from_the_top_block_first():
+    seen = []
+
+    def block_value(block):
+        seen.append(block)
+        raise TruncationError("stop")
+
+    with pytest.raises(TruncationError):
+        lattice_sum(4, block_value, weighted=True)
+    assert seen == [(1, 2, 3, 4)]
+
+
+def test_empty_moment_sequence_message():
+    with pytest.raises(ValidationError, match="at least one moment"):
+        MomentSequence.of([])
+    with pytest.raises(ValidationError, match="at least one moment"):
+        moment_sequence_from_cumulants([])
+
+
+def cumulant_spec():
+    return {
+        "factor": "A",
+        "degree_bound": 2,
+        "generators": [{"name": "u", "selfadjoint": False}],
+        "cumulants": {"u": "1", "u*": "1", "u u": "0", "u u*": "1", "u* u": "2",
+                      "u* u*": "0"},
+    }
+
+
+def test_cumulant_table_from_json():
+    table, letters = cumulant_table_from_json(cumulant_spec())
+    assert (table.factor, table.degree_bound) == ("A", 2)
+    lu, lus = letters
+    assert (lu.text(), lus.text()) == ("u", "u*")
+    # phi(u u*) = kappa(u u*) + kappa(u) kappa(u*)
+    assert moments_from_cumulants(table, (lu, lus)) == ComplexRational.of(2)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda s: s.pop("cumulants"),
+        lambda s: s.update(degree_bound=True),
+        lambda s: s.update(degree_bound="2"),
+        lambda s: s.update(degree_bound=0),
+        lambda s: s.update(factor=1),
+        lambda s: s.update(generators=[{"selfadjoint": False}]),
+        lambda s: s.update(generators=[{"name": 5}]),
+        lambda s: s.update(cumulants=["u"]),
+        lambda s: s.update(cumulants={"v": "1"}),
+        lambda s: s.update(cumulants={"u": 1}),
+    ],
+)
+def test_cumulant_table_from_json_rejects(mutate):
+    spec = cumulant_spec()
+    mutate(spec)
+    with pytest.raises(SpecFormatError):
+        cumulant_table_from_json(spec)

@@ -422,6 +422,13 @@ def test_product_space_from_json():
         space.resolve_letter("zz")
 
 
+def bool_degree_bound(spec):
+    # JSON true must not pass as the integer 1 these degree-1 factors declare.
+    spec["degree_bound"] = True
+    for f in spec["factors"]:
+        f.update(degree_bound=1, moments={f["generators"][0]["name"]: "0"})
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -432,6 +439,7 @@ def test_product_space_from_json():
             generators=[{"name": "a", "selfadjoint": True}],
             moments={"a": "0", "a a": "1"},
         ),
+        bool_degree_bound,
     ],
 )
 def test_product_space_from_json_rejects(mutate):

@@ -243,6 +243,9 @@ def test_factor_state_from_json():
         lambda s: s.update(moments={"a": "0"}),
         lambda s: s.update(moments={"a": "0", "a a": "1", "a a a": "0"}),
         lambda s: s.update(moments={"a": "0", "a a": "1", "a* a*": "2"}),
+        lambda s: s.update(degree_bound=True, moments={"a": "0"}),
+        lambda s: s.update(generators=[{"name": 5}]),
+        lambda s: s.update(generators=7),
     ],
 )
 def test_factor_state_from_json_rejects(mutate):

@@ -20,6 +20,7 @@ from ncprob import (
     moebius,
     parse_partition,
 )
+from ncprob.nc_lattice import kreweras, moebius_to_top
 
 
 # -- independent oracles -------------------------------------------------------
@@ -53,6 +54,25 @@ def has_crossing_quadruple(p):
 
 def catalan_formula(n):
     return math.comb(2 * n, n) // (n + 1)
+
+
+def recursive_moebius(n):
+    """{(sigma, pi): mu} over every comparable pair of NC(n), by the defining
+    recursion mu(s, s) = 1 and sum over s <= t <= p of mu(s, t) = 0 for s < p."""
+    elems = enumerate_nc(n)
+    mu = {}
+    for sigma in elems:
+        # Finer partitions have more blocks, so this order is a linear
+        # extension of the interval above sigma.
+        ups = sorted((t for t in elems if leq(sigma, t)), key=lambda t: -len(t.blocks))
+        for k, pi in enumerate(ups):
+            if pi == sigma:
+                mu[sigma, pi] = 1
+            else:
+                mu[sigma, pi] = -sum(
+                    mu[sigma, t] for t in ups[:k] if leq(t, pi)
+                )
+    return mu
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -89,6 +109,13 @@ def test_enumeration_order_is_rgs_lex():
         strings = [p.rgs() for p in enumerate_nc(n)]
         assert strings == sorted(strings)
         assert len(set(strings)) == len(strings)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_enumeration_equals_validated_construction(n):
+    strings = [p.rgs() for p in enumerate_nc(n)]
+    assert list(enumerate_nc(n)) == [Partition.from_rgs(r) for r in strings]
+    assert all(is_noncrossing(p) for p in enumerate_nc(n))
 
 
 def test_size_out_of_range():
@@ -218,6 +245,37 @@ def test_moebius_defining_identity(n):
                     if leq(sigma, tau) and leq(tau, pi)
                 )
                 assert total == 0
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_moebius_matches_defining_recursion(n):
+    expected = recursive_moebius(n)
+    if n == 7:
+        assert len(expected) == 7752
+    for (sigma, pi), value in expected.items():
+        assert moebius(sigma, pi) == value
+    top = Partition.top(n)
+    for sigma in enumerate_nc(n):
+        assert moebius_to_top(sigma) == expected[sigma, top]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_kreweras_is_an_anti_isomorphism(n):
+    elems = enumerate_nc(n)
+    complement = {sigma: kreweras(sigma) for sigma in elems}
+    assert set(complement.values()) == set(elems)
+    for sigma in elems:
+        assert len(complement[sigma].blocks) == n + 1 - len(sigma.blocks)
+        for pi in elems:
+            assert leq(sigma, pi) == leq(complement[pi], complement[sigma])
+
+
+def test_kreweras_examples():
+    assert kreweras(Partition.bottom(4)) == Partition.top(4)
+    assert kreweras(Partition.top(4)) == Partition.bottom(4)
+    assert kreweras(Partition.of(3, [[1, 2], [3]])) == Partition.of(3, [[1], [2, 3]])
+    with pytest.raises(ValidationError):
+        kreweras(Partition.of(4, [[1, 3], [2, 4]]))
 
 
 def test_moebius_errors():
