@@ -234,21 +234,14 @@ class GroupedWord:
         return len(self.boundaries)
 
     def groups(self) -> tuple[tuple[Letter, ...], ...]:
-        out = []
-        start = 0
-        for stop in self.boundaries:
-            out.append(self.letters[start:stop])
-            start = stop
-        return tuple(out)
+        starts = (0, *self.boundaries[:-1])
+        return tuple(
+            self.letters[start:stop] for start, stop in zip(starts, self.boundaries)
+        )
 
     def sigma_interval(self) -> Partition:
         """The interval partition {{1..s_1}, {s_1+1..s_2}, ...}."""
-        blocks = []
-        start = 0
-        for stop in self.boundaries:
-            blocks.append(range(start + 1, stop + 1))
-            start = stop
-        return Partition.of(len(self.letters), blocks)
+        return _interval_partition(tuple(len(g) for g in self.groups()))
 
 
 class ProductSpace:
@@ -459,12 +452,7 @@ class ProductSpace:
         if cached is not None:
             return cached
         n = sum(sizes)
-        blocks = []
-        start = 0
-        for size in sizes:
-            blocks.append(range(start + 1, start + size + 1))
-            start += size
-        sigma = Partition.of(n, blocks)
+        sigma = _interval_partition(sizes)
         top = Partition.top(n)
         tops = tuple(pi for pi in enumerate_nc(n) if join_nc(pi, sigma) == top)
         self._tops_memo[sizes] = tops
@@ -489,22 +477,11 @@ class ProductSpace:
 
     def kappa_products(self, gw: GroupedWord) -> ComplexRational:
         """Cumulant of the grouped products: the join-constrained lattice sum."""
-        atoms = _letter_atoms(gw.letters)
-        groups = []
-        start = 0
-        for stop in gw.boundaries:
-            groups.append(atoms[start:stop])
-            start = stop
-        return self._kappa_products_atoms(groups)
+        return self._kappa_products_atoms([_letter_atoms(g) for g in gw.groups()])
 
     def kappa_pi_products(self, pi: Partition, gw: GroupedWord) -> ComplexRational:
         """Blockwise extension over groups, order preserved within blocks."""
-        group_atoms = []
-        start = 0
-        atoms = _letter_atoms(gw.letters)
-        for stop in gw.boundaries:
-            group_atoms.append(atoms[start:stop])
-            start = stop
+        group_atoms = [_letter_atoms(g) for g in gw.groups()]
         if pi.n != len(group_atoms):
             raise DimensionMismatchError(
                 f"partition of {pi.n} applied to {len(group_atoms)} groups"
@@ -631,6 +608,16 @@ class ProductSpace:
 
 def _letter_atoms(letters: Sequence[Letter]) -> tuple[Atom, ...]:
     return tuple((l.factor, Polynomial.from_letter(l)) for l in letters)
+
+
+def _interval_partition(sizes: Sequence[int]) -> Partition:
+    """The interval partition of 1..sum(sizes) into consecutive runs of ``sizes``."""
+    blocks = []
+    start = 0
+    for size in sizes:
+        blocks.append(range(start + 1, start + size + 1))
+        start += size
+    return Partition.of(start, blocks)
 
 
 def product_space_from_json(obj: object) -> ProductSpace:

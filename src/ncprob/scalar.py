@@ -8,17 +8,32 @@ as an exact rational.  Floats never appear.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import SpecFormatError
+from .errors import SizeOutOfRangeError, SpecFormatError
 
 RationalLike = int | Fraction
 
+# CPython's default limit on int <-> str digits.  A larger decimal exponent
+# would make Fraction build a number too long to print (or, at 1e100000000,
+# take minutes to build at all).
+MAX_DIGITS = 4300
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)$")
+
 
 def _frac(text: str) -> Fraction:
+    s = text.strip()
+    exponent = _EXPONENT.search(s)
+    if exponent:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_DIGITS)) or int(digits or 0) > MAX_DIGITS:
+            raise SpecFormatError(
+                f"exponent of {text!r} exceeds {MAX_DIGITS} in magnitude"
+            )
     try:
-        return Fraction(text.strip())
+        return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise SpecFormatError(f"not a rational number: {text!r}") from exc
 
@@ -122,6 +137,14 @@ class ComplexRational:
         return other / self
 
     def __str__(self) -> str:
+        try:
+            return self._text()
+        except ValueError:  # the int-to-str digit limit
+            raise SizeOutOfRangeError(
+                f"scalar too large to print (over {MAX_DIGITS} digits)"
+            ) from None
+
+    def _text(self) -> str:
         if not self.im:
             return str(self.re)
         if not self.re:
@@ -157,7 +180,3 @@ ONE = ComplexRational(Fraction(1))
 
 def parse_scalar(text: str) -> ComplexRational:
     return ComplexRational.parse(text)
-
-
-def format_scalar(value: ComplexRational) -> str:
-    return str(value)

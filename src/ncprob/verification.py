@@ -4,7 +4,10 @@ variance factorization, and exact positivity of states.
 Positive semidefiniteness is decided over the rationals by pivoted LDL*
 without square roots: split off a positive diagonal pivot, recurse on the
 Schur complement, and on failure lift the inner witness back, so a failing
-matrix always comes with a rational vector x with x* M x < 0.
+matrix always comes with a rational vector x with x* M x < 0.  On a free
+product the Gram entry phi(b_s* b_t) is the state on the concatenated atoms
+of the two tensor words, read off the lattice sum of free cumulants without
+multiplying the words in the algebra.
 
 Freeness checks run over centered generator monomials (moments mode) and
 generator letter tuples (cumulants mode); multilinearity reduces the general
@@ -28,6 +31,7 @@ from .moment_space import (
     Word,
     all_words,
     canonical_moment_key,
+    generator_letters,
     normalize_moments,
 )
 from .free_product import FreeElement, ProductSpace, TensorWord
@@ -94,13 +98,11 @@ class ExplicitJointState(JointState):
         self._generators = {
             index: tuple(gens) for index, gens in sorted(factor_generators.items())
         }
-        letters: list[Letter] = []
-        for index, gens in self._generators.items():
-            for g in gens:
-                letters.append(Letter(g, False, index))
-                if not g.selfadjoint:
-                    letters.append(Letter(g, True, index))
-        self._letters = tuple(letters)
+        self._letters = tuple(
+            letter
+            for index, gens in self._generators.items()
+            for letter in generator_letters(index, gens)
+        )
         self._moments = normalize_moments(
             dict(moments), self._letters, degree_bound, "joint state"
         )
@@ -321,7 +323,11 @@ def variance_factorization(
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """phi(basis_s* basis_t), validated Hermitian at construction."""
+    """phi(basis_s* basis_t), validated Hermitian at construction.
+
+    Every entry is evaluated on its own, so the check compares independent
+    computations; product entries are phi of the atoms of basis_s* then basis_t.
+    """
 
     labels: tuple[str, ...]
     entries: tuple[tuple[ComplexRational, ...], ...]
@@ -415,18 +421,20 @@ def check_positivity(
     """Exact Gram-matrix PSD check over all words of degree <= basis_degree.
 
     For a product space the basis is the unit plus every alternating tensor
-    word of centered factor monomials, and the Lemma-3 structure is verified
-    on the side: on each family of same-pattern tensor words the kappa_2 Gram
-    equals the entrywise product of the per-slot kappa_2 matrices.
+    word of centered factor monomials; entry (s, t) is the state on the
+    concatenated atoms of b_s* and b_t, which the lattice sum evaluates
+    without multiplying the words.  The Lemma-3 structure is verified on the
+    side: on each family of same-pattern tensor words the kappa_2 Gram equals
+    the entrywise product of the per-slot kappa_2 matrices.
     """
     if basis_degree < 0:
         raise ValidationError("basis degree must be >= 0")
+    if 2 * basis_degree > target.degree_bound:
+        raise TruncationError(
+            f"Gram at degree {basis_degree} needs moments up to "
+            f"{2 * basis_degree} > bound {target.degree_bound}"
+        )
     if isinstance(target, FactorState):
-        if 2 * basis_degree > target.degree_bound:
-            raise TruncationError(
-                f"Gram at degree {basis_degree} needs moments up to "
-                f"{2 * basis_degree} > bound {target.degree_bound}"
-            )
         basis = sorted(
             all_words(target.letters(), basis_degree), key=Word.sort_key
         )
@@ -434,53 +442,32 @@ def check_positivity(
         entries = tuple(
             tuple(target.phi_word(ws.star() * wt) for wt in basis) for ws in basis
         )
-        gram = GramMatrix(labels, entries)
-        psd, pivots, witness = ldlt_psd(gram.entries)
-        return PositivityResult(psd, pivots, witness, gram, None)
-
-    space = target
-    if 2 * basis_degree > space.degree_bound:
-        raise TruncationError(
-            f"Gram at degree {basis_degree} needs moments up to "
-            f"{2 * basis_degree} > bound {space.degree_bound}"
+        schur_ok = None
+    else:
+        words = centered_word_basis(target, basis_degree)
+        labels = ("1",) + tuple(w.text() for w in words)
+        left = [()] + [w.star().components for w in words]
+        right = [()] + [w.components for w in words]
+        entries = tuple(
+            tuple(target.state_eval(ls + rt) for rt in right) for ls in left
         )
-    words = centered_word_basis(space, basis_degree)
-    basis = [space.one()] + [FreeElement.from_word(w) for w in words]
-    labels = ("1",) + tuple(w.text() for w in words)
-    entries = tuple(
-        tuple(
-            space.state_eval(space.multiply(bs.star(), bt)) for bt in basis
-        )
-        for bs in basis
-    )
+        schur_ok = _schur_structure_holds(target, words)
     gram = GramMatrix(labels, entries)
     psd, pivots, witness = ldlt_psd(gram.entries)
-    schur_ok = _schur_structure_holds(space, words)
     return PositivityResult(psd, pivots, witness, gram, schur_ok)
 
 
 def centered_word_basis(space: ProductSpace, max_degree: int) -> list[TensorWord]:
     """Alternating tensor words of centered factor monomials, degree <= max."""
-    indices = sorted(space.factors)
-    out: list[TensorWord] = []
-
-    def extend(
-        components: tuple[tuple[str, Polynomial], ...], used: int, last: str | None
-    ) -> None:
-        if components:
-            out.append(TensorWord(components))
-        for index in indices:
-            if index == last:
-                continue
-            state = space.factor_state(index)
-            for degree in range(1, max_degree - used + 1):
-                for word in all_words(state.letters(), degree):
-                    if word.degree != degree:
-                        continue
-                    centered = state.center(Polynomial.monomial(word))
-                    extend(components + ((index, centered),), used + degree, index)
-
-    extend((), 0, None)
+    out = [
+        TensorWord(
+            tuple(
+                (index, space.factor_state(index).center(Polynomial.monomial(word)))
+                for index, word in slots
+            )
+        )
+        for slots in _alternating_slot_sequences(ProductStateView(space), max_degree)
+    ]
     out.sort(key=TensorWord.sort_key)
     return out
 
@@ -489,19 +476,12 @@ def _schur_structure_holds(space: ProductSpace, words: Sequence[TensorWord]) -> 
     by_pattern: dict[tuple[str, ...], list[TensorWord]] = {}
     for w in words:
         by_pattern.setdefault(tuple(f for f, _ in w.components), []).append(w)
-    for pattern, family in sorted(by_pattern.items()):
-        k = len(pattern)
+    for family in by_pattern.values():
         for ws in family:
             for wt in family:
-                expected = ONE
-                for u in range(k):
-                    state = space.factor_state(pattern[u])
-                    expected = expected * _factor_kappa2(
-                        state, ws.components[u][1].star(), wt.components[u][1]
-                    )
                 actual = space.kappa_elements(
                     [FreeElement.from_word(ws).star(), FreeElement.from_word(wt)]
                 )
-                if actual != expected:
+                if actual != variance_factorization(space, ws, wt):
                     return False
     return True

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -227,3 +231,24 @@ def test_empty_sequence_needs_one_value(tmp_path, capsys, command, key):
     code, _, err = run(capsys, [command, f"--from-{key}", src])
     assert code == 2
     assert "at least one moment" in err
+
+
+@pytest.mark.parametrize("first", ["1e100000000", "1e5000", "1e3000"])
+def test_huge_scalar_is_status_2(tmp_path, first):
+    # A separate process, so a hang is cut by the timeout and a traceback
+    # shows on stderr.  1e100000000 used to run for minutes, 1e5000 and
+    # 1e3000 (whose kappa_2 has ~6,000 digits) failed in str(Fraction).
+    src = tmp_path / "moments.json"
+    src.write_text(json.dumps({"moments": [first, "1"]}))
+    package_root = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(package_root), os.environ.get("PYTHONPATH", "")]
+    )}
+    proc = subprocess.run(
+        [sys.executable, "-m", "ncprob.cli", "cumulants", "--from-moments", str(src)],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1

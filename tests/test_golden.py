@@ -1,7 +1,9 @@
 """Golden CLI outputs: stdout must stay byte-identical, exit codes identical.
 
 The files under ``tests/golden/`` were captured from the interval-recursion
-implementation of the Moebius function, before the closed form replaced it.
+implementation of the Moebius function, before the closed form replaced it;
+the ``verify_positivity_*_u_2`` cases from the Gram route that multiplied
+b_s* b_t in the algebra, before entries were read off the concatenated atoms.
 To re-capture after an intended output change, run from the repository root:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -55,6 +57,14 @@ CASES = {
     ],
     "verify_positivity_not_psd": [
         "verify", "--spec", f"{INPUTS}/not_psd.json", "--max-degree", "1",
+        "--mode", "positivity",
+    ],
+    "verify_positivity_haar_u_2": [
+        "verify", "--spec", f"{INPUTS}/semicircle_and_haar_u.json", "--max-degree", "2",
+        "--mode", "positivity",
+    ],
+    "verify_positivity_not_psd_u_2": [
+        "verify", "--spec", f"{INPUTS}/not_psd_u.json", "--max-degree", "2",
         "--mode", "positivity",
     ],
     "verify_table_3": [

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ncprob import ComplexRational, SpecFormatError
+from ncprob import ComplexRational, SizeOutOfRangeError, SpecFormatError
 from ncprob.scalar import ONE, ZERO
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=12)
@@ -25,13 +25,18 @@ scalars = st.builds(ComplexRational, fractions, fractions)
         ("1+i", ComplexRational(Fraction(1), Fraction(1))),
         ("1-i", ComplexRational(Fraction(1), Fraction(-1))),
         ("2e-3", ComplexRational(Fraction(1, 500))),
+        ("1e4300", ComplexRational(Fraction(10) ** 4300)),
+        ("1e-4300 i", ComplexRational(Fraction(0), Fraction(1, 10**4300))),
+        ("1e0000000000001", ComplexRational(Fraction(10))),
     ],
 )
 def test_parse(text, expected):
     assert ComplexRational.parse(text) == expected
 
 
-@pytest.mark.parametrize("text", ["", "x", "1/2/3", "1//2", "1 + j", "3/0"])
+@pytest.mark.parametrize("text", [
+    "", "x", "1/2/3", "1//2", "1 + j", "3/0", "1e4301", "2E-100000000", "1/2+3e9999 i",
+])
 def test_parse_rejects(text):
     with pytest.raises(SpecFormatError):
         ComplexRational.parse(text)
@@ -71,3 +76,8 @@ def test_coercion():
     assert 3 * ComplexRational.of(Fraction(1, 3)) == ONE
     with pytest.raises(TypeError):
         ComplexRational.of("1/2")
+
+
+def test_too_long_to_print():
+    with pytest.raises(SizeOutOfRangeError):
+        str(ComplexRational(Fraction(1, 10**5000)))

@@ -1,6 +1,8 @@
+import json
 import random
 from fractions import Fraction
 from itertools import product as iproduct
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,7 @@ from ncprob import (
     check_positivity,
     joint_kappa,
     ldlt_psd,
+    product_space_from_json,
     variance_factorization,
 )
 from ncprob.scalar import ComplexRational as CR
@@ -358,6 +361,30 @@ def test_positivity_json(two_semicircles):
     assert data["witness"] is None
     assert data["schur_consistent"] is True
     assert data["basis"][0] == "1"
+
+
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+
+
+@pytest.mark.parametrize(
+    "spec", [None, "semicircle_and_haar_u.json", "not_psd_u.json"]
+)
+def test_gram_matches_multiply_oracle(two_semicircles, spec):
+    # Oracle: multiply b_s* and b_t in the algebra, then apply the state.
+    # The a/u spaces put a non-selfadjoint factor in the basis, so star()
+    # reverses several components with conjugated coefficients.
+    space = (
+        two_semicircles
+        if spec is None
+        else product_space_from_json(json.loads((GOLDEN_INPUTS / spec).read_text()))
+    )
+    result = check_positivity(space, 2)
+    words = centered_word_basis(space, 2)
+    basis = [space.one()] + [FreeElement.from_word(w) for w in words]
+    assert len(result.gram.entries) == len(basis)
+    for bs, row in zip(basis, result.gram.entries):
+        for bt, entry in zip(basis, row):
+            assert entry == space.state_eval(space.multiply(bs.star(), bt))
 
 
 def test_centered_word_basis_degrees(two_semicircles):
