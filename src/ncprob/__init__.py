@@ -38,6 +38,8 @@ from .cumulant_calculus import (
     MomentSequence,
     cumulant_table_from_json,
     cumulants_from_moment_sequence,
+    first_block_cumulant,
+    first_block_moment,
     free_convolve_additive,
     kappa_n,
     kappa_pi,

@@ -1,23 +1,29 @@
 """Moment <-> free-cumulant conversion on a single factor, and free additive
 convolution of scalar moment sequences.
 
-The two directions are implemented independently and never derived from one
-another, so round-trip tests are meaningful:
+The conversions expand over the block V that contains the first argument
+(Nica & Speicher, Lecture 11):
 
-* cumulants from moments:  kappa_n(a_1..a_n) = sum over sigma in NC(n) of
-  phi_sigma[a_1..a_n] * mu(sigma, 1_n);
-* moments from cumulants:  phi(a_1..a_n) = sum over sigma in NC(n) of
-  kappa_sigma[a_1..a_n],
+    phi(a_1..a_n) = sum over V containing 1 of kappa(a_V) * prod phi(gap),
 
-with kappa_sigma / phi_sigma the multiplicative (blockwise, order-preserving)
-extensions.  Both are instances of ``lattice_sum``, which is bounded by the
+where the gaps are the runs of positions between consecutive elements of V
+and after its last one.  ``first_block_moment`` evaluates the right-hand
+side, memoized on intervals; ``first_block_cumulant`` solves the identity for
+its term V = {1..n}, memoized on argument tuples.  A cumulant of n arguments
+costs at most 3^(n-1) terms, and a moment at most 2^(n-1) per interval,
+against Catalan(n) terms for a sum over NC(n).
+
+``lattice_sum`` is that sum: over sigma in NC(n) of the blockwise product,
+weighted by mu(sigma, 1_n) for cumulants (Moebius inversion).  It is an
+independent route; the tests compare both recursions with it, and
+``cumulants_from_moment_sequence`` uses it.  All three are bounded by the
 enumeration cap ``nc_lattice.MAX_ENUM_N``.  Everything is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Hashable, Mapping, Sequence, TypeVar
 
 from .errors import (
     DimensionMismatchError,
@@ -31,8 +37,23 @@ from .moment_space import (
     generator_letters,
     parse_factor_spec,
 )
-from .nc_lattice import Partition, enumerate_nc, leq, moebius, moebius_to_top
+from .nc_lattice import (
+    Partition,
+    check_lattice_size,
+    enumerate_nc,
+    leq,
+    moebius,
+    moebius_to_top,
+)
 from .scalar import ONE, ZERO, ComplexRational
+
+Arg = TypeVar("Arg", bound=Hashable)
+
+
+def _check_arity(n: int) -> None:
+    if n < 1:
+        raise ValidationError("cumulants need at least one argument")
+    check_lattice_size(n)
 
 
 def lattice_sum(
@@ -46,8 +67,7 @@ def lattice_sum(
     A term stops at its first zero factor.  sigma = 1_n comes first, so any
     error its single block raises is raised before other blocks are tried.
     """
-    if n < 1:
-        raise ValidationError("cumulants need at least one argument")
+    _check_arity(n)
     total = ZERO
     for sigma in enumerate_nc(n):
         term = ONE
@@ -60,18 +80,105 @@ def lattice_sum(
     return total
 
 
+def first_block_moment(
+    n: int,
+    block_value: Callable[[tuple[int, ...]], ComplexRational],
+    colours: Sequence[Hashable] | None = None,
+) -> ComplexRational:
+    """The unweighted ``lattice_sum(n, block_value)``, by the first-block recursion.
+
+    phi on the interval i..j is the sum over blocks V = (i, ...) within it of
+    block_value(V) times phi over V's gaps.  With ``colours``, V keeps to the
+    positions coloured like i; the caller promises that block_value is zero,
+    and raises nothing, on every block of mixed colours.
+
+    A block is evaluated exactly when ``lattice_sum`` would evaluate it: the
+    full block comes first, and a term stops at a zero block or at a gap none
+    of whose partitions has only nonzero blocks.  So the same blocks raise.
+    """
+    _check_arity(n)
+    memo: dict[tuple[int, int], tuple[ComplexRational, bool]] = {}
+
+    def phi(i: int, j: int) -> tuple[ComplexRational, bool]:
+        # (value, whether some partition of i..j has only nonzero blocks)
+        if i > j:
+            return ONE, True
+        hit = memo.get((i, j))
+        if hit is not None:
+            return hit
+        same = [
+            p for p in range(i + 1, j + 1)
+            if colours is None or colours[p - 1] == colours[i - 1]
+        ]
+        total, reached = ZERO, False
+        for mask in range((1 << len(same)) - 1, -1, -1):
+            block = (i,) + tuple(p for k, p in enumerate(same) if mask >> k & 1)
+            term = block_value(block)
+            if term.is_zero():
+                continue
+            for left, right in zip(block, block[1:] + (j + 1,)):
+                value, gap_reached = phi(left + 1, right - 1)
+                if not gap_reached:
+                    break
+                term = term * value
+            else:
+                total, reached = total + term, True
+        memo[(i, j)] = total, reached
+        return total, reached
+
+    return phi(1, n)[0]
+
+
+def first_block_cumulant(
+    args: Sequence[Arg], phi: Callable[[tuple[Arg, ...]], ComplexRational]
+) -> ComplexRational:
+    """The weighted ``lattice_sum`` of phi on sub-tuples, by the first-block recursion.
+
+    kappa(args) = phi(args) - sum over proper V containing the first argument
+    of kappa(args_V) * phi over V's gaps.  phi(args) is evaluated first, so
+    any error it raises comes first, as in ``lattice_sum``; a term stops at its
+    first zero factor.  Both kappa and phi are memoized on argument tuples.
+    """
+    _check_arity(len(args))
+    kappas: dict[tuple[Arg, ...], ComplexRational] = {}
+    moments: dict[tuple[Arg, ...], ComplexRational] = {}
+
+    def moment(sub: tuple[Arg, ...]) -> ComplexRational:
+        value = moments.get(sub)
+        if value is None:
+            value = moments[sub] = phi(sub)
+        return value
+
+    def kappa(sub: tuple[Arg, ...]) -> ComplexRational:
+        value = kappas.get(sub)
+        if value is not None:
+            return value
+        value = moment(sub)
+        m = len(sub)
+        for mask in range((1 << (m - 1)) - 2, -1, -1):
+            block = (0,) + tuple(p for p in range(1, m) if mask >> (p - 1) & 1)
+            term = kappa(tuple(sub[p] for p in block))
+            for left, right in zip(block, block[1:] + (m,)):
+                if term.is_zero():
+                    break
+                if right > left + 1:
+                    term = term * moment(sub[left + 1 : right])
+            else:
+                value = value - term
+        kappas[sub] = value
+        return value
+
+    return kappa(tuple(args))
+
+
 def kappa_words(state: FactorState, words: Sequence[Word]) -> ComplexRational:
-    """Joint free cumulant of a tuple of factor words, by Moebius inversion.
+    """Joint free cumulant of a tuple of factor words, by the first-block recursion.
 
     Words may be empty (the identity); the total degree of every block
     evaluation must stay within the state's bound.
     """
-    return lattice_sum(
-        len(words),
-        lambda block: state.phi_word(
-            Word(tuple(l for i in block for l in words[i - 1].letters))
-        ),
-        weighted=True,
+    return first_block_cumulant(
+        words, lambda sub: state.phi_word(Word(tuple(l for w in sub for l in w.letters)))
     )
 
 
@@ -117,8 +224,8 @@ def kappa_pi_via_moebius(
 class CumulantTable:
     """kappa values of one factor, keyed by letter tuples of length <= N.
 
-    Either backed by a FactorState (values computed lazily via Moebius
-    inversion and memoized) or given explicitly.
+    Either backed by a FactorState (values computed lazily by the first-block
+    recursion and memoized) or given explicitly.
     """
 
     def __init__(
@@ -183,10 +290,8 @@ def moments_from_cumulants(
     table: CumulantTable, letters: Sequence[Letter]
 ) -> ComplexRational:
     """phi(a_1...a_n) = sum over sigma in NC(n) of the blockwise kappa product."""
-    return lattice_sum(
-        len(letters),
-        lambda block: table.value(tuple(letters[i - 1] for i in block)),
-        weighted=False,
+    return first_block_moment(
+        len(letters), lambda block: table.value(tuple(letters[i - 1] for i in block))
     )
 
 
@@ -229,10 +334,10 @@ def cumulants_from_moment_sequence(seq: MomentSequence) -> tuple[ComplexRational
 def moment_sequence_from_cumulants(
     cumulants: Sequence[ComplexRational],
 ) -> MomentSequence:
-    """Rebuild m_1..m_N from (kappa_1, ..., kappa_N) by the lattice sum."""
+    """Rebuild m_1..m_N from (kappa_1, ..., kappa_N) by the first-block recursion."""
     kappas = [ComplexRational.of(c) for c in cumulants]
     return MomentSequence.of([
-        lattice_sum(n, lambda block: kappas[len(block) - 1], weighted=False)
+        first_block_moment(n, lambda block: kappas[len(block) - 1])
         for n in range(1, len(kappas) + 1)
     ])
 

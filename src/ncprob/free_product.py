@@ -17,8 +17,10 @@ Cumulant functions are layered exactly as they are defined:
 * ``kappa_elements``    - arbitrary algebra elements, by multilinear
                           expansion into unit/tensor-word slots.
 
-The state is the lattice sum phi(a_1..a_n) = sum over sigma in NC(n) of the
-blockwise base-cumulant product (``state_eval``).  Everything is exact;
+The state (``state_eval``) is phi(a_1..a_n) = sum over sigma in NC(n) of the
+blockwise base-cumulant product.  Mixed cumulants vanish, so it is evaluated
+by the first-block recursion over the blocks that contain a_1 and stay inside
+its factor (``cumulant_calculus.first_block_moment``).  Everything is exact;
 the memo tables of a ``ProductSpace`` are plain per-instance dicts.
 """
 
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Iterable, Mapping, Sequence
 
-from .cumulant_calculus import kappa_words, lattice_sum
+from .cumulant_calculus import first_block_moment, kappa_words
 from .errors import (
     DimensionMismatchError,
     FactorMismatchError,
@@ -529,10 +531,10 @@ class ProductSpace:
             return ONE
         value = self._phi_memo.get(atoms)
         if value is None:
-            value = lattice_sum(
+            value = first_block_moment(
                 len(atoms),
                 lambda block: self._kappa_base_atoms(tuple(atoms[i - 1] for i in block)),
-                weighted=False,
+                colours=tuple(f for f, _ in atoms),
             )
             self._phi_memo[atoms] = value
         return value
@@ -544,9 +546,10 @@ class ProductSpace:
         """The constructed state phi.
 
         For a flat product of pure arguments (letters, or (factor,
-        polynomial) pairs) this is the lattice sum over NC(n) of blockwise
-        base cumulants; for a FreeElement it is the scalar part plus the
-        same sum applied to each tensor word's components.
+        polynomial) pairs) this is the sum over NC(n) of blockwise base
+        cumulants, by the first-block recursion; for a FreeElement it is the
+        scalar part plus the same sum applied to each tensor word's
+        components.
         """
         if isinstance(x, FreeElement):
             total = x.scalar

@@ -242,15 +242,20 @@ def join_nc(sigma: Partition, pi: Partition) -> Partition:
     return Partition.of(n, blocks)
 
 
+def check_lattice_size(n: int) -> None:
+    """Refuse a ground set outside 1..MAX_ENUM_N."""
+    if n < 1 or n > MAX_ENUM_N:
+        raise SizeOutOfRangeError(
+            f"n must be within 1..{MAX_ENUM_N}, got {n}"
+        )
+
+
 def enumerate_nc(n: int) -> tuple[Partition, ...]:
     """All of NC(n), in lexicographic restricted-growth-string order.
 
     The count is the n-th Catalan number.  Results are cached per n.
     """
-    if n < 1 or n > MAX_ENUM_N:
-        raise SizeOutOfRangeError(
-            f"n must be within 1..{MAX_ENUM_N}, got {n}"
-        )
+    check_lattice_size(n)
     cached = _nc_cache.get(n)
     if cached is None:
         cached = _nc_cache[n] = tuple(_trusted_from_rgs(r) for r in _iter_nc_rgs(n))

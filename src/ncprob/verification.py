@@ -6,8 +6,8 @@ without square roots: split off a positive diagonal pivot, recurse on the
 Schur complement, and on failure lift the inner witness back, so a failing
 matrix always comes with a rational vector x with x* M x < 0.  On a free
 product the Gram entry phi(b_s* b_t) is the state on the concatenated atoms
-of the two tensor words, read off the lattice sum of free cumulants without
-multiplying the words in the algebra.
+of the two tensor words, read off the free cumulants without multiplying the
+words in the algebra.
 
 Freeness checks run over centered generator monomials (moments mode) and
 generator letter tuples (cumulants mode); multilinearity reduces the general
@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import Iterator, Mapping, Sequence
 
-from .cumulant_calculus import kappa_words, lattice_sum
+from .cumulant_calculus import first_block_cumulant, kappa_words
 from .errors import TruncationError, ValidationError
 from .moment_space import (
     FactorState,
@@ -199,15 +199,21 @@ def _alternating_slot_sequences(
     yield from extend((), 0)
 
 
+def _check_max_degree(joint: JointState, max_degree: int) -> None:
+    if max_degree < 0:
+        raise ValidationError("max degree must be >= 0")
+    if max_degree > joint.degree_bound:
+        raise TruncationError(
+            f"max degree {max_degree} exceeds bound {joint.degree_bound}"
+        )
+
+
 def check_freeness_moments(
     target: ProductSpace | JointState, max_degree: int
 ) -> FreenessReport:
     """Definition by moments: phi of every alternating centered product is 0."""
     joint = as_joint_state(target)
-    if max_degree > joint.degree_bound:
-        raise TruncationError(
-            f"max degree {max_degree} exceeds bound {joint.degree_bound}"
-        )
+    _check_max_degree(joint, max_degree)
     violations = []
     checked = 0
     for slots in _alternating_slot_sequences(joint, max_degree):
@@ -240,12 +246,8 @@ def _phi_of_centered_product(
 
 
 def joint_kappa(joint: JointState, letters: Sequence[Letter]) -> ComplexRational:
-    """kappa_n recomputed from the joint moments by Moebius inversion."""
-    return lattice_sum(
-        len(letters),
-        lambda block: joint.phi_word(tuple(letters[i - 1] for i in block)),
-        weighted=True,
-    )
+    """kappa_n recomputed from the joint moments by the first-block recursion."""
+    return first_block_cumulant(letters, joint.phi_word)
 
 
 def check_freeness_cumulants(
@@ -253,10 +255,7 @@ def check_freeness_cumulants(
 ) -> FreenessReport:
     """Definition by cumulants: every mixed kappa_n vanishes, n <= max_degree."""
     joint = as_joint_state(target)
-    if max_degree > joint.degree_bound:
-        raise TruncationError(
-            f"max degree {max_degree} exceeds bound {joint.degree_bound}"
-        )
+    _check_max_degree(joint, max_degree)
     letters = [
         l for index in joint.factor_indices() for l in joint.factor_letters(index)
     ]
@@ -380,9 +379,10 @@ def ldlt_psd(
         return True, (Fraction(0),) * n, None
     d = mat[pivot][pivot]
     rest = [i for i in range(n) if i != pivot]
-    sub = [
-        [mat[a][b] - mat[a][pivot] * mat[pivot][b] / d for b in rest] for a in rest
-    ]
+    sub = []
+    for a in rest:
+        scale = mat[a][pivot] / d
+        sub.append([mat[a][b] - scale * mat[pivot][b] for b in rest])
     psd, pivots, sub_witness = ldlt_psd(sub)
     if psd:
         return True, (d.re,) + pivots, None
@@ -422,8 +422,8 @@ def check_positivity(
 
     For a product space the basis is the unit plus every alternating tensor
     word of centered factor monomials; entry (s, t) is the state on the
-    concatenated atoms of b_s* and b_t, which the lattice sum evaluates
-    without multiplying the words.  The Lemma-3 structure is verified on the
+    concatenated atoms of b_s* and b_t, which the state evaluates without
+    multiplying the words.  The Lemma-3 structure is verified on the
     side: on each family of same-pattern tensor words the kappa_2 Gram equals
     the entrywise product of the per-slot kappa_2 matrices.
     """

@@ -174,6 +174,17 @@ def test_verify_table_output(capsys):
     assert "violations=0" in out
 
 
+@pytest.mark.parametrize("mode", ["moments", "cumulants", "both", "positivity"])
+def test_verify_negative_degree_is_status_2(capsys, mode):
+    spec = SPECS / "two_semicircles.json"
+    code, out, err = run(
+        capsys, ["verify", "--spec", spec, "--max-degree", "-1", "--mode", mode]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_bad_json_is_status_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncprob import (
     ComplexRational,
@@ -21,6 +24,8 @@ from ncprob import (
     cumulant_table_from_json,
     cumulants_from_moment_sequence,
     enumerate_nc,
+    first_block_cumulant,
+    first_block_moment,
     free_convolve_additive,
     kappa_n,
     kappa_pi,
@@ -339,6 +344,16 @@ def test_lattice_sum_range():
     table = CumulantTable.from_values("A", 13, {(la,) * 13: ONE})
     with pytest.raises(SizeOutOfRangeError):
         moments_from_cumulants(table, (la,) * 13)
+    with pytest.raises(ValidationError):
+        first_block_moment(0, lambda block: ONE)
+    with pytest.raises(SizeOutOfRangeError):
+        first_block_moment(13, lambda block: ONE)
+    with pytest.raises(ValidationError):
+        first_block_cumulant((), lambda sub: ONE)
+    with pytest.raises(SizeOutOfRangeError):
+        first_block_cumulant((la,) * 13, lambda sub: ONE)
+    with pytest.raises(SizeOutOfRangeError):
+        kappa_n(semicircle_factor("A", "a"), (la,) * 13)
 
 
 def test_lattice_sum_raises_from_the_top_block_first():
@@ -351,6 +366,160 @@ def test_lattice_sum_raises_from_the_top_block_first():
     with pytest.raises(TruncationError):
         lattice_sum(4, block_value, weighted=True)
     assert seen == [(1, 2, 3, 4)]
+    seen.clear()
+    with pytest.raises(TruncationError):
+        first_block_moment(4, block_value)
+    assert seen == [(1, 2, 3, 4)]
+    seen.clear()
+    with pytest.raises(TruncationError):
+        first_block_moment(4, block_value, colours="abab")
+    assert seen == [(1, 3)]
+    seen.clear()
+    with pytest.raises(TruncationError):
+        first_block_cumulant("wxyz", block_value)
+    assert seen == [tuple("wxyz")]
+
+
+# -- the first-block recursion against the lattice sum -------------------------------
+
+
+def seeded_values(seed, choices=None):
+    """A function of a hashable key to a small scalar fixed by (seed, key).
+
+    The scalar is drawn from ``choices``, or else is a small rational that is
+    zero about a third of the time.
+    """
+    memo = {}
+
+    def value(key):
+        if key not in memo:
+            rng = random.Random(f"{seed}:{key}")
+            if choices is not None:
+                memo[key] = ComplexRational.of(rng.choice(choices))
+            elif rng.random() < 0.3:
+                memo[key] = ZERO
+            else:
+                memo[key] = ComplexRational(small_fraction(rng))
+        return memo[key]
+
+    return value
+
+
+def outcome(compute):
+    try:
+        return compute()
+    except TruncationError:
+        return "raised"
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    colours=st.lists(st.sampled_from("ab"), min_size=1, max_size=9),
+    seed=st.integers(0, 10**6),
+)
+def test_first_block_moment_matches_lattice_sum(colours, seed):
+    n = len(colours)
+    value = seeded_values(seed)
+
+    def block_value(block):
+        if len({colours[i - 1] for i in block}) > 1:
+            return ZERO
+        return value(block)
+
+    expected = lattice_sum(n, block_value, weighted=False)
+    assert first_block_moment(n, block_value) == expected
+    assert first_block_moment(n, block_value, colours=colours) == expected
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    colours=st.lists(st.sampled_from("ab"), min_size=1, max_size=9),
+    seed=st.integers(0, 10**6),
+)
+def test_first_block_moment_raises_where_lattice_sum_does(colours, seed):
+    # Zero and mixed blocks stop terms, and a few blocks away from position 1
+    # raise, so whether a sum raises depends on which blocks it reaches.  A
+    # gap that cancels to zero is rare here; test_free_product pins one.
+    n = len(colours)
+    value = seeded_values(seed, choices=(-1, 0, 1))
+    raises = seeded_values(f"raise:{seed}", choices=(0,) * 9 + (1,))
+
+    def block_value(block):
+        if len({colours[i - 1] for i in block}) > 1:
+            return ZERO
+        if block[0] > 1 and raises(block):
+            raise TruncationError("block reached")
+        return value(block)
+
+    expected = outcome(lambda: lattice_sum(n, block_value, weighted=False))
+    assert outcome(lambda: first_block_moment(n, block_value, colours=colours)) == expected
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    args=st.lists(st.sampled_from("xyz"), min_size=1, max_size=9),
+    seed=st.integers(0, 10**6),
+)
+def test_first_block_cumulant_matches_lattice_sum(args, seed):
+    phi = seeded_values(seed)
+    expected = lattice_sum(
+        len(args), lambda block: phi(tuple(args[i - 1] for i in block)), weighted=True
+    )
+    assert first_block_cumulant(args, phi) == expected
+
+
+def test_kappa_words_match_lattice_sum_exhaustively(rng):
+    state = random_factor_state(rng, "A", ("u",), 7, selfadjoint=False)
+    ls = state.letters()
+
+    def oracle(words):
+        return lattice_sum(
+            len(words),
+            lambda block: state.phi_word(
+                Word(tuple(l for i in block for l in words[i - 1].letters))
+            ),
+            weighted=True,
+        )
+
+    tuples = [t for n in range(1, 7) for t in iproduct(ls, repeat=n)]
+    tuples += [tuple(rng.choice(ls) for _ in range(7)) for _ in range(8)]
+    for tup in tuples:
+        assert kappa_n(state, tup) == oracle([Word((l,)) for l in tup])
+    words = [Word(()), Word((ls[0],)), Word((ls[1], ls[0]))]
+    for n in range(1, 4):
+        for tup in iproduct(words, repeat=n):
+            if sum(w.degree for w in tup) <= 7:
+                assert kappa_words(state, tup) == oracle(tup)
+
+
+def test_moments_from_cumulants_match_lattice_sum_exhaustively(rng):
+    g = GeneratorSymbol("u", selfadjoint=False)
+    ls = (Letter(g, False, "A"), Letter(g, True, "A"))
+    values = {
+        tup: ComplexRational(small_fraction(rng), small_fraction(rng))
+        for n in range(1, 8)
+        for tup in iproduct(ls, repeat=n)
+    }
+    table = CumulantTable.from_values("A", 7, values)
+    tuples = [t for t in values if len(t) <= 6]
+    tuples += [tuple(rng.choice(ls) for _ in range(7)) for _ in range(8)]
+    for tup in tuples:
+        expected = lattice_sum(
+            len(tup),
+            lambda block: table.value(tuple(tup[i - 1] for i in block)),
+            weighted=False,
+        )
+        assert moments_from_cumulants(table, tup) == expected
+
+
+def test_moment_sequence_from_cumulants_matches_lattice_sum(rng):
+    for _ in range(2):
+        kappas = [ComplexRational(small_fraction(rng)) for _ in range(9)]
+        expected = [
+            lattice_sum(n, lambda block: kappas[len(block) - 1], weighted=False)
+            for n in range(1, 10)
+        ]
+        assert list(moment_sequence_from_cumulants(kappas).values) == expected
 
 
 def test_empty_moment_sequence_message():

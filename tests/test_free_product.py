@@ -7,8 +7,11 @@ import pytest
 from ncprob import (
     ComplexRational,
     DimensionMismatchError,
+    FactorState,
     FreeElement,
+    GeneratorSymbol,
     GroupedWord,
+    Letter,
     Partition,
     Polynomial,
     ProductSpace,
@@ -17,7 +20,9 @@ from ncprob import (
     TruncationError,
     ValidationError,
     Word,
+    enumerate_nc,
     kappa_n,
+    lattice_sum,
     product_space_from_json,
     star_element,
 )
@@ -362,6 +367,62 @@ def test_state_two_routes_agree(rng):
             for l in tup:
                 element = space.multiply(element, space.embed_letter(l))
             assert direct == space.state_eval(element)
+
+
+@pytest.mark.parametrize("layout,max_length", [
+    ((("A1", "a", True), ("A2", "b", True)), 7),
+    ((("A1", "a", True), ("A2", "u", False)), 6),
+])
+def test_state_matches_nc_sum_exhaustively(rng, layout, max_length):
+    # The first-block recursion against the sum over NC(n) of kappa_pure_pi,
+    # on every word up to the given length; the blockwise product is written
+    # out with kappa_base memoized per block, which keeps the run short.
+    space = ProductSpace([
+        random_factor_state(rng, index, (name,), max_length, selfadjoint=sa)
+        for index, name, sa in layout
+    ])
+    ls = letters(space)
+    base = {}
+    for n in range(1, max_length + 1):
+        partitions = [[tuple(i - 1 for i in b) for b in pi.blocks] for pi in enumerate_nc(n)]
+        for tup in iproduct(ls, repeat=n):
+            expected = ZERO
+            for blocks in partitions:
+                term = ONE
+                for block in blocks:
+                    sub = tuple(tup[i] for i in block)
+                    value = base.get(sub)
+                    if value is None:
+                        value = base[sub] = space.kappa_base(sub)
+                    term = term * value
+                    if term.is_zero():
+                        break
+                else:
+                    expected = expected + term
+            assert space.state_eval(tup) == expected
+
+
+def test_state_raises_where_the_nc_sum_does():
+    # phi(c c) = 0 although kappa(c) kappa(c) = 1: a gap that cancels to zero
+    # must not hide the over-long b block behind it.
+    def factor(index, name, moments):
+        g = GeneratorSymbol(name, selfadjoint=True)
+        letter = Letter(g, False, index)
+        state = FactorState(
+            index, 3, [g], {Word((letter,) * k): m for k, m in enumerate(moments, 1)}
+        )
+        return state, letter
+
+    (fa, a), (fb, b), (fc, c) = (
+        factor("A", "a", [0, 1, 0]), factor("B", "b", [1, 2, 3]), factor("C", "c", [1, 0, 5])
+    )
+    space = ProductSpace([fa, fb, fc])
+    word = (a, c, c, a, b, b, b, b)
+    with pytest.raises(TruncationError):
+        lattice_sum(8, lambda block: space.kappa_base([word[i - 1] for i in block]), False)
+    with pytest.raises(TruncationError):
+        space.state_eval(word)
+    assert space.state_eval((c, c, a, b, b, b, b)) == ZERO
 
 
 def test_centered_tensor_words_are_null(rng):

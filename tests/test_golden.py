@@ -3,10 +3,15 @@
 The files under ``tests/golden/`` were captured from the interval-recursion
 implementation of the Moebius function, before the closed form replaced it;
 the ``verify_positivity_*_u_2`` cases from the Gram route that multiplied
-b_s* b_t in the algebra, before entries were read off the concatenated atoms.
-To re-capture after an intended output change, run from the repository root:
+b_s* b_t in the algebra, before entries were read off the concatenated atoms;
+``verify_both_haar_u_4`` from the NC(n) lattice-sum state, before the
+first-block recursion replaced it.  To capture a new case, add it to ``CASES``
+and run from the repository root:
 
     PYTHONPATH=src python tests/test_golden.py
+
+This writes only the cases that have no ``.out`` file yet.  To re-capture a
+pinned case after an intended output change, delete its ``.out`` file first.
 """
 
 import contextlib
@@ -67,6 +72,10 @@ CASES = {
         "verify", "--spec", f"{INPUTS}/not_psd_u.json", "--max-degree", "2",
         "--mode", "positivity",
     ],
+    "verify_both_haar_u_4": [
+        "verify", "--spec", f"{INPUTS}/semicircle_and_haar_u.json", "--max-degree", "4",
+        "--mode", "both",
+    ],
     "verify_table_3": [
         "verify", "--spec", f"{INPUTS}/semicircle_and_u.json", "--max-degree", "3",
         "--output", "table",
@@ -94,8 +103,13 @@ def test_golden_output(name):
 
 
 if __name__ == "__main__":
-    codes = {}
+    codes_path = GOLDEN / "exit_codes.json"
+    codes = json.loads(codes_path.read_text())
     for name, argv in sorted(CASES.items()):
+        path = GOLDEN / f"{name}.out"
+        if path.exists():
+            continue
         codes[name], out = run_case(argv)
-        (GOLDEN / f"{name}.out").write_text(out, encoding="utf-8")
-    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
+        path.write_text(out, encoding="utf-8")
+        print(f"captured {name}: exit {codes[name]}")
+    codes_path.write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")

@@ -18,16 +18,19 @@ from ncprob import (
     ProductSpace,
     TensorWord,
     TruncationError,
+    ValidationError,
     Word,
     check_equivalence,
     check_freeness_cumulants,
     check_freeness_moments,
     check_positivity,
     joint_kappa,
+    lattice_sum,
     ldlt_psd,
     product_space_from_json,
     variance_factorization,
 )
+from ncprob.moment_space import canonical_moment_key
 from ncprob.scalar import ComplexRational as CR
 from ncprob.scalar import ONE, ZERO
 from ncprob.verification import ProductStateView, centered_word_basis
@@ -36,6 +39,7 @@ from conftest import (
     measure_factor_state,
     random_product_space,
     semicircle_factor,
+    small_scalar,
 )
 
 
@@ -114,6 +118,43 @@ def test_classical_independence_is_not_freeness():
     assert not r_c.ok
     assert ("a b a b", ONE) in r_c.violations
     assert check_equivalence(joint, 4)
+
+
+def random_joint_state(rng, degree_bound):
+    """Random star-consistent joint moments of a and u, u*: not free in general."""
+    ga = GeneratorSymbol("a", selfadjoint=True)
+    gu = GeneratorSymbol("u", selfadjoint=False)
+    ls = (Letter(ga, False, "A1"), Letter(gu, False, "A2"), Letter(gu, True, "A2"))
+    moments = {}
+    for n in range(1, degree_bound + 1):
+        for tup in iproduct(ls, repeat=n):
+            key, _ = canonical_moment_key(Word(tup))
+            if key not in moments:
+                value = small_scalar(rng)
+                moments[key] = CR(value.re) if key == key.star() else value
+    return ExplicitJointState({"A1": [ga], "A2": [gu]}, degree_bound, moments)
+
+
+def test_joint_kappa_matches_lattice_sum(rng):
+    cases = [(random_joint_state(rng, 4), 4), (nonfree_coupling(), 2),
+             (classically_independent(), 4),
+             (ProductStateView(random_product_space(rng, 2, 5)), 5)]
+    for joint, n_max in cases:
+        ls = [l for i in joint.factor_indices() for l in joint.factor_letters(i)]
+        for n in range(1, n_max + 1):
+            for tup in iproduct(ls, repeat=n):
+                expected = lattice_sum(
+                    n,
+                    lambda block: joint.phi_word(tuple(tup[i - 1] for i in block)),
+                    weighted=True,
+                )
+                assert joint_kappa(joint, tup) == expected
+
+
+def test_freeness_checks_reject_negative_degree(two_semicircles):
+    for check in (check_freeness_moments, check_freeness_cumulants):
+        with pytest.raises(ValidationError):
+            check(two_semicircles, -1)
 
 
 def test_perturbed_product_fails_both_ways(two_semicircles):
