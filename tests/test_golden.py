@@ -5,18 +5,25 @@ implementation of the Moebius function, before the closed form replaced it;
 the ``verify_positivity_*_u_2`` cases from the Gram route that multiplied
 b_s* b_t in the algebra, before entries were read off the concatenated atoms;
 ``verify_both_haar_u_4`` from the NC(n) lattice-sum state, before the
-first-block recursion replaced it.  To capture a new case, add it to ``CASES``
+first-block recursion replaced it; ``verify_positivity_haar_u_3`` from the
+join-constrained NC(n) sum for the Schur side check's cumulants, before the
+first-block kernel replaced it.  To capture a new case, add it to ``CASES``
 and run from the repository root:
 
     PYTHONPATH=src python tests/test_golden.py
 
 This writes only the cases that have no ``.out`` file yet.  To re-capture a
 pinned case after an intended output change, delete its ``.out`` file first.
+The script refuses to write unless ``git diff --quiet HEAD -- src`` succeeds,
+so a golden always comes from committed library code: capture new cases
+before changing ``src/``.
 """
 
 import contextlib
 import io
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -76,6 +83,10 @@ CASES = {
         "verify", "--spec", f"{INPUTS}/semicircle_and_haar_u.json", "--max-degree", "4",
         "--mode", "both",
     ],
+    "verify_positivity_haar_u_3": [
+        "verify", "--spec", f"{INPUTS}/semicircle_and_haar_u_6.json", "--max-degree", "3",
+        "--mode", "positivity",
+    ],
     "verify_table_3": [
         "verify", "--spec", f"{INPUTS}/semicircle_and_u.json", "--max-degree", "3",
         "--output", "table",
@@ -103,6 +114,11 @@ def test_golden_output(name):
 
 
 if __name__ == "__main__":
+    src_clean = subprocess.run(
+        ["git", "diff", "--quiet", "HEAD", "--", "src"], cwd=ROOT
+    ).returncode == 0
+    if not src_clean:
+        sys.exit("refusing to capture: src/ differs from HEAD (or git failed)")
     codes_path = GOLDEN / "exit_codes.json"
     codes = json.loads(codes_path.read_text())
     for name, argv in sorted(CASES.items()):
