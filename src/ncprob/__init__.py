@@ -43,7 +43,6 @@ from .cumulant_calculus import (
     free_convolve_additive,
     kappa_n,
     kappa_pi,
-    kappa_pi_via_moebius,
     kappa_words,
     lattice_sum,
     moment_sequence_from_cumulants,
@@ -51,7 +50,6 @@ from .cumulant_calculus import (
 )
 from .free_product import (
     FreeElement,
-    GroupedWord,
     ProductSpace,
     TensorWord,
     product_space_from_json,

@@ -80,10 +80,11 @@ def _cmd_moebius(args) -> int:
             f"partitions cover {sigma.n} and {pi.n} elements, expected {args.n}"
         )
     value = moebius(sigma, pi)
+    text = str(ComplexRational.of(value))  # refuses a value too long to print
     _emit(
         args,
         {"n": args.n, "sigma": str(sigma), "pi": str(pi), "moebius": value},
-        [str(value)],
+        [text],
     )
     return 0
 

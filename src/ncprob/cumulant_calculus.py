@@ -14,9 +14,11 @@ costs at most 3^(n-1) terms, and a moment at most 2^(n-1) per interval,
 against Catalan(n) terms for a sum over NC(n).
 
 ``lattice_sum`` is that sum: over sigma in NC(n) of the blockwise product,
-weighted by mu(sigma, 1_n) for cumulants (Moebius inversion).  It is an
-independent route; the tests compare both recursions with it, and
-``cumulants_from_moment_sequence`` uses it.  All three are bounded by the
+weighted by mu(sigma, 1_n) for cumulants (Moebius inversion).  Its one
+caller in the library is ``cumulants_from_moment_sequence``; the tests
+compare both recursions with it, and keep the other NC(n) sums (the Moebius
+form of kappa_pi, the join-constrained sum for products as arguments) as
+oracles in ``tests/nc_oracles.py``.  All three are bounded by the
 enumeration cap ``nc_lattice.MAX_ENUM_N``.  Everything is exact.
 """
 
@@ -41,8 +43,6 @@ from .nc_lattice import (
     Partition,
     check_lattice_size,
     enumerate_nc,
-    leq,
-    moebius,
     moebius_to_top,
 )
 from .scalar import ONE, ZERO, ComplexRational
@@ -198,26 +198,6 @@ def kappa_pi(
     total = ONE
     for block in pi.blocks:
         total = total * kappa_n(state, [letters[i - 1] for i in block])
-    return total
-
-
-def kappa_pi_via_moebius(
-    state: FactorState, pi: Partition, letters: Sequence[Letter]
-) -> ComplexRational:
-    """The same kappa_pi as a Moebius sum over [0_n, pi].
-
-    Implemented separately from the block-product form; the two are asserted
-    equal in the test suite.
-    """
-    if len(letters) != pi.n:
-        raise DimensionMismatchError(
-            f"partition of {pi.n} elements applied to {len(letters)} letters"
-        )
-    total = ZERO
-    for sigma in enumerate_nc(pi.n):
-        if not leq(sigma, pi):
-            continue
-        total = total + state.eval_phi_pi(sigma, letters) * moebius(sigma, pi)
     return total
 
 

@@ -7,21 +7,22 @@ part plus a scalar times the recursively reduced shorter product.
 
 Cumulant functions are layered exactly as they are defined:
 
-* ``kappa_base``        - pure tuples: the factor cumulant, or 0 when the
-                          arguments straddle two factors;
-* ``kappa_pure_pi``     - blockwise multiplicative extension of the above;
-* ``kappa_products``    - cumulants of grouped products, as the lattice sum
-                          over all pi in NC(s_m) whose join with the group
-                          interval partition is full;
-* ``kappa_pi_products`` - blockwise extension over groups;
-* ``kappa_elements``    - arbitrary algebra elements, by multilinear
-                          expansion into unit/tensor-word slots.
+* ``kappa_base``     - pure tuples: the factor cumulant, or 0 when the
+                       arguments straddle two factors;
+* ``kappa_pure_pi``  - blockwise multiplicative extension of the above;
+* ``state_eval``     - the state, phi(a_1..a_n) = sum over sigma in NC(n) of
+                       the blockwise base-cumulant product;
+* ``kappa_elements`` - arbitrary algebra elements, by multilinear expansion
+                       into unit/tensor-word slots, each term the cumulant of
+                       grouped products read off the state.
 
-The state (``state_eval``) is phi(a_1..a_n) = sum over sigma in NC(n) of the
-blockwise base-cumulant product.  Mixed cumulants vanish, so it is evaluated
-by the first-block recursion over the blocks that contain a_1 and stay inside
-its factor (``cumulant_calculus.first_block_moment``).  Everything is exact;
-the memo tables of a ``ProductSpace`` are plain per-instance dicts.
+Mixed cumulants vanish, so the state is evaluated by the first-block
+recursion over the blocks that contain a_1 and stay inside its factor
+(``cumulant_calculus.first_block_moment``), and a cumulant of grouped
+products by the first-block kernel on the groups, with the state of their
+concatenation as phi (``cumulant_calculus.first_block_cumulant``).
+Everything is exact; the memo tables of a ``ProductSpace`` are plain
+per-instance dicts.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Iterable, Mapping, Sequence
 
-from .cumulant_calculus import first_block_moment, kappa_words
+from .cumulant_calculus import first_block_cumulant, first_block_moment, kappa_words
 from .errors import (
     DimensionMismatchError,
     FactorMismatchError,
@@ -46,11 +47,10 @@ from .moment_space import (
     check_degree_bound,
     factor_state_from_json,
 )
-from .nc_lattice import Partition, enumerate_nc, join_nc
+from .nc_lattice import Partition
 from .scalar import ONE, ZERO, ComplexRational
 
-Atom = tuple[str | None, Polynomial]
-UNIT_ATOM: Atom = (None, Polynomial.one())
+Atom = tuple[str, Polynomial]
 
 
 @dataclass(frozen=True)
@@ -198,54 +198,6 @@ def star_element(x: FreeElement) -> FreeElement:
     return x.star()
 
 
-@dataclass(frozen=True)
-class GroupedWord:
-    """A flat letter sequence cut into groups by boundary indices.
-
-    ``boundaries`` are the strictly increasing cut points s_1 < ... < s_m
-    with s_m = len(letters); group j holds letters s_{j-1}+1 .. s_j.  Within
-    a group adjacent letters must come from different factors.
-    """
-
-    letters: tuple[Letter, ...]
-    boundaries: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.letters:
-            raise ValidationError("grouped word must contain letters")
-        bounds = self.boundaries
-        if (
-            not bounds
-            or list(bounds) != sorted(set(bounds))
-            or bounds[0] < 1
-            or bounds[-1] != len(self.letters)
-        ):
-            raise ValidationError(
-                f"boundaries {bounds} invalid for {len(self.letters)} letters"
-            )
-        for group in self.groups():
-            for left, right in zip(group, group[1:]):
-                if left.factor == right.factor:
-                    raise ValidationError(
-                        f"letters {left.text()} {right.text()} of factor "
-                        f"{left.factor!r} are adjacent within a group"
-                    )
-
-    @property
-    def group_count(self) -> int:
-        return len(self.boundaries)
-
-    def groups(self) -> tuple[tuple[Letter, ...], ...]:
-        starts = (0, *self.boundaries[:-1])
-        return tuple(
-            self.letters[start:stop] for start, stop in zip(starts, self.boundaries)
-        )
-
-    def sigma_interval(self) -> Partition:
-        """The interval partition {{1..s_1}, {s_1+1..s_2}, ...}."""
-        return _interval_partition(tuple(len(g) for g in self.groups()))
-
-
 class ProductSpace:
     """The free product of validated factor states with one degree bound."""
 
@@ -265,7 +217,6 @@ class ProductSpace:
         self._kappa_factor_memo: dict[tuple[str, tuple[Word, ...]], ComplexRational] = {}
         self._kappa_base_memo: dict[tuple[Atom, ...], ComplexRational] = {}
         self._phi_memo: dict[tuple[Atom, ...], ComplexRational] = {}
-        self._tops_memo: dict[tuple[int, ...], tuple[Partition, ...]] = {}
 
     # -- elements ---------------------------------------------------------
 
@@ -408,11 +359,9 @@ class ProductSpace:
         cached = self._kappa_base_memo.get(atoms)
         if cached is not None:
             return cached
-        present = {f for f, _ in atoms if f is not None}
+        present = {f for f, _ in atoms}
         if len(present) > 1:
             value = ZERO
-        elif not present:
-            value = ONE if len(atoms) == 1 else ZERO
         else:
             factor = present.pop()
             value = ZERO
@@ -448,60 +397,21 @@ class ProductSpace:
                 break
         return total
 
-    def _admissible_tops(self, sizes: tuple[int, ...]) -> tuple[Partition, ...]:
-        """All pi in NC(sum sizes) whose join with the interval partition is full."""
-        cached = self._tops_memo.get(sizes)
-        if cached is not None:
-            return cached
-        n = sum(sizes)
-        sigma = _interval_partition(sizes)
-        top = Partition.top(n)
-        tops = tuple(pi for pi in enumerate_nc(n) if join_nc(pi, sigma) == top)
-        self._tops_memo[sizes] = tops
-        return tops
-
-    def _kappa_products_atoms(
-        self, groups: Sequence[tuple[Atom, ...]]
-    ) -> ComplexRational:
-        atoms = tuple(a for group in groups for a in group)
-        sizes = tuple(len(group) for group in groups)
-        total = ZERO
-        for pi in self._admissible_tops(sizes):
-            term = ONE
-            for block in pi.blocks:
-                term = term * self._kappa_base_atoms(
-                    tuple(atoms[i - 1] for i in block)
-                )
-                if term.is_zero():
-                    break
-            total = total + term
-        return total
-
-    def kappa_products(self, gw: GroupedWord) -> ComplexRational:
-        """Cumulant of the grouped products: the join-constrained lattice sum."""
-        return self._kappa_products_atoms([_letter_atoms(g) for g in gw.groups()])
-
-    def kappa_pi_products(self, pi: Partition, gw: GroupedWord) -> ComplexRational:
-        """Blockwise extension over groups, order preserved within blocks."""
-        group_atoms = [_letter_atoms(g) for g in gw.groups()]
-        if pi.n != len(group_atoms):
-            raise DimensionMismatchError(
-                f"partition of {pi.n} applied to {len(group_atoms)} groups"
-            )
-        total = ONE
-        for block in pi.blocks:
-            total = total * self._kappa_products_atoms(
-                [group_atoms[i - 1] for i in block]
-            )
-            if total.is_zero():
-                break
-        return total
-
     def kappa_elements(self, args: Sequence[FreeElement]) -> ComplexRational:
         """kappa_m on arbitrary elements, by multilinear expansion.
 
         Each argument splits into its scalar part (a unit slot) and its
-        tensor words (whose components become the group's pure slots).
+        tensor words.  A term of the expansion is the cumulant of m grouped
+        products: the first-block kernel on the groups, with phi of a
+        sub-tuple the state on its groups' components, concatenated.  A unit
+        slot is the empty group, on which phi is 1.
+
+        Within the degree bound this equals the sum over pi in NC(n) whose
+        join with the group interval partition is 1_n (Nica & Speicher,
+        Theorem 11.12), kept in the tests as the oracle.  Past the bound the
+        two routes evaluate different moments, so either may raise
+        TruncationError where the other returns a value; where both return
+        a value, it is the same.
         """
         if not args:
             raise ValidationError("kappa_elements needs at least one argument")
@@ -509,19 +419,19 @@ class ProductSpace:
         for element in args:
             choices: list[tuple[ComplexRational, tuple[Atom, ...]]] = []
             if element.scalar:
-                choices.append((element.scalar, (UNIT_ATOM,)))
+                choices.append((element.scalar, ()))
             for word, coeff in element.words.items():
-                choices.append((coeff, tuple(word.components)))
+                choices.append((coeff, word.components))
             expansions.append(choices)
         total = ZERO
         for combo in iter_product(*expansions):
             coeff = ONE
             for c, _ in combo:
                 coeff = coeff * c
-            if coeff:
-                total = total + coeff * self._kappa_products_atoms(
-                    [group for _, group in combo]
-                )
+            total = total + coeff * first_block_cumulant(
+                tuple(group for _, group in combo),
+                lambda sub: self._phi_atoms(tuple(a for group in sub for a in group)),
+            )
         return total
 
     # -- the state ---------------------------------------------------------
@@ -611,16 +521,6 @@ class ProductSpace:
 
 def _letter_atoms(letters: Sequence[Letter]) -> tuple[Atom, ...]:
     return tuple((l.factor, Polynomial.from_letter(l)) for l in letters)
-
-
-def _interval_partition(sizes: Sequence[int]) -> Partition:
-    """The interval partition of 1..sum(sizes) into consecutive runs of ``sizes``."""
-    blocks = []
-    start = 0
-    for size in sizes:
-        blocks.append(range(start + 1, start + size + 1))
-        start += size
-    return Partition.of(start, blocks)
 
 
 def product_space_from_json(obj: object) -> ProductSpace:

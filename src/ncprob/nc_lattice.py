@@ -159,16 +159,26 @@ def parse_partition(text: str) -> Partition:
 def is_noncrossing(p: Partition) -> bool:
     """True iff no quadruple i<j<k<l has {i,k} and {j,l} in two distinct blocks.
 
-    Two blocks cross exactly when their elements alternate along the line
-    at least four times (pattern B C B C), so a pairwise merge scan suffices.
+    One scan of 1..n with a stack of open blocks: a block opens at its least
+    element and closes at its largest, and every element in between must
+    find its block on top.  A block C above B at a later element x of B was
+    opened after B's previous element and closes after x, so B and C cross.
     """
-    for left, right in combinations(p.blocks, 2):
-        if _blocks_cross(left, right):
+    stack: list[int] = []
+    for x, label in enumerate(p.rgs(), start=1):
+        block = p.blocks[label]
+        if x == block[0]:
+            stack.append(label)
+        elif stack[-1] != label:
             return False
+        if x == block[-1]:
+            stack.pop()
     return True
 
 
 def _blocks_cross(left: tuple[int, ...], right: tuple[int, ...]) -> bool:
+    # Two blocks cross exactly when their elements alternate along the line
+    # at least four times (pattern B C B C).
     merged = sorted([(x, 0) for x in left] + [(x, 1) for x in right])
     switches = 0
     last = merged[0][1]

@@ -287,8 +287,10 @@ def check_equivalence(
 def _factor_kappa2(
     state: FactorState, left: Polynomial, right: Polynomial
 ) -> ComplexRational:
-    # In-factor kappa_2 by bilinear expansion; independent of the grouped
-    # lattice-sum machinery it is checked against.
+    # In-factor kappa_2 by bilinear expansion.  kappa_elements, which it is
+    # checked against, runs the same first-block kernel; what stays
+    # independent is the input: moments of the factor state here, of the
+    # product state there.
     total = ZERO
     for wl, cl in left.items():
         for wr, cr in right.items():

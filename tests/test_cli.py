@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from ncprob import catalan
 from ncprob.cli import main
 
 from conftest import SPECS
@@ -244,22 +245,50 @@ def test_empty_sequence_needs_one_value(tmp_path, capsys, command, key):
     assert "at least one moment" in err
 
 
-@pytest.mark.parametrize("first", ["1e100000000", "1e5000", "1e3000"])
-def test_huge_scalar_is_status_2(tmp_path, first):
+def run_process(argv, timeout):
     # A separate process, so a hang is cut by the timeout and a traceback
-    # shows on stderr.  1e100000000 used to run for minutes, 1e5000 and
-    # 1e3000 (whose kappa_2 has ~6,000 digits) failed in str(Fraction).
-    src = tmp_path / "moments.json"
-    src.write_text(json.dumps({"moments": [first, "1"]}))
+    # shows on stderr.
     package_root = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(package_root), os.environ.get("PYTHONPATH", "")]
     )}
-    proc = subprocess.run(
-        [sys.executable, "-m", "ncprob.cli", "cumulants", "--from-moments", str(src)],
-        capture_output=True, text=True, env=env, timeout=10,
+    return subprocess.run(
+        [sys.executable, "-m", "ncprob.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
+
+
+@pytest.mark.parametrize("first", ["1e100000000", "1e5000", "1e3000"])
+def test_huge_scalar_is_status_2(tmp_path, first):
+    # 1e100000000 used to run for minutes, 1e5000 and 1e3000 (whose kappa_2
+    # has ~6,000 digits) failed in str(Fraction).
+    src = tmp_path / "moments.json"
+    src.write_text(json.dumps({"moments": [first, "1"]}))
+    proc = run_process(["cumulants", "--from-moments", str(src)], timeout=10)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
+
+
+def bottom_and_top(n):
+    """The texts of 0_n and 1_n."""
+    elements = [str(k) for k in range(1, n + 1)]
+    return "{" + "}{".join(elements) + "}", "{" + ",".join(elements) + "}"
+
+
+def test_moebius_too_long_to_print_is_status_2():
+    # mu(0_n, 1_n) = (-1)^(n-1) Catalan(n-1) has about 4,800 digits at
+    # n = 8000.  The pairwise crossing check took 54 s here, and then the
+    # JSON printer failed on the int-to-str digit limit with a traceback.
+    proc = run_process(["moebius", "8000", *bottom_and_top(8000)], timeout=5)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_moebius_of_a_large_interval(capsys):
+    code, out, _ = run(capsys, ["moebius", "2000", *bottom_and_top(2000)])
+    assert code == 0
+    assert json.loads(out)["moebius"] == -catalan(1999)

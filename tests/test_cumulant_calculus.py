@@ -29,7 +29,6 @@ from ncprob import (
     free_convolve_additive,
     kappa_n,
     kappa_pi,
-    kappa_pi_via_moebius,
     kappa_words,
     lattice_sum,
     moebius,
@@ -39,6 +38,7 @@ from ncprob import (
 from ncprob.scalar import ONE, ZERO
 
 from conftest import random_factor_state, semicircle_factor, small_fraction
+from nc_oracles import kappa_pi_via_moebius
 
 
 # -- independent scalar oracle: nested first-block recursion --------------------

@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncprob import (
     ComplexRational,
@@ -10,7 +12,6 @@ from ncprob import (
     FactorState,
     FreeElement,
     GeneratorSymbol,
-    GroupedWord,
     Letter,
     Partition,
     Polynomial,
@@ -28,7 +29,7 @@ from ncprob import (
 )
 from ncprob.moment_space import EMPTY_WORD
 from ncprob.scalar import ONE, ZERO
-from ncprob.verification import joint_kappa, ProductStateView
+from ncprob.verification import centered_word_basis, joint_kappa, ProductStateView
 
 from conftest import (
     random_factor_state,
@@ -36,6 +37,8 @@ from conftest import (
     semicircle_factor,
     small_scalar,
 )
+from nc_oracles import GroupedWord, kappa_pi_products, kappa_products
+from nc_oracles import kappa_elements as nc_kappa_elements
 
 
 def letters(space):
@@ -287,7 +290,7 @@ def test_kappa_products_single_letter_groups(two_semicircles):
     lb = space.factor_state("A2").letter("b")
     for tup in [(la,), (la, lb), (la, la), (la, lb, la)]:
         gw = GroupedWord(tup, tuple(range(1, len(tup) + 1)))
-        assert space.kappa_products(gw) == space.kappa_base(tup)
+        assert kappa_products(space, gw) == space.kappa_base(tup)
 
 
 def test_kappa_products_single_group_is_phi(two_semicircles):
@@ -297,7 +300,7 @@ def test_kappa_products_single_group_is_phi(two_semicircles):
     lb = space.factor_state("A2").letter("b")
     for tup in [(la, lb), (la, lb, la), (la, lb, la, lb)]:
         gw = GroupedWord(tup, (len(tup),))
-        assert space.kappa_products(gw) == space.state_eval(tup)
+        assert kappa_products(space, gw) == space.state_eval(tup)
 
 
 def test_kappa_unit_slots_vanish(rng):
@@ -320,16 +323,87 @@ def test_kappa_pi_products_examples(two_semicircles):
     la = space.factor_state("A1").letter("a")
     lb = space.factor_state("A2").letter("b")
     gw = GroupedWord((la, lb, la, lb), (2, 4))
-    assert space.kappa_pi_products(Partition.top(2), gw) == space.kappa_products(gw)
-    split = space.kappa_pi_products(Partition.bottom(2), gw)
+    assert kappa_pi_products(space, Partition.top(2), gw) == kappa_products(space, gw)
+    split = kappa_pi_products(space, Partition.bottom(2), gw)
     g1 = GroupedWord((la, lb), (2,))
-    assert split == space.kappa_products(g1) * space.kappa_products(g1)
+    assert split == kappa_products(space, g1) * kappa_products(space, g1)
     # two groups from two different single factors: every admissible pi has a
     # mixed block, so the value is 0
     gw2 = GroupedWord((la, lb), (1, 2))
-    assert space.kappa_pi_products(Partition.top(2), gw2) == ZERO
+    assert kappa_pi_products(space, Partition.top(2), gw2) == ZERO
     with pytest.raises(DimensionMismatchError):
-        space.kappa_pi_products(Partition.top(3), gw)
+        kappa_pi_products(space, Partition.top(3), gw)
+
+
+def a_plus_u_space(rng, degree_bound):
+    return ProductSpace([
+        random_factor_state(rng, "A1", ("a",), degree_bound),
+        random_factor_state(rng, "A2", ("u",), degree_bound, selfadjoint=False),
+    ])
+
+
+def random_free_element(rng, basis, max_degree):
+    """A scalar part plus up to two basis words of degree <= max_degree."""
+    words = [w for w in basis if w.degree <= max_degree]
+    chosen = rng.sample(words, min(len(words), rng.randint(0, 2)))
+    scalar = small_scalar(rng) if chosen else ComplexRational.of(rng.choice((1, -2)))
+    return FreeElement(scalar, {w: small_scalar(rng) for w in chosen})
+
+
+def truncated_or_value(compute):
+    try:
+        return compute()
+    except TruncationError:
+        return "raised"
+
+
+def test_kappa_elements_matches_join_sum_on_every_basis_pair(rng):
+    # kappa_2(b_s*, b_t) over all of centered_word_basis, d = 3, N = 6:
+    # the first-block kernel against the sum over pi with pi v sigma = 1_n
+    space = a_plus_u_space(rng, 6)
+    elements = [FreeElement.from_word(w) for w in centered_word_basis(space, 3)]
+    for xs in elements:
+        for xt in elements:
+            args = [xs.star(), xt]
+            assert space.kappa_elements(args) == nc_kappa_elements(space, args)
+
+
+KAPPA_SPACE = a_plus_u_space(random.Random(20261018), 6)
+KAPPA_BASIS = centered_word_basis(KAPPA_SPACE, 3)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    degrees=st.lists(st.integers(0, 3), min_size=1, max_size=4).filter(
+        lambda ds: sum(ds) <= 6
+    ),
+    seed=st.integers(0, 10**6),
+)
+def test_kappa_elements_matches_join_sum_within_bound(degrees, seed):
+    rng = random.Random(seed)
+    args = [random_free_element(rng, KAPPA_BASIS, d) for d in degrees]
+    assert KAPPA_SPACE.kappa_elements(args) == nc_kappa_elements(KAPPA_SPACE, args)
+
+
+def test_kappa_elements_past_bound_raises_or_agrees(rng):
+    # Past the degree bound the two routes evaluate different moments, so one
+    # may raise where the other returns a value; when both return a value it
+    # is the same.
+    space = a_plus_u_space(rng, 4)
+    basis = centered_word_basis(space, 3)
+    both = raised = 0
+    for _ in range(200):
+        args = [random_free_element(rng, basis, 3) for _ in range(rng.randint(2, 4))]
+        if sum(max((w.degree for w in x.words), default=0) for x in args) <= 4:
+            continue
+        new = truncated_or_value(lambda: space.kappa_elements(args))
+        old = truncated_or_value(lambda: nc_kappa_elements(space, args))
+        if "raised" in (new, old):
+            raised += 1
+        else:
+            assert new == old
+            both += 1
+    assert both and raised
 
 
 # -- the state ---------------------------------------------------------------------------

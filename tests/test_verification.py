@@ -12,7 +12,6 @@ from ncprob import (
     FreeElement,
     GeneratorSymbol,
     GramMatrix,
-    GroupedWord,
     Letter,
     Polynomial,
     ProductSpace,
