@@ -9,9 +9,14 @@ The conversions expand over the block V that contains the first argument
 where the gaps are the runs of positions between consecutive elements of V
 and after its last one.  ``first_block_moment`` evaluates the right-hand
 side, memoized on intervals; ``first_block_cumulant`` solves the identity for
-its term V = {1..n}, memoized on argument tuples.  A cumulant of n arguments
-costs at most 3^(n-1) terms, and a moment at most 2^(n-1) per interval,
-against Catalan(n) terms for a sum over NC(n).
+its term V = {1..n}.  A cumulant of n arguments costs at most 3^(n-1) terms,
+and a moment at most 2^(n-1) per interval, against Catalan(n) terms for a sum
+over NC(n).
+
+The kernel keeps no cumulant memo of its own: it fills the dict its caller
+passes, keyed by argument tuples.  A ``CumulantTable`` passes its values, so
+every sub-tuple of every letter tuple is computed once per table; one-off
+callers pass ``{}``.
 
 ``lattice_sum`` is that sum: over sigma in NC(n) of the blockwise product,
 weighted by mu(sigma, 1_n) for cumulants (Moebius inversion).  Its one
@@ -130,17 +135,20 @@ def first_block_moment(
 
 
 def first_block_cumulant(
-    args: Sequence[Arg], phi: Callable[[tuple[Arg, ...]], ComplexRational]
+    args: Sequence[Arg],
+    phi: Callable[[tuple[Arg, ...]], ComplexRational],
+    kappas: dict[tuple[Arg, ...], ComplexRational],
 ) -> ComplexRational:
     """The weighted ``lattice_sum`` of phi on sub-tuples, by the first-block recursion.
 
     kappa(args) = phi(args) - sum over proper V containing the first argument
     of kappa(args_V) * phi over V's gaps.  phi(args) is evaluated first, so
     any error it raises comes first, as in ``lattice_sum``; a term stops at its
-    first zero factor.  Both kappa and phi are memoized on argument tuples.
+    first zero factor.  ``kappas`` is the caller's cumulant memo: it is read
+    and filled with the cumulant of every sub-tuple reached, so it must only
+    ever hold values for this phi.  phi is memoized for this call alone.
     """
     _check_arity(len(args))
-    kappas: dict[tuple[Arg, ...], ComplexRational] = {}
     moments: dict[tuple[Arg, ...], ComplexRational] = {}
 
     def moment(sub: tuple[Arg, ...]) -> ComplexRational:
@@ -178,7 +186,9 @@ def kappa_words(state: FactorState, words: Sequence[Word]) -> ComplexRational:
     evaluation must stay within the state's bound.
     """
     return first_block_cumulant(
-        words, lambda sub: state.phi_word(Word(tuple(l for w in sub for l in w.letters)))
+        words,
+        lambda sub: state.phi_word(Word(tuple(l for w in sub for l in w.letters))),
+        {},
     )
 
 
@@ -204,8 +214,10 @@ def kappa_pi(
 class CumulantTable:
     """kappa values of one factor, keyed by letter tuples of length <= N.
 
-    Either backed by a FactorState (values computed lazily by the first-block
-    recursion and memoized) or given explicitly.
+    Either backed by a FactorState or given explicitly.  A state-backed table
+    computes a missing value by the first-block kernel on its letters, with
+    the table's own values as the kernel's memo, so the cumulants of all
+    sub-tuples stay in the table too.
     """
 
     def __init__(
@@ -247,7 +259,10 @@ class CumulantTable:
                 raise ValidationError(
                     f"no cumulant value for letters {' '.join(l.text() for l in letters)!r}"
                 )
-            value = self._values[letters] = kappa_n(self._state, letters)
+            state = self._state
+            value = first_block_cumulant(
+                letters, lambda sub: state.phi_word(Word(sub)), self._values
+            )
         return value
 
 

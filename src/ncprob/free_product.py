@@ -18,9 +18,12 @@ Cumulant functions are layered exactly as they are defined:
 
 Mixed cumulants vanish, so the state is evaluated by the first-block
 recursion over the blocks that contain a_1 and stay inside its factor
-(``cumulant_calculus.first_block_moment``), and a cumulant of grouped
-products by the first-block kernel on the groups, with the state of their
-concatenation as phi (``cumulant_calculus.first_block_cumulant``).
+(``cumulant_calculus.first_block_moment``).  A pure cumulant is the factor's
+cumulant of its atoms, whatever polynomials they hold: the first-block kernel
+(``cumulant_calculus.first_block_cumulant``) on the atoms, with the factor's
+phi of their product, and ``_kappa_base_memo`` as the kernel's memo.  A
+cumulant of grouped products is the same kernel on the groups, with the
+state of their concatenation as phi and a fresh memo per term.
 Everything is exact; the memo tables of a ``ProductSpace`` are plain
 per-instance dicts.
 """
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Iterable, Mapping, Sequence
 
-from .cumulant_calculus import first_block_cumulant, first_block_moment, kappa_words
+from .cumulant_calculus import first_block_cumulant, first_block_moment
 from .errors import (
     DimensionMismatchError,
     FactorMismatchError,
@@ -214,7 +217,6 @@ class ProductSpace:
             )
         self.factors: dict[str, FactorState] = {f.factor: f for f in factors}
         self.degree_bound = bounds.pop()
-        self._kappa_factor_memo: dict[tuple[str, tuple[Word, ...]], ComplexRational] = {}
         self._kappa_base_memo: dict[tuple[Atom, ...], ComplexRational] = {}
         self._phi_memo: dict[tuple[Atom, ...], ComplexRational] = {}
 
@@ -345,34 +347,19 @@ class ProductSpace:
 
     # -- cumulant functions -----------------------------------------------
 
-    def _kappa_factor_words(
-        self, factor: str, words: tuple[Word, ...]
-    ) -> ComplexRational:
-        key = (factor, words)
-        value = self._kappa_factor_memo.get(key)
-        if value is None:
-            value = kappa_words(self.factor_state(factor), words)
-            self._kappa_factor_memo[key] = value
-        return value
-
     def _kappa_base_atoms(self, atoms: tuple[Atom, ...]) -> ComplexRational:
-        cached = self._kappa_base_memo.get(atoms)
-        if cached is not None:
-            return cached
-        present = {f for f, _ in atoms}
-        if len(present) > 1:
-            value = ZERO
-        else:
-            factor = present.pop()
-            value = ZERO
-            for combo in iter_product(*(tuple(p.items()) for _, p in atoms)):
-                coeff = ONE
-                for _, c in combo:
-                    coeff = coeff * c
-                if coeff:
-                    words = tuple(w for w, _ in combo)
-                    value = value + coeff * self._kappa_factor_words(factor, words)
-        self._kappa_base_memo[atoms] = value
+        value = self._kappa_base_memo.get(atoms)
+        if value is None:
+            present = {f for f, _ in atoms}
+            if len(present) > 1:
+                value = self._kappa_base_memo[atoms] = ZERO
+            else:
+                state = self.factor_state(present.pop())
+                value = first_block_cumulant(
+                    atoms,
+                    lambda sub: state.eval_phi_n([p for _, p in sub]),
+                    self._kappa_base_memo,
+                )
         return value
 
     def kappa_base(self, letters: Sequence[Letter]) -> ComplexRational:
@@ -431,6 +418,7 @@ class ProductSpace:
             total = total + coeff * first_block_cumulant(
                 tuple(group for _, group in combo),
                 lambda sub: self._phi_atoms(tuple(a for group in sub for a in group)),
+                {},
             )
         return total
 

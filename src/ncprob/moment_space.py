@@ -337,7 +337,7 @@ class FactorState:
 
     def phi_poly(self, p: Polynomial) -> ComplexRational:
         total = ZERO
-        for word, coeff in p.items():
+        for word, coeff in p._terms.items():  # exact, so the order is free
             total = total + coeff * self.phi_word(word)
         return total
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -97,9 +96,6 @@ class Partition:
             for x in block:
                 out[x - 1] = label
         return tuple(out)
-
-    def block_count(self) -> int:
-        return len(self.blocks)
 
     def __str__(self) -> str:
         return "".join("{" + ",".join(str(x) for x in b) + "}" for b in self.blocks)
@@ -176,19 +172,6 @@ def is_noncrossing(p: Partition) -> bool:
     return True
 
 
-def _blocks_cross(left: tuple[int, ...], right: tuple[int, ...]) -> bool:
-    # Two blocks cross exactly when their elements alternate along the line
-    # at least four times (pattern B C B C).
-    merged = sorted([(x, 0) for x in left] + [(x, 1) for x in right])
-    switches = 0
-    last = merged[0][1]
-    for _, owner in merged[1:]:
-        if owner != last:
-            switches += 1
-            last = owner
-    return switches >= 3
-
-
 def leq(sigma: Partition, pi: Partition) -> bool:
     """Reverse refinement: every block of sigma lies inside one block of pi."""
     if sigma.n != pi.n:
@@ -207,7 +190,11 @@ def join_nc(sigma: Partition, pi: Partition) -> Partition:
 
     The set-partition join of two non-crossing partitions may cross; any
     crossing pair of blocks must be merged in every non-crossing upper
-    bound, so repeated merging is forced and yields the least one.
+    bound, so merging them is forced and the result is the least one.  The
+    merging is one scan of 1..n with a stack of open blocks, as in
+    ``is_noncrossing``: at a later element of block B, every block above B
+    crosses it and is merged into B.  Union-find keeps each block's root
+    and last element.
     """
     if sigma.n != pi.n:
         raise DimensionMismatchError(f"ground sets differ: {sigma.n} vs {pi.n}")
@@ -223,33 +210,31 @@ def join_nc(sigma: Partition, pi: Partition) -> Partition:
             x = parent[x]
         return x
 
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
     for p in (sigma, pi):
         for block in p.blocks:
             for x in block[1:]:
-                union(block[0], x)
-
-    def current_blocks() -> list[tuple[int, ...]]:
-        groups: dict[int, list[int]] = {}
-        for x in range(1, n + 1):
-            groups.setdefault(find(x), []).append(x)
-        return [tuple(b) for b in groups.values()]
-
-    blocks = current_blocks()
-    merged = True
-    while merged:
-        merged = False
-        for left, right in combinations(blocks, 2):
-            if _blocks_cross(left, right):
-                union(left[0], right[0])
-                blocks = current_blocks()
-                merged = True
-                break
-    return Partition.of(n, blocks)
+                parent[find(x)] = find(block[0])
+    last = [0] * (n + 1)
+    opens = [False] * (n + 1)
+    for x in range(1, n + 1):
+        root = find(x)
+        opens[x] = not last[root]
+        last[root] = x
+    stack: list[int] = []
+    for x in range(1, n + 1):
+        root = find(x)
+        if opens[x]:
+            stack.append(root)
+        while stack[-1] != root:
+            above = stack.pop()
+            parent[above] = root
+            last[root] = max(last[root], last[above])
+        if last[root] == x:
+            stack.pop()
+    groups: dict[int, list[int]] = {}
+    for x in range(1, n + 1):
+        groups.setdefault(find(x), []).append(x)
+    return Partition.of(n, groups.values())
 
 
 def check_lattice_size(n: int) -> None:

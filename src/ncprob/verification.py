@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import Iterator, Mapping, Sequence
 
-from .cumulant_calculus import first_block_cumulant, kappa_words
+from .cumulant_calculus import first_block_cumulant
 from .errors import TruncationError, ValidationError
 from .moment_space import (
     FactorState,
@@ -247,18 +247,23 @@ def _phi_of_centered_product(
 
 def joint_kappa(joint: JointState, letters: Sequence[Letter]) -> ComplexRational:
     """kappa_n recomputed from the joint moments by the first-block recursion."""
-    return first_block_cumulant(letters, joint.phi_word)
+    return first_block_cumulant(letters, joint.phi_word, {})
 
 
 def check_freeness_cumulants(
     target: ProductSpace | JointState, max_degree: int
 ) -> FreenessReport:
-    """Definition by cumulants: every mixed kappa_n vanishes, n <= max_degree."""
+    """Definition by cumulants: every mixed kappa_n vanishes, n <= max_degree.
+
+    Each kappa_n is ``joint_kappa``'s, with one kernel memo for the whole
+    check, so a sub-tuple shared by many letter tuples is computed once.
+    """
     joint = as_joint_state(target)
     _check_max_degree(joint, max_degree)
     letters = [
         l for index in joint.factor_indices() for l in joint.factor_letters(index)
     ]
+    kappas: dict[tuple[Letter, ...], ComplexRational] = {}
     violations = []
     checked = 0
     for n in range(2, max_degree + 1):
@@ -266,7 +271,7 @@ def check_freeness_cumulants(
             if len({l.factor for l in tup}) < 2:
                 continue
             checked += 1
-            value = joint_kappa(joint, tup)
+            value = first_block_cumulant(tup, joint.phi_word, kappas)
             if value:
                 violations.append((" ".join(l.text() for l in tup), value))
     return FreenessReport("cumulants", max_degree, checked, tuple(violations))
@@ -287,15 +292,9 @@ def check_equivalence(
 def _factor_kappa2(
     state: FactorState, left: Polynomial, right: Polynomial
 ) -> ComplexRational:
-    # In-factor kappa_2 by bilinear expansion.  kappa_elements, which it is
-    # checked against, runs the same first-block kernel; what stays
-    # independent is the input: moments of the factor state here, of the
-    # product state there.
-    total = ZERO
-    for wl, cl in left.items():
-        for wr, cr in right.items():
-            total = total + cl * cr * kappa_words(state, (wl, wr))
-    return total
+    # kappa_2(x, y) = phi(xy) - phi(x) phi(y), from the factor's moments;
+    # kappa_elements, which it is checked against, reads the product state.
+    return state.phi_poly(left * right) - state.phi_poly(left) * state.phi_poly(right)
 
 
 def variance_factorization(
@@ -464,8 +463,7 @@ def centered_word_basis(space: ProductSpace, max_degree: int) -> list[TensorWord
     out = [
         TensorWord(
             tuple(
-                (index, space.factor_state(index).center(Polynomial.monomial(word)))
-                for index, word in slots
+                (index, space.centered_word(index, word)) for index, word in slots
             )
         )
         for slots in _alternating_slot_sequences(ProductStateView(space), max_degree)

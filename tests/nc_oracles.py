@@ -1,8 +1,8 @@
-"""Sums over the lattice NC(n), kept as oracles for the library's kernels.
+"""Slow, obviously correct routes, kept as oracles for the library's kernels.
 
 The library computes every cumulant by the first-block recursion
-(``cumulant_calculus.first_block_cumulant``).  These are the slow routes it
-is checked against, each an obviously correct sum over NC(n):
+(``cumulant_calculus.first_block_cumulant``), and the NC(n) join by one
+stack scan.  These are the routes they are checked against:
 
 * ``kappa_pi_via_moebius``   - kappa_pi of a factor state as the Moebius sum
                                of phi_sigma over sigma in [0_n, pi];
@@ -13,14 +13,19 @@ is checked against, each an obviously correct sum over NC(n):
 * ``kappa_pi_products``      - its blockwise extension over groups;
 * ``kappa_elements``         - cumulants of free-product elements, by
                                multilinear expansion into unit and tensor-word
-                               slots, each term by the join-constrained sum.
+                               slots, each term by the join-constrained sum;
+* ``kappa_base_atoms``       - the pure cumulant of (factor, polynomial)
+                               atoms, by multilinear expansion into word
+                               tuples, each one ``kappa_words`` of the factor;
+* ``join_nc_by_rescan``      - the NC(n) join, merging one crossing pair of
+                               blocks per rescan of all pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import product as iter_product
+from itertools import combinations, product as iter_product
 from typing import Sequence
 
 from ncprob import (
@@ -33,7 +38,7 @@ from ncprob import (
     ProductSpace,
     ValidationError,
     enumerate_nc,
-    join_nc,
+    kappa_words,
     leq,
     moebius,
 )
@@ -123,7 +128,7 @@ def admissible_tops(sizes: tuple[int, ...]) -> tuple[Partition, ...]:
     n = sum(sizes)
     sigma = interval_partition(sizes)
     top = Partition.top(n)
-    return tuple(pi for pi in enumerate_nc(n) if join_nc(pi, sigma) == top)
+    return tuple(pi for pi in enumerate_nc(n) if join_nc_by_rescan(pi, sigma) == top)
 
 
 def _kappa_base(space: ProductSpace, atoms: tuple) -> ComplexRational:
@@ -136,7 +141,25 @@ def _kappa_base(space: ProductSpace, atoms: tuple) -> ComplexRational:
     if not present:
         return ONE if len(atoms) == 1 else ZERO
     factor = present.pop()
-    return space._kappa_base_atoms(tuple((factor, p) for _, p in atoms))
+    return kappa_base_atoms(space, tuple((factor, p) for _, p in atoms))
+
+
+@cache
+def kappa_base_atoms(space: ProductSpace, atoms: tuple) -> ComplexRational:
+    """The factor cumulant of same-factor (factor, polynomial) atoms, expanded
+    multilinearly into word tuples; 0 when the atoms straddle two factors.
+    Memoized per space and atom tuple."""
+    present = {f for f, _ in atoms}
+    if len(present) > 1:
+        return ZERO
+    state = space.factor_state(present.pop())
+    total = ZERO
+    for combo in iter_product(*(tuple(p.items()) for _, p in atoms)):
+        coeff = ONE
+        for _, c in combo:
+            coeff = coeff * c
+        total = total + coeff * kappa_words(state, tuple(w for w, _ in combo))
+    return total
 
 
 def kappa_products_atoms(space: ProductSpace, groups: Sequence[tuple]) -> ComplexRational:
@@ -204,3 +227,56 @@ def kappa_elements(space: ProductSpace, args: Sequence[FreeElement]) -> ComplexR
                 space, [group for _, group in combo]
             )
     return total
+
+
+def _blocks_cross(left: tuple[int, ...], right: tuple[int, ...]) -> bool:
+    # Two blocks cross exactly when their elements alternate along the line
+    # at least four times (pattern B C B C).
+    merged = sorted([(x, 0) for x in left] + [(x, 1) for x in right])
+    switches = 0
+    last = merged[0][1]
+    for _, owner in merged[1:]:
+        if owner != last:
+            switches += 1
+            last = owner
+    return switches >= 3
+
+
+def join_nc_by_rescan(sigma: Partition, pi: Partition) -> Partition:
+    """The NC(n) join: the set-partition join, then merge one crossing pair of
+    blocks at a time, rescanning all pairs after every merge."""
+    n = sigma.n
+    parent = list(range(n + 1))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def union(x: int, y: int) -> None:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[rx] = ry
+
+    for p in (sigma, pi):
+        for block in p.blocks:
+            for x in block[1:]:
+                union(block[0], x)
+
+    def current_blocks() -> list[tuple[int, ...]]:
+        groups: dict[int, list[int]] = {}
+        for x in range(1, n + 1):
+            groups.setdefault(find(x), []).append(x)
+        return [tuple(b) for b in groups.values()]
+
+    blocks = current_blocks()
+    merged = True
+    while merged:
+        merged = False
+        for left, right in combinations(blocks, 2):
+            if _blocks_cross(left, right):
+                union(left[0], right[0])
+                blocks = current_blocks()
+                merged = True
+                break
+    return Partition.of(n, blocks)

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from ncprob import catalan
+from ncprob import catalan, verification
 from ncprob.cli import main
+from ncprob.scalar import ONE
 
 from conftest import SPECS
 
@@ -161,6 +162,23 @@ def test_verify_positivity_modes(tmp_path, capsys):
     payload = json.loads(out)["positivity"]
     assert payload["psd"] is False
     assert payload["witness"] is not None
+
+
+def test_verify_schur_inconsistent_is_status_1(monkeypatch, capsys):
+    # A wrong factor kappa_2 breaks only the Lemma-3 side check: the Gram is
+    # still PSD, and verify reports the inconsistency with status 1.
+    exact = verification._factor_kappa2
+    monkeypatch.setattr(
+        verification, "_factor_kappa2", lambda state, x, y: exact(state, x, y) + ONE
+    )
+    spec = SPECS / "two_semicircles.json"
+    code, out, _ = run(
+        capsys, ["verify", "--spec", spec, "--max-degree", "2", "--mode", "positivity"]
+    )
+    assert code == 1
+    payload = json.loads(out)["positivity"]
+    assert payload["psd"] is True
+    assert payload["schur_consistent"] is False
 
 
 def test_verify_table_output(capsys):

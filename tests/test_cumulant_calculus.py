@@ -349,9 +349,9 @@ def test_lattice_sum_range():
     with pytest.raises(SizeOutOfRangeError):
         first_block_moment(13, lambda block: ONE)
     with pytest.raises(ValidationError):
-        first_block_cumulant((), lambda sub: ONE)
+        first_block_cumulant((), lambda sub: ONE, {})
     with pytest.raises(SizeOutOfRangeError):
-        first_block_cumulant((la,) * 13, lambda sub: ONE)
+        first_block_cumulant((la,) * 13, lambda sub: ONE, {})
     with pytest.raises(SizeOutOfRangeError):
         kappa_n(semicircle_factor("A", "a"), (la,) * 13)
 
@@ -376,7 +376,7 @@ def test_lattice_sum_raises_from_the_top_block_first():
     assert seen == [(1, 3)]
     seen.clear()
     with pytest.raises(TruncationError):
-        first_block_cumulant("wxyz", block_value)
+        first_block_cumulant("wxyz", block_value, {})
     assert seen == [tuple("wxyz")]
 
 
@@ -465,7 +465,7 @@ def test_first_block_cumulant_matches_lattice_sum(args, seed):
     expected = lattice_sum(
         len(args), lambda block: phi(tuple(args[i - 1] for i in block)), weighted=True
     )
-    assert first_block_cumulant(args, phi) == expected
+    assert first_block_cumulant(args, phi, {}) == expected
 
 
 def test_kappa_words_match_lattice_sum_exhaustively(rng):
@@ -490,6 +490,16 @@ def test_kappa_words_match_lattice_sum_exhaustively(rng):
         for tup in iproduct(words, repeat=n):
             if sum(w.degree for w in tup) <= 7:
                 assert kappa_words(state, tup) == oracle(tup)
+
+
+def test_self_filling_table_matches_fresh_kappa_n(rng):
+    # Longest tuples first, so most shorter values come from the table's memo.
+    state = random_factor_state(rng, "A", ("u",), 6, selfadjoint=False)
+    table = CumulantTable.from_state(state)
+    ls = state.letters()
+    for n in range(6, 0, -1):
+        for tup in iproduct(ls, repeat=n):
+            assert table.value(tup) == kappa_n(state, tup)
 
 
 def test_moments_from_cumulants_match_lattice_sum_exhaustively(rng):

@@ -37,7 +37,7 @@ from conftest import (
     semicircle_factor,
     small_scalar,
 )
-from nc_oracles import GroupedWord, kappa_pi_products, kappa_products
+from nc_oracles import GroupedWord, kappa_base_atoms, kappa_pi_products, kappa_products
 from nc_oracles import kappa_elements as nc_kappa_elements
 
 
@@ -383,6 +383,44 @@ def test_kappa_elements_matches_join_sum_within_bound(degrees, seed):
     rng = random.Random(seed)
     args = [random_free_element(rng, KAPPA_BASIS, d) for d in degrees]
     assert KAPPA_SPACE.kappa_elements(args) == nc_kappa_elements(KAPPA_SPACE, args)
+
+
+def test_kappa_base_atoms_matches_word_expansion_on_basis_pairs(rng):
+    # Every pure atom tuple the state reaches on the Gram entries of
+    # centered_word_basis (d = 3, N = 6), with one kernel memo for the space:
+    # the kernel on the polynomials against the expansion into word tuples.
+    space = a_plus_u_space(rng, 6)
+    words = centered_word_basis(space, 3)
+    for ws in words:
+        for wt in words:
+            space.state_eval(ws.star().components + wt.components)
+    pure = [a for a in space._kappa_base_memo if len({f for f, _ in a}) == 1]
+    assert len(pure) > 100
+    for atoms in pure:
+        assert space._kappa_base_atoms(atoms) == kappa_base_atoms(space, atoms)
+
+
+def random_polynomial(rng, state, degree):
+    """Up to three words of degree <= ``degree``, one of them of that degree."""
+    words = list(state.words_up_to(degree))
+    chosen = [rng.choice([w for w in words if w.degree == degree])]
+    chosen += [rng.choice(words) for _ in range(rng.randint(0, 2))]
+    return Polynomial({w: small_scalar(rng) for w in chosen})
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    degrees=st.lists(st.integers(0, 3), min_size=1, max_size=4).filter(
+        lambda ds: sum(ds) <= 6
+    ),
+    index=st.sampled_from(("A1", "A2")),
+    seed=st.integers(0, 10**6),
+)
+def test_kappa_base_atoms_matches_word_expansion_within_bound(degrees, index, seed):
+    rng = random.Random(seed)
+    state = KAPPA_SPACE.factor_state(index)
+    atoms = tuple((index, random_polynomial(rng, state, d)) for d in degrees)
+    assert KAPPA_SPACE._kappa_base_atoms(atoms) == kappa_base_atoms(KAPPA_SPACE, atoms)
 
 
 def test_kappa_elements_past_bound_raises_or_agrees(rng):

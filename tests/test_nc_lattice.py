@@ -22,6 +22,8 @@ from ncprob import (
 )
 from ncprob.nc_lattice import kreweras, moebius_to_top
 
+from nc_oracles import join_nc_by_rescan
+
 
 # -- independent oracles -------------------------------------------------------
 
@@ -216,6 +218,37 @@ def test_join_laws_exhaustive():
 def test_join_associative(triple):
     p, q, r = triple
     assert join_nc(join_nc(p, q), r) == join_nc(p, join_nc(q, r))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_join_matches_rescan_exhaustively(n):
+    elems = enumerate_nc(n)
+    for p in elems:
+        for q in elems:
+            assert join_nc(p, q) == join_nc_by_rescan(p, q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(7, 10).flatmap(
+    lambda n: st.tuples(st.sampled_from(enumerate_nc(n)), st.sampled_from(enumerate_nc(n)))
+))
+def test_join_matches_rescan_on_random_pairs(pair):
+    p, q = pair
+    assert join_nc(p, q) == join_nc_by_rescan(p, q)
+
+
+def test_join_of_interleaved_pairs():
+    # {1,3}{5,7}... with {2,4}{6,8}...: each quadruple 4k+1..4k+4 merges.
+    n = 320
+    odd = Partition.of(
+        n, [[x, x + 2] for x in range(1, n, 4)] + [[x] for x in range(2, n + 1, 2)]
+    )
+    even = Partition.of(
+        n, [[x, x + 2] for x in range(2, n, 4)] + [[x] for x in range(1, n, 2)]
+    )
+    expected = Partition.of(n, [range(x, x + 4) for x in range(1, n, 4)])
+    assert join_nc(odd, even) == expected
+    assert join_nc_by_rescan(odd, even) == expected
 
 
 # -- Moebius -----------------------------------------------------------------------

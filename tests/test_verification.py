@@ -36,6 +36,7 @@ from ncprob.verification import ProductStateView, centered_word_basis
 
 from conftest import (
     measure_factor_state,
+    random_factor_state,
     random_product_space,
     semicircle_factor,
     small_scalar,
@@ -150,6 +151,22 @@ def test_joint_kappa_matches_lattice_sum(rng):
                 assert joint_kappa(joint, tup) == expected
 
 
+def test_freeness_cumulants_matches_per_tuple_joint_kappa(rng):
+    # One kernel memo for the whole check: the same violations, in the same
+    # order, as a fresh joint_kappa per letter tuple.
+    joint = random_joint_state(rng, 4)
+    ls = [l for i in joint.factor_indices() for l in joint.factor_letters(i)]
+    expected = []
+    for n in range(2, 5):
+        for tup in iproduct(ls, repeat=n):
+            if len({l.factor for l in tup}) > 1:
+                value = joint_kappa(joint, tup)
+                if value:
+                    expected.append((" ".join(l.text() for l in tup), value))
+    assert len(expected) > 50
+    assert check_freeness_cumulants(joint, 4).violations == tuple(expected)
+
+
 def test_freeness_checks_reject_negative_degree(two_semicircles):
     for check in (check_freeness_moments, check_freeness_cumulants):
         with pytest.raises(ValidationError):
@@ -219,6 +236,25 @@ def test_variance_factorization_matches_grouped_route(rng):
             assert direct == general
             if pa != pb:
                 assert direct == ZERO
+
+
+def test_variance_factorization_on_a_non_tracial_factor(rng):
+    # phi(u u*) != phi(u* u), so kappa_2(x, y) != kappa_2(y, x) in general:
+    # every same-pattern pair of the centered basis, d = 2.
+    u_state = random_factor_state(rng, "A2", ("u",), 4, selfadjoint=False)
+    lu = u_state.letter("u")
+    assert u_state.phi_word(Word((lu, lu.star()))) != u_state.phi_word(Word((lu.star(), lu)))
+    space = ProductSpace([semicircle_factor("A1", "a", 4), u_state])
+    words = centered_word_basis(space, 2)
+    pairs = 0
+    for ws in words:
+        for wt in words:
+            if [f for f, _ in ws.components] == [f for f, _ in wt.components]:
+                pairs += 1
+                assert variance_factorization(space, ws, wt) == space.kappa_elements(
+                    [FreeElement.from_word(ws).star(), FreeElement.from_word(wt)]
+                )
+    assert pairs > 20
 
 
 def test_variance_factorization_mismatched_lengths(two_semicircles):
