@@ -11,7 +11,7 @@ from .errors import (
     TruncationError,
     ValidationError,
 )
-from .scalar import ComplexRational, parse_scalar
+from .scalar import ComplexRational
 from .nc_lattice import (
     LatticePair,
     Partition,

@@ -8,15 +8,14 @@ The conversions expand over the block V that contains the first argument
 
 where the gaps are the runs of positions between consecutive elements of V
 and after its last one.  ``first_block_moment`` evaluates the right-hand
-side, memoized on intervals; ``first_block_cumulant`` solves the identity for
-its term V = {1..n}.  A cumulant of n arguments costs at most 3^(n-1) terms,
-and a moment at most 2^(n-1) per interval, against Catalan(n) terms for a sum
-over NC(n).
+side; ``first_block_cumulant`` solves the identity for its term V = {1..n}.
+A cumulant of n arguments costs at most 3^(n-1) terms, and a moment at most
+2^(n-1) per sub-tuple, against Catalan(n) terms for a sum over NC(n).
 
-The kernel keeps no cumulant memo of its own: it fills the dict its caller
-passes, keyed by argument tuples.  A ``CumulantTable`` passes its values, so
-every sub-tuple of every letter tuple is computed once per table; one-off
-callers pass ``{}``.
+Both kernels recurse on argument sub-tuples and keep no memo of their own:
+each fills the dict its caller passes, keyed by argument tuples.  A
+``CumulantTable`` passes its values and a ``ProductSpace`` its state memo, so
+each sub-tuple is computed once per table or space; one-off callers pass {}.
 
 ``lattice_sum`` is that sum: over sigma in NC(n) of the blockwise product,
 weighted by mu(sigma, 1_n) for cumulants (Moebius inversion).  Its one
@@ -86,52 +85,53 @@ def lattice_sum(
 
 
 def first_block_moment(
-    n: int,
-    block_value: Callable[[tuple[int, ...]], ComplexRational],
-    colours: Sequence[Hashable] | None = None,
+    args: Sequence[Arg],
+    kappa: Callable[[tuple[Arg, ...]], ComplexRational],
+    phis: dict[tuple[Arg, ...], tuple[ComplexRational, bool]],
+    colour: Callable[[Arg], Hashable] | None = None,
 ) -> ComplexRational:
-    """The unweighted ``lattice_sum(n, block_value)``, by the first-block recursion.
+    """The unweighted ``lattice_sum`` of kappa on sub-tuples, by the first-block recursion.
 
-    phi on the interval i..j is the sum over blocks V = (i, ...) within it of
-    block_value(V) times phi over V's gaps.  With ``colours``, V keeps to the
-    positions coloured like i; the caller promises that block_value is zero,
-    and raises nothing, on every block of mixed colours.
+    phi(args) is the sum over blocks V containing the first argument of
+    kappa(args_V) times phi over V's gaps.  With ``colour``, V keeps to the
+    arguments coloured like the first; the caller promises that kappa is
+    zero, and raises nothing, on every tuple of mixed colours.  ``phis`` is
+    the caller's memo of (phi, whether some partition has only nonzero
+    blocks) per sub-tuple, read and filled, so it must hold values for this
+    kappa and colour only.
 
     A block is evaluated exactly when ``lattice_sum`` would evaluate it: the
     full block comes first, and a term stops at a zero block or at a gap none
     of whose partitions has only nonzero blocks.  So the same blocks raise.
     """
-    _check_arity(n)
-    memo: dict[tuple[int, int], tuple[ComplexRational, bool]] = {}
+    _check_arity(len(args))
 
-    def phi(i: int, j: int) -> tuple[ComplexRational, bool]:
-        # (value, whether some partition of i..j has only nonzero blocks)
-        if i > j:
-            return ONE, True
-        hit = memo.get((i, j))
+    def phi(sub: tuple[Arg, ...]) -> tuple[ComplexRational, bool]:
+        hit = phis.get(sub)
         if hit is not None:
             return hit
-        same = [
-            p for p in range(i + 1, j + 1)
-            if colours is None or colours[p - 1] == colours[i - 1]
-        ]
+        m = len(sub)
+        first = colour(sub[0]) if colour is not None else None
+        same = [p for p in range(1, m) if colour is None or colour(sub[p]) == first]
         total, reached = ZERO, False
         for mask in range((1 << len(same)) - 1, -1, -1):
-            block = (i,) + tuple(p for k, p in enumerate(same) if mask >> k & 1)
-            term = block_value(block)
+            block = (0,) + tuple(p for k, p in enumerate(same) if mask >> k & 1)
+            term = kappa(tuple(sub[p] for p in block))
             if term.is_zero():
                 continue
-            for left, right in zip(block, block[1:] + (j + 1,)):
-                value, gap_reached = phi(left + 1, right - 1)
+            for left, right in zip(block, block[1:] + (m,)):
+                if right == left + 1:
+                    continue
+                value, gap_reached = phi(sub[left + 1 : right])
                 if not gap_reached:
                     break
                 term = term * value
             else:
                 total, reached = total + term, True
-        memo[(i, j)] = total, reached
+        phis[sub] = total, reached
         return total, reached
 
-    return phi(1, n)[0]
+    return phi(tuple(args))[0]
 
 
 def first_block_cumulant(
@@ -285,9 +285,7 @@ def moments_from_cumulants(
     table: CumulantTable, letters: Sequence[Letter]
 ) -> ComplexRational:
     """phi(a_1...a_n) = sum over sigma in NC(n) of the blockwise kappa product."""
-    return first_block_moment(
-        len(letters), lambda block: table.value(tuple(letters[i - 1] for i in block))
-    )
+    return first_block_moment(letters, table.value, {})
 
 
 @dataclass(frozen=True)
@@ -331,8 +329,9 @@ def moment_sequence_from_cumulants(
 ) -> MomentSequence:
     """Rebuild m_1..m_N from (kappa_1, ..., kappa_N) by the first-block recursion."""
     kappas = [ComplexRational.of(c) for c in cumulants]
+    phis: dict[tuple[int, ...], tuple[ComplexRational, bool]] = {}
     return MomentSequence.of([
-        first_block_moment(n, lambda block: kappas[len(block) - 1])
+        first_block_moment((0,) * n, lambda block: kappas[len(block) - 1], phis)
         for n in range(1, len(kappas) + 1)
     ])
 

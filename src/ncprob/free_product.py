@@ -16,22 +16,23 @@ Cumulant functions are layered exactly as they are defined:
                        into unit/tensor-word slots, each term the cumulant of
                        grouped products read off the state.
 
-Mixed cumulants vanish, so the state is evaluated by the first-block
-recursion over the blocks that contain a_1 and stay inside its factor
-(``cumulant_calculus.first_block_moment``).  A pure cumulant is the factor's
-cumulant of its atoms, whatever polynomials they hold: the first-block kernel
+An atom is a (factor, polynomial) pair, and each letter is one atom built
+with the space.  Mixed cumulants vanish, so the state is the first-block
+kernel (``cumulant_calculus.first_block_moment``) on the atoms, over blocks
+that stay inside the first atom's factor, with ``_phi_memo`` as its memo.  A
+pure cumulant is the factor's cumulant of its atoms: the first-block kernel
 (``cumulant_calculus.first_block_cumulant``) on the atoms, with the factor's
 phi of their product, and ``_kappa_base_memo`` as the kernel's memo.  A
 cumulant of grouped products is the same kernel on the groups, with the
-state of their concatenation as phi and a fresh memo per term.
-Everything is exact; the memo tables of a ``ProductSpace`` are plain
-per-instance dicts.
+state of their concatenation as phi and a fresh memo per term.  Everything
+is exact; the memos of a ``ProductSpace`` are plain per-instance dicts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iter_product
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .cumulant_calculus import first_block_cumulant, first_block_moment
@@ -217,8 +218,13 @@ class ProductSpace:
             )
         self.factors: dict[str, FactorState] = {f.factor: f for f in factors}
         self.degree_bound = bounds.pop()
+        self._letter_atoms: dict[Letter, Atom] = {
+            letter: (f.factor, Polynomial.from_letter(letter))
+            for f in factors
+            for letter in f.letters()
+        }
         self._kappa_base_memo: dict[tuple[Atom, ...], ComplexRational] = {}
-        self._phi_memo: dict[tuple[Atom, ...], ComplexRational] = {}
+        self._phi_memo: dict[tuple[Atom, ...], tuple[ComplexRational, bool]] = {}
 
     # -- elements ---------------------------------------------------------
 
@@ -366,7 +372,7 @@ class ProductSpace:
         """Factor cumulant if all letters share a factor, otherwise 0."""
         if not letters:
             raise ValidationError("kappa_base needs at least one letter")
-        return self._kappa_base_atoms(_letter_atoms(letters))
+        return self._kappa_base_atoms(self._as_atoms(letters))
 
     def kappa_pure_pi(
         self, pi: Partition, letters: Sequence[Letter]
@@ -376,7 +382,7 @@ class ProductSpace:
             raise DimensionMismatchError(
                 f"partition of {pi.n} applied to {len(letters)} letters"
             )
-        atoms = _letter_atoms(letters)
+        atoms = self._as_atoms(letters)
         total = ONE
         for block in pi.blocks:
             total = total * self._kappa_base_atoms(tuple(atoms[i - 1] for i in block))
@@ -427,15 +433,9 @@ class ProductSpace:
     def _phi_atoms(self, atoms: tuple[Atom, ...]) -> ComplexRational:
         if not atoms:
             return ONE
-        value = self._phi_memo.get(atoms)
-        if value is None:
-            value = first_block_moment(
-                len(atoms),
-                lambda block: self._kappa_base_atoms(tuple(atoms[i - 1] for i in block)),
-                colours=tuple(f for f, _ in atoms),
-            )
-            self._phi_memo[atoms] = value
-        return value
+        return first_block_moment(
+            atoms, self._kappa_base_atoms, self._phi_memo, colour=itemgetter(0)
+        )
 
     def state_eval(
         self,
@@ -445,9 +445,9 @@ class ProductSpace:
 
         For a flat product of pure arguments (letters, or (factor,
         polynomial) pairs) this is the sum over NC(n) of blockwise base
-        cumulants, by the first-block recursion; for a FreeElement it is the
-        scalar part plus the same sum applied to each tensor word's
-        components.
+        cumulants, by the first-block recursion on their atoms; for a
+        FreeElement it is the scalar part plus the same sum applied to each
+        tensor word's components.  Every sub-tuple's moment stays memoized.
         """
         if isinstance(x, FreeElement):
             total = x.scalar
@@ -460,13 +460,12 @@ class ProductSpace:
         atoms: list[Atom] = []
         for arg in args:
             if isinstance(arg, Letter):
-                self.factor_state(arg.factor)
-                atoms.append((arg.factor, Polynomial.from_letter(arg)))
-            elif (
-                isinstance(arg, tuple)
-                and len(arg) == 2
-                and isinstance(arg[1], Polynomial)
-            ):
+                atom = self._letter_atoms.get(arg)
+                if atom is None:
+                    self.factor_state(arg.factor)
+                    raise ValidationError(f"no generator {arg.name!r} in factor {arg.factor!r}")
+                atoms.append(atom)
+            elif isinstance(arg, tuple) and len(arg) == 2 and isinstance(arg[1], Polynomial):
                 self.factor_state(arg[0])
                 atoms.append((arg[0], arg[1]))
             else:
@@ -505,10 +504,6 @@ class ProductSpace:
         return (
             f"ProductSpace({sorted(self.factors)}, N={self.degree_bound})"
         )
-
-
-def _letter_atoms(letters: Sequence[Letter]) -> tuple[Atom, ...]:
-    return tuple((l.factor, Polynomial.from_letter(l)) for l in letters)
 
 
 def product_space_from_json(obj: object) -> ProductSpace:

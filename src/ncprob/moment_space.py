@@ -136,9 +136,6 @@ class Polynomial:
     def degree(self) -> int:
         return max((w.degree for w in self._terms), default=0)
 
-    def constant_term(self) -> ComplexRational:
-        return self._terms.get(EMPTY_WORD, ZERO)
-
     def star(self) -> "Polynomial":
         return Polynomial({w.star(): c.conjugate() for w, c in self._terms.items()})
 
@@ -332,7 +329,12 @@ class FactorState:
     def phi_word(self, word: Word) -> ComplexRational:
         self._check_word(word)
         key, conjugated = canonical_moment_key(word)
-        value = self._moments[key]
+        try:
+            value = self._moments[key]
+        except KeyError:
+            raise ValidationError(
+                f"word {word.text()!r} is not over factor {self.factor!r}"
+            ) from None
         return value.conjugate() if conjugated else value
 
     def phi_poly(self, p: Polynomial) -> ComplexRational:

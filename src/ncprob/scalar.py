@@ -177,6 +177,3 @@ def _split_imaginary(body: str) -> tuple[str, str]:
 ZERO = ComplexRational()
 ONE = ComplexRational(Fraction(1))
 
-
-def parse_scalar(text: str) -> ComplexRational:
-    return ComplexRational.parse(text)

@@ -34,7 +34,7 @@ from .moment_space import (
     generator_letters,
     normalize_moments,
 )
-from .free_product import FreeElement, ProductSpace, TensorWord
+from .free_product import ProductSpace, TensorWord
 from .scalar import ONE, ZERO, ComplexRational
 
 
@@ -134,7 +134,12 @@ class ExplicitJointState(JointState):
                 word=word.text(),
             )
         key, conjugated = canonical_moment_key(word)
-        value = self._moments[key]
+        try:
+            value = self._moments[key]
+        except KeyError:
+            raise ValidationError(
+                f"word {word.text()!r} is not over the joint state's generators"
+            ) from None
         return value.conjugate() if conjugated else value
 
 
@@ -292,8 +297,8 @@ def check_equivalence(
 def _factor_kappa2(
     state: FactorState, left: Polynomial, right: Polynomial
 ) -> ComplexRational:
-    # kappa_2(x, y) = phi(xy) - phi(x) phi(y), from the factor's moments;
-    # kappa_elements, which it is checked against, reads the product state.
+    # kappa_2(x, y) = phi(xy) - phi(x) phi(y), from the factor's moments; the
+    # product-state kappa_2 it is checked against is read off the Gram.
     return state.phi_poly(left * right) - state.phi_poly(left) * state.phi_poly(right)
 
 
@@ -452,7 +457,7 @@ def check_positivity(
         entries = tuple(
             tuple(target.state_eval(ls + rt) for rt in right) for ls in left
         )
-        schur_ok = _schur_structure_holds(target, words)
+        schur_ok = _schur_structure_holds(target, words, entries)
     gram = GramMatrix(labels, entries)
     psd, pivots, witness = ldlt_psd(gram.entries)
     return PositivityResult(psd, pivots, witness, gram, schur_ok)
@@ -472,16 +477,16 @@ def centered_word_basis(space: ProductSpace, max_degree: int) -> list[TensorWord
     return out
 
 
-def _schur_structure_holds(space: ProductSpace, words: Sequence[TensorWord]) -> bool:
-    by_pattern: dict[tuple[str, ...], list[TensorWord]] = {}
-    for w in words:
-        by_pattern.setdefault(tuple(f for f, _ in w.components), []).append(w)
+def _schur_structure_holds(space: ProductSpace, words: Sequence[TensorWord], entries) -> bool:
+    # kappa_2(b_s*, b_t) = phi(b_s* b_t) - phi(b_s*) phi(b_t), read off the
+    # Gram: index 0 is the unit and index k is words[k - 1].
+    by_pattern: dict[tuple[str, ...], list[int]] = {}
+    for k, w in enumerate(words, start=1):
+        by_pattern.setdefault(tuple(f for f, _ in w.components), []).append(k)
     for family in by_pattern.values():
-        for ws in family:
-            for wt in family:
-                actual = space.kappa_elements(
-                    [FreeElement.from_word(ws).star(), FreeElement.from_word(wt)]
-                )
-                if actual != variance_factorization(space, ws, wt):
+        for s in family:
+            for t in family:
+                actual = entries[s][t] - entries[s][0] * entries[0][t]
+                if actual != variance_factorization(space, words[s - 1], words[t - 1]):
                     return False
     return True

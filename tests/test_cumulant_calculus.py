@@ -345,9 +345,9 @@ def test_lattice_sum_range():
     with pytest.raises(SizeOutOfRangeError):
         moments_from_cumulants(table, (la,) * 13)
     with pytest.raises(ValidationError):
-        first_block_moment(0, lambda block: ONE)
+        first_block_moment((), lambda block: ONE, {})
     with pytest.raises(SizeOutOfRangeError):
-        first_block_moment(13, lambda block: ONE)
+        first_block_moment(tuple(range(1, 14)), lambda block: ONE, {})
     with pytest.raises(ValidationError):
         first_block_cumulant((), lambda sub: ONE, {})
     with pytest.raises(SizeOutOfRangeError):
@@ -368,11 +368,11 @@ def test_lattice_sum_raises_from_the_top_block_first():
     assert seen == [(1, 2, 3, 4)]
     seen.clear()
     with pytest.raises(TruncationError):
-        first_block_moment(4, block_value)
+        first_block_moment((1, 2, 3, 4), block_value, {})
     assert seen == [(1, 2, 3, 4)]
     seen.clear()
     with pytest.raises(TruncationError):
-        first_block_moment(4, block_value, colours="abab")
+        first_block_moment((1, 2, 3, 4), block_value, {}, colour=lambda p: "abab"[p - 1])
     assert seen == [(1, 3)]
     seen.clear()
     with pytest.raises(TruncationError):
@@ -427,8 +427,11 @@ def test_first_block_moment_matches_lattice_sum(colours, seed):
         return value(block)
 
     expected = lattice_sum(n, block_value, weighted=False)
-    assert first_block_moment(n, block_value) == expected
-    assert first_block_moment(n, block_value, colours=colours) == expected
+    positions = tuple(range(1, n + 1))
+    assert first_block_moment(positions, block_value, {}) == expected
+    assert first_block_moment(
+        positions, block_value, {}, colour=lambda p: colours[p - 1]
+    ) == expected
 
 
 @settings(deadline=None, max_examples=60)
@@ -452,7 +455,10 @@ def test_first_block_moment_raises_where_lattice_sum_does(colours, seed):
         return value(block)
 
     expected = outcome(lambda: lattice_sum(n, block_value, weighted=False))
-    assert outcome(lambda: first_block_moment(n, block_value, colours=colours)) == expected
+    positions = tuple(range(1, n + 1))
+    assert outcome(lambda: first_block_moment(
+        positions, block_value, {}, colour=lambda p: colours[p - 1]
+    )) == expected
 
 
 @settings(deadline=None, max_examples=30)

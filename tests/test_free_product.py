@@ -1,6 +1,8 @@
+import json
 import random
 from fractions import Fraction
 from itertools import product as iproduct
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,10 +11,12 @@ from hypothesis import strategies as st
 from ncprob import (
     ComplexRational,
     DimensionMismatchError,
+    FactorMismatchError,
     FactorState,
     FreeElement,
     GeneratorSymbol,
     Letter,
+    NCProbError,
     Partition,
     Polynomial,
     ProductSpace,
@@ -249,6 +253,30 @@ def test_kappa_base_examples(two_semicircles, rng):
         space.kappa_base([])
 
 
+def test_unknown_generator_of_a_known_factor_raises(two_semicircles):
+    space = two_semicircles
+    la = space.factor_state("A1").letter("a")
+    zz = Letter(GeneratorSymbol("zz", selfadjoint=True), False, "A1")
+    with pytest.raises(ValidationError):
+        space.state_eval([la, zz])
+    with pytest.raises(ValidationError):
+        space.kappa_base([zz, la])
+    with pytest.raises(ValidationError):
+        space.factor_state("A1").phi_word(Word((zz,)))
+
+
+def test_letter_of_an_unknown_factor_raises_in_kappa_base_as_in_the_state(two_semicircles):
+    space = two_semicircles
+    la = space.factor_state("A1").letter("a")
+    zz = Letter(GeneratorSymbol("zz", selfadjoint=True), False, "Z")
+    with pytest.raises(FactorMismatchError):
+        space.state_eval([la, zz])
+    with pytest.raises(FactorMismatchError):
+        space.kappa_base([la, zz])
+    with pytest.raises(FactorMismatchError):
+        space.kappa_pure_pi(Partition.bottom(2), [la, zz])
+
+
 def test_kappa_base_restricted_multilinearity(rng):
     space = random_product_space(rng, 2, 4)
     index = sorted(space.factors)[0]
@@ -445,6 +473,44 @@ def test_kappa_elements_past_bound_raises_or_agrees(rng):
 
 
 # -- the state ---------------------------------------------------------------------------
+
+
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+A_PLUS_U_SPECS = [
+    json.loads((GOLDEN_INPUTS / f"{name}.json").read_text(encoding="utf-8"))
+    for name in ("semicircle_and_u", "semicircle_and_haar_u", "semicircle_and_haar_u_6")
+]
+
+
+def state_outcome(space, text):
+    try:
+        return space.state_eval(space.parse_letters(text))
+    except NCProbError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(deadline=None, max_examples=30)
+@given(spec=st.sampled_from(A_PLUS_U_SPECS), data=st.data())
+def test_shared_state_memo_matches_a_fresh_space(spec, data):
+    # Words past the degree bound raise on some of their blocks, so a word
+    # evaluated after others must raise, or not, exactly as on its own.
+    shared = product_space_from_json(spec)
+    length = shared.degree_bound + 3
+    words = data.draw(st.lists(
+        st.lists(st.sampled_from(["a", "u", "u*"]), min_size=1, max_size=length),
+        min_size=1, max_size=12,
+    ))
+    for word in words:
+        text = " ".join(word)
+        fresh = product_space_from_json(spec)
+        assert state_outcome(shared, text) == state_outcome(fresh, text)
+
+
+def test_each_letter_is_one_atom_per_space(two_semicircles):
+    space = two_semicircles
+    la = space.factor_state("A1").letter("a")
+    first = space._as_atoms([la, la])
+    assert first[0] is first[1] is space._as_atoms([Letter(la.generator, False, "A1")])[0]
 
 
 def test_state_restricts_to_factors(rng):

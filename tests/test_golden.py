@@ -1,4 +1,5 @@
-"""Golden CLI outputs: stdout must stay byte-identical, exit codes identical.
+"""Golden CLI outputs: stdout and stderr must stay byte-identical, exit codes
+identical.
 
 The files under ``tests/golden/`` were captured from the interval-recursion
 implementation of the Moebius function, before the closed form replaced it;
@@ -7,13 +8,16 @@ b_s* b_t in the algebra, before entries were read off the concatenated atoms;
 ``verify_both_haar_u_4`` from the NC(n) lattice-sum state, before the
 first-block recursion replaced it; ``verify_positivity_haar_u_3`` from the
 join-constrained NC(n) sum for the Schur side check's cumulants, before the
-first-block kernel replaced it.  To capture a new case, add it to ``CASES``
-and run from the repository root:
+first-block kernel replaced it; the ``.err`` files and
+``product_eval_truncated_mixed`` from the state kernel with a memo local to
+each call, before it filled the space's memo.  To capture a new case, add it
+to ``CASES`` and run from the repository root:
 
     PYTHONPATH=src python tests/test_golden.py
 
-This writes only the cases that have no ``.out`` file yet.  To re-capture a
-pinned case after an intended output change, delete its ``.out`` file first.
+This writes only the ``.out`` (stdout) and ``.err`` (stderr) files that do
+not exist yet.  To re-capture a pinned case after an intended output change,
+delete its files first.
 The script refuses to write unless ``git diff --quiet HEAD -- src`` succeeds,
 so a golden always comes from committed library code: capture new cases
 before changing ``src/``.
@@ -63,6 +67,10 @@ CASES = {
         "product-eval", "--spec", f"{INPUTS}/semicircle_and_u.json",
         "--word", "a a a a",
     ],
+    "product_eval_truncated_mixed": [
+        "product-eval", "--spec", f"{INPUTS}/semicircle_and_u.json",
+        "--word", "u a u u* a u u",
+    ],
     "verify_both_4": ["verify", "--spec", TWO_SEMI, "--max-degree", "4", "--mode", "both"],
     "verify_positivity_2": [
         "verify", "--spec", TWO_SEMI, "--max-degree", "2", "--mode", "positivity",
@@ -94,11 +102,11 @@ CASES = {
 }
 
 
-def run_case(argv: list[str]) -> tuple[int, str]:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+def run_case(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(_resolve(argv))
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def _resolve(argv: list[str]) -> list[str]:
@@ -108,9 +116,10 @@ def _resolve(argv: list[str]) -> list[str]:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name):
     expected_codes = json.loads((GOLDEN / "exit_codes.json").read_text())
-    code, out = run_case(CASES[name])
+    code, out, err = run_case(CASES[name])
     assert code == expected_codes[name]
     assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+    assert err == (GOLDEN / f"{name}.err").read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":
@@ -122,10 +131,13 @@ if __name__ == "__main__":
     codes_path = GOLDEN / "exit_codes.json"
     codes = json.loads(codes_path.read_text())
     for name, argv in sorted(CASES.items()):
-        path = GOLDEN / f"{name}.out"
-        if path.exists():
+        paths = [GOLDEN / f"{name}.out", GOLDEN / f"{name}.err"]
+        if all(path.exists() for path in paths):
             continue
-        codes[name], out = run_case(argv)
-        path.write_text(out, encoding="utf-8")
-        print(f"captured {name}: exit {codes[name]}")
+        code, *texts = run_case(argv)
+        codes.setdefault(name, code)
+        for path, text in zip(paths, texts):
+            if not path.exists():
+                path.write_text(text, encoding="utf-8")
+                print(f"captured {path.name}: exit {code}")
     codes_path.write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")

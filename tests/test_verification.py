@@ -108,6 +108,13 @@ def test_nonfree_coupling_detected():
     assert check_equivalence(joint, 2)  # both sides fail together
 
 
+def test_explicit_joint_state_rejects_an_unknown_generator():
+    joint = nonfree_coupling()
+    zz = Letter(GeneratorSymbol("zz", selfadjoint=True), False, "A1")
+    with pytest.raises(ValidationError):
+        joint.phi_word((zz,))
+
+
 def test_classical_independence_is_not_freeness():
     joint = classically_independent()
     la = joint.factor_letters("A1")[0]
