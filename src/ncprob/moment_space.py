@@ -3,9 +3,9 @@
 A factor is a set of generator symbols plus a moment functional phi given on
 every word of degree <= N (the factor's degree bound).  Star structure is
 normalized at construction: starred selfadjoint letters are rewritten
-unstarred, and each moment is stored under one canonical key per {w, w*}
-orbit with phi(w*) = conj(phi(w)) filled in automatically.  States are
-immutable after validation.
+unstarred, each {w, w*} orbit is checked under one canonical key, and the
+table holds phi(w*) = conj(phi(w)) beside phi(w).  States are immutable
+after validation.
 
 Positivity of a factor state is NOT assumed here; ``verification`` checks it.
 """
@@ -220,11 +220,12 @@ def normalize_moments(
     degree_bound: int,
     context: str,
 ) -> dict[Word, ComplexRational]:
-    """Canonicalize a moment table and check the FactorState invariants.
+    """Build a moment table and check the FactorState invariants.
 
-    Fills star-conjugate entries, rejects conflicts, forces phi(1) = 1,
-    requires phi(w) real when w* = w, and requires totality: every word of
-    degree <= degree_bound over ``letters`` must be covered.
+    Rejects conflicts between w and w*, forces phi(1) = 1, requires phi(w)
+    real when w* = w, and requires totality: every word of degree <=
+    degree_bound over ``letters`` must be covered.  The table holds both w
+    and w* (with phi(w*) = conj(phi(w))), so a moment is one lookup.
     """
     table: dict[Word, ComplexRational] = {EMPTY_WORD: ONE}
     for word, value in entries.items():
@@ -242,9 +243,10 @@ def normalize_moments(
         table[key] = stored
     if table[EMPTY_WORD] != ONE:
         raise ValidationError(f"{context}: phi(1) must be 1")
+    for key, value in list(table.items()):
+        table[key.star()] = value.conjugate()
     for word in all_words(letters, degree_bound):
-        key, _ = canonical_moment_key(word)
-        if key not in table:
+        if word not in table:
             raise ValidationError(
                 f"{context}: missing moment for word {word.text()!r} "
                 f"(degree bound {degree_bound})"
@@ -328,14 +330,12 @@ class FactorState:
 
     def phi_word(self, word: Word) -> ComplexRational:
         self._check_word(word)
-        key, conjugated = canonical_moment_key(word)
         try:
-            value = self._moments[key]
+            return self._moments[word]
         except KeyError:
             raise ValidationError(
                 f"word {word.text()!r} is not over factor {self.factor!r}"
             ) from None
-        return value.conjugate() if conjugated else value
 
     def phi_poly(self, p: Polynomial) -> ComplexRational:
         total = ZERO
@@ -443,9 +443,12 @@ def parse_factor_spec(
             raise SpecFormatError(f"generator #{idx} must be {{'name': ..}}")
         if not isinstance(g["name"], str):
             raise SpecFormatError(f"generator #{idx}: 'name' must be a string")
-        generators.append(
-            GeneratorSymbol(g["name"], bool(g.get("selfadjoint", False)))
-        )
+        selfadjoint = g.get("selfadjoint", False)
+        if not isinstance(selfadjoint, bool):
+            raise SpecFormatError(
+                f"generator #{idx}: 'selfadjoint' must be true or false"
+            )
+        generators.append(GeneratorSymbol(g["name"], selfadjoint))
     letters_by_name = {}
     for g in generators:
         letters_by_name[g.name] = Letter(g, False, factor)

@@ -9,9 +9,12 @@ product the Gram entry phi(b_s* b_t) is the state on the concatenated atoms
 of the two tensor words, read off the free cumulants without multiplying the
 words in the algebra.
 
-Freeness checks run over centered generator monomials (moments mode) and
-generator letter tuples (cumulants mode); multilinearity reduces the general
-case to these, and that reduction is itself exercised by the test suite.
+Freeness checks run on a joint state: a ProductSpace or an
+ExplicitJointState, which both have ``degree_bound``, ``factors`` (index ->
+FactorState), ``factor_state`` and ``state_eval`` on a tuple of letters.
+They run over centered generator monomials (moments mode) and generator
+letter tuples (cumulants mode); multilinearity reduces the general case to
+these, and that reduction is itself exercised by the test suite.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from itertools import product as iter_product
 from typing import Iterator, Mapping, Sequence
 
 from .cumulant_calculus import first_block_cumulant
-from .errors import TruncationError, ValidationError
+from .errors import FactorMismatchError, TruncationError, ValidationError
 from .moment_space import (
     FactorState,
     GeneratorSymbol,
@@ -30,7 +33,6 @@ from .moment_space import (
     Polynomial,
     Word,
     all_words,
-    canonical_moment_key,
     generator_letters,
     normalize_moments,
 )
@@ -41,49 +43,14 @@ from .scalar import ONE, ZERO, ComplexRational
 # -- joint states -----------------------------------------------------------
 
 
-class JointState:
-    """A moment functional over words whose letters may span several factors."""
-
-    degree_bound: int
-
-    def factor_indices(self) -> tuple[str, ...]:
-        raise NotImplementedError
-
-    def factor_state(self, index: str) -> FactorState:
-        raise NotImplementedError
-
-    def factor_letters(self, index: str) -> tuple[Letter, ...]:
-        return self.factor_state(index).letters()
-
-    def phi_word(self, letters: tuple[Letter, ...]) -> ComplexRational:
-        raise NotImplementedError
-
-
-class ProductStateView(JointState):
-    """The constructed free-product state, seen as a joint state."""
-
-    def __init__(self, space: ProductSpace):
-        self.space = space
-        self.degree_bound = space.degree_bound
-
-    def factor_indices(self) -> tuple[str, ...]:
-        return tuple(sorted(self.space.factors))
-
-    def factor_state(self, index: str) -> FactorState:
-        return self.space.factor_state(index)
-
-    def phi_word(self, letters: tuple[Letter, ...]) -> ComplexRational:
-        if not letters:
-            return ONE
-        return self.space.state_eval(letters)
-
-
-class ExplicitJointState(JointState):
+class ExplicitJointState:
     """A hand-given joint moment table (e.g. the non-free counterexamples).
 
     Moments must cover every word of degree <= degree_bound over all factor
     letters; star conjugates are filled in and conflicts rejected exactly as
-    for factor states.  Marginals are derived by restriction.
+    for factor states.  Like a ProductSpace it has ``degree_bound``,
+    ``factors`` (the marginals, by restriction), ``factor_state`` and
+    ``state_eval``.
     """
 
     def __init__(
@@ -95,60 +62,45 @@ class ExplicitJointState(JointState):
         if degree_bound < 1:
             raise ValidationError("degree bound must be >= 1")
         self.degree_bound = degree_bound
-        self._generators = {
-            index: tuple(gens) for index, gens in sorted(factor_generators.items())
+        letters = {
+            index: generator_letters(index, gens)
+            for index, gens in sorted(factor_generators.items())
         }
-        self._letters = tuple(
-            letter
-            for index, gens in self._generators.items()
-            for letter in generator_letters(index, gens)
-        )
+        all_letters = [l for ls in letters.values() for l in ls]
         self._moments = normalize_moments(
-            dict(moments), self._letters, degree_bound, "joint state"
+            dict(moments), all_letters, degree_bound, "joint state"
         )
-        self._marginals: dict[str, FactorState] = {}
-
-    def factor_indices(self) -> tuple[str, ...]:
-        return tuple(self._generators)
+        self.factors: dict[str, FactorState] = {}
+        for index, ls in letters.items():
+            marginal = {
+                w: self.state_eval(w.letters) for w in all_words(ls, degree_bound)
+            }
+            self.factors[index] = FactorState(
+                index, degree_bound, factor_generators[index], marginal
+            )
 
     def factor_state(self, index: str) -> FactorState:
-        cached = self._marginals.get(index)
-        if cached is not None:
-            return cached
-        gens = self._generators[index]
-        letters = [l for l in self._letters if l.factor == index]
-        marginal = {
-            w: self.phi_word(w.letters)
-            for w in all_words(letters, self.degree_bound)
-            if w.degree > 0
-        }
-        state = FactorState(index, self.degree_bound, gens, marginal)
-        self._marginals[index] = state
-        return state
+        try:
+            return self.factors[index]
+        except KeyError:
+            raise FactorMismatchError(f"unknown factor {index!r}") from None
 
-    def phi_word(self, letters: tuple[Letter, ...]) -> ComplexRational:
+    def state_eval(self, letters: Sequence[Letter]) -> ComplexRational:
         word = Word(tuple(letters))
         if word.degree > self.degree_bound:
             raise TruncationError(
                 f"word {word.text()!r} exceeds degree bound {self.degree_bound}",
                 word=word.text(),
             )
-        key, conjugated = canonical_moment_key(word)
         try:
-            value = self._moments[key]
+            return self._moments[word]
         except KeyError:
             raise ValidationError(
                 f"word {word.text()!r} is not over the joint state's generators"
             ) from None
-        return value.conjugate() if conjugated else value
 
 
-def as_joint_state(target: ProductSpace | JointState) -> JointState:
-    if isinstance(target, ProductSpace):
-        return ProductStateView(target)
-    if isinstance(target, JointState):
-        return target
-    raise ValidationError(f"cannot treat {target!r} as a joint state")
+JointState = ProductSpace | ExplicitJointState
 
 
 # -- freeness reports --------------------------------------------------------
@@ -180,10 +132,10 @@ def _alternating_slot_sequences(
     joint: JointState, max_degree: int
 ) -> Iterator[tuple[tuple[str, Word], ...]]:
     """Alternating tuples of (factor, monomial) slots of total degree <= max."""
-    indices = joint.factor_indices()
+    indices = sorted(joint.factors)
     words_by_factor = {
         i: {
-            d: [w for w in all_words(joint.factor_letters(i), d) if w.degree == d]
+            d: [w for w in all_words(joint.factors[i].letters(), d) if w.degree == d]
             for d in range(1, max_degree + 1)
         }
         for i in indices
@@ -204,25 +156,24 @@ def _alternating_slot_sequences(
     yield from extend((), 0)
 
 
-def _check_max_degree(joint: JointState, max_degree: int) -> None:
+def _check_target(target: object, max_degree: int) -> None:
+    if not isinstance(target, JointState):
+        raise ValidationError(f"cannot treat {target!r} as a joint state")
     if max_degree < 0:
         raise ValidationError("max degree must be >= 0")
-    if max_degree > joint.degree_bound:
+    if max_degree > target.degree_bound:
         raise TruncationError(
-            f"max degree {max_degree} exceeds bound {joint.degree_bound}"
+            f"max degree {max_degree} exceeds bound {target.degree_bound}"
         )
 
 
-def check_freeness_moments(
-    target: ProductSpace | JointState, max_degree: int
-) -> FreenessReport:
+def check_freeness_moments(target: JointState, max_degree: int) -> FreenessReport:
     """Definition by moments: phi of every alternating centered product is 0."""
-    joint = as_joint_state(target)
-    _check_max_degree(joint, max_degree)
+    _check_target(target, max_degree)
     violations = []
     checked = 0
-    for slots in _alternating_slot_sequences(joint, max_degree):
-        value = _phi_of_centered_product(joint, slots)
+    for slots in _alternating_slot_sequences(target, max_degree):
+        value = _phi_of_centered_product(target, slots)
         checked += 1
         if value:
             text = " ".join(f"({w.text()})°" for _, w in slots)
@@ -233,40 +184,38 @@ def check_freeness_moments(
 def _phi_of_centered_product(
     joint: JointState, slots: Sequence[tuple[str, Word]]
 ) -> ComplexRational:
-    # Expand prod_j (w_j - phi_j(w_j) 1) into joint words and evaluate.
-    expansions = []
+    # Expand prod_j (w_j - phi_j(w_j) 1) slot by slot into (coefficient,
+    # joint word) terms, the word before the mean within each slot; a slot
+    # of mean 0 has no mean branch, so no coefficient is ever 0.
+    terms: list[tuple[ComplexRational, tuple[Letter, ...]]] = [(ONE, ())]
     for index, word in slots:
-        mean = joint.factor_state(index).phi_word(word)
-        expansions.append(((ONE, word.letters), (-mean, ())))
+        minus_mean = -joint.factor_state(index).phi_word(word)
+        expanded = []
+        for coeff, letters in terms:
+            expanded.append((coeff, letters + word.letters))
+            if minus_mean:
+                expanded.append((minus_mean * coeff, letters))
+        terms = expanded
     total = ZERO
-    for combo in iter_product(*expansions):
-        coeff = ONE
-        letters: tuple[Letter, ...] = ()
-        for c, ls in combo:
-            coeff = coeff * c
-            letters = letters + ls
-        if coeff:
-            total = total + coeff * joint.phi_word(letters)
+    for coeff, letters in terms:
+        total = total + coeff * joint.state_eval(letters)
     return total
 
 
 def joint_kappa(joint: JointState, letters: Sequence[Letter]) -> ComplexRational:
     """kappa_n recomputed from the joint moments by the first-block recursion."""
-    return first_block_cumulant(letters, joint.phi_word, {})
+    return first_block_cumulant(letters, joint.state_eval, {})
 
 
-def check_freeness_cumulants(
-    target: ProductSpace | JointState, max_degree: int
-) -> FreenessReport:
+def check_freeness_cumulants(target: JointState, max_degree: int) -> FreenessReport:
     """Definition by cumulants: every mixed kappa_n vanishes, n <= max_degree.
 
     Each kappa_n is ``joint_kappa``'s, with one kernel memo for the whole
     check, so a sub-tuple shared by many letter tuples is computed once.
     """
-    joint = as_joint_state(target)
-    _check_max_degree(joint, max_degree)
+    _check_target(target, max_degree)
     letters = [
-        l for index in joint.factor_indices() for l in joint.factor_letters(index)
+        l for _, state in sorted(target.factors.items()) for l in state.letters()
     ]
     kappas: dict[tuple[Letter, ...], ComplexRational] = {}
     violations = []
@@ -276,15 +225,13 @@ def check_freeness_cumulants(
             if len({l.factor for l in tup}) < 2:
                 continue
             checked += 1
-            value = first_block_cumulant(tup, joint.phi_word, kappas)
+            value = first_block_cumulant(tup, target.state_eval, kappas)
             if value:
                 violations.append((" ".join(l.text() for l in tup), value))
     return FreenessReport("cumulants", max_degree, checked, tuple(violations))
 
 
-def check_equivalence(
-    target: ProductSpace | JointState, max_degree: int
-) -> bool:
+def check_equivalence(target: JointState, max_degree: int) -> bool:
     """Do the moment and cumulant freeness checks agree on this state?"""
     by_moments = check_freeness_moments(target, max_degree)
     by_cumulants = check_freeness_cumulants(target, max_degree)
@@ -471,7 +418,7 @@ def centered_word_basis(space: ProductSpace, max_degree: int) -> list[TensorWord
                 (index, space.centered_word(index, word)) for index, word in slots
             )
         )
-        for slots in _alternating_slot_sequences(ProductStateView(space), max_degree)
+        for slots in _alternating_slot_sequences(space, max_degree)
     ]
     out.sort(key=TensorWord.sort_key)
     return out

@@ -227,7 +227,13 @@ def cumulant_table_spec(generators):
 
 
 @pytest.mark.parametrize(
-    "generators", [[{"selfadjoint": False}], [{"name": 5}], {"name": "u"}]
+    "generators",
+    [
+        [{"selfadjoint": False}],
+        [{"name": 5}],
+        {"name": "u"},
+        [{"name": "u", "selfadjoint": "false"}],
+    ],
 )
 def test_moments_bad_generator_is_status_2(tmp_path, capsys, generators):
     src = tmp_path / "cumulants.json"
@@ -235,6 +241,23 @@ def test_moments_bad_generator_is_status_2(tmp_path, capsys, generators):
     code, out, err = run(capsys, ["moments", "--from-cumulants", src])
     assert code == 2
     assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_product_eval_string_selfadjoint_flag_is_status_2(tmp_path, capsys):
+    # "false" is not JSON false: read as true, u* u would evaluate as u u.
+    factor = {
+        "factor": "A1",
+        "degree_bound": 2,
+        "generators": [{"name": "u", "selfadjoint": "false"}],
+        "moments": {"u": "1/2", "u u": "1/3"},
+    }
+    src = tmp_path / "product.json"
+    src.write_text(json.dumps({"degree_bound": 2, "factors": [factor]}))
+    code, out, err = run(capsys, ["product-eval", "--spec", src, "--word", "u* u"])
+    assert code == 2
+    assert out == ""
+    assert "'selfadjoint' must be true or false" in err
     assert err.startswith("error:") and "Traceback" not in err
 
 

@@ -33,7 +33,7 @@ from ncprob import (
 )
 from ncprob.moment_space import EMPTY_WORD
 from ncprob.scalar import ONE, ZERO
-from ncprob.verification import centered_word_basis, joint_kappa, ProductStateView
+from ncprob.verification import centered_word_basis, joint_kappa
 
 from conftest import (
     random_factor_state,
@@ -605,7 +605,6 @@ def test_state_raises_where_the_nc_sum_does():
 
 def test_centered_tensor_words_are_null(rng):
     space = random_product_space(rng, 2, 5)
-    view = ProductStateView(space)
     indices = sorted(space.factors)
     for pattern_len in (1, 2, 3):
         for pattern in iproduct(indices, repeat=pattern_len):
@@ -624,12 +623,11 @@ def test_master_self_consistency(rng):
     # kappa recomputed from the constructed phi by Moebius inversion equals
     # the constructed kappa, on all letter tuples of small degree
     space = random_product_space(rng, 2, 4)
-    view = ProductStateView(space)
     ls = letters(space)
     for n in (1, 2, 3, 4):
         for _ in range(6):
             tup = tuple(rng.choice(ls) for _ in range(n))
-            reconstructed = joint_kappa(view, tup)
+            reconstructed = joint_kappa(space, tup)
             constructed = space.kappa_elements(
                 [space.embed_letter(l) for l in tup]
             )

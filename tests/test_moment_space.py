@@ -246,6 +246,7 @@ def test_factor_state_from_json():
         lambda s: s.update(degree_bound=True, moments={"a": "0"}),
         lambda s: s.update(generators=[{"name": 5}]),
         lambda s: s.update(generators=7),
+        lambda s: s.update(generators=[{"name": "a", "selfadjoint": "false"}]),
     ],
 )
 def test_factor_state_from_json_rejects(mutate):

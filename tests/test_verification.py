@@ -9,6 +9,7 @@ import pytest
 from ncprob import (
     ComplexRational,
     ExplicitJointState,
+    FactorMismatchError,
     FreeElement,
     GeneratorSymbol,
     GramMatrix,
@@ -29,10 +30,10 @@ from ncprob import (
     product_space_from_json,
     variance_factorization,
 )
-from ncprob.moment_space import canonical_moment_key
+from ncprob.moment_space import all_words, canonical_moment_key
 from ncprob.scalar import ComplexRational as CR
 from ncprob.scalar import ONE, ZERO
-from ncprob.verification import ProductStateView, centered_word_basis
+from ncprob.verification import centered_word_basis
 
 from conftest import (
     measure_factor_state,
@@ -112,13 +113,52 @@ def test_explicit_joint_state_rejects_an_unknown_generator():
     joint = nonfree_coupling()
     zz = Letter(GeneratorSymbol("zz", selfadjoint=True), False, "A1")
     with pytest.raises(ValidationError):
-        joint.phi_word((zz,))
+        joint.state_eval((zz,))
+
+
+def test_explicit_joint_state_rejects_an_unknown_factor():
+    with pytest.raises(FactorMismatchError):
+        nonfree_coupling().factor_state("A9")
+
+
+def test_freeness_checks_reject_a_factor_state():
+    state = semicircle_factor("A1", "a", 4)
+    for check in (check_freeness_moments, check_freeness_cumulants):
+        with pytest.raises(ValidationError, match="as a joint state"):
+            check(state, 2)
+
+
+def test_explicit_copy_of_a_product_space_matches_it(rng):
+    # The joint table of a + u read off the space's own state_eval on every
+    # letter word of degree <= N: both checks, joint_kappa and the marginals
+    # must agree with the space itself.
+    n = 5
+    space = ProductSpace([
+        random_factor_state(rng, "A1", ("a",), n),
+        random_factor_state(rng, "A2", ("u",), n, selfadjoint=False),
+    ])
+    ls = [l for i in sorted(space.factors) for l in space.factor_state(i).letters()]
+    moments = {w: space.state_eval(w.letters) for w in all_words(ls, n) if w.degree}
+    joint = ExplicitJointState(
+        {i: state.generators for i, state in space.factors.items()}, n, moments
+    )
+    for check in (check_freeness_moments, check_freeness_cumulants):
+        report = check(joint, n)
+        assert report.checked_words > 0
+        assert report.to_json() == check(space, n).to_json()
+    for k in range(1, 5):
+        for tup in iproduct(ls, repeat=k):
+            assert joint_kappa(joint, tup) == joint_kappa(space, tup)
+    assert sorted(joint.factors) == sorted(space.factors)
+    for i, state in space.factors.items():
+        for w in all_words(state.letters(), n):
+            assert joint.factor_state(i).phi_word(w) == state.phi_word(w)
 
 
 def test_classical_independence_is_not_freeness():
     joint = classically_independent()
-    la = joint.factor_letters("A1")[0]
-    lb = joint.factor_letters("A2")[0]
+    la = joint.factor_state("A1").letters()[0]
+    lb = joint.factor_state("A2").letters()[0]
     # mixed fourth cumulant: only 1_4 contributes, phi(abab) = 1
     assert joint_kappa(joint, (la, lb, la, lb)) == ONE
     r_c = check_freeness_cumulants(joint, 4)
@@ -145,14 +185,14 @@ def random_joint_state(rng, degree_bound):
 def test_joint_kappa_matches_lattice_sum(rng):
     cases = [(random_joint_state(rng, 4), 4), (nonfree_coupling(), 2),
              (classically_independent(), 4),
-             (ProductStateView(random_product_space(rng, 2, 5)), 5)]
+             (random_product_space(rng, 2, 5), 5)]
     for joint, n_max in cases:
-        ls = [l for i in joint.factor_indices() for l in joint.factor_letters(i)]
+        ls = [l for i in sorted(joint.factors) for l in joint.factor_state(i).letters()]
         for n in range(1, n_max + 1):
             for tup in iproduct(ls, repeat=n):
                 expected = lattice_sum(
                     n,
-                    lambda block: joint.phi_word(tuple(tup[i - 1] for i in block)),
+                    lambda block: joint.state_eval(tuple(tup[i - 1] for i in block)),
                     weighted=True,
                 )
                 assert joint_kappa(joint, tup) == expected
@@ -162,7 +202,7 @@ def test_freeness_cumulants_matches_per_tuple_joint_kappa(rng):
     # One kernel memo for the whole check: the same violations, in the same
     # order, as a fresh joint_kappa per letter tuple.
     joint = random_joint_state(rng, 4)
-    ls = [l for i in joint.factor_indices() for l in joint.factor_letters(i)]
+    ls = [l for i in sorted(joint.factors) for l in joint.factor_state(i).letters()]
     expected = []
     for n in range(2, 5):
         for tup in iproduct(ls, repeat=n):
@@ -182,13 +222,12 @@ def test_freeness_checks_reject_negative_degree(two_semicircles):
 
 def test_perturbed_product_fails_both_ways(two_semicircles):
     # copy the constructed joint moments, then set one alternating moment to 1
-    view = ProductStateView(two_semicircles)
-    la = view.factor_letters("A1")[0]
-    lb = view.factor_letters("A2")[0]
+    la = two_semicircles.factor_state("A1").letters()[0]
+    lb = two_semicircles.factor_state("A2").letters()[0]
     moments = {}
     for n in range(1, 5):
         for tup in iproduct((la, lb), repeat=n):
-            moments[Word(tup)] = view.phi_word(tup)
+            moments[Word(tup)] = two_semicircles.state_eval(tup)
     # star-consistency forces phi(b a) = conj(phi(a b))
     moments[Word((la, lb))] = ONE
     moments[Word((lb, la))] = ONE
