@@ -250,21 +250,23 @@ def _factor_kappa2(
 
 
 def variance_factorization(
-    space: ProductSpace, a: TensorWord, b: TensorWord
+    space: ProductSpace, a: TensorWord, b: TensorWord, kappa2s: dict | None = None
 ) -> ComplexRational:
     """kappa_2(a*, b) via the slotwise product formula.
 
     Zero unless the two words have equal length and identical factor
     patterns; otherwise the product over slots u of kappa_2(a_u*, b_u).
+    ``kappa2s`` is the caller's memo of slot kappa_2 by (factor, a_u, b_u).
     """
-    pattern_a = tuple(f for f, _ in a.components)
-    pattern_b = tuple(f for f, _ in b.components)
-    if pattern_a != pattern_b:
+    if [f for f, _ in a.components] != [f for f, _ in b.components]:
         return ZERO
+    memo = {} if kappa2s is None else kappa2s
     total = ONE
     for (factor, pa), (_, pb) in zip(a.components, b.components):
-        state = space.factor_state(factor)
-        total = total * _factor_kappa2(state, pa.star(), pb)
+        key = (factor, pa, pb)
+        if key not in memo:
+            memo[key] = _factor_kappa2(space.factor_state(factor), pa.star(), pb)
+        total = total * memo[key]
         if total.is_zero():
             break
     return total
@@ -307,44 +309,53 @@ def ldlt_psd(
     """Exact PSD decision by pivoted LDL* over the rationals.
 
     Returns (psd, pivots, witness); the witness x satisfies x* M x < 0.
+    Eliminates in place, pivoting on the first positive active diagonal.  The
+    Schur complement m_ab - m_ap m_pb / m_pp keeps m_ab where m_ap or m_pb is
+    0, so a step touches only the rows and columns where the pivot's column
+    and row are nonzero: on a product Gram, 1 plus one block per factor
+    pattern, that is the pivot's own block, so elimination runs block by
+    block without looking for blocks.  A witness is lifted in reverse.
     """
     mat = [list(row) for row in entries]
     n = len(mat)
-    for i in range(n):
-        if not mat[i][i].is_real():
-            raise RuntimeError("internal error: non-real diagonal in LDL*")
-    pivot = next((i for i in range(n) if mat[i][i].re > 0), None)
-    if pivot is None:
-        negative = next((i for i in range(n) if mat[i][i].re < 0), None)
-        if negative is not None:
-            witness = [ZERO] * n
-            witness[negative] = ONE
-            return False, (), tuple(witness)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if mat[i][j]:
-                    # zero diagonal but m_ij != 0: x = e_i - conj(m_ij) e_j
-                    # gives x* M x = -2 |m_ij|^2 < 0
-                    witness = [ZERO] * n
-                    witness[i] = ONE
-                    witness[j] = -mat[i][j].conjugate()
-                    return False, (), tuple(witness)
-        return True, (Fraction(0),) * n, None
-    d = mat[pivot][pivot]
-    rest = [i for i in range(n) if i != pivot]
-    sub = []
-    for a in rest:
-        scale = mat[a][pivot] / d
-        sub.append([mat[a][b] - scale * mat[pivot][b] for b in rest])
-    psd, pivots, sub_witness = ldlt_psd(sub)
-    if psd:
-        return True, (d.re,) + pivots, None
+    if not all(row[i].is_real() for i, row in enumerate(mat)):
+        raise RuntimeError("internal error: non-real diagonal in LDL*")
+    active = list(range(n))
+    pivots: list[Fraction] = []
+    # (pivot, the active columns where its row was nonzero), to lift a witness
+    steps: list[tuple[int, list[int]]] = []
+    while (pivot := next((i for i in active if mat[i][i].re > 0), None)) is not None:
+        active.remove(pivot)
+        d, prow = mat[pivot][pivot], mat[pivot]
+        cols = [b for b in active if prow[b]]
+        for a in active:
+            row = mat[a]
+            if not row[pivot]:
+                continue
+            scale = row[pivot] / d
+            for b in cols:
+                row[b] = row[b] - scale * prow[b]
+            if not row[a].is_real():
+                raise RuntimeError("internal error: non-real diagonal in LDL*")
+        pivots.append(d.re)
+        steps.append((pivot, cols))
     witness = [ZERO] * n
-    acc = ZERO
-    for k, b in enumerate(rest):
-        witness[b] = sub_witness[k]
-        acc = acc + mat[pivot][b] * sub_witness[k]
-    witness[pivot] = -(acc / d)
+    negative = next((i for i in active if mat[i][i].re < 0), None)
+    pairs = ((i, j) for k, i in enumerate(active) for j in active[k + 1 :] if mat[i][j])
+    if negative is not None:
+        witness[negative] = ONE
+    elif (pair := next(pairs, None)) is not None:
+        # zero diagonal but m_ij != 0: x = e_i - conj(m_ij) e_j
+        # gives x* M x = -2 |m_ij|^2 < 0
+        i, j = pair
+        witness[i], witness[j] = ONE, -mat[i][j].conjugate()
+    else:
+        return True, tuple(pivots) + (Fraction(0),) * len(active), None
+    for pivot, cols in reversed(steps):
+        acc = ZERO
+        for b in cols:
+            acc = acc + mat[pivot][b] * witness[b]
+        witness[pivot] = -(acc / mat[pivot][pivot])
     return False, (), tuple(witness)
 
 
@@ -376,10 +387,16 @@ def check_positivity(
     For a product space the basis is the unit plus every alternating tensor
     word of centered factor monomials; entry (s, t) is the state on the
     concatenated atoms of b_s* and b_t, which the state evaluates without
-    multiplying the words.  The Lemma-3 structure is verified on the
-    side: on each family of same-pattern tensor words the kappa_2 Gram equals
-    the entrywise product of the per-slot kappa_2 matrices.
+    multiplying the words.  By the paper's Lemma 3 an entry between the unit
+    and a word, or between words of different factor patterns, is exactly 0
+    (checked, like the Hermitian symmetry), so the Gram is 1 plus one block
+    per pattern and ``ldlt_psd``, which skips zero rows, factors it block by
+    block.  The Lemma-3 structure is verified on the side: on each family of
+    same-pattern tensor words the kappa_2 Gram equals the entrywise product
+    of the per-slot kappa_2 matrices.
     """
+    if not isinstance(target, (ProductSpace, FactorState)):
+        raise ValidationError(f"cannot treat {target!r} as a factor or product state")
     if basis_degree < 0:
         raise ValidationError("basis degree must be >= 0")
     if 2 * basis_degree > target.degree_bound:
@@ -404,7 +421,7 @@ def check_positivity(
         entries = tuple(
             tuple(target.state_eval(ls + rt) for rt in right) for ls in left
         )
-        schur_ok = _schur_structure_holds(target, words, entries)
+        schur_ok = _lemma3_structure_holds(target, words, labels, entries)
     gram = GramMatrix(labels, entries)
     psd, pivots, witness = ldlt_psd(gram.entries)
     return PositivityResult(psd, pivots, witness, gram, schur_ok)
@@ -424,16 +441,27 @@ def centered_word_basis(space: ProductSpace, max_degree: int) -> list[TensorWord
     return out
 
 
-def _schur_structure_holds(space: ProductSpace, words: Sequence[TensorWord], entries) -> bool:
-    # kappa_2(b_s*, b_t) = phi(b_s* b_t) - phi(b_s*) phi(b_t), read off the
-    # Gram: index 0 is the unit and index k is words[k - 1].
-    by_pattern: dict[tuple[str, ...], list[int]] = {}
-    for k, w in enumerate(words, start=1):
-        by_pattern.setdefault(tuple(f for f, _ in w.components), []).append(k)
-    for family in by_pattern.values():
-        for s in family:
-            for t in family:
-                actual = entries[s][t] - entries[s][0] * entries[0][t]
-                if actual != variance_factorization(space, words[s - 1], words[t - 1]):
-                    return False
+def _lemma3_structure_holds(
+    space: ProductSpace, words: Sequence[TensorWord], labels, entries
+) -> bool:
+    # Index 0 is the unit, of empty pattern, and index k is words[k - 1].  An
+    # entry across patterns must be exactly 0, else it is an internal error.
+    # Within a pattern kappa_2(b_s*, b_t) = phi(b_s* b_t) - phi(b_s*) phi(b_t),
+    # read off the Gram, must factor over the slots (each computed once).
+    patterns = [()] + [tuple(f for f, _ in w.components) for w in words]
+    for s, row in enumerate(entries):
+        for t, entry in enumerate(row):
+            if entry and patterns[s] != patterns[t]:
+                raise RuntimeError(
+                    f"internal error: Gram entry ({labels[s]}, {labels[t]}) "
+                    f"across factor patterns is {entry}, not 0"
+                )
+    kappa2s: dict = {}
+    for s in range(1, len(entries)):
+        for t in range(1, len(entries)):
+            if patterns[s] != patterns[t]:
+                continue
+            actual = entries[s][t] - entries[s][0] * entries[0][t]
+            if actual != variance_factorization(space, words[s - 1], words[t - 1], kappa2s):
+                return False
     return True

@@ -18,12 +18,16 @@ stack scan.  These are the routes they are checked against:
                                atoms, by multilinear expansion into word
                                tuples, each one ``kappa_words`` of the factor;
 * ``join_nc_by_rescan``      - the NC(n) join, merging one crossing pair of
-                               blocks per rescan of all pairs.
+                               blocks per rescan of all pairs;
+* ``ldlt_psd_by_recursion``  - the exact PSD decision by pivoted LDL*, copying
+                               the whole Schur complement at every pivot and
+                               recursing on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
 from itertools import combinations, product as iter_product
 from typing import Sequence
@@ -280,3 +284,50 @@ def join_nc_by_rescan(sigma: Partition, pi: Partition) -> Partition:
                 merged = True
                 break
     return Partition.of(n, blocks)
+
+
+def ldlt_psd_by_recursion(
+    entries: Sequence[Sequence[ComplexRational]],
+) -> tuple[bool, tuple[Fraction, ...], tuple[ComplexRational, ...] | None]:
+    """Exact PSD decision by pivoted LDL* over the rationals.
+
+    Returns (psd, pivots, witness); the witness x satisfies x* M x < 0.
+    """
+    mat = [list(row) for row in entries]
+    n = len(mat)
+    for i in range(n):
+        if not mat[i][i].is_real():
+            raise RuntimeError("internal error: non-real diagonal in LDL*")
+    pivot = next((i for i in range(n) if mat[i][i].re > 0), None)
+    if pivot is None:
+        negative = next((i for i in range(n) if mat[i][i].re < 0), None)
+        if negative is not None:
+            witness = [ZERO] * n
+            witness[negative] = ONE
+            return False, (), tuple(witness)
+        for i in range(n):
+            for j in range(i + 1, n):
+                if mat[i][j]:
+                    # zero diagonal but m_ij != 0: x = e_i - conj(m_ij) e_j
+                    # gives x* M x = -2 |m_ij|^2 < 0
+                    witness = [ZERO] * n
+                    witness[i] = ONE
+                    witness[j] = -mat[i][j].conjugate()
+                    return False, (), tuple(witness)
+        return True, (Fraction(0),) * n, None
+    d = mat[pivot][pivot]
+    rest = [i for i in range(n) if i != pivot]
+    sub = []
+    for a in rest:
+        scale = mat[a][pivot] / d
+        sub.append([mat[a][b] - scale * mat[pivot][b] for b in rest])
+    psd, pivots, sub_witness = ldlt_psd_by_recursion(sub)
+    if psd:
+        return True, (d.re,) + pivots, None
+    witness = [ZERO] * n
+    acc = ZERO
+    for k, b in enumerate(rest):
+        witness[b] = sub_witness[k]
+        acc = acc + mat[pivot][b] * sub_witness[k]
+    witness[pivot] = -(acc / d)
+    return False, (), tuple(witness)

@@ -10,7 +10,11 @@ first-block recursion replaced it; ``verify_positivity_haar_u_3`` from the
 join-constrained NC(n) sum for the Schur side check's cumulants, before the
 first-block kernel replaced it; the ``.err`` files and
 ``product_eval_truncated_mixed`` from the state kernel with a memo local to
-each call, before it filled the space's memo.  To capture a new case, add it
+each call, before it filled the space's memo; ``verify_positivity_haar_u_4``
+(standard semicircle ``a`` and Haar unitary ``u``, N = 8, basis degree 4, a
+121 x 121 Gram) from the recursive LDL* that copied the whole Schur
+complement at every pivot, before the in-place elimination that touches
+only rows with a nonzero pivot-column entry replaced it.  To capture a new case, add it
 to ``CASES`` and run from the repository root:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -93,6 +97,10 @@ CASES = {
     ],
     "verify_positivity_haar_u_3": [
         "verify", "--spec", f"{INPUTS}/semicircle_and_haar_u_6.json", "--max-degree", "3",
+        "--mode", "positivity",
+    ],
+    "verify_positivity_haar_u_4": [
+        "verify", "--spec", f"{INPUTS}/semicircle_and_haar_u_8.json", "--max-degree", "4",
         "--mode", "positivity",
     ],
     "verify_table_3": [

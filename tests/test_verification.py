@@ -5,7 +5,10 @@ from itertools import product as iproduct
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ncprob import verification
 from ncprob import (
     ComplexRational,
     ExplicitJointState,
@@ -42,6 +45,7 @@ from conftest import (
     semicircle_factor,
     small_scalar,
 )
+from nc_oracles import ldlt_psd_by_recursion
 
 
 def scalar(x) -> ComplexRational:
@@ -415,6 +419,80 @@ def test_ldlt_complex_hermitian():
     assert witness_value(flipped, witness).re < 0
 
 
+small_rationals = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
+small_scalars = st.builds(CR, small_rationals, small_rationals)
+
+
+@st.composite
+def permuted_block_hermitian(draw):
+    """A Hermitian block-diagonal matrix, its basis order permuted.
+
+    Each block is a Gram of random vectors (PSD, possibly singular), a random
+    Hermitian block (its diagonal may be negative or 0), or one with a zero
+    diagonal and nonzero entries off it.
+    """
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    n = sum(sizes)
+    mat = [[ZERO] * n for _ in range(n)]
+    start = 0
+    for size in sizes:
+        block = range(start, start + size)
+        kind = draw(st.sampled_from(["gram", "hermitian", "zero_diagonal"]))
+        if kind == "gram":
+            rank = draw(st.integers(0, size))
+            vecs = {i: draw(st.lists(small_scalars, min_size=rank, max_size=rank)) for i in block}
+            for i in block:
+                for j in block:
+                    mat[i][j] = sum(
+                        (x.conjugate() * y for x, y in zip(vecs[i], vecs[j])), ZERO
+                    )
+        else:
+            for i in block:
+                if kind == "hermitian":
+                    mat[i][i] = CR(draw(small_rationals))
+                for j in block:
+                    if i < j:
+                        x = draw(small_scalars)
+                        if kind == "zero_diagonal" and not x:
+                            x = ONE
+                        mat[i][j], mat[j][i] = x, x.conjugate()
+        start += size
+    order = draw(st.permutations(range(n)))
+    return tuple(tuple(mat[s][t] for t in order) for s in order)
+
+
+@settings(deadline=None, max_examples=200)
+@given(matrix=permuted_block_hermitian())
+def test_ldlt_matches_the_recursive_oracle(matrix):
+    result = ldlt_psd(matrix)
+    assert result == ldlt_psd_by_recursion(matrix)
+    psd, _, witness = result
+    if not psd:
+        assert witness_value(matrix, witness).re < 0
+
+
+def test_ldlt_is_iterative():
+    # 1,099 pivots, then a negative diagonal whose witness is lifted back
+    # through all of them: past the default recursion limit of 1,000.
+    n = 1100
+    matrix = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        matrix[i][i] = ONE
+    matrix[n - 1][n - 1] = -ONE
+    psd, pivots, witness = ldlt_psd(matrix)
+    assert not psd and pivots == ()
+    assert witness == (ZERO,) * (n - 1) + (ONE,)
+
+
+def test_ldlt_rejects_a_non_real_diagonal_after_a_pivot():
+    i = CR.parse("i")
+    matrix = ((ONE, ONE, ZERO), (i, ONE, ZERO), (ZERO, ZERO, ONE))
+    with pytest.raises(RuntimeError, match="non-real diagonal"):
+        ldlt_psd(matrix)
+    with pytest.raises(RuntimeError, match="non-real diagonal"):
+        ldlt_psd_by_recursion(matrix)
+
+
 def test_gram_matrix_must_be_hermitian():
     with pytest.raises(RuntimeError):
         GramMatrix(("x", "y"), as_matrix([[1, 2], [3, 1]]))
@@ -507,6 +585,49 @@ def test_gram_matches_multiply_oracle(two_semicircles, spec):
     for bs, row in zip(basis, result.gram.entries):
         for bt, entry in zip(basis, row):
             assert entry == space.state_eval(space.multiply(bs.star(), bt))
+
+
+def test_positivity_rejects_a_joint_moment_table():
+    with pytest.raises(ValidationError, match="cannot treat"):
+        check_positivity(nonfree_coupling(), 1)
+
+
+@pytest.mark.parametrize("s, t", [(0, 1), (1, 2)])
+def test_gram_entry_across_patterns_must_be_zero(monkeypatch, two_semicircles, s, t):
+    # Corrupt phi(b_s* b_t) and phi(b_t* b_s) alike, so the Gram stays
+    # Hermitian: (1, a°) or (a°, b°), both exactly 0 by Lemma 3.
+    words = centered_word_basis(two_semicircles, 1)
+    right = [()] + [w.components for w in words]
+    left = [()] + [w.star().components for w in words]
+    bad = {left[s] + right[t], left[t] + right[s]}
+    exact = ProductSpace.state_eval
+    monkeypatch.setattr(
+        ProductSpace,
+        "state_eval",
+        lambda self, args: exact(self, args) + (ONE if tuple(args) in bad else ZERO),
+    )
+    labels = ["1"] + [w.text() for w in words]
+    with pytest.raises(RuntimeError, match="internal error") as info:
+        check_positivity(two_semicircles, 1)
+    assert f"({labels[s]}, {labels[t]})" in str(info.value)
+
+
+def test_schur_check_computes_each_slot_kappa2_once(monkeypatch):
+    # Semicircle a + Haar u, N = 6, d = 3: the side check reaches 205 distinct
+    # (factor, left slot, right slot) triples, and computes each one once.
+    exact = verification._factor_kappa2
+    calls = []
+
+    def counting(state, left, right):
+        calls.append((state.factor, left, right))
+        return exact(state, left, right)
+
+    monkeypatch.setattr(verification, "_factor_kappa2", counting)
+    space = product_space_from_json(
+        json.loads((GOLDEN_INPUTS / "semicircle_and_haar_u_6.json").read_text())
+    )
+    assert check_positivity(space, 3).schur_consistent is True
+    assert len(calls) == len(set(calls)) == 205
 
 
 def test_centered_word_basis_degrees(two_semicircles):
