@@ -20,7 +20,7 @@ from . import cumulant_calculus as cc
 from .errors import NCProbError, SpecFormatError
 from .free_product import ProductSpace, product_space_from_json
 from .moment_space import Letter, Word, factor_state_from_json
-from .nc_lattice import enumerate_nc, moebius, parse_partition
+from .nc_lattice import block_text, enumerate_nc, moebius, parse_partition
 from .scalar import ComplexRational
 from .verification import (
     check_freeness_cumulants,
@@ -66,8 +66,11 @@ def _parse_moment_file(obj: object, key: str, path: str) -> list[ComplexRational
 
 
 def _cmd_nc(args) -> int:
-    partitions = enumerate_nc(args.n)
-    texts = [str(p) for p in partitions]
+    rendered: dict[tuple[int, ...], str] = {}  # each distinct block once
+    texts = [
+        "".join([rendered.get(b) or rendered.setdefault(b, block_text(b)) for b in p.blocks])
+        for p in enumerate_nc(args.n)
+    ]
     _emit(args, {"n": args.n, "count": len(texts), "partitions": texts}, texts)
     return 0
 

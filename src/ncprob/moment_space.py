@@ -21,7 +21,6 @@ from .errors import (
     TruncationError,
     ValidationError,
 )
-from .nc_lattice import Partition
 from .scalar import ONE, ZERO, ComplexRational, RationalLike
 
 
@@ -350,29 +349,10 @@ class FactorState:
             product = product * p
         return self.phi_poly(product)
 
-    def eval_phi_pi(self, pi: Partition, letters: Sequence[Letter]) -> ComplexRational:
-        """Multiplicative extension: product over blocks, order preserved."""
-        if len(letters) != pi.n:
-            raise ValidationError(
-                f"partition of {pi.n} elements applied to {len(letters)} letters"
-            )
-        total = ONE
-        for block in pi.blocks:
-            word = Word(tuple(letters[i - 1] for i in block))
-            total = total * self.phi_word(word)
-        return total
-
     def center(self, p: Polynomial) -> Polynomial:
         """p - phi(p) 1; afterwards phi(center(p)) = 0 exactly."""
         value = self.phi_poly(p)
         return p - Polynomial.monomial(EMPTY_WORD, value)
-
-    def words_up_to(self, max_degree: int) -> Iterator[Word]:
-        if max_degree > self.degree_bound:
-            raise TruncationError(
-                f"degree {max_degree} exceeds bound {self.degree_bound}"
-            )
-        return all_words(self.letters(), max_degree)
 
     def __repr__(self) -> str:
         return (

@@ -1,11 +1,12 @@
 """The lattice NC(n) of non-crossing partitions of {1..n}.
 
 Partitions are kept in canonical form (blocks ascending, sorted by least
-element) so equality and hashing are structural.  ``enumerate_nc`` lists
-NC(n) in lexicographic order of the restricted-growth string; the all-zero
-string comes first, so the order starts at the one-block partition ``1_n``
-and ends at the all-singletons partition ``0_n``.  The enumeration cap is
-``MAX_ENUM_N`` = 12 (Catalan(12) = 208012 partitions).
+element) so equality and hashing are structural.  ``enumerate_nc`` walks
+1..n with a stack of open blocks, extending one shared block tuple per
+branch, and lists NC(n) in lexicographic order of the restricted-growth
+string: it starts at the one-block partition ``1_n`` and ends at the
+all-singletons partition ``0_n``.  The enumeration cap is ``MAX_ENUM_N`` =
+12 (Catalan(12) = 208012 partitions).
 
 The partial order is reverse refinement and the join is the NC(n) join
 (set-partition join followed by merging crossing blocks).  The Moebius
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import (
     DimensionMismatchError,
@@ -41,7 +42,7 @@ MAX_ENUM_N = 12
 _nc_cache: dict[int, tuple["Partition", ...]] = {}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Partition:
     """A set partition of {1..n} in canonical form."""
 
@@ -98,7 +99,7 @@ class Partition:
         return tuple(out)
 
     def __str__(self) -> str:
-        return "".join("{" + ",".join(str(x) for x in b) + "}" for b in self.blocks)
+        return "".join(map(block_text, self.blocks))
 
     def __repr__(self) -> str:
         return f"Partition({self})"
@@ -125,6 +126,11 @@ class LatticePair:
     @property
     def n(self) -> int:
         return self.lower.n
+
+
+def block_text(block: tuple[int, ...]) -> str:
+    """One block's text, e.g. ``"{1,3}"``; a partition's text joins its blocks'."""
+    return "{" + ",".join(map(str, block)) + "}"
 
 
 def parse_partition(text: str) -> Partition:
@@ -248,47 +254,41 @@ def check_lattice_size(n: int) -> None:
 def enumerate_nc(n: int) -> tuple[Partition, ...]:
     """All of NC(n), in lexicographic restricted-growth-string order.
 
-    The count is the n-th Catalan number.  Results are cached per n.
+    Non-crossing partitions are exactly those built by one scan of 1..n with
+    a stack of open blocks: element k either joins an open block, closing
+    every block opened after it, or opens a new one.  Trying the open blocks
+    bottom-up and then a fresh one gives the lexicographic order.  The walk
+    keeps the blocks as tuples and extends one per branch, so each block
+    tuple is built once per walk node and shared by every partition below
+    it.  The count is the n-th Catalan number.  Results are cached per n.
     """
     check_lattice_size(n)
     cached = _nc_cache.get(n)
-    if cached is None:
-        cached = _nc_cache[n] = tuple(_trusted_from_rgs(r) for r in _iter_nc_rgs(n))
-    return cached
+    if cached is not None:
+        return cached
+    found: list[Partition] = []
+    blocks: list[tuple[int, ...]] = []  # sorted by least element
 
-
-def _trusted_from_rgs(rgs: tuple[int, ...]) -> Partition:
-    # Labels of a restricted-growth string appear in order of least element
-    # and positions are visited ascending, so the blocks come out canonical;
-    # only strings from _iter_nc_rgs reach here, so validation is skipped.
-    blocks: list[list[int]] = [[] for _ in range(max(rgs) + 1)]
-    for pos, label in enumerate(rgs, start=1):
-        blocks[label].append(pos)
-    p = object.__new__(Partition)
-    object.__setattr__(p, "n", len(rgs))
-    object.__setattr__(p, "blocks", tuple(tuple(b) for b in blocks))
-    return p
-
-
-def _iter_nc_rgs(n: int) -> Iterator[tuple[int, ...]]:
-    # Non-crossing partitions are exactly the partitions buildable with a
-    # stack of open blocks: element k either joins an open block (closing
-    # every block opened after it) or opens a new one.  Open blocks carry
-    # ascending labels bottom-to-top, so trying them bottom-up and then a
-    # fresh label yields restricted-growth strings in lexicographic order.
-    rgs = [0] * n
-
-    def walk(pos: int, stack: tuple[int, ...], next_label: int) -> Iterator[tuple[int, ...]]:
-        if pos == n:
-            yield tuple(rgs)
+    def walk(k: int, stack: tuple[int, ...]) -> None:
+        if k > n:
+            # Canonical by construction, so validation is skipped.
+            p = object.__new__(Partition)
+            object.__setattr__(p, "n", n)
+            object.__setattr__(p, "blocks", tuple(blocks))
+            found.append(p)
             return
-        for depth in range(len(stack)):
-            rgs[pos] = stack[depth]
-            yield from walk(pos + 1, stack[: depth + 1], next_label)
-        rgs[pos] = next_label
-        yield from walk(pos + 1, stack + (next_label,), next_label + 1)
+        for depth, i in enumerate(stack):
+            block = blocks[i]
+            blocks[i] = block + (k,)
+            walk(k + 1, stack[: depth + 1])
+            blocks[i] = block
+        blocks.append((k,))
+        walk(k + 1, stack + (len(blocks) - 1,))
+        blocks.pop()
 
-    yield from walk(0, (), 0)
+    walk(1, ())
+    cached = _nc_cache[n] = tuple(found)
+    return cached
 
 
 def catalan(n: int) -> int:

@@ -2,9 +2,10 @@
 variance factorization, and exact positivity of states.
 
 Positive semidefiniteness is decided over the rationals by pivoted LDL*
-without square roots: split off a positive diagonal pivot, recurse on the
-Schur complement, and on failure lift the inner witness back, so a failing
-matrix always comes with a rational vector x with x* M x < 0.  On a free
+without square roots: eliminate each positive diagonal pivot in place,
+updating only the entries its Schur complement changes, and on failure lift
+the witness back through the pivots in reverse, so a failing matrix always
+comes with a rational vector x with x* M x < 0.  On a free
 product the Gram entry phi(b_s* b_t) is the state on the concatenated atoms
 of the two tensor words, read off the free cumulants without multiplying the
 words in the algebra.

@@ -21,7 +21,13 @@ stack scan.  These are the routes they are checked against:
                                blocks per rescan of all pairs;
 * ``ldlt_psd_by_recursion``  - the exact PSD decision by pivoted LDL*, copying
                                the whole Schur complement at every pivot and
-                               recursing on it.
+                               recursing on it;
+* ``enumerate_nc_by_rgs``    - NC(n) as restricted-growth strings from a stack
+                               walk, each rebuilt into a partition.
+
+Two helpers serve the tests on factor states: ``eval_phi_pi``, the
+multiplicative extension phi_pi, and ``words_up_to``, every word of a factor
+up to a degree.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product as iter_product
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from ncprob import (
     DimensionMismatchError,
@@ -40,12 +46,15 @@ from ncprob import (
     Partition,
     Polynomial,
     ProductSpace,
+    TruncationError,
     ValidationError,
+    Word,
     enumerate_nc,
     kappa_words,
     leq,
     moebius,
 )
+from ncprob.moment_space import all_words
 from ncprob.scalar import ONE, ZERO, ComplexRational
 
 # The unit as a grouped-word atom: a slot with no factor.
@@ -64,8 +73,31 @@ def kappa_pi_via_moebius(
     for sigma in enumerate_nc(pi.n):
         if not leq(sigma, pi):
             continue
-        total = total + state.eval_phi_pi(sigma, letters) * moebius(sigma, pi)
+        total = total + eval_phi_pi(state, sigma, letters) * moebius(sigma, pi)
     return total
+
+
+def eval_phi_pi(
+    state: FactorState, pi: Partition, letters: Sequence[Letter]
+) -> ComplexRational:
+    """Multiplicative extension: product over blocks, order preserved."""
+    if len(letters) != pi.n:
+        raise ValidationError(
+            f"partition of {pi.n} elements applied to {len(letters)} letters"
+        )
+    total = ONE
+    for block in pi.blocks:
+        word = Word(tuple(letters[i - 1] for i in block))
+        total = total * state.phi_word(word)
+    return total
+
+
+def words_up_to(state: FactorState, max_degree: int) -> Iterator[Word]:
+    if max_degree > state.degree_bound:
+        raise TruncationError(
+            f"degree {max_degree} exceeds bound {state.degree_bound}"
+        )
+    return all_words(state.letters(), max_degree)
 
 
 @dataclass(frozen=True)
@@ -331,3 +363,42 @@ def ldlt_psd_by_recursion(
         acc = acc + mat[pivot][b] * sub_witness[k]
     witness[pivot] = -(acc / d)
     return False, (), tuple(witness)
+
+
+def enumerate_nc_by_rgs(n: int) -> tuple[Partition, ...]:
+    """All of NC(n), in lexicographic restricted-growth-string order."""
+    return tuple(_trusted_from_rgs(r) for r in _iter_nc_rgs(n))
+
+
+def _trusted_from_rgs(rgs: tuple[int, ...]) -> Partition:
+    # Labels of a restricted-growth string appear in order of least element
+    # and positions are visited ascending, so the blocks come out canonical;
+    # only strings from _iter_nc_rgs reach here, so validation is skipped.
+    blocks: list[list[int]] = [[] for _ in range(max(rgs) + 1)]
+    for pos, label in enumerate(rgs, start=1):
+        blocks[label].append(pos)
+    p = object.__new__(Partition)
+    object.__setattr__(p, "n", len(rgs))
+    object.__setattr__(p, "blocks", tuple(tuple(b) for b in blocks))
+    return p
+
+
+def _iter_nc_rgs(n: int) -> Iterator[tuple[int, ...]]:
+    # Non-crossing partitions are exactly the partitions buildable with a
+    # stack of open blocks: element k either joins an open block (closing
+    # every block opened after it) or opens a new one.  Open blocks carry
+    # ascending labels bottom-to-top, so trying them bottom-up and then a
+    # fresh label yields restricted-growth strings in lexicographic order.
+    rgs = [0] * n
+
+    def walk(pos: int, stack: tuple[int, ...], next_label: int) -> Iterator[tuple[int, ...]]:
+        if pos == n:
+            yield tuple(rgs)
+            return
+        for depth in range(len(stack)):
+            rgs[pos] = stack[depth]
+            yield from walk(pos + 1, stack[: depth + 1], next_label)
+        rgs[pos] = next_label
+        yield from walk(pos + 1, stack + (next_label,), next_label + 1)
+
+    yield from walk(0, (), 0)

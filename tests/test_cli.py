@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -43,6 +44,25 @@ def test_nc_out_of_range(capsys):
     code, _, err = run(capsys, ["nc", "0"])
     assert code == 2
     assert "error:" in err
+
+
+# SHA-256 of the stdout of ``nc n --output o`` as printed from the restricted-
+# growth enumeration (now the oracle ``enumerate_nc_by_rgs``), up to the cap.
+NC_STDOUT_SHA256 = {
+    (10, "json"): "b2404102969ee4649d7b68b55f9344b39d52acbd0e90a68f5d3c26355e0d6fa7",
+    (10, "table"): "a7d7920793c542a22a8d66596c8ed25ae86706a0605dada5e4586b92f7c790f1",
+    (11, "json"): "fbbc31aaba26e2621149b00b4c6b7d1465500941e2341c7caf4c295a2f1640d0",
+    (11, "table"): "c360fc18fe8ae4f2fd4d2e5adcec412c19382b0e103cf6d6e064845295931d29",
+    (12, "json"): "e2ea386336e6d6497e7cbebd9cd1cef6cd2a35845d601e6d05a7865de3cca0b0",
+    (12, "table"): "11bae7035f9ab07746c1ee445373d6cbc08506f2150bcba372d752271888110d",
+}
+
+
+@pytest.mark.parametrize("n, output", sorted(NC_STDOUT_SHA256))
+def test_nc_stdout_is_pinned_up_to_the_cap(capsys, n, output):
+    code, out, err = run(capsys, ["nc", n, "--output", output])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == NC_STDOUT_SHA256[n, output]
 
 
 def test_moebius(capsys):

@@ -42,7 +42,7 @@ from conftest import (
     small_scalar,
 )
 from nc_oracles import GroupedWord, kappa_base_atoms, kappa_pi_products, kappa_products
-from nc_oracles import kappa_elements as nc_kappa_elements
+from nc_oracles import kappa_elements as nc_kappa_elements, words_up_to
 
 
 def letters(space):
@@ -430,7 +430,7 @@ def test_kappa_base_atoms_matches_word_expansion_on_basis_pairs(rng):
 
 def random_polynomial(rng, state, degree):
     """Up to three words of degree <= ``degree``, one of them of that degree."""
-    words = list(state.words_up_to(degree))
+    words = list(words_up_to(state, degree))
     chosen = [rng.choice([w for w in words if w.degree == degree])]
     chosen += [rng.choice(words) for _ in range(rng.randint(0, 2))]
     return Polynomial({w: small_scalar(rng) for w in chosen})
@@ -517,7 +517,7 @@ def test_state_restricts_to_factors(rng):
     space = random_product_space(rng, 3, 4)
     for index in space.factors:
         state = space.factor_state(index)
-        for word in state.words_up_to(4):
+        for word in words_up_to(state, 4):
             if word.degree == 0:
                 continue
             embedded = space.embed(index, Polynomial.monomial(word))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from itertools import combinations
 
@@ -22,7 +23,7 @@ from ncprob import (
 )
 from ncprob.nc_lattice import kreweras, moebius_to_top
 
-from nc_oracles import join_nc_by_rescan
+from nc_oracles import enumerate_nc_by_rgs, join_nc_by_rescan
 
 
 # -- independent oracles -------------------------------------------------------
@@ -95,9 +96,32 @@ def test_n4_count_and_absent_crossing():
     assert Partition.of(4, [[1, 3], [2, 4]]) not in parts
 
 
-@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_counts_match_catalan(n):
     assert len(enumerate_nc(n)) == catalan_formula(n)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_enumeration_equals_rgs_oracle(n):
+    walked = enumerate_nc(n)
+    expected = enumerate_nc_by_rgs(n)
+    assert isinstance(walked, tuple) and len(walked) == len(expected)
+    for p, q in zip(walked, expected):
+        assert (p.n, p.blocks) == (q.n, q.blocks)
+
+
+def test_partition_is_slotted_frozen_and_hashable():
+    p = Partition.of(4, [[1, 4], [2, 3]])
+    assert not hasattr(p, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.n = 5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.blocks = ((1, 2, 3, 4),)
+    q = parse_partition("{1,4}{2,3}")
+    assert p == q and p is not q and hash(p) == hash(q)
+    assert p != Partition.top(4)
+    walked = enumerate_nc(4)
+    assert q in walked and len({p, q, *walked}) == len(walked)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
