@@ -13,7 +13,6 @@ from .errors import (
 )
 from .scalar import ComplexRational
 from .nc_lattice import (
-    LatticePair,
     Partition,
     catalan,
     enumerate_nc,
@@ -44,7 +43,6 @@ from .cumulant_calculus import (
     kappa_n,
     kappa_pi,
     kappa_words,
-    lattice_sum,
     moment_sequence_from_cumulants,
     moments_from_cumulants,
 )

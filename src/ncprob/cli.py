@@ -50,8 +50,7 @@ def _load_space(path: str) -> ProductSpace:
 
 def _emit(args, payload: dict, table_lines: list[str]) -> None:
     if args.output == "table":
-        for line in table_lines:
-            print(line)
+        print("\n".join(table_lines))
     else:
         print(json.dumps(payload, sort_keys=True, indent=2))
 
@@ -103,10 +102,13 @@ def _cmd_cumulants(args) -> int:
     obj = _load_json(args.from_moments)
     if isinstance(obj, dict) and "generators" in obj:
         state = factor_state_from_json(obj)
-        table = cc.CumulantTable.from_state(state)
+        kappas: dict[tuple[Letter, ...], ComplexRational] = {}
         values = {}
         for tup in _letter_tuples(state.letters(), state.degree_bound):
-            values[Word(tup).text()] = str(table.value(tup))
+            kappa = cc.first_block_cumulant(
+                tup, lambda sub: state.phi_word(Word(sub)), kappas
+            )
+            values[Word(tup).text()] = str(kappa)
         payload = {
             "factor": state.factor,
             "degree_bound": state.degree_bound,

@@ -13,17 +13,18 @@ A cumulant of n arguments costs at most 3^(n-1) terms, and a moment at most
 2^(n-1) per sub-tuple, against Catalan(n) terms for a sum over NC(n).
 
 Both kernels recurse on argument sub-tuples and keep no memo of their own:
-each fills the dict its caller passes, keyed by argument tuples.  A
-``CumulantTable`` passes its values and a ``ProductSpace`` its state memo, so
-each sub-tuple is computed once per table or space; one-off callers pass {}.
+each fills the dict its caller passes, keyed by argument tuples.  The
+``cumulants`` command passes one dict for a whole table, a ``ProductSpace``
+its state memo, so each sub-tuple is computed once per table or space;
+one-off callers pass {}.  A ``CumulantTable`` only holds given values, for
+``moments_from_cumulants`` to read.
 
-``lattice_sum`` is that sum: over sigma in NC(n) of the blockwise product,
-weighted by mu(sigma, 1_n) for cumulants (Moebius inversion).  Its one
-caller in the library is ``cumulants_from_moment_sequence``; the tests
-compare both recursions with it, and keep the other NC(n) sums (the Moebius
-form of kappa_pi, the join-constrained sum for products as arguments) as
-oracles in ``tests/nc_oracles.py``.  All three are bounded by the
-enumeration cap ``nc_lattice.MAX_ENUM_N``.  Everything is exact.
+``cumulants_from_moment_sequence`` sums over NC(n) directly: kappa_n is the
+sum over sigma of mu(sigma, 1_n) times the moments of sigma's blocks
+(Moebius inversion).  The general NC(n) sum, which the tests compare both
+kernels with, is an oracle in ``tests/nc_oracles.py``.  All routes are
+bounded by the enumeration cap ``nc_lattice.MAX_ENUM_N``.  Everything is
+exact.
 """
 
 from __future__ import annotations
@@ -60,37 +61,13 @@ def _check_arity(n: int) -> None:
     check_lattice_size(n)
 
 
-def lattice_sum(
-    n: int,
-    block_value: Callable[[tuple[int, ...]], ComplexRational],
-    weighted: bool,
-) -> ComplexRational:
-    """Sum over sigma in NC(n) of the product of block_value over sigma's blocks,
-    each term times mu(sigma, 1_n) when ``weighted``.
-
-    A term stops at its first zero factor.  sigma = 1_n comes first, so any
-    error its single block raises is raised before other blocks are tried.
-    """
-    _check_arity(n)
-    total = ZERO
-    for sigma in enumerate_nc(n):
-        term = ONE
-        for block in sigma.blocks:
-            term = term * block_value(block)
-            if term.is_zero():
-                break
-        else:
-            total = total + (term * moebius_to_top(sigma) if weighted else term)
-    return total
-
-
 def first_block_moment(
     args: Sequence[Arg],
     kappa: Callable[[tuple[Arg, ...]], ComplexRational],
     phis: dict[tuple[Arg, ...], tuple[ComplexRational, bool]],
     colour: Callable[[Arg], Hashable] | None = None,
 ) -> ComplexRational:
-    """The unweighted ``lattice_sum`` of kappa on sub-tuples, by the first-block recursion.
+    """The NC(n) sum of the blockwise kappa product, by the first-block recursion.
 
     phi(args) is the sum over blocks V containing the first argument of
     kappa(args_V) times phi over V's gaps.  With ``colour``, V keeps to the
@@ -100,9 +77,10 @@ def first_block_moment(
     blocks) per sub-tuple, read and filled, so it must hold values for this
     kappa and colour only.
 
-    A block is evaluated exactly when ``lattice_sum`` would evaluate it: the
-    full block comes first, and a term stops at a zero block or at a gap none
-    of whose partitions has only nonzero blocks.  So the same blocks raise.
+    A block is evaluated exactly when the NC(n) sum (an oracle in
+    ``tests/nc_oracles.py``) would evaluate it: the full block comes first,
+    and a term stops at a zero block or at a gap none of whose partitions has
+    only nonzero blocks.  So the same blocks raise.
     """
     _check_arity(len(args))
 
@@ -139,14 +117,16 @@ def first_block_cumulant(
     phi: Callable[[tuple[Arg, ...]], ComplexRational],
     kappas: dict[tuple[Arg, ...], ComplexRational],
 ) -> ComplexRational:
-    """The weighted ``lattice_sum`` of phi on sub-tuples, by the first-block recursion.
+    """The NC(n) sum of mu(sigma, 1_n) times the blockwise phi product, by the
+    first-block recursion.
 
     kappa(args) = phi(args) - sum over proper V containing the first argument
     of kappa(args_V) * phi over V's gaps.  phi(args) is evaluated first, so
-    any error it raises comes first, as in ``lattice_sum``; a term stops at its
-    first zero factor.  ``kappas`` is the caller's cumulant memo: it is read
-    and filled with the cumulant of every sub-tuple reached, so it must only
-    ever hold values for this phi.  phi is memoized for this call alone.
+    any error it raises comes first, as in the NC(n) sum (an oracle in
+    ``tests/nc_oracles.py``); a term stops at its first zero factor.
+    ``kappas`` is the caller's cumulant memo: it is read and filled with the
+    cumulant of every sub-tuple reached, so it must only ever hold values for
+    this phi.  phi is memoized for this call alone.
     """
     _check_arity(len(args))
     moments: dict[tuple[Arg, ...], ComplexRational] = {}
@@ -212,41 +192,20 @@ def kappa_pi(
 
 
 class CumulantTable:
-    """kappa values of one factor, keyed by letter tuples of length <= N.
+    """Given kappa values of one factor, keyed by letter tuples of length <= N.
 
-    Either backed by a FactorState or given explicitly.  A state-backed table
-    computes a missing value by the first-block kernel on its letters, with
-    the table's own values as the kernel's memo, so the cumulants of all
-    sub-tuples stay in the table too.
+    ``value`` reads a stored cumulant; the table computes nothing.
     """
 
     def __init__(
         self,
         factor: str,
         degree_bound: int,
-        *,
-        state: FactorState | None = None,
-        values: Mapping[tuple[Letter, ...], ComplexRational] | None = None,
+        values: Mapping[tuple[Letter, ...], ComplexRational],
     ):
-        if (state is None) == (values is None):
-            raise ValidationError("provide exactly one of state= or values=")
         self.factor = factor
         self.degree_bound = degree_bound
-        self._state = state
-        self._values: dict[tuple[Letter, ...], ComplexRational] = dict(values or {})
-
-    @classmethod
-    def from_state(cls, state: FactorState) -> "CumulantTable":
-        return cls(state.factor, state.degree_bound, state=state)
-
-    @classmethod
-    def from_values(
-        cls,
-        factor: str,
-        degree_bound: int,
-        values: Mapping[tuple[Letter, ...], ComplexRational],
-    ) -> "CumulantTable":
-        return cls(factor, degree_bound, values=values)
+        self._values = dict(values)
 
     def value(self, letters: tuple[Letter, ...]) -> ComplexRational:
         if not letters or len(letters) > self.degree_bound:
@@ -255,13 +214,8 @@ class CumulantTable:
             )
         value = self._values.get(letters)
         if value is None:
-            if self._state is None:
-                raise ValidationError(
-                    f"no cumulant value for letters {' '.join(l.text() for l in letters)!r}"
-                )
-            state = self._state
-            value = first_block_cumulant(
-                letters, lambda sub: state.phi_word(Word(sub)), self._values
+            raise ValidationError(
+                f"no cumulant value for letters {' '.join(l.text() for l in letters)!r}"
             )
         return value
 
@@ -275,7 +229,7 @@ def cumulant_table_from_json(
     ``"cumulants"`` object of word -> scalar in place of ``"moments"``.
     """
     factor, degree_bound, generators, values = parse_factor_spec(obj, "cumulants")
-    table = CumulantTable.from_values(
+    table = CumulantTable(
         factor, degree_bound, {word.letters: v for word, v in values.items()}
     )
     return table, generator_letters(factor, generators)
@@ -292,21 +246,19 @@ def moments_from_cumulants(
 class MomentSequence:
     """Moments m_1..m_N of a single selfadjoint variable."""
 
-    degree_bound: int
     values: tuple[ComplexRational, ...]
 
     def __post_init__(self):
         if not self.values:
             raise ValidationError("need at least one moment, got none")
-        if len(self.values) != self.degree_bound:
-            raise ValidationError(
-                f"need exactly {self.degree_bound} moments, got {len(self.values)}"
-            )
+
+    @property
+    def degree_bound(self) -> int:
+        return len(self.values)
 
     @classmethod
     def of(cls, values: Sequence[ComplexRational | int]) -> "MomentSequence":
-        vals = tuple(ComplexRational.of(v) for v in values)
-        return cls(len(vals), vals)
+        return cls(tuple(ComplexRational.of(v) for v in values))
 
     def m(self, k: int) -> ComplexRational:
         if k == 0:
@@ -317,11 +269,24 @@ class MomentSequence:
 
 
 def cumulants_from_moment_sequence(seq: MomentSequence) -> tuple[ComplexRational, ...]:
-    """(kappa_1, ..., kappa_N) of a single variable, via Moebius inversion."""
-    return tuple(
-        lattice_sum(n, lambda block: seq.m(len(block)), weighted=True)
-        for n in range(1, seq.degree_bound + 1)
-    )
+    """(kappa_1, ..., kappa_N) of a single variable, via Moebius inversion.
+
+    kappa_n is the sum over sigma in NC(n) of mu(sigma, 1_n) times the product
+    of m_|V| over sigma's blocks V; a term stops at its first zero moment.
+    """
+    kappas = []
+    for n in range(1, seq.degree_bound + 1):
+        total = ZERO
+        for sigma in enumerate_nc(n):
+            term = ONE
+            for block in sigma.blocks:
+                term = term * seq.m(len(block))
+                if term.is_zero():
+                    break
+            else:
+                total = total + term * moebius_to_top(sigma)
+        kappas.append(total)
+    return tuple(kappas)
 
 
 def moment_sequence_from_cumulants(

@@ -32,6 +32,8 @@ class GeneratorSymbol:
     def __post_init__(self):
         if not self.name or any(c in self.name for c in "* \t\n{},"):
             raise ValidationError(f"bad generator name {self.name!r}")
+        if self.name == "1":
+            raise ValidationError("bad generator name '1': 1 denotes the identity")
 
 
 @dataclass(frozen=True)

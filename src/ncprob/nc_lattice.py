@@ -105,29 +105,6 @@ class Partition:
         return f"Partition({self})"
 
 
-@dataclass(frozen=True)
-class LatticePair:
-    """A validated comparable pair lower <= upper in NC(n)."""
-
-    lower: Partition
-    upper: Partition
-
-    def __post_init__(self):
-        if self.lower.n != self.upper.n:
-            raise DimensionMismatchError(
-                f"ground sets differ: {self.lower.n} vs {self.upper.n}"
-            )
-        for p in (self.lower, self.upper):
-            if not is_noncrossing(p):
-                raise ValidationError(f"{p} is crossing")
-        if not leq(self.lower, self.upper):
-            raise OrderViolationError(f"{self.lower} is not below {self.upper}")
-
-    @property
-    def n(self) -> int:
-        return self.lower.n
-
-
 def block_text(block: tuple[int, ...]) -> str:
     """One block's text, e.g. ``"{1,3}"``; a partition's text joins its blocks'."""
     return "{" + ",".join(map(str, block)) + "}"
@@ -298,11 +275,18 @@ def catalan(n: int) -> int:
 
 
 def moebius(sigma: Partition, pi: Partition) -> int:
-    """mu(sigma, pi) on NC(n) for a validated pair sigma <= pi, in closed form.
+    """mu(sigma, pi) on NC(n) in closed form.
 
-    The extension to sigma == pi has value 1.
+    The pair must share its ground set, both must be non-crossing, and
+    sigma <= pi; the checks run in that order.  mu(pi, pi) = 1.
     """
-    LatticePair(sigma, pi)
+    if sigma.n != pi.n:
+        raise DimensionMismatchError(f"ground sets differ: {sigma.n} vs {pi.n}")
+    for p in (sigma, pi):
+        if not is_noncrossing(p):
+            raise ValidationError(f"{p} is crossing")
+    if not leq(sigma, pi):
+        raise OrderViolationError(f"{sigma} is not below {pi}")
     return _closed_form_moebius(sigma.n, sigma.blocks, pi.blocks)
 
 

@@ -1,9 +1,15 @@
 """Slow, obviously correct routes, kept as oracles for the library's kernels.
 
-The library computes every cumulant by the first-block recursion
-(``cumulant_calculus.first_block_cumulant``), and the NC(n) join by one
-stack scan.  These are the routes they are checked against:
+The library computes the cumulants of factor states and of products by the
+first-block recursion (``cumulant_calculus.first_block_cumulant``), and the
+NC(n) join by one stack scan.  These are the routes they are checked
+against:
 
+* ``lattice_sum``            - the NC(n) sum itself: over sigma in NC(n) of
+                               the blockwise product, weighted by
+                               mu(sigma, 1_n) for cumulants (Moebius
+                               inversion); the oracle for both first-block
+                               kernels;
 * ``kappa_pi_via_moebius``   - kappa_pi of a factor state as the Moebius sum
                                of phi_sigma over sigma in [0_n, pi];
 * ``kappa_products``         - the cumulant of grouped products as the sum of
@@ -36,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product as iter_product
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from ncprob import (
     DimensionMismatchError,
@@ -55,10 +61,37 @@ from ncprob import (
     moebius,
 )
 from ncprob.moment_space import all_words
+from ncprob.nc_lattice import check_lattice_size, moebius_to_top
 from ncprob.scalar import ONE, ZERO, ComplexRational
 
 # The unit as a grouped-word atom: a slot with no factor.
 UNIT_ATOM = (None, Polynomial.one())
+
+
+def lattice_sum(
+    n: int,
+    block_value: Callable[[tuple[int, ...]], ComplexRational],
+    weighted: bool,
+) -> ComplexRational:
+    """Sum over sigma in NC(n) of the product of block_value over sigma's blocks,
+    each term times mu(sigma, 1_n) when ``weighted``.
+
+    A term stops at its first zero factor.  sigma = 1_n comes first, so any
+    error its single block raises is raised before other blocks are tried.
+    """
+    if n < 1:
+        raise ValidationError("cumulants need at least one argument")
+    check_lattice_size(n)
+    total = ZERO
+    for sigma in enumerate_nc(n):
+        term = ONE
+        for block in sigma.blocks:
+            term = term * block_value(block)
+            if term.is_zero():
+                break
+        else:
+            total = total + (term * moebius_to_top(sigma) if weighted else term)
+    return total
 
 
 def kappa_pi_via_moebius(

@@ -253,6 +253,7 @@ def cumulant_table_spec(generators):
         [{"name": 5}],
         {"name": "u"},
         [{"name": "u", "selfadjoint": "false"}],
+        [{"name": "1", "selfadjoint": True}],
     ],
 )
 def test_moments_bad_generator_is_status_2(tmp_path, capsys, generators):
@@ -262,6 +263,21 @@ def test_moments_bad_generator_is_status_2(tmp_path, capsys, generators):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("moments", [{"1": "0", "1 1": "1"}, {"1 1": "1"}])
+def test_cumulants_generator_named_1_is_status_2(tmp_path, capsys, moments):
+    spec = {
+        "factor": "A",
+        "degree_bound": 2,
+        "generators": [{"name": "1", "selfadjoint": True}],
+        "moments": moments,
+    }
+    src = tmp_path / "moments.json"
+    src.write_text(json.dumps(spec))
+    code, out, err = run(capsys, ["cumulants", "--from-moments", src])
+    assert (code, out) == (2, "")
+    assert err == "error: bad generator name '1': 1 denotes the identity\n"
 
 
 def test_product_eval_string_selfadjoint_flag_is_status_2(tmp_path, capsys):

@@ -30,7 +30,6 @@ from ncprob import (
     kappa_n,
     kappa_pi,
     kappa_words,
-    lattice_sum,
     moebius,
     moment_sequence_from_cumulants,
     moments_from_cumulants,
@@ -38,7 +37,7 @@ from ncprob import (
 from ncprob.scalar import ONE, ZERO
 
 from conftest import random_factor_state, semicircle_factor, small_fraction
-from nc_oracles import kappa_pi_via_moebius
+from nc_oracles import kappa_pi_via_moebius, lattice_sum
 
 
 # -- independent scalar oracle: nested first-block recursion --------------------
@@ -163,7 +162,7 @@ def test_moments_from_kappa1_only():
     g = GeneratorSymbol("a", selfadjoint=True)
     la = Letter(g, False, "A")
     c = ComplexRational.of(Fraction(2, 3))
-    table = CumulantTable.from_values(
+    table = CumulantTable(
         "A", 4, {(la,) * n: (c if n == 1 else ZERO) for n in range(1, 5)}
     )
     for n in range(1, 5):
@@ -176,7 +175,7 @@ def test_moments_from_kappa1_only():
 def test_moments_from_kappa2_only_gives_catalan():
     g = GeneratorSymbol("a", selfadjoint=True)
     la = Letter(g, False, "A")
-    table = CumulantTable.from_values(
+    table = CumulantTable(
         "A", 6, {(la,) * n: (ONE if n == 2 else ZERO) for n in range(1, 7)}
     )
     values = [moments_from_cumulants(table, (la,) * n) for n in range(1, 7)]
@@ -186,8 +185,12 @@ def test_moments_from_kappa2_only_gives_catalan():
 def test_round_trip_moments_to_cumulants(rng):
     for _ in range(6):
         state = random_factor_state(rng, "A", ("u",), 4, selfadjoint=False)
-        table = CumulantTable.from_state(state)
         ls = state.letters()
+        table = CumulantTable("A", 4, {
+            tup: kappa_n(state, tup)
+            for n in range(1, 5)
+            for tup in iproduct(ls, repeat=n)
+        })
         for n in range(1, 5):
             for _ in range(4):
                 tup = tuple(rng.choice(ls) for _ in range(n))
@@ -197,13 +200,11 @@ def test_round_trip_moments_to_cumulants(rng):
 def test_cumulant_table_errors():
     g = GeneratorSymbol("a", selfadjoint=True)
     la = Letter(g, False, "A")
-    table = CumulantTable.from_values("A", 2, {(la,): ZERO})
+    table = CumulantTable("A", 2, {(la,): ZERO})
     with pytest.raises(ValidationError):
         table.value((la, la))
     with pytest.raises(TruncationError):
         table.value((la,) * 3)
-    with pytest.raises(ValidationError):
-        CumulantTable("A", 2)
 
 
 def test_unital_cumulants_vanish(rng):
@@ -263,7 +264,7 @@ def test_homogeneity(rng):
 
 def test_moment_sequence_validation():
     with pytest.raises(ValidationError):
-        MomentSequence(2, (ZERO,))
+        MomentSequence(())
     seq = MomentSequence.of([0, 1])
     assert seq.m(0) == ONE
     with pytest.raises(TruncationError):
@@ -322,7 +323,7 @@ def test_convolution_errors():
         )
 
 
-# -- the lattice-sum kernel and the cumulant-table loader ----------------------------
+# -- the NC(n) sum oracle and the cumulant-table loader ------------------------------
 
 
 def test_lattice_sum_counts_and_moebius_identity():
@@ -341,7 +342,7 @@ def test_lattice_sum_range():
     with pytest.raises(SizeOutOfRangeError):
         lattice_sum(13, lambda block: ONE, weighted=False)
     la = Letter(GeneratorSymbol("a", selfadjoint=True), False, "A")
-    table = CumulantTable.from_values("A", 13, {(la,) * 13: ONE})
+    table = CumulantTable("A", 13, {(la,) * 13: ONE})
     with pytest.raises(SizeOutOfRangeError):
         moments_from_cumulants(table, (la,) * 13)
     with pytest.raises(ValidationError):
@@ -499,13 +500,16 @@ def test_kappa_words_match_lattice_sum_exhaustively(rng):
 
 
 def test_self_filling_table_matches_fresh_kappa_n(rng):
-    # Longest tuples first, so most shorter values come from the table's memo.
+    # Longest tuples first, so most shorter values come from the shared memo.
     state = random_factor_state(rng, "A", ("u",), 6, selfadjoint=False)
-    table = CumulantTable.from_state(state)
+    kappas = {}
     ls = state.letters()
     for n in range(6, 0, -1):
         for tup in iproduct(ls, repeat=n):
-            assert table.value(tup) == kappa_n(state, tup)
+            value = first_block_cumulant(
+                tup, lambda sub: state.phi_word(Word(sub)), kappas
+            )
+            assert value == kappa_n(state, tup)
 
 
 def test_moments_from_cumulants_match_lattice_sum_exhaustively(rng):
@@ -516,7 +520,7 @@ def test_moments_from_cumulants_match_lattice_sum_exhaustively(rng):
         for n in range(1, 8)
         for tup in iproduct(ls, repeat=n)
     }
-    table = CumulantTable.from_values("A", 7, values)
+    table = CumulantTable("A", 7, values)
     tuples = [t for t in values if len(t) <= 6]
     tuples += [tuple(rng.choice(ls) for _ in range(7)) for _ in range(8)]
     for tup in tuples:
@@ -536,6 +540,28 @@ def test_moment_sequence_from_cumulants_matches_lattice_sum(rng):
             for n in range(1, 10)
         ]
         assert list(moment_sequence_from_cumulants(kappas).values) == expected
+
+
+def test_cumulants_from_moment_sequence_match_first_block_kernel(rng):
+    # The kernel on (0,)*n, with one memo for every n, is the route the NC(n)
+    # sum can be swapped for; pin that both give the same values.
+    draws = (
+        lambda: ComplexRational.of(rng.randint(-3, 3)),
+        lambda: ComplexRational(small_fraction(rng)),
+        lambda: ComplexRational(small_fraction(rng), small_fraction(rng)),
+    )
+    for case in range(40):
+        n_max = rng.randint(1, 8)
+        values = [draws[case % 3]() for _ in range(n_max)]
+        if case % 2:
+            values[rng.randrange(n_max)] = ZERO
+        seq = MomentSequence.of(values)
+        kappas = {}
+        expected = tuple(
+            first_block_cumulant((0,) * n, lambda sub: seq.m(len(sub)), kappas)
+            for n in range(1, n_max + 1)
+        )
+        assert cumulants_from_moment_sequence(seq) == expected
 
 
 def test_empty_moment_sequence_message():

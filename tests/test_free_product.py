@@ -27,7 +27,6 @@ from ncprob import (
     Word,
     enumerate_nc,
     kappa_n,
-    lattice_sum,
     product_space_from_json,
     star_element,
 )
@@ -41,7 +40,13 @@ from conftest import (
     semicircle_factor,
     small_scalar,
 )
-from nc_oracles import GroupedWord, kappa_base_atoms, kappa_pi_products, kappa_products
+from nc_oracles import (
+    GroupedWord,
+    kappa_base_atoms,
+    kappa_pi_products,
+    kappa_products,
+    lattice_sum,
+)
 from nc_oracles import kappa_elements as nc_kappa_elements, words_up_to
 
 

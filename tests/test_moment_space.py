@@ -44,6 +44,12 @@ def test_letter_normalization():
     assert Letter(h, False, "A").star() == Letter(h, True, "A")
 
 
+def test_generator_named_1_is_refused():
+    # "1" is the text of the identity word, so such a letter could never load.
+    with pytest.raises(ValidationError, match="1 denotes the identity"):
+        GeneratorSymbol("1")
+
+
 def test_word_star_reverses_and_flips():
     u = GeneratorSymbol("u")
     v = GeneratorSymbol("v")

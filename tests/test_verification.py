@@ -28,7 +28,6 @@ from ncprob import (
     check_freeness_moments,
     check_positivity,
     joint_kappa,
-    lattice_sum,
     ldlt_psd,
     product_space_from_json,
     variance_factorization,
@@ -45,7 +44,7 @@ from conftest import (
     semicircle_factor,
     small_scalar,
 )
-from nc_oracles import ldlt_psd_by_recursion
+from nc_oracles import lattice_sum, ldlt_psd_by_recursion
 
 
 def scalar(x) -> ComplexRational:
