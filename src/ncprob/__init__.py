@@ -30,7 +30,6 @@ from .moment_space import (
     Word,
     factor_state_from_json,
     parse_word,
-    star,
 )
 from .cumulant_calculus import (
     CumulantTable,
@@ -51,7 +50,6 @@ from .free_product import (
     ProductSpace,
     TensorWord,
     product_space_from_json,
-    star_element,
 )
 from .verification import (
     ExplicitJointState,

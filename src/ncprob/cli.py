@@ -20,7 +20,7 @@ from . import cumulant_calculus as cc
 from .errors import NCProbError, SpecFormatError
 from .free_product import ProductSpace, product_space_from_json
 from .moment_space import Letter, Word, factor_state_from_json
-from .nc_lattice import block_text, enumerate_nc, moebius, parse_partition
+from .nc_lattice import block_text, check_lattice_size, enumerate_nc, moebius, parse_partition
 from .scalar import ComplexRational
 from .verification import (
     check_freeness_cumulants,
@@ -102,6 +102,7 @@ def _cmd_cumulants(args) -> int:
     obj = _load_json(args.from_moments)
     if isinstance(obj, dict) and "generators" in obj:
         state = factor_state_from_json(obj)
+        check_lattice_size(state.degree_bound)
         kappas: dict[tuple[Letter, ...], ComplexRational] = {}
         values = {}
         for tup in _letter_tuples(state.letters(), state.degree_bound):
@@ -128,9 +129,11 @@ def _cmd_moments(args) -> int:
     obj = _load_json(args.from_cumulants)
     if isinstance(obj, dict) and "generators" in obj:
         table, letters = cc.cumulant_table_from_json(obj)
+        check_lattice_size(table.degree_bound)
+        phis: dict[tuple[Letter, ...], tuple[ComplexRational, bool]] = {}
         out = {}
         for tup in _letter_tuples(letters, table.degree_bound):
-            out[Word(tup).text()] = str(cc.moments_from_cumulants(table, tup))
+            out[Word(tup).text()] = str(cc.first_block_moment(tup, table.value, phis))
         payload = {
             "factor": table.factor,
             "degree_bound": table.degree_bound,
@@ -194,7 +197,7 @@ def _cmd_verify(args) -> int:
     if args.mode == "positivity":
         result = check_positivity(space, args.max_degree)
         payload["positivity"] = result.to_json()
-        failed = failed or not result.psd or result.schur_consistent is False
+        failed = failed or not (result.psd and result.schur_consistent)
         lines.append(
             f"psd={result.psd} schur_consistent={result.schur_consistent} "
             f"basis_size={result.gram.size}"

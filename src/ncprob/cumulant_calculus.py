@@ -14,10 +14,10 @@ A cumulant of n arguments costs at most 3^(n-1) terms, and a moment at most
 
 Both kernels recurse on argument sub-tuples and keep no memo of their own:
 each fills the dict its caller passes, keyed by argument tuples.  The
-``cumulants`` command passes one dict for a whole table, a ``ProductSpace``
-its state memo, so each sub-tuple is computed once per table or space;
-one-off callers pass {}.  A ``CumulantTable`` only holds given values, for
-``moments_from_cumulants`` to read.
+``cumulants`` and ``moments`` commands pass one dict for a whole table, a
+``ProductSpace`` its state memo, so each sub-tuple is computed once per table
+or space; one-off callers pass {}.  A ``CumulantTable`` only holds given
+values, for ``first_block_moment`` to read.
 
 ``cumulants_from_moment_sequence`` sums over NC(n) directly: kappa_n is the
 sum over sigma of mu(sigma, 1_n) times the moments of sigma's blocks
@@ -273,7 +273,9 @@ def cumulants_from_moment_sequence(seq: MomentSequence) -> tuple[ComplexRational
 
     kappa_n is the sum over sigma in NC(n) of mu(sigma, 1_n) times the product
     of m_|V| over sigma's blocks V; a term stops at its first zero moment.
+    N past the enumeration cap is refused before any cumulant is computed.
     """
+    check_lattice_size(seq.degree_bound)
     kappas = []
     for n in range(1, seq.degree_bound + 1):
         total = ZERO
@@ -292,8 +294,14 @@ def cumulants_from_moment_sequence(seq: MomentSequence) -> tuple[ComplexRational
 def moment_sequence_from_cumulants(
     cumulants: Sequence[ComplexRational],
 ) -> MomentSequence:
-    """Rebuild m_1..m_N from (kappa_1, ..., kappa_N) by the first-block recursion."""
+    """Rebuild m_1..m_N from (kappa_1, ..., kappa_N) by the first-block recursion.
+
+    N past the enumeration cap is refused before any moment is computed; an
+    empty sequence is refused by ``MomentSequence``.
+    """
     kappas = [ComplexRational.of(c) for c in cumulants]
+    if kappas:
+        check_lattice_size(len(kappas))
     phis: dict[tuple[int, ...], tuple[ComplexRational, bool]] = {}
     return MomentSequence.of([
         first_block_moment((0,) * n, lambda block: kappas[len(block) - 1], phis)

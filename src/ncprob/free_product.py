@@ -129,10 +129,6 @@ class FreeElement:
         return cls(ONE)
 
     @classmethod
-    def from_scalar(cls, c: ComplexRational) -> "FreeElement":
-        return cls(c)
-
-    @classmethod
     def from_word(
         cls, word: TensorWord, coeff: ComplexRational = ONE
     ) -> "FreeElement":
@@ -197,11 +193,6 @@ class FreeElement:
         return f"FreeElement({self.text()})"
 
 
-def star_element(x: FreeElement) -> FreeElement:
-    """The *-operation on the free product; centeredness is preserved."""
-    return x.star()
-
-
 class ProductSpace:
     """The free product of validated factor states with one degree bound."""
 
@@ -233,9 +224,6 @@ class ProductSpace:
             return self.factors[index]
         except KeyError:
             raise FactorMismatchError(f"unknown factor {index!r}") from None
-
-    def one(self) -> FreeElement:
-        return FreeElement.one()
 
     def centered_word(self, index: str, word: Word) -> Polynomial:
         """The canonical basis vector w - phi_i(w) 1 of the centered subspace."""
@@ -339,17 +327,6 @@ class ProductSpace:
         if value:
             out = out + self._multiply_components(left[:-1], right[1:]).scale(value)
         return out
-
-    def validate_element(self, x: FreeElement) -> None:
-        """Assert the canonical-form invariants, including centeredness."""
-        for word in x.words:
-            for factor, poly in word.components:
-                state = self.factor_state(factor)
-                if state.phi_poly(poly):
-                    raise ValidationError(
-                        f"component {poly.text()!r} of {word.text()} "
-                        f"is not centered in factor {factor!r}"
-                    )
 
     # -- cumulant functions -----------------------------------------------
 

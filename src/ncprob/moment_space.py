@@ -21,7 +21,7 @@ from .errors import (
     TruncationError,
     ValidationError,
 )
-from .scalar import ONE, ZERO, ComplexRational, RationalLike
+from .scalar import ONE, ZERO, ComplexRational, RationalLike, _coerce
 
 
 @dataclass(frozen=True)
@@ -164,13 +164,13 @@ class Polynomial:
                     word = wa * wb
                     out[word] = out.get(word, ZERO) + ca * cb
             return Polynomial(out)
-        scalar = _as_scalar_or_none(other)
+        scalar = _coerce(other)
         if scalar is None:
             return NotImplemented
         return Polynomial({w: c * scalar for w, c in self._terms.items()})
 
     def __rmul__(self, other):
-        scalar = _as_scalar_or_none(other)
+        scalar = _coerce(other)
         if scalar is None:
             return NotImplemented
         return self * scalar
@@ -193,18 +193,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.text()})"
-
-
-def _as_scalar_or_none(value) -> ComplexRational | None:
-    try:
-        return ComplexRational.of(value)
-    except TypeError:
-        return None
-
-
-def star(x: Word | Polynomial) -> Word | Polynomial:
-    """The *-operation: antimultiplicative on words, antilinear on polynomials."""
-    return x.star()
 
 
 def canonical_moment_key(word: Word) -> tuple[Word, bool]:

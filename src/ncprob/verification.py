@@ -1,14 +1,17 @@
 """Executable checks: the two freeness definitions, their equivalence,
 variance factorization, and exact positivity of states.
 
-Positive semidefiniteness is decided over the rationals by pivoted LDL*
-without square roots: eliminate each positive diagonal pivot in place,
-updating only the entries its Schur complement changes, and on failure lift
-the witness back through the pivots in reverse, so a failing matrix always
-comes with a rational vector x with x* M x < 0.  On a free
-product the Gram entry phi(b_s* b_t) is the state on the concatenated atoms
-of the two tensor words, read off the free cumulants without multiplying the
-words in the algebra.
+Positivity has one route, the Gram of a ProductSpace; a single factor is
+checked as ``ProductSpace([state])``.  The basis is the unit plus the
+alternating tensor words of centered factor monomials, and the Gram entry
+phi(b_s* b_t) is the state on the concatenated atoms of the two words, read
+off the free cumulants without multiplying the words in the algebra.  By the
+paper's Lemma 3 the Gram is 1 plus one block per factor pattern, each built
+from the factors' centered Grams.  Positive semidefiniteness is decided over
+the rationals by pivoted LDL* without square roots: eliminate each positive
+diagonal pivot in place, updating only the entries its Schur complement
+changes, and on failure lift the witness back through the pivots in reverse,
+so a failing matrix always comes with a rational vector x with x* M x < 0.
 
 Freeness checks run on a joint state: a ProductSpace or an
 ExplicitJointState, which both have ``degree_bound``, ``factors`` (index ->
@@ -251,23 +254,23 @@ def _factor_kappa2(
 
 
 def variance_factorization(
-    space: ProductSpace, a: TensorWord, b: TensorWord, kappa2s: dict | None = None
+    space: ProductSpace, a: TensorWord, b: TensorWord, kappa2s: dict
 ) -> ComplexRational:
     """kappa_2(a*, b) via the slotwise product formula.
 
     Zero unless the two words have equal length and identical factor
     patterns; otherwise the product over slots u of kappa_2(a_u*, b_u).
-    ``kappa2s`` is the caller's memo of slot kappa_2 by (factor, a_u, b_u).
+    ``kappa2s`` is the caller's memo of slot kappa_2 by (factor, a_u, b_u),
+    read and filled.
     """
     if [f for f, _ in a.components] != [f for f, _ in b.components]:
         return ZERO
-    memo = {} if kappa2s is None else kappa2s
     total = ONE
     for (factor, pa), (_, pb) in zip(a.components, b.components):
         key = (factor, pa, pb)
-        if key not in memo:
-            memo[key] = _factor_kappa2(space.factor_state(factor), pa.star(), pb)
-        total = total * memo[key]
+        if key not in kappa2s:
+            kappa2s[key] = _factor_kappa2(space.factor_state(factor), pa.star(), pb)
+        total = total * kappa2s[key]
         if total.is_zero():
             break
     return total
@@ -366,7 +369,7 @@ class PositivityResult:
     pivots: tuple[Fraction, ...]
     witness: tuple[ComplexRational, ...] | None
     gram: GramMatrix
-    schur_consistent: bool | None
+    schur_consistent: bool
 
     def to_json(self) -> dict:
         return {
@@ -380,49 +383,37 @@ class PositivityResult:
         }
 
 
-def check_positivity(
-    target: ProductSpace | FactorState, basis_degree: int
-) -> PositivityResult:
-    """Exact Gram-matrix PSD check over all words of degree <= basis_degree.
+def check_positivity(space: ProductSpace, basis_degree: int) -> PositivityResult:
+    """Exact Gram-matrix PSD check of a product state up to basis_degree.
 
-    For a product space the basis is the unit plus every alternating tensor
-    word of centered factor monomials; entry (s, t) is the state on the
-    concatenated atoms of b_s* and b_t, which the state evaluates without
-    multiplying the words.  By the paper's Lemma 3 an entry between the unit
-    and a word, or between words of different factor patterns, is exactly 0
-    (checked, like the Hermitian symmetry), so the Gram is 1 plus one block
-    per pattern and ``ldlt_psd``, which skips zero rows, factors it block by
+    The basis is the unit plus every alternating tensor word of centered
+    factor monomials of degree <= basis_degree; entry (s, t) is the state on
+    the concatenated atoms of b_s* and b_t, which the state evaluates
+    without multiplying the words.  A factor is checked as the one-factor
+    space ``ProductSpace([state])``, whose basis words are its centered
+    monomials.  By the paper's Lemma 3 an entry between the unit and a word,
+    or between words of different factor patterns, is exactly 0 (checked,
+    like the Hermitian symmetry), so the Gram is 1 plus one block per
+    pattern and ``ldlt_psd``, which skips zero rows, factors it block by
     block.  The Lemma-3 structure is verified on the side: on each family of
     same-pattern tensor words the kappa_2 Gram equals the entrywise product
     of the per-slot kappa_2 matrices.
     """
-    if not isinstance(target, (ProductSpace, FactorState)):
-        raise ValidationError(f"cannot treat {target!r} as a factor or product state")
+    if not isinstance(space, ProductSpace):
+        raise ValidationError(f"cannot treat {space!r} as a product space")
     if basis_degree < 0:
         raise ValidationError("basis degree must be >= 0")
-    if 2 * basis_degree > target.degree_bound:
+    if 2 * basis_degree > space.degree_bound:
         raise TruncationError(
             f"Gram at degree {basis_degree} needs moments up to "
-            f"{2 * basis_degree} > bound {target.degree_bound}"
+            f"{2 * basis_degree} > bound {space.degree_bound}"
         )
-    if isinstance(target, FactorState):
-        basis = sorted(
-            all_words(target.letters(), basis_degree), key=Word.sort_key
-        )
-        labels = tuple(w.text() for w in basis)
-        entries = tuple(
-            tuple(target.phi_word(ws.star() * wt) for wt in basis) for ws in basis
-        )
-        schur_ok = None
-    else:
-        words = centered_word_basis(target, basis_degree)
-        labels = ("1",) + tuple(w.text() for w in words)
-        left = [()] + [w.star().components for w in words]
-        right = [()] + [w.components for w in words]
-        entries = tuple(
-            tuple(target.state_eval(ls + rt) for rt in right) for ls in left
-        )
-        schur_ok = _lemma3_structure_holds(target, words, labels, entries)
+    words = centered_word_basis(space, basis_degree)
+    labels = ("1",) + tuple(w.text() for w in words)
+    left = [()] + [w.star().components for w in words]
+    right = [()] + [w.components for w in words]
+    entries = tuple(tuple(space.state_eval(ls + rt) for rt in right) for ls in left)
+    schur_ok = _lemma3_structure_holds(space, words, labels, entries)
     gram = GramMatrix(labels, entries)
     psd, pivots, witness = ldlt_psd(gram.entries)
     return PositivityResult(psd, pivots, witness, gram, schur_ok)

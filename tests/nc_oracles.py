@@ -29,7 +29,10 @@ against:
                                the whole Schur complement at every pivot and
                                recursing on it;
 * ``enumerate_nc_by_rgs``    - NC(n) as restricted-growth strings from a stack
-                               walk, each rebuilt into a partition.
+                               walk, each rebuilt into a partition;
+* ``plain_word_gram``        - a factor's Gram phi(w_s* w_t) over its plain
+                               words of degree <= d, whose PSD verdict the
+                               one-factor product Gram must give.
 
 Two helpers serve the tests on factor states: ``eval_phi_pi``, the
 multiplicative extension phi_pi, and ``words_up_to``, every word of a factor
@@ -165,10 +168,6 @@ class GroupedWord:
                         f"letters {left.text()} {right.text()} of factor "
                         f"{left.factor!r} are adjacent within a group"
                     )
-
-    @property
-    def group_count(self) -> int:
-        return len(self.boundaries)
 
     def groups(self) -> tuple[tuple[Letter, ...], ...]:
         starts = (0, *self.boundaries[:-1])
@@ -435,3 +434,18 @@ def _iter_nc_rgs(n: int) -> Iterator[tuple[int, ...]]:
         yield from walk(pos + 1, stack + (next_label,), next_label + 1)
 
     yield from walk(0, (), 0)
+
+
+def plain_word_gram(
+    state: FactorState, basis_degree: int
+) -> tuple[tuple[ComplexRational, ...], ...]:
+    """The entries phi(w_s* w_t) over every word of degree <= basis_degree.
+
+    The words span the same space as the unit and the centered words, so
+    this Gram is PSD exactly when ``check_positivity`` on the one-factor
+    product space finds its Gram PSD.
+    """
+    basis = sorted(all_words(state.letters(), basis_degree), key=Word.sort_key)
+    return tuple(
+        tuple(state.phi_word(ws.star() * wt) for wt in basis) for ws in basis
+    )

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ncprob import catalan, verification
+from ncprob import catalan, cumulant_calculus, verification
 from ncprob.cli import main
 from ncprob.scalar import ONE
 
@@ -320,6 +320,32 @@ def test_empty_sequence_needs_one_value(tmp_path, capsys, command, key):
     code, _, err = run(capsys, [command, f"--from-{key}", src])
     assert code == 2
     assert "at least one moment" in err
+
+
+@pytest.mark.parametrize("command,key", [
+    ("cumulants", "moments"), ("moments", "cumulants"),
+])
+@pytest.mark.parametrize("factor_spec", [False, True], ids=["sequence", "factor"])
+def test_over_cap_is_refused_before_any_work(
+    monkeypatch, tmp_path, capsys, command, key, factor_spec
+):
+    # Order 13 is past the cap of 12: the command refuses it before it
+    # computes a single cumulant or moment.
+    def fail(*args):
+        raise AssertionError("computed before the size check")
+
+    for name in ("first_block_cumulant", "first_block_moment", "enumerate_nc"):
+        monkeypatch.setattr(cumulant_calculus, name, fail)
+    if factor_spec:
+        table = {" ".join(["a"] * k): "1" for k in range(1, 14)}
+        obj = {"factor": "A", "degree_bound": 13,
+               "generators": [{"name": "a", "selfadjoint": True}], key: table}
+    else:
+        obj = {key: ["1"] * 13}
+    src = tmp_path / "over_cap.json"
+    src.write_text(json.dumps(obj))
+    code, out, err = run(capsys, [command, f"--from-{key}", src])
+    assert (code, out, err) == (2, "", "error: n must be within 1..12, got 13\n")
 
 
 def run_process(argv, timeout):

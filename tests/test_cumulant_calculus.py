@@ -321,6 +321,18 @@ def test_convolution_errors():
             MomentSequence.of([ComplexRational.parse("i"), ZERO]),
             MomentSequence.of([0, 1]),
         )
+    # 13 moments are past the cap, but a mismatch or a complex moment is
+    # still reported first.
+    long = [0, 1] * 6 + [0]
+    with pytest.raises(DimensionMismatchError):
+        free_convolve_additive(MomentSequence.of(long), MomentSequence.of(long[:12]))
+    with pytest.raises(ValidationError, match="real moments"):
+        free_convolve_additive(
+            MomentSequence.of([ComplexRational.parse("i")] + long[1:]),
+            MomentSequence.of(long),
+        )
+    with pytest.raises(SizeOutOfRangeError, match="got 13"):
+        free_convolve_additive(MomentSequence.of(long), MomentSequence.of(long))
 
 
 # -- the NC(n) sum oracle and the cumulant-table loader ------------------------------

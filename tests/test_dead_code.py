@@ -1,10 +1,11 @@
-"""Every public function, class and method of the package has a caller.
+"""Every public function, class and method of the package, and every oracle
+of ``tests/nc_oracles.py``, has a caller.
 
 No linter ships with the project, so this reads the syntax trees with the
 standard library.  A public name (one not starting with ``_``) defined at the
-top level of a module in ``src/ncprob``, or as a method of such a class, must
-be referenced outside its own definition somewhere in ``src``, ``tests`` or
-``ncbench``.  A reference is an ``ast.Name``, an ``ast.Attribute`` or an
+top level of a module in ``src/ncprob`` or of ``tests/nc_oracles.py``, or as a
+method of such a class, must be referenced outside its own definition
+somewhere in ``src``, ``tests`` or ``ncbench``.  A reference is an ``ast.Name``, an ``ast.Attribute`` or an
 import alias.  Matching is by name alone, so a reference to any attribute of
 the same name counts.  The re-exports of ``ncprob/__init__.py`` are not
 references: exporting a name does not use it.
@@ -71,7 +72,9 @@ def all_references() -> frozenset[str]:
 
 
 @pytest.mark.parametrize(
-    "path", [p for p in SOURCES if p.parent == PACKAGE], ids=lambda p: p.name
+    "path",
+    [p for p in SOURCES if p.parent == PACKAGE] + [ROOT / "tests" / "nc_oracles.py"],
+    ids=lambda p: p.name,
 )
 def test_public_definitions_are_referenced(path):
     references = all_references()

@@ -28,7 +28,6 @@ from ncprob import (
     enumerate_nc,
     kappa_n,
     product_space_from_json,
-    star_element,
 )
 from ncprob.moment_space import EMPTY_WORD
 from ncprob.scalar import ONE, ZERO
@@ -60,10 +59,10 @@ def letters(space):
 def random_element(rng, space, size=2):
     """A random element built from embedded letters via algebra operations."""
     ls = letters(space)
-    total = FreeElement.from_scalar(small_scalar(rng, complex_ok=False))
+    total = FreeElement(small_scalar(rng, complex_ok=False))
     for _ in range(size):
         word_len = rng.randint(1, 2)
-        piece = space.one()
+        piece = FreeElement.one()
         for _ in range(word_len):
             piece = space.multiply(piece, space.embed_letter(rng.choice(ls)))
         total = total + piece.scale(small_scalar(rng, complex_ok=False))
@@ -84,7 +83,7 @@ def test_embed_letter_structure(two_semicircles):
     centered = state.center(Polynomial.from_letter(la))
     assert element.scalar == state.phi_word(Word((la,)))
     assert element.words == {TensorWord((("A1", centered),)): ONE}
-    two_semicircles.validate_element(element)
+    assert two_semicircles.normal_form(element) == element
 
 
 def test_embed_respects_star(rng):
@@ -93,7 +92,7 @@ def test_embed_respects_star(rng):
     space = ProductSpace([state, other])
     lu = state.letter("u")
     p = Polynomial.from_letter(lu) * Polynomial.from_letter(lu.star()) + Polynomial.one()
-    assert space.embed("A1", p.star()) == star_element(space.embed("A1", p))
+    assert space.embed("A1", p.star()) == space.embed("A1", p).star()
 
 
 def test_embed_is_multiplicative(rng):
@@ -121,8 +120,8 @@ def test_embed_errors(two_semicircles):
 def test_unit_laws(rng):
     space = random_product_space(rng, 2, 4)
     x = random_element(rng, space)
-    assert space.multiply(x, space.one()) == x
-    assert space.multiply(space.one(), x) == x
+    assert space.multiply(x, FreeElement.one()) == x
+    assert space.multiply(FreeElement.one(), x) == x
 
 
 def test_four_term_expansion():
@@ -149,6 +148,19 @@ def test_four_term_expansion():
     assert got == expected
 
 
+def test_non_centered_component_is_rejected(two_semicircles):
+    # phi(a a) = 1, so a a is not centered: it is no tensor-word component.
+    la = two_semicircles.factor_state("A1").letter("a")
+    aa = Polynomial.from_letter(la) * Polynomial.from_letter(la)
+    x = FreeElement.from_word(TensorWord((("A1", aa),)))
+    with pytest.raises(ValidationError, match="not centered"):
+        two_semicircles.normal_form(x)
+    with pytest.raises(ValidationError, match="not centered"):
+        two_semicircles.multiply(FreeElement.one(), x)
+    with pytest.raises(ValidationError, match="not centered"):
+        two_semicircles.multiply(x, FreeElement.one())
+
+
 def test_reduction_rule_merges_boundary(two_semicircles):
     space = two_semicircles
     f1, f2 = space.factor_state("A1"), space.factor_state("A2")
@@ -169,7 +181,7 @@ def test_reduction_rule_merges_boundary(two_semicircles):
         },
     )
     assert got == expected
-    space.validate_element(got)
+    assert space.normal_form(got) == got
 
 
 def test_multiply_associative(rng):
@@ -188,11 +200,9 @@ def test_star_is_antiautomorphism(rng):
     space = random_product_space(rng, 2, 6)
     x = random_element(rng, space)
     y = random_element(rng, space)
-    assert star_element(space.multiply(x, y)) == space.multiply(
-        star_element(y), star_element(x)
-    )
-    assert star_element(star_element(x)) == x
-    assert star_element(space.one()) == space.one()
+    assert space.multiply(x, y).star() == space.multiply(y.star(), x.star())
+    assert x.star().star() == x
+    assert FreeElement.one().star() == FreeElement.one()
 
 
 def test_star_reverses_tensor_words(two_semicircles):
@@ -253,7 +263,7 @@ def test_kappa_base_examples(two_semicircles, rng):
     lb = space.factor_state("A2").letter("b")
     assert space.kappa_base([la, lb]) == ZERO
     assert space.kappa_base([la, la]) == kappa_n(space.factor_state("A1"), (la, la))
-    assert space.kappa_elements([space.one()]) == ONE
+    assert space.kappa_elements([FreeElement.one()]) == ONE
     with pytest.raises(ValidationError):
         space.kappa_base([])
 
@@ -340,7 +350,7 @@ def test_kappa_unit_slots_vanish(rng):
     # kappa_2(1, w) = kappa_2(w, 1) = 0 for alternating words w
     space = random_product_space(rng, 2, 4)
     ls = letters(space)
-    one = space.one()
+    one = FreeElement.one()
     for pattern in iproduct(ls, repeat=2):
         if pattern[0].factor == pattern[1].factor:
             continue
@@ -533,7 +543,7 @@ def test_state_examples(two_semicircles):
     space = two_semicircles
     la = space.factor_state("A1").letter("a")
     lb = space.factor_state("A2").letter("b")
-    assert space.state_eval(space.one()) == ONE
+    assert space.state_eval(FreeElement.one()) == ONE
     assert space.state_eval([la, lb, la, lb]) == ZERO
     assert space.state_eval([la, la, lb, lb]) == ONE
     assert space.state_eval([la, lb, lb, la]) == ONE
@@ -546,7 +556,7 @@ def test_state_two_routes_agree(rng):
         for _ in range(5):
             tup = tuple(rng.choice(ls) for _ in range(n))
             direct = space.state_eval(tup)
-            element = space.one()
+            element = FreeElement.one()
             for l in tup:
                 element = space.multiply(element, space.embed_letter(l))
             assert direct == space.state_eval(element)

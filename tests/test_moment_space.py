@@ -20,7 +20,6 @@ from ncprob import (
     enumerate_nc,
     factor_state_from_json,
     parse_word,
-    star,
 )
 from ncprob.moment_space import EMPTY_WORD, all_words
 from ncprob.scalar import ONE, ZERO
@@ -57,7 +56,7 @@ def test_word_star_reverses_and_flips():
     w = Word((lu, lv))
     assert w.star() == Word((lv.star(), lu.star()))
     assert EMPTY_WORD.star() == EMPTY_WORD
-    assert star(w.star()) == w
+    assert w.star().star() == w
 
 
 def test_polynomial_algebra():

@@ -27,6 +27,7 @@ from ncprob import (
     check_freeness_cumulants,
     check_freeness_moments,
     check_positivity,
+    factor_state_from_json,
     joint_kappa,
     ldlt_psd,
     product_space_from_json,
@@ -44,7 +45,7 @@ from conftest import (
     semicircle_factor,
     small_scalar,
 )
-from nc_oracles import lattice_sum, ldlt_psd_by_recursion
+from nc_oracles import lattice_sum, ldlt_psd_by_recursion, plain_word_gram
 
 
 def scalar(x) -> ComplexRational:
@@ -278,7 +279,7 @@ def test_variance_factorization_matches_grouped_route(rng):
         for pb in patterns:
             a = tensor_word_of_letters(space, pa)
             b = tensor_word_of_letters(space, pb)
-            direct = variance_factorization(space, a, b)
+            direct = variance_factorization(space, a, b, {})
             general = space.kappa_elements(
                 [FreeElement.from_word(a).star(), FreeElement.from_word(b)]
             )
@@ -300,7 +301,7 @@ def test_variance_factorization_on_a_non_tracial_factor(rng):
         for wt in words:
             if [f for f, _ in ws.components] == [f for f, _ in wt.components]:
                 pairs += 1
-                assert variance_factorization(space, ws, wt) == space.kappa_elements(
+                assert variance_factorization(space, ws, wt, {}) == space.kappa_elements(
                     [FreeElement.from_word(ws).star(), FreeElement.from_word(wt)]
                 )
     assert pairs > 20
@@ -309,7 +310,7 @@ def test_variance_factorization_on_a_non_tracial_factor(rng):
 def test_variance_factorization_mismatched_lengths(two_semicircles):
     a = tensor_word_of_letters(two_semicircles, ("A1",))
     b = tensor_word_of_letters(two_semicircles, ("A1", "A2"))
-    assert variance_factorization(two_semicircles, a, b) == ZERO
+    assert variance_factorization(two_semicircles, a, b, {}) == ZERO
 
 
 def test_variance_single_slot_is_phi_of_product(rng):
@@ -320,7 +321,7 @@ def test_variance_single_slot_is_phi_of_product(rng):
     a0 = state.center(Polynomial.from_letter(la))
     b0 = state.center(Polynomial.from_letter(la) * Polynomial.from_letter(la))
     value = variance_factorization(
-        space, TensorWord((("A1", a0),)), TensorWord((("A1", b0),))
+        space, TensorWord((("A1", a0),)), TensorWord((("A1", b0),)), {}
     )
     assert value == state.eval_phi_n([a0.star(), b0])
 
@@ -331,7 +332,7 @@ def test_variance_self_pairing_nonnegative(rng):
     )
     for pattern in [("A1",), ("A1", "A2"), ("A2", "A1")]:
         w = tensor_word_of_letters(space, pattern)
-        value = variance_factorization(space, w, w)
+        value = variance_factorization(space, w, w, {})
         assert value.is_real() and value.re >= 0
 
 
@@ -509,7 +510,7 @@ def test_positivity_trivial_basis(two_semicircles):
 
 def test_semicircle_factor_positive():
     state = semicircle_factor("A1", "a")
-    result = check_positivity(state, 3)
+    result = check_positivity(ProductSpace([state]), 3)
     assert result.psd and result.witness is None
     assert all(p >= 0 for p in result.pivots)
 
@@ -522,7 +523,7 @@ def test_negative_factor_state_witness():
         Word((lg, lg)): scalar(-1),
     }
     factor = __import__("ncprob").FactorState("F", 2, [g], state)
-    result = check_positivity(factor, 1)
+    result = check_positivity(ProductSpace([factor]), 1)
     assert not result.psd
     assert result.witness is not None
     assert witness_value(result.gram.entries, result.witness).re < 0
@@ -542,7 +543,7 @@ def test_positive_factors_give_positive_product(rng):
             for i in range(factor_count)
         ]
         for state in factors:
-            assert check_positivity(state, 2).psd
+            assert check_positivity(ProductSpace([state]), 2).psd
         space = ProductSpace(factors)
         result = check_positivity(space, 2)
         assert result.psd
@@ -579,7 +580,7 @@ def test_gram_matches_multiply_oracle(two_semicircles, spec):
     )
     result = check_positivity(space, 2)
     words = centered_word_basis(space, 2)
-    basis = [space.one()] + [FreeElement.from_word(w) for w in words]
+    basis = [FreeElement.one()] + [FreeElement.from_word(w) for w in words]
     assert len(result.gram.entries) == len(basis)
     for bs, row in zip(basis, result.gram.entries):
         for bt, entry in zip(basis, row):
@@ -589,6 +590,40 @@ def test_gram_matches_multiply_oracle(two_semicircles, spec):
 def test_positivity_rejects_a_joint_moment_table():
     with pytest.raises(ValidationError, match="cannot treat"):
         check_positivity(nonfree_coupling(), 1)
+
+
+def test_positivity_rejects_a_bare_factor_state():
+    with pytest.raises(ValidationError, match="as a product space"):
+        check_positivity(semicircle_factor("A1", "a"), 1)
+
+
+def one_factor_cases():
+    rng = random.Random(20261018)
+    for k in range(4):
+        yield f"measure{k}", measure_factor_state(rng, "A1", "a", 6)
+    for k in range(6):
+        yield f"selfadjoint{k}", random_factor_state(rng, "A1", ("a", "b")[: 1 + k % 2], 4)
+    for k in range(4):
+        yield f"u{k}", random_factor_state(rng, "A1", ("u",), 4, selfadjoint=False)
+    spec = json.loads((GOLDEN_INPUTS / "not_psd.json").read_text())
+    yield "not_psd", factor_state_from_json(spec)
+
+
+def test_one_factor_positivity_matches_plain_word_gram():
+    # The unit and the centered words span the plain words of degree <= d,
+    # so both Grams are PSD or neither is; each witness fails its own Gram.
+    verdicts = set()
+    for name, state in one_factor_cases():
+        for d in range(state.degree_bound // 2 + 1):
+            result = check_positivity(ProductSpace([state]), d)
+            plain = plain_word_gram(state, d)
+            psd, _, witness = ldlt_psd(plain)
+            assert result.psd == psd, (name, d)
+            verdicts.add(psd)
+            if not psd:
+                assert witness_value(plain, witness).re < 0
+                assert witness_value(result.gram.entries, result.witness).re < 0
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("s, t", [(0, 1), (1, 2)])
