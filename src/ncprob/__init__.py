@@ -17,7 +17,6 @@ from .nc_lattice import (
     catalan,
     enumerate_nc,
     is_noncrossing,
-    join_nc,
     leq,
     moebius,
     parse_partition,
@@ -40,10 +39,8 @@ from .cumulant_calculus import (
     first_block_moment,
     free_convolve_additive,
     kappa_n,
-    kappa_pi,
     kappa_words,
     moment_sequence_from_cumulants,
-    moments_from_cumulants,
 )
 from .free_product import (
     FreeElement,
@@ -57,11 +54,9 @@ from .verification import (
     GramMatrix,
     JointState,
     PositivityResult,
-    check_equivalence,
     check_freeness_cumulants,
     check_freeness_moments,
     check_positivity,
-    joint_kappa,
     ldlt_psd,
     variance_factorization,
 )

@@ -39,6 +39,10 @@ def _load_json(path: str) -> object:
         ) from exc
     except OSError as exc:
         raise SpecFormatError(f"{path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise SpecFormatError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+    except RecursionError as exc:
+        raise SpecFormatError(f"{path}: JSON nested too deeply") from exc
 
 
 def _load_space(path: str) -> ProductSpace:

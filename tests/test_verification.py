@@ -23,12 +23,11 @@ from ncprob import (
     TruncationError,
     ValidationError,
     Word,
-    check_equivalence,
     check_freeness_cumulants,
     check_freeness_moments,
     check_positivity,
     factor_state_from_json,
-    joint_kappa,
+    first_block_cumulant,
     ldlt_psd,
     product_space_from_json,
     variance_factorization,
@@ -90,7 +89,6 @@ def test_constructed_space_is_free(two_semicircles):
     r_c = check_freeness_cumulants(two_semicircles, 4)
     assert r_m.ok and r_c.ok
     assert r_m.checked_words > 0 and r_c.checked_words > 0
-    assert check_equivalence(two_semicircles, 4)
 
 
 def test_single_factor_is_vacuously_free(rng):
@@ -99,7 +97,6 @@ def test_single_factor_is_vacuously_free(rng):
     assert r_c.ok and r_c.checked_words == 0  # no mixed tuples exist
     r_m = check_freeness_moments(space, 4)
     assert r_m.ok  # single centered slots all have phi = 0
-    assert check_equivalence(space, 4)
 
 
 def test_nonfree_coupling_detected():
@@ -110,7 +107,6 @@ def test_nonfree_coupling_detected():
     r_c = check_freeness_cumulants(joint, 2)
     assert not r_c.ok
     assert ("a b", ONE) in r_c.violations
-    assert check_equivalence(joint, 2)  # both sides fail together
 
 
 def test_explicit_joint_state_rejects_an_unknown_generator():
@@ -134,8 +130,8 @@ def test_freeness_checks_reject_a_factor_state():
 
 def test_explicit_copy_of_a_product_space_matches_it(rng):
     # The joint table of a + u read off the space's own state_eval on every
-    # letter word of degree <= N: both checks, joint_kappa and the marginals
-    # must agree with the space itself.
+    # letter word of degree <= N: both checks, the joint cumulants and the
+    # marginals must agree with the space itself.
     n = 5
     space = ProductSpace([
         random_factor_state(rng, "A1", ("a",), n),
@@ -152,7 +148,9 @@ def test_explicit_copy_of_a_product_space_matches_it(rng):
         assert report.to_json() == check(space, n).to_json()
     for k in range(1, 5):
         for tup in iproduct(ls, repeat=k):
-            assert joint_kappa(joint, tup) == joint_kappa(space, tup)
+            assert first_block_cumulant(tup, joint.state_eval, {}) == (
+                first_block_cumulant(tup, space.state_eval, {})
+            )
     assert sorted(joint.factors) == sorted(space.factors)
     for i, state in space.factors.items():
         for w in all_words(state.letters(), n):
@@ -164,11 +162,11 @@ def test_classical_independence_is_not_freeness():
     la = joint.factor_state("A1").letters()[0]
     lb = joint.factor_state("A2").letters()[0]
     # mixed fourth cumulant: only 1_4 contributes, phi(abab) = 1
-    assert joint_kappa(joint, (la, lb, la, lb)) == ONE
+    assert first_block_cumulant((la, lb, la, lb), joint.state_eval, {}) == ONE
     r_c = check_freeness_cumulants(joint, 4)
     assert not r_c.ok
     assert ("a b a b", ONE) in r_c.violations
-    assert check_equivalence(joint, 4)
+    assert not check_freeness_moments(joint, 4).ok
 
 
 def random_joint_state(rng, degree_bound):
@@ -199,19 +197,19 @@ def test_joint_kappa_matches_lattice_sum(rng):
                     lambda block: joint.state_eval(tuple(tup[i - 1] for i in block)),
                     weighted=True,
                 )
-                assert joint_kappa(joint, tup) == expected
+                assert first_block_cumulant(tup, joint.state_eval, {}) == expected
 
 
 def test_freeness_cumulants_matches_per_tuple_joint_kappa(rng):
     # One kernel memo for the whole check: the same violations, in the same
-    # order, as a fresh joint_kappa per letter tuple.
+    # order, as a fresh kernel memo per letter tuple.
     joint = random_joint_state(rng, 4)
     ls = [l for i in sorted(joint.factors) for l in joint.factor_state(i).letters()]
     expected = []
     for n in range(2, 5):
         for tup in iproduct(ls, repeat=n):
             if len({l.factor for l in tup}) > 1:
-                value = joint_kappa(joint, tup)
+                value = first_block_cumulant(tup, joint.state_eval, {})
                 if value:
                     expected.append((" ".join(l.text() for l in tup), value))
     assert len(expected) > 50
@@ -240,7 +238,6 @@ def test_perturbed_product_fails_both_ways(two_semicircles):
     joint = ExplicitJointState({"A1": [ga], "A2": [gb]}, 4, moments)
     assert not check_freeness_moments(joint, 4).ok
     assert not check_freeness_cumulants(joint, 4).ok
-    assert check_equivalence(joint, 4)
 
 
 def test_report_serialization(two_semicircles):
@@ -257,7 +254,8 @@ def test_equivalence_on_random_spaces(rng):
     for factor_count in (2, 3):
         for _ in range(5):
             space = random_product_space(rng, factor_count, 4)
-            assert check_equivalence(space, 4)
+            assert check_freeness_moments(space, 4).ok
+            assert check_freeness_cumulants(space, 4).ok
 
 
 # -- variance factorization -------------------------------------------------------
