@@ -22,11 +22,6 @@ from .free_product import ProductSpace, product_space_from_json
 from .moment_space import Letter, Word, factor_state_from_json
 from .nc_lattice import block_text, check_lattice_size, enumerate_nc, moebius, parse_partition
 from .scalar import ComplexRational
-from .verification import (
-    check_freeness_cumulants,
-    check_freeness_moments,
-    check_positivity,
-)
 
 
 def _load_json(path: str) -> object:
@@ -179,6 +174,13 @@ def _cmd_convolve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # Imported here, so the other commands do not load the checks.
+    from .verification import (
+        check_freeness_cumulants,
+        check_freeness_moments,
+        check_positivity,
+    )
+
     space = _load_space(args.spec)
     reports = []
     failed = False

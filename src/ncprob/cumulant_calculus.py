@@ -37,13 +37,7 @@ from .errors import (
     TruncationError,
     ValidationError,
 )
-from .moment_space import (
-    FactorState,
-    Letter,
-    Word,
-    generator_letters,
-    parse_factor_spec,
-)
+from .moment_space import Letter, generator_letters, parse_factor_spec
 from .nc_lattice import check_lattice_size, enumerate_nc, moebius_to_top
 from .scalar import ONE, ZERO, ComplexRational
 
@@ -152,24 +146,6 @@ def first_block_cumulant(
         return value
 
     return kappa(tuple(args))
-
-
-def kappa_words(state: FactorState, words: Sequence[Word]) -> ComplexRational:
-    """Joint free cumulant of a tuple of factor words, by the first-block recursion.
-
-    Words may be empty (the identity); the total degree of every block
-    evaluation must stay within the state's bound.
-    """
-    return first_block_cumulant(
-        words,
-        lambda sub: state.phi_word(Word(tuple(l for w in sub for l in w.letters))),
-        {},
-    )
-
-
-def kappa_n(state: FactorState, letters: Sequence[Letter]) -> ComplexRational:
-    """kappa_n(a_1, ..., a_n) for single-letter arguments."""
-    return kappa_words(state, [Word((l,)) for l in letters])
 
 
 class CumulantTable:

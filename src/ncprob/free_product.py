@@ -121,10 +121,6 @@ class FreeElement:
         self.words = cleaned
 
     @classmethod
-    def zero(cls) -> "FreeElement":
-        return cls()
-
-    @classmethod
     def one(cls) -> "FreeElement":
         return cls(ONE)
 
@@ -252,9 +248,9 @@ class ProductSpace:
                 if word.degree > 0
             ]
             if not choices:
-                return FreeElement.zero()
+                return FreeElement()
             slot_choices.append(choices)
-        total = FreeElement.zero()
+        total = FreeElement()
         for combo in iter_product(*slot_choices):
             coeff = ONE
             slots = []
@@ -280,9 +276,6 @@ class ProductSpace:
         if centered.is_zero():
             return FreeElement(value)
         return FreeElement(value) + self._expand_to_basis(((index, centered),))
-
-    def embed_letter(self, letter: Letter) -> FreeElement:
-        return self.embed(letter.factor, Polynomial.from_letter(letter))
 
     def multiply(self, x: FreeElement, y: FreeElement) -> FreeElement:
         """Bilinear extension of concatenation-and-reduction, in normal form."""
@@ -319,7 +312,7 @@ class ProductSpace:
         merged = poly_left * poly_right
         value = state.phi_poly(merged)  # raises past the degree bound
         centered = merged - Polynomial.monomial(EMPTY_WORD, value)
-        out = FreeElement.zero()
+        out = FreeElement()
         if not centered.is_zero():
             out = out + self._expand_to_basis(
                 left[:-1] + ((factor_left, centered),) + right[1:]

@@ -108,10 +108,6 @@ class Polynomial:
         self._hash: int | None = None
 
     @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls()
-
-    @classmethod
     def one(cls) -> "Polynomial":
         return cls({EMPTY_WORD: ONE})
 
@@ -126,9 +122,6 @@ class Polynomial:
     def items(self) -> Iterator[tuple[Word, ComplexRational]]:
         """Terms in deterministic (degree, letters) order."""
         return iter(sorted(self._terms.items(), key=lambda kv: kv[0].sort_key()))
-
-    def coefficient(self, word: Word) -> ComplexRational:
-        return self._terms.get(word, ZERO)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -338,11 +331,6 @@ class FactorState:
         for p in args:
             product = product * p
         return self.phi_poly(product)
-
-    def center(self, p: Polynomial) -> Polynomial:
-        """p - phi(p) 1; afterwards phi(center(p)) = 0 exactly."""
-        value = self.phi_poly(p)
-        return p - Polynomial.monomial(EMPTY_WORD, value)
 
     def __repr__(self) -> str:
         return (

@@ -74,21 +74,6 @@ class Partition:
         canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0] if b else 0))
         return cls(n, canon)
 
-    @classmethod
-    def bottom(cls, n: int) -> "Partition":
-        return cls(n, tuple((k,) for k in range(1, n + 1)))
-
-    @classmethod
-    def top(cls, n: int) -> "Partition":
-        return cls(n, (tuple(range(1, n + 1)),))
-
-    @classmethod
-    def from_rgs(cls, rgs: tuple[int, ...]) -> "Partition":
-        blocks: dict[int, list[int]] = {}
-        for pos, label in enumerate(rgs, start=1):
-            blocks.setdefault(label, []).append(pos)
-        return cls.of(len(rgs), blocks.values())
-
     def rgs(self) -> tuple[int, ...]:
         """Restricted-growth string: label of each element's block, labels by first appearance."""
         out = [0] * self.n

@@ -41,6 +41,7 @@ from .moment_space import (
     normalize_moments,
 )
 from .free_product import ProductSpace, TensorWord
+from .nc_lattice import check_lattice_size
 from .scalar import ONE, ZERO, ComplexRational
 
 
@@ -210,9 +211,13 @@ def check_freeness_cumulants(target: JointState, max_degree: int) -> FreenessRep
 
     Each kappa_n is recomputed from the joint moments by the first-block
     recursion, with one kernel memo for the whole check, so a sub-tuple
-    shared by many letter tuples is computed once.
+    shared by many letter tuples is computed once.  With two or more factors,
+    a max degree past the enumeration cap is refused before any cumulant is
+    computed.
     """
     _check_target(target, max_degree)
+    if len(target.factors) > 1 and max_degree > 1:
+        check_lattice_size(max_degree)
     letters = [
         l for _, state in sorted(target.factors.items()) for l in state.letters()
     ]

@@ -1,29 +1,31 @@
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from ncprob import (
-    ComplexRational,
+from ncprob.free_product import ProductSpace
+from ncprob.moment_space import (
     FactorState,
     GeneratorSymbol,
     Letter,
-    ProductSpace,
     Word,
+    all_words,
+    canonical_moment_key,
 )
-from ncprob.moment_space import all_words, canonical_moment_key
+from ncprob.scalar import ComplexRational
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
-SEMICIRCLE = {1: 0, 2: 1, 3: 0, 4: 2, 5: 0, 6: 5}
-
-
 def semicircle_factor(index: str, name: str, degree_bound: int = 6) -> FactorState:
+    """The standard semicircle: m_k is Catalan(k/2) for even k, 0 for odd k."""
     g = GeneratorSymbol(name, selfadjoint=True)
     letter = Letter(g, False, index)
     moments = {
-        Word((letter,) * k): ComplexRational.of(SEMICIRCLE[k])
+        Word((letter,) * k): ComplexRational.of(
+            0 if k % 2 else math.comb(k, k // 2) // (k // 2 + 1)
+        )
         for k in range(1, degree_bound + 1)
     }
     return FactorState(index, degree_bound, [g], moments)

@@ -23,7 +23,8 @@ are the routes it is checked against, and the NC(n) join the tests use:
                                slots, each term by the join-constrained sum;
 * ``kappa_base_atoms``       - the pure cumulant of (factor, polynomial)
                                atoms, by multilinear expansion into word
-                               tuples, each one ``kappa_words`` of the factor;
+                               tuples, each one ``kappa_words`` (below) of the
+                               factor;
 * ``join_nc_by_rescan``      - the package's only NC(n) join, merging one
                                crossing pair of blocks per rescan of all
                                pairs; ``admissible_tops`` uses it, and the
@@ -37,9 +38,15 @@ are the routes it is checked against, and the NC(n) join the tests use:
                                words of degree <= d, whose PSD verdict the
                                one-factor product Gram must give.
 
-Two helpers serve the tests on factor states: ``eval_phi_pi``, the
-multiplicative extension phi_pi, and ``words_up_to``, every word of a factor
-up to a degree.
+Helpers serve the tests where the library has no method of its own:
+
+* on factor states: ``eval_phi_pi``, the multiplicative extension phi_pi;
+  ``words_up_to``, every word of a factor up to a degree; ``center``,
+  p - phi(p) 1; ``kappa_words``, the joint cumulant of factor words by the
+  first-block kernel; and ``kappa_n``, its case of one-letter words;
+* on NC(n): ``singletons`` (0_n), ``one_block`` (1_n) and
+  ``partition_from_rgs``;
+* on product spaces: ``embed_letter``, one letter as an algebra element.
 """
 
 from __future__ import annotations
@@ -50,24 +57,25 @@ from functools import cache
 from itertools import combinations, product as iter_product
 from typing import Callable, Iterator, Sequence
 
-from ncprob import (
-    DimensionMismatchError,
+from ncprob.cumulant_calculus import first_block_cumulant
+from ncprob.errors import DimensionMismatchError, TruncationError, ValidationError
+from ncprob.free_product import FreeElement, ProductSpace
+from ncprob.moment_space import (
+    EMPTY_WORD,
     FactorState,
-    FreeElement,
     Letter,
-    Partition,
     Polynomial,
-    ProductSpace,
-    TruncationError,
-    ValidationError,
     Word,
+    all_words,
+)
+from ncprob.nc_lattice import (
+    Partition,
+    check_lattice_size,
     enumerate_nc,
-    kappa_words,
     leq,
     moebius,
+    moebius_to_top,
 )
-from ncprob.moment_space import all_words
-from ncprob.nc_lattice import check_lattice_size, moebius_to_top
 from ncprob.scalar import ONE, ZERO, ComplexRational
 
 # The unit as a grouped-word atom: a slot with no factor.
@@ -139,6 +147,52 @@ def words_up_to(state: FactorState, max_degree: int) -> Iterator[Word]:
     return all_words(state.letters(), max_degree)
 
 
+def center(state: FactorState, p: Polynomial) -> Polynomial:
+    """p - phi(p) 1; afterwards phi of it is 0 exactly."""
+    return p - Polynomial.monomial(EMPTY_WORD, state.phi_poly(p))
+
+
+def kappa_words(state: FactorState, words: Sequence[Word]) -> ComplexRational:
+    """Joint free cumulant of a tuple of factor words, by the first-block kernel.
+
+    Words may be empty (the identity); the total degree of every block
+    evaluation must stay within the state's bound.
+    """
+    return first_block_cumulant(
+        words,
+        lambda sub: state.phi_word(Word(tuple(l for w in sub for l in w.letters))),
+        {},
+    )
+
+
+def kappa_n(state: FactorState, letters: Sequence[Letter]) -> ComplexRational:
+    """kappa_n(a_1, ..., a_n) for single-letter arguments."""
+    return kappa_words(state, [Word((l,)) for l in letters])
+
+
+def singletons(n: int) -> Partition:
+    """0_n, the bottom of NC(n)."""
+    return interval_partition((1,) * n)
+
+
+def one_block(n: int) -> Partition:
+    """1_n, the top of NC(n)."""
+    return interval_partition((n,))
+
+
+def partition_from_rgs(rgs: Sequence[int]) -> Partition:
+    """The partition whose element k lies in block ``rgs[k - 1]``."""
+    blocks: dict[int, list[int]] = {}
+    for pos, label in enumerate(rgs, start=1):
+        blocks.setdefault(label, []).append(pos)
+    return Partition.of(len(rgs), blocks.values())
+
+
+def embed_letter(space: ProductSpace, letter: Letter) -> FreeElement:
+    """One letter as an element of the free product."""
+    return space.embed(letter.factor, Polynomial.from_letter(letter))
+
+
 @dataclass(frozen=True)
 class GroupedWord:
     """A flat letter sequence cut into groups by boundary indices.
@@ -198,7 +252,7 @@ def admissible_tops(sizes: tuple[int, ...]) -> tuple[Partition, ...]:
     """All pi in NC(sum sizes) whose join with the interval partition is full."""
     n = sum(sizes)
     sigma = interval_partition(sizes)
-    top = Partition.top(n)
+    top = one_block(n)
     return tuple(pi for pi in enumerate_nc(n) if join_nc_by_rescan(pi, sigma) == top)
 
 

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from ncprob import catalan, cumulant_calculus, verification
+from ncprob import cumulant_calculus, verification
 from ncprob.cli import main
-from ncprob.scalar import ONE
+from ncprob.nc_lattice import catalan
+from ncprob.scalar import ONE, ComplexRational
 
 from conftest import SPECS
 
@@ -112,8 +113,6 @@ def test_joint_table_round_trip(tmp_path, capsys):
     assert code == 0
     reconstructed = json.loads(out2)["moments"]
     for word, value in factor_spec["moments"].items():
-        from ncprob import ComplexRational
-
         assert ComplexRational.parse(reconstructed[word]) == ComplexRational.parse(value)
 
 
@@ -359,6 +358,38 @@ def run_process(argv, timeout):
         [sys.executable, "-m", "ncprob.cli", *argv],
         capture_output=True, text=True, env=env, timeout=timeout,
     )
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["nc", "7"], False),
+    (["moebius", "3", "{1}{2}{3}", "{1,2,3}"], False),
+    (["cumulants", "--from-moments", str(SPECS / "semicircle_std.json")], False),
+    (["verify", "--spec", str(SPECS / "two_semicircles.json"), "--max-degree", "2"], True),
+], ids=lambda v: v[0] if isinstance(v, list) else str(v))
+def test_only_verify_loads_the_checks(monkeypatch, argv, loaded):
+    # Python lists every module it imports on stderr, one per line.
+    monkeypatch.setenv("PYTHONPROFILEIMPORTTIME", "1")
+    proc = run_process(argv, timeout=30)
+    assert proc.returncode == 0 and proc.stdout
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert "ncprob" in imported
+    assert ("ncprob.verification" in imported) == loaded
+
+
+def test_verify_cumulants_past_the_cap_is_status_2(tmp_path, capsys):
+    # Order 13 is past the cap of 12, and with two factors it is refused
+    # before any mixed cumulant is computed.
+    def factor(index, name):
+        return {"factor": index, "degree_bound": 13,
+                "generators": [{"name": name, "selfadjoint": True}],
+                "moments": {" ".join([name] * k): "0" for k in range(1, 14)}}
+
+    spec = {"degree_bound": 13, "factors": [factor("A1", "a"), factor("A2", "b")]}
+    src = tmp_path / "spec.json"
+    src.write_text(json.dumps(spec))
+    argv = ["verify", "--spec", src, "--mode", "cumulants", "--max-degree", "13"]
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (2, "", "error: n must be within 1..12, got 13\n")
 
 
 @pytest.mark.parametrize("first", ["1e100000000", "1e5000", "1e3000"])

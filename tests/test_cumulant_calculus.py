@@ -6,37 +6,42 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncprob import (
-    ComplexRational,
+from ncprob.cumulant_calculus import (
     CumulantTable,
-    DimensionMismatchError,
-    FactorState,
-    GeneratorSymbol,
-    Letter,
     MomentSequence,
-    Partition,
-    Polynomial,
-    ProductSpace,
+    cumulant_table_from_json,
+    cumulants_from_moment_sequence,
+    first_block_cumulant,
+    first_block_moment,
+    free_convolve_additive,
+    moment_sequence_from_cumulants,
+)
+from ncprob.errors import (
+    DimensionMismatchError,
     SizeOutOfRangeError,
     SpecFormatError,
     TruncationError,
     ValidationError,
-    Word,
-    cumulant_table_from_json,
-    cumulants_from_moment_sequence,
-    enumerate_nc,
-    first_block_cumulant,
-    first_block_moment,
-    free_convolve_additive,
-    kappa_n,
-    kappa_words,
-    moebius,
-    moment_sequence_from_cumulants,
 )
-from ncprob.scalar import ONE, ZERO
+from ncprob.free_product import ProductSpace
+from ncprob.moment_space import FactorState, GeneratorSymbol, Letter, Polynomial, Word
+from ncprob.nc_lattice import Partition, enumerate_nc, moebius
+from ncprob.scalar import ONE, ZERO, ComplexRational
 
-from conftest import random_factor_state, semicircle_factor, small_fraction
-from nc_oracles import kappa_pi_via_moebius, lattice_sum
+from conftest import (
+    measure_factor_state,
+    random_factor_state,
+    semicircle_factor,
+    small_fraction,
+)
+from nc_oracles import (
+    kappa_n,
+    kappa_pi_via_moebius,
+    kappa_words,
+    lattice_sum,
+    one_block,
+    singletons,
+)
 
 
 # -- independent scalar oracle: nested first-block recursion --------------------
@@ -128,11 +133,11 @@ def test_kappa_pi_special_partitions(rng):
     space = ProductSpace([state])
     la = state.letter("a")
     tup = (la,) * 4
-    assert space.kappa_pure_pi(Partition.top(4), tup) == kappa_n(state, tup)
+    assert space.kappa_pure_pi(one_block(4), tup) == kappa_n(state, tup)
     expected_bottom = ONE
     for _ in range(4):
         expected_bottom = expected_bottom * kappa_n(state, (la,))
-    assert space.kappa_pure_pi(Partition.bottom(4), tup) == expected_bottom
+    assert space.kappa_pure_pi(singletons(4), tup) == expected_bottom
     nested = Partition.of(4, [[1, 4], [2, 3]])
     assert space.kappa_pure_pi(nested, tup) == kappa_n(state, (la, la)) * kappa_n(
         state, (la, la)
@@ -153,7 +158,7 @@ def test_kappa_pi_dimension_error(rng):
     state = random_factor_state(rng, "A", ("a",), 4)
     la = state.letter("a")
     with pytest.raises(DimensionMismatchError):
-        ProductSpace([state]).kappa_pure_pi(Partition.top(3), (la, la))
+        ProductSpace([state]).kappa_pure_pi(one_block(3), (la, la))
 
 
 # -- moment reconstruction -----------------------------------------------------------
@@ -247,7 +252,7 @@ def test_homogeneity(rng):
     for n in (1, 2, 3, 4):
         cs = [ComplexRational(small_fraction(rng), small_fraction(rng)) for _ in range(n)]
         args = [c * a for c in cs]
-        top = Partition.top(n)
+        top = one_block(n)
         lhs = ZERO
         for sigma in enumerate_nc(n):
             term = ONE
@@ -312,6 +317,45 @@ def test_convolution_commutative_associative(rng):
     lhs = free_convolve_additive(free_convolve_additive(x, y), z)
     rhs = free_convolve_additive(x, free_convolve_additive(y, z))
     assert lhs.values == rhs.values
+
+
+def moments_of(state):
+    """The moment sequence of a one-letter factor state."""
+    (letter,) = state.letters()
+    return MomentSequence.of(
+        [state.phi_word(Word((letter,) * k)) for k in range(1, state.degree_bound + 1)]
+    )
+
+
+def sum_moments_by_product_state(fa, fb):
+    """phi((a + b)^n) for n <= N in the free product of the two factors: the
+    product state summed over the 2^n words in a and b."""
+    (la,), (lb,) = fa.letters(), fb.letters()
+    space = ProductSpace([fa, fb])
+    out = []
+    for n in range(1, fa.degree_bound + 1):
+        total = ZERO
+        for word in iproduct((la, lb), repeat=n):
+            total = total + space.state_eval(word)
+        out.append(total)
+    return tuple(out)
+
+
+def test_convolution_matches_the_product_state(rng):
+    fa = measure_factor_state(rng, "A", "a", 8)
+    fb = measure_factor_state(rng, "B", "b", 8)
+    out = free_convolve_additive(moments_of(fa), moments_of(fb))
+    assert out.values == sum_moments_by_product_state(fa, fb)
+
+
+@settings(deadline=None, max_examples=25)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6))
+def test_convolution_matches_the_product_state_on_random_measures(seed, n):
+    rng = random.Random(seed)
+    fa = measure_factor_state(rng, "A", "a", n)
+    fb = measure_factor_state(rng, "B", "b", n)
+    out = free_convolve_additive(moments_of(fa), moments_of(fb))
+    assert out.values == sum_moments_by_product_state(fa, fb)
 
 
 def test_convolution_errors():

@@ -1,5 +1,6 @@
 """Every public function, class and method of the package, and every oracle
-of ``tests/nc_oracles.py``, has a caller.
+of ``tests/nc_oracles.py``, has a caller; in the package, one outside
+``tests``, unless it is one of the paper's objects that only tests call.
 
 No linter ships with the project, so this reads the syntax trees with the
 standard library.  A public name (one not starting with ``_``) defined at the
@@ -7,7 +8,7 @@ top level of a module in ``src/ncprob`` or of ``tests/nc_oracles.py``, or as a
 method of such a class, must be referenced outside its own definition
 somewhere in ``src``, ``tests`` or ``ncbench``.  A reference is an ``ast.Name``, an ``ast.Attribute`` or an
 import alias.  Matching is by name alone, so a reference to any attribute of
-the same name counts.  The re-exports of ``ncprob/__init__.py`` are not
+the same name counts.  The imports of ``ncprob/__init__.py`` are not
 references: exporting a name does not use it.
 """
 
@@ -63,11 +64,24 @@ def referenced_names(tree: ast.AST, inside: tuple[str, ...] = ()) -> set[str]:
     return found
 
 
+# The free-product algebra, its cumulant layers and the Kreweras complement:
+# the paper's objects, which the CLI does not run and the tests do.
+TESTED_PAPER_OBJECTS = {
+    "ProductSpace.embed",
+    "ProductSpace.multiply",
+    "ProductSpace.kappa_base",
+    "ProductSpace.kappa_pure_pi",
+    "ProductSpace.kappa_elements",
+    "kreweras",
+}
+
+
 @cache
-def all_references() -> frozenset[str]:
+def all_references(dirs: tuple[str, ...] = ("src", "tests", "ncbench")) -> frozenset[str]:
     found = set()
     for path in SOURCES:
-        found |= referenced_names(ast.parse(path.read_text(encoding="utf-8")))
+        if path.relative_to(ROOT).parts[0] in dirs:
+            found |= referenced_names(ast.parse(path.read_text(encoding="utf-8")))
     return frozenset(found)
 
 
@@ -84,6 +98,19 @@ def test_public_definitions_are_referenced(path):
         if name.rsplit(".", 1)[-1] not in references
     ]
     assert not dead, f"{path.name} defines names nothing references: {dead}"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.parent == PACKAGE], ids=lambda p: p.name
+)
+def test_public_definitions_have_a_caller_outside_tests(path):
+    references = all_references(("src", "ncbench"))
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    test_only = [
+        name for name in public_definitions(tree)
+        if name.rsplit(".", 1)[-1] not in references and name not in TESTED_PAPER_OBJECTS
+    ]
+    assert not test_only, f"{path.name} defines names only tests call: {test_only}"
 
 
 def test_the_check_sees_a_dead_definition():

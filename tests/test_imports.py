@@ -1,11 +1,15 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and the package
+root binds exactly what the benchmark reads from it.
 
 No linter ships with the project, so this walks each module's syntax tree
 with the standard library: a name bound by an import and never read
-elsewhere in the module is an unused import.  ``__init__.py`` re-exports
-by importing, so it is skipped.  The modules use ``from __future__ import
-annotations``, so no name needs to hide in a quoted annotation, and one
-that does counts as unused.
+elsewhere in the module is an unused import.  ``__init__.py`` binds names
+for the benchmark to read, so it is checked against ``ncbench/child.py``
+instead: the names it imports must be the ``ncprob.<name>`` attributes the
+child reads, and each submodule the child reads must be one the root
+imports from.  The modules use ``from __future__ import annotations``, so
+no name needs to hide in a quoted annotation, and one that does counts as
+unused.
 """
 
 import ast
@@ -13,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ncprob"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "ncprob"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -49,3 +54,32 @@ def test_module_has_no_unused_imports(path):
 def test_the_check_sees_an_unused_import():
     tree = ast.parse("from x import a, b\nimport c.d\nprint(a, 'b', c.d)\n")
     assert set(imported_names(tree)) - used_names(tree) == {"b"}
+
+
+def attributes_read(tree: ast.Module, package: str) -> set[str]:
+    """Every ``<package>.<name>`` read in the tree, leaving out dunders."""
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == package
+        and not node.attr.startswith("__")
+    }
+
+
+def test_package_root_binds_what_the_benchmark_reads():
+    root = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    child = ast.parse((ROOT / "ncbench" / "child.py").read_text(encoding="utf-8"))
+    read = attributes_read(child, "ncprob")
+    submodules = {name for name in read if (PACKAGE / f"{name}.py").is_file()}
+    assert set(imported_names(root)) == read - submodules
+    imported_from = {
+        node.module for node in root.body if isinstance(node, ast.ImportFrom)
+    }
+    assert submodules <= imported_from
+
+
+def test_the_check_sees_the_attributes_read():
+    tree = ast.parse("import p\np.a(p.b.c)\nprint(p.__file__, q.d)\n")
+    assert attributes_read(tree, "p") == {"a", "b"}

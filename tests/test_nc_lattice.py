@@ -6,23 +6,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncprob import (
+from ncprob.errors import (
     DimensionMismatchError,
     OrderViolationError,
-    Partition,
     SizeOutOfRangeError,
     SpecFormatError,
     ValidationError,
+)
+from ncprob.nc_lattice import (
+    Partition,
     catalan,
     enumerate_nc,
     is_noncrossing,
+    kreweras,
     leq,
     moebius,
+    moebius_to_top,
     parse_partition,
 )
-from ncprob.nc_lattice import kreweras, moebius_to_top
 
-from nc_oracles import enumerate_nc_by_rgs, join_nc_by_rescan
+from nc_oracles import (
+    enumerate_nc_by_rgs,
+    join_nc_by_rescan,
+    one_block,
+    partition_from_rgs,
+    singletons,
+)
 
 
 # -- independent oracles -------------------------------------------------------
@@ -39,7 +48,7 @@ def all_set_partitions(n):
         for label in range(max(rgs) + 2):
             yield from extend(rgs + [label])
     for rgs in extend([0]):
-        yield Partition.from_rgs(rgs)
+        yield partition_from_rgs(rgs)
 
 
 def has_crossing_quadruple(p):
@@ -81,7 +90,7 @@ def recursive_moebius(n):
 
 
 def test_singleton_ground_set():
-    assert enumerate_nc(1) == (Partition.top(1),)
+    assert enumerate_nc(1) == (one_block(1),)
 
 
 def test_n3_partitions():
@@ -118,7 +127,7 @@ def test_partition_is_slotted_frozen_and_hashable():
         p.blocks = ((1, 2, 3, 4),)
     q = parse_partition("{1,4}{2,3}")
     assert p == q and p is not q and hash(p) == hash(q)
-    assert p != Partition.top(4)
+    assert p != one_block(4)
     walked = enumerate_nc(4)
     assert q in walked and len({p, q, *walked}) == len(walked)
 
@@ -139,7 +148,7 @@ def test_enumeration_order_is_rgs_lex():
 @pytest.mark.parametrize("n", range(1, 10))
 def test_enumeration_equals_validated_construction(n):
     strings = [p.rgs() for p in enumerate_nc(n)]
-    assert list(enumerate_nc(n)) == [Partition.from_rgs(r) for r in strings]
+    assert list(enumerate_nc(n)) == [partition_from_rgs(r) for r in strings]
     assert all(is_noncrossing(p) for p in enumerate_nc(n))
 
 
@@ -157,7 +166,7 @@ def test_is_noncrossing_examples():
     assert not is_noncrossing(Partition.of(4, [[1, 3], [2, 4]]))
     assert is_noncrossing(Partition.of(4, [[1, 4], [2, 3]]))
     for n in range(1, 8):
-        assert is_noncrossing(Partition.top(n))
+        assert is_noncrossing(one_block(n))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -179,12 +188,12 @@ def test_partition_validation():
 
 
 def test_leq_examples():
-    assert leq(Partition.of(3, [[1, 2], [3]]), Partition.top(3))
+    assert leq(Partition.of(3, [[1, 2], [3]]), one_block(3))
     assert not leq(Partition.of(3, [[1, 2], [3]]), Partition.of(3, [[1, 3], [2]]))
     for p in enumerate_nc(4):
-        assert leq(Partition.bottom(4), p)
+        assert leq(singletons(4), p)
     with pytest.raises(DimensionMismatchError):
-        leq(Partition.bottom(2), Partition.bottom(3))
+        leq(singletons(2), singletons(3))
 
 
 def test_leq_is_partial_order_exhaustive():
@@ -203,11 +212,11 @@ def test_leq_is_partial_order_exhaustive():
 
 def test_join_examples():
     for p in enumerate_nc(4):
-        assert join_nc_by_rescan(Partition.bottom(4), p) == p
+        assert join_nc_by_rescan(singletons(4), p) == p
     forced = join_nc_by_rescan(
         Partition.of(4, [[1, 3], [2], [4]]), Partition.of(4, [[2, 4], [1], [3]])
     )
-    assert forced == Partition.top(4)
+    assert forced == one_block(4)
     disjoint = join_nc_by_rescan(
         Partition.of(4, [[1, 2], [3], [4]]), Partition.of(4, [[3, 4], [1], [2]])
     )
@@ -263,13 +272,13 @@ def test_join_of_interleaved_pairs():
 def test_moebius_base_and_small():
     for p in enumerate_nc(4):
         assert moebius(p, p) == 1
-    assert moebius(Partition.bottom(2), Partition.top(2)) == -1
+    assert moebius(singletons(2), one_block(2)) == -1
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_moebius_full_interval_formula(n):
     expected = (-1) ** (n - 1) * catalan_formula(n - 1)
-    assert moebius(Partition.bottom(n), Partition.top(n)) == expected
+    assert moebius(singletons(n), one_block(n)) == expected
 
 
 @pytest.mark.parametrize("n", range(2, 6))
@@ -293,7 +302,7 @@ def test_moebius_matches_defining_recursion(n):
         assert len(expected) == 7752
     for (sigma, pi), value in expected.items():
         assert moebius(sigma, pi) == value
-    top = Partition.top(n)
+    top = one_block(n)
     for sigma in enumerate_nc(n):
         assert moebius_to_top(sigma) == expected[sigma, top]
 
@@ -310,8 +319,8 @@ def test_kreweras_is_an_anti_isomorphism(n):
 
 
 def test_kreweras_examples():
-    assert kreweras(Partition.bottom(4)) == Partition.top(4)
-    assert kreweras(Partition.top(4)) == Partition.bottom(4)
+    assert kreweras(singletons(4)) == one_block(4)
+    assert kreweras(one_block(4)) == singletons(4)
     assert kreweras(Partition.of(3, [[1, 2], [3]])) == Partition.of(3, [[1], [2, 3]])
     with pytest.raises(ValidationError):
         kreweras(Partition.of(4, [[1, 3], [2, 4]]))
@@ -319,11 +328,11 @@ def test_kreweras_examples():
 
 def test_moebius_errors():
     with pytest.raises(OrderViolationError):
-        moebius(Partition.top(3), Partition.bottom(3))
+        moebius(one_block(3), singletons(3))
     with pytest.raises(DimensionMismatchError):
-        moebius(Partition.bottom(2), Partition.top(3))
+        moebius(singletons(2), one_block(3))
     with pytest.raises(ValidationError):
-        moebius(Partition.of(4, [[1, 3], [2, 4]]), Partition.top(4))
+        moebius(Partition.of(4, [[1, 3], [2, 4]]), one_block(4))
 
 
 # -- text form ----------------------------------------------------------------------

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ncprob import ComplexRational, SizeOutOfRangeError, SpecFormatError
-from ncprob.scalar import ONE, ZERO
+from ncprob.errors import SizeOutOfRangeError, SpecFormatError
+from ncprob.scalar import ONE, ZERO, ComplexRational
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 scalars = st.builds(ComplexRational, fractions, fractions)

@@ -9,33 +9,41 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncprob import verification
-from ncprob import (
-    ComplexRational,
-    ExplicitJointState,
+from ncprob.cumulant_calculus import first_block_cumulant
+from ncprob.errors import (
     FactorMismatchError,
-    FreeElement,
-    GeneratorSymbol,
-    GramMatrix,
-    Letter,
-    Polynomial,
-    ProductSpace,
-    TensorWord,
+    SizeOutOfRangeError,
     TruncationError,
     ValidationError,
+)
+from ncprob.free_product import (
+    FreeElement,
+    ProductSpace,
+    TensorWord,
+    product_space_from_json,
+)
+from ncprob.moment_space import (
+    FactorState,
+    GeneratorSymbol,
+    Letter,
+    Polynomial,
     Word,
+    all_words,
+    canonical_moment_key,
+    factor_state_from_json,
+)
+from ncprob.scalar import ComplexRational as CR
+from ncprob.scalar import ONE, ZERO, ComplexRational
+from ncprob.verification import (
+    ExplicitJointState,
+    GramMatrix,
+    centered_word_basis,
     check_freeness_cumulants,
     check_freeness_moments,
     check_positivity,
-    factor_state_from_json,
-    first_block_cumulant,
     ldlt_psd,
-    product_space_from_json,
     variance_factorization,
 )
-from ncprob.moment_space import all_words, canonical_moment_key
-from ncprob.scalar import ComplexRational as CR
-from ncprob.scalar import ONE, ZERO
-from ncprob.verification import centered_word_basis
 
 from conftest import (
     measure_factor_state,
@@ -44,7 +52,7 @@ from conftest import (
     semicircle_factor,
     small_scalar,
 )
-from nc_oracles import lattice_sum, ldlt_psd_by_recursion, plain_word_gram
+from nc_oracles import center, lattice_sum, ldlt_psd_by_recursion, plain_word_gram
 
 
 def scalar(x) -> ComplexRational:
@@ -222,6 +230,29 @@ def test_freeness_checks_reject_negative_degree(two_semicircles):
             check(two_semicircles, -1)
 
 
+def test_freeness_cumulants_past_the_cap_is_refused_before_any_work():
+    # Mixed cumulants of order 13 are past the enumeration cap: the check
+    # refuses them before it evaluates the state on a single word.
+    def fail(letters):
+        raise AssertionError("evaluated the state before the size check")
+
+    for bound in (13, 14):
+        space = ProductSpace(
+            [semicircle_factor("A1", "a", bound), semicircle_factor("A2", "b", bound)]
+        )
+        space.state_eval = fail
+        message = rf"^n must be within 1\.\.12, got {bound}$"
+        with pytest.raises(SizeOutOfRangeError, match=message):
+            check_freeness_cumulants(space, bound)
+    # No mixed tuple exists on one factor, or below order 2, so nothing is
+    # computed and nothing refused.
+    one_factor = ProductSpace([semicircle_factor("A1", "a", 13)])
+    two_factors = ProductSpace([semicircle_factor("A1", "a"), semicircle_factor("A2", "b")])
+    for space, max_degree in ((one_factor, 13), (two_factors, 0), (two_factors, 1)):
+        report = check_freeness_cumulants(space, max_degree)
+        assert report.ok and report.checked_words == 0
+
+
 def test_perturbed_product_fails_both_ways(two_semicircles):
     # copy the constructed joint moments, then set one alternating moment to 1
     la = two_semicircles.factor_state("A1").letters()[0]
@@ -266,7 +297,7 @@ def tensor_word_of_letters(space, pattern):
     for index in pattern:
         state = space.factor_state(index)
         la = state.letters()[0]
-        components.append((index, state.center(Polynomial.from_letter(la))))
+        components.append((index, center(state, Polynomial.from_letter(la))))
     return TensorWord(tuple(components))
 
 
@@ -316,8 +347,8 @@ def test_variance_single_slot_is_phi_of_product(rng):
     space = random_product_space(rng, 2, 4)
     state = space.factor_state("A1")
     la = state.letters()[0]
-    a0 = state.center(Polynomial.from_letter(la))
-    b0 = state.center(Polynomial.from_letter(la) * Polynomial.from_letter(la))
+    a0 = center(state, Polynomial.from_letter(la))
+    b0 = center(state, Polynomial.from_letter(la) * Polynomial.from_letter(la))
     value = variance_factorization(
         space, TensorWord((("A1", a0),)), TensorWord((("A1", b0),)), {}
     )
@@ -520,7 +551,7 @@ def test_negative_factor_state_witness():
         Word((lg,)): ZERO,
         Word((lg, lg)): scalar(-1),
     }
-    factor = __import__("ncprob").FactorState("F", 2, [g], state)
+    factor = FactorState("F", 2, [g], state)
     result = check_positivity(ProductSpace([factor]), 1)
     assert not result.psd
     assert result.witness is not None
