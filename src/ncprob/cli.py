@@ -7,6 +7,9 @@ the output is byte-identical across runs for identical inputs.
 
 Exit status: 0 on success, 1 when ``verify`` finds a mathematical violation,
 2 on parse/validation errors.
+
+Each command imports the modules it runs when it runs, so a cold ``nc`` loads
+the lattice alone, and only ``verify`` loads the checks.
 """
 
 from __future__ import annotations
@@ -14,14 +17,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import cumulant_calculus as cc
 from .errors import NCProbError, SpecFormatError
-from .free_product import ProductSpace, product_space_from_json
-from .moment_space import Letter, Word, factor_state_from_json
-from .nc_lattice import block_text, check_lattice_size, enumerate_nc, moebius, parse_partition
-from .scalar import ComplexRational
+
+if TYPE_CHECKING:
+    from .free_product import ProductSpace
+    from .moment_space import Letter
+    from .scalar import ComplexRational
 
 
 def _load_json(path: str) -> object:
@@ -41,6 +44,9 @@ def _load_json(path: str) -> object:
 
 
 def _load_space(path: str) -> ProductSpace:
+    from .free_product import ProductSpace, product_space_from_json
+    from .moment_space import factor_state_from_json
+
     obj = _load_json(path)
     if isinstance(obj, dict) and "factors" in obj:
         return product_space_from_json(obj)
@@ -55,6 +61,8 @@ def _emit(args, payload: dict, table_lines: list[str]) -> None:
 
 
 def _parse_moment_file(obj: object, key: str, path: str) -> list[ComplexRational]:
+    from .scalar import ComplexRational
+
     if not isinstance(obj, dict) or key not in obj:
         raise SpecFormatError(f"{path}: expected an object with a {key!r} list")
     raw = obj[key]
@@ -64,6 +72,8 @@ def _parse_moment_file(obj: object, key: str, path: str) -> list[ComplexRational
 
 
 def _cmd_nc(args) -> int:
+    from .nc_lattice import block_text, enumerate_nc
+
     rendered: dict[tuple[int, ...], str] = {}  # each distinct block once
     texts = [
         "".join([rendered.get(b) or rendered.setdefault(b, block_text(b)) for b in p.blocks])
@@ -74,6 +84,9 @@ def _cmd_nc(args) -> int:
 
 
 def _cmd_moebius(args) -> int:
+    from .nc_lattice import moebius, parse_partition
+    from .scalar import ComplexRational
+
     sigma = parse_partition(args.sigma)
     pi = parse_partition(args.pi)
     if sigma.n != args.n or pi.n != args.n:
@@ -98,6 +111,10 @@ def _letter_tuples(letters: Sequence[Letter], max_order: int):
 
 
 def _cmd_cumulants(args) -> int:
+    from . import cumulant_calculus as cc
+    from .moment_space import Word, factor_state_from_json
+    from .nc_lattice import check_lattice_size
+
     obj = _load_json(args.from_moments)
     if isinstance(obj, dict) and "generators" in obj:
         state = factor_state_from_json(obj)
@@ -125,6 +142,10 @@ def _cmd_cumulants(args) -> int:
 
 
 def _cmd_moments(args) -> int:
+    from . import cumulant_calculus as cc
+    from .moment_space import Word
+    from .nc_lattice import check_lattice_size
+
     obj = _load_json(args.from_cumulants)
     if isinstance(obj, dict) and "generators" in obj:
         table, letters = cc.cumulant_table_from_json(obj)
@@ -161,12 +182,10 @@ def _cmd_product_eval(args) -> int:
 
 
 def _cmd_convolve(args) -> int:
-    x = cc.MomentSequence.of(
-        _parse_moment_file(_load_json(args.x), "moments", args.x)
-    )
-    y = cc.MomentSequence.of(
-        _parse_moment_file(_load_json(args.y), "moments", args.y)
-    )
+    from . import cumulant_calculus as cc
+
+    x = cc.MomentSequence.of(_parse_moment_file(_load_json(args.x), "moments", args.x))
+    y = cc.MomentSequence.of(_parse_moment_file(_load_json(args.y), "moments", args.y))
     result = cc.free_convolve_additive(x, y)
     payload = {"moments": [str(m) for m in result.values]}
     _emit(args, payload, [f"{n + 1}  {m}" for n, m in enumerate(result.values)])
@@ -174,7 +193,6 @@ def _cmd_convolve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # Imported here, so the other commands do not load the checks.
     from .verification import (
         check_freeness_cumulants,
         check_freeness_moments,

@@ -29,7 +29,6 @@ exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping, Sequence, TypeVar
 
 from .errors import (
@@ -40,6 +39,7 @@ from .errors import (
 from .moment_space import Letter, generator_letters, parse_factor_spec
 from .nc_lattice import check_lattice_size, enumerate_nc, moebius_to_top
 from .scalar import ONE, ZERO, ComplexRational
+from .value import Value
 
 Arg = TypeVar("Arg", bound=Hashable)
 
@@ -192,15 +192,15 @@ def cumulant_table_from_json(
     return table, generator_letters(factor, generators)
 
 
-@dataclass(frozen=True)
-class MomentSequence:
+class MomentSequence(Value):
     """Moments m_1..m_N of a single selfadjoint variable."""
 
-    values: tuple[ComplexRational, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        if not self.values:
+    def __init__(self, values: tuple[ComplexRational, ...]):
+        if not values:
             raise ValidationError("need at least one moment, got none")
+        object.__setattr__(self, "values", values)
 
     @property
     def degree_bound(self) -> int:

@@ -30,7 +30,6 @@ is exact; the memos of a ``ProductSpace`` are plain per-instance dicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iter_product
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
@@ -53,21 +52,21 @@ from .moment_space import (
 )
 from .nc_lattice import Partition
 from .scalar import ONE, ZERO, ComplexRational
+from .value import Value
 
 Atom = tuple[str, Polynomial]
 
 
-@dataclass(frozen=True)
-class TensorWord:
+class TensorWord(Value):
     """An alternating tensor word of (factor, centered polynomial) components."""
 
-    components: tuple[tuple[str, Polynomial], ...]
+    __slots__ = ("components",)
 
-    def __post_init__(self):
-        if not self.components:
+    def __init__(self, components: tuple[tuple[str, Polynomial], ...]):
+        if not components:
             raise ValidationError("tensor word must have at least one component")
         previous = None
-        for factor, poly in self.components:
+        for factor, poly in components:
             if factor == previous:
                 raise ValidationError(
                     f"adjacent components share factor {factor!r}"
@@ -75,6 +74,7 @@ class TensorWord:
             if poly.is_zero():
                 raise ValidationError("zero component in tensor word")
             previous = factor
+        object.__setattr__(self, "components", components)
 
     @property
     def degree(self) -> int:

@@ -12,7 +12,6 @@ Positivity of a factor state is NOT assumed here; ``verification`` checks it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 from .errors import (
@@ -22,31 +21,44 @@ from .errors import (
     ValidationError,
 )
 from .scalar import ONE, ZERO, ComplexRational, RationalLike, _coerce
+from .value import Value
 
 
-@dataclass(frozen=True)
-class GeneratorSymbol:
-    name: str
-    selfadjoint: bool = False
+class GeneratorSymbol(Value):
+    __slots__ = ("name", "selfadjoint")
 
-    def __post_init__(self):
-        if not self.name or any(c in self.name for c in "* \t\n{},"):
-            raise ValidationError(f"bad generator name {self.name!r}")
-        if self.name == "1":
+    def __init__(self, name: str, selfadjoint: bool = False):
+        if not name or any(c in name for c in "* \t\n{},"):
+            raise ValidationError(f"bad generator name {name!r}")
+        if name == "1":
             raise ValidationError("bad generator name '1': 1 denotes the identity")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "selfadjoint", selfadjoint)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.selfadjoint))
 
 
-@dataclass(frozen=True)
-class Letter:
+class Letter(Value):
     """A generator or its star, tagged with its factor index."""
 
-    generator: GeneratorSymbol
-    starred: bool
-    factor: str
+    __slots__ = ("generator", "starred", "factor")
 
-    def __post_init__(self):
-        if self.generator.selfadjoint and self.starred:
-            object.__setattr__(self, "starred", False)
+    def __init__(self, generator: GeneratorSymbol, starred: bool, factor: str):
+        if generator.selfadjoint and starred:
+            starred = False
+        object.__setattr__(self, "generator", generator)
+        object.__setattr__(self, "starred", starred)
+        object.__setattr__(self, "factor", factor)
+
+    def __eq__(self, other):
+        if other.__class__ is Letter:
+            return (self.generator, self.starred, self.factor) == (
+                other.generator, other.starred, other.factor)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.generator, self.starred, self.factor))
 
     def star(self) -> "Letter":
         return Letter(self.generator, not self.starred, self.factor)
@@ -62,11 +74,21 @@ class Letter:
         return (self.factor, self.name, self.starred)
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Value):
     """A monomial in letters; the empty word is the identity."""
 
-    letters: tuple[Letter, ...] = ()
+    __slots__ = ("letters",)
+
+    def __init__(self, letters: tuple[Letter, ...] = ()):
+        object.__setattr__(self, "letters", letters)
+
+    def __eq__(self, other):
+        if other.__class__ is Word:
+            return self.letters == other.letters
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.letters,))
 
     @property
     def degree(self) -> int:

@@ -25,7 +25,6 @@ values are immutable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import (
@@ -35,26 +34,25 @@ from .errors import (
     SpecFormatError,
     ValidationError,
 )
+from .value import Value
 
 MAX_ENUM_N = 12
 
 _nc_cache: dict[int, tuple["Partition", ...]] = {}
 
 
-@dataclass(frozen=True, slots=True)
-class Partition:
+class Partition(Value):
     """A set partition of {1..n} in canonical form."""
 
-    n: int
-    blocks: tuple[tuple[int, ...], ...]
+    __slots__ = ("n", "blocks")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError(f"ground-set size must be positive, got {self.n}")
+    def __init__(self, n: int, blocks: tuple[tuple[int, ...], ...]):
+        if n < 1:
+            raise ValidationError(f"ground-set size must be positive, got {n}")
         seen: set[int] = set()
         count = 0
         previous_min = 0
-        for block in self.blocks:
+        for block in blocks:
             if not block:
                 raise ValidationError("empty block")
             if any(x >= y for x, y in zip(block, block[1:])):
@@ -64,10 +62,10 @@ class Partition:
             previous_min = block[0]
             seen.update(block)
             count += len(block)
-        if count != self.n or seen != set(range(1, self.n + 1)):
-            raise ValidationError(
-                f"blocks {self.blocks} do not partition {{1..{self.n}}}"
-            )
+        if count != n or seen != set(range(1, n + 1)):
+            raise ValidationError(f"blocks {blocks} do not partition {{1..{n}}}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "blocks", blocks)
 
     @classmethod
     def of(cls, n: int, blocks: Iterable[Iterable[int]]) -> "Partition":

@@ -9,10 +9,10 @@ as an exact rational.  Floats never appear.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SizeOutOfRangeError, SpecFormatError
+from .value import Value
 
 RationalLike = int | Fraction
 
@@ -38,10 +38,19 @@ def _frac(text: str) -> Fraction:
         raise SpecFormatError(f"not a rational number: {text!r}") from exc
 
 
-@dataclass(frozen=True)
-class ComplexRational:
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+class ComplexRational(Value):
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Fraction = Fraction(0), im: Fraction = Fraction(0)):
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+
+    def __eq__(self, other):
+        if other.__class__ is ComplexRational:
+            return (self.re, self.im) == (other.re, other.im)
+        return NotImplemented
+
+    __hash__ = Value.__hash__  # a class that defines __eq__ alone is unhashable
 
     @staticmethod
     def of(value: "ComplexRational | RationalLike") -> "ComplexRational":

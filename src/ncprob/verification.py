@@ -23,7 +23,6 @@ these, and that reduction is itself exercised by the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 from typing import Iterator, Mapping, Sequence
@@ -43,6 +42,7 @@ from .moment_space import (
 from .free_product import ProductSpace, TensorWord
 from .nc_lattice import check_lattice_size
 from .scalar import ONE, ZERO, ComplexRational
+from .value import Value
 
 
 # -- joint states -----------------------------------------------------------
@@ -111,12 +111,15 @@ JointState = ProductSpace | ExplicitJointState
 # -- freeness reports --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FreenessReport:
-    mode: str
-    max_degree: int
-    checked_words: int
-    violations: tuple[tuple[str, ComplexRational], ...]
+class FreenessReport(Value):
+    __slots__ = ("mode", "max_degree", "checked_words", "violations")
+
+    def __init__(self, mode: str, max_degree: int, checked_words: int,
+                 violations: tuple[tuple[str, ComplexRational], ...]):
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "max_degree", max_degree)
+        object.__setattr__(self, "checked_words", checked_words)
+        object.__setattr__(self, "violations", violations)
 
     @property
     def ok(self) -> bool:
@@ -272,28 +275,28 @@ def variance_factorization(
 # -- exact positivity ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GramMatrix:
+class GramMatrix(Value):
     """phi(basis_s* basis_t), validated Hermitian at construction.
 
     Every entry is evaluated on its own, so the check compares independent
     computations; product entries are phi of the atoms of basis_s* then basis_t.
     """
 
-    labels: tuple[str, ...]
-    entries: tuple[tuple[ComplexRational, ...], ...]
+    __slots__ = ("labels", "entries")
 
-    def __post_init__(self):
-        n = len(self.labels)
-        if len(self.entries) != n or any(len(row) != n for row in self.entries):
+    def __init__(self, labels: tuple[str, ...], entries: tuple[tuple[ComplexRational, ...], ...]):
+        n = len(labels)
+        if len(entries) != n or any(len(row) != n for row in entries):
             raise ValidationError("Gram matrix must be square over its basis")
         for s in range(n):
             for t in range(s, n):
-                if self.entries[t][s] != self.entries[s][t].conjugate():
+                if entries[t][s] != entries[s][t].conjugate():
                     raise RuntimeError(
                         "internal error: Gram matrix is not Hermitian at "
-                        f"({s},{t}): {self.entries[s][t]} vs {self.entries[t][s]}"
+                        f"({s},{t}): {entries[s][t]} vs {entries[t][s]}"
                     )
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "entries", entries)
 
     @property
     def size(self) -> int:
@@ -356,13 +359,17 @@ def ldlt_psd(
     return False, (), tuple(witness)
 
 
-@dataclass(frozen=True)
-class PositivityResult:
-    psd: bool
-    pivots: tuple[Fraction, ...]
-    witness: tuple[ComplexRational, ...] | None
-    gram: GramMatrix
-    schur_consistent: bool
+class PositivityResult(Value):
+    __slots__ = ("psd", "pivots", "witness", "gram", "schur_consistent")
+
+    def __init__(self, psd: bool, pivots: tuple[Fraction, ...],
+                 witness: tuple[ComplexRational, ...] | None, gram: GramMatrix,
+                 schur_consistent: bool):
+        object.__setattr__(self, "psd", psd)
+        object.__setattr__(self, "pivots", pivots)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "schur_consistent", schur_consistent)
 
     def to_json(self) -> dict:
         return {

@@ -376,6 +376,41 @@ def test_only_verify_loads_the_checks(monkeypatch, argv, loaded):
     assert ("ncprob.verification" in imported) == loaded
 
 
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+SEQUENCE_MODULES = {"cumulant_calculus", "moment_space", "nc_lattice", "scalar"}
+COMMAND_MODULES = {
+    "nc": {"nc_lattice"},
+    "moebius": {"nc_lattice", "scalar"},
+    "cumulants": SEQUENCE_MODULES,
+    "moments": SEQUENCE_MODULES,
+    "convolve": SEQUENCE_MODULES,
+    "product-eval": SEQUENCE_MODULES | {"free_product"},
+    "verify": SEQUENCE_MODULES | {"free_product", "verification"},
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["nc", "7"],
+    ["moebius", "3", "{1}{2}{3}", "{1,2,3}"],
+    ["cumulants", "--from-moments", str(SPECS / "semicircle_std.json")],
+    ["moments", "--from-cumulants", str(GOLDEN_INPUTS / "cumulants_u.json")],
+    ["convolve", str(SPECS / "semicircle_std.json"), str(SPECS / "semicircle_std.json")],
+    ["product-eval", "--spec", str(SPECS / "two_semicircles.json"), "--word", "a b a b"],
+    ["verify", "--spec", str(SPECS / "two_semicircles.json"), "--max-degree", "2"],
+], ids=lambda argv: argv[0])
+def test_each_command_loads_only_the_modules_it_runs(monkeypatch, argv):
+    # Every command loads the exception types and the value-type base besides
+    # its own modules, and none loads dataclasses or the inspect module it
+    # would bring along.
+    monkeypatch.setenv("PYTHONPROFILEIMPORTTIME", "1")
+    proc = run_process(argv, timeout=30)
+    assert proc.returncode == 0 and proc.stdout
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    library = {m.removeprefix("ncprob.") for m in imported if m.startswith("ncprob.")}
+    assert library == COMMAND_MODULES[argv[0]] | {"errors", "value"}
+    assert not imported & {"dataclasses", "inspect"}
+
+
 def test_verify_cumulants_past_the_cap_is_status_2(tmp_path, capsys):
     # Order 13 is past the cap of 12, and with two factors it is refused
     # before any mixed cumulant is computed.

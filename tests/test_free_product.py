@@ -8,7 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncprob.cumulant_calculus import first_block_cumulant
+from ncprob.cumulant_calculus import (
+    MomentSequence,
+    cumulants_from_moment_sequence,
+    first_block_cumulant,
+)
 from ncprob.errors import (
     DimensionMismatchError,
     FactorMismatchError,
@@ -31,11 +35,12 @@ from ncprob.moment_space import (
     Polynomial,
     Word,
 )
-from ncprob.nc_lattice import Partition, enumerate_nc
+from ncprob.nc_lattice import Partition, enumerate_nc, kreweras
 from ncprob.scalar import ONE, ZERO, ComplexRational
 from ncprob.verification import centered_word_basis
 
 from conftest import (
+    measure_factor_state,
     random_factor_state,
     random_product_space,
     semicircle_factor,
@@ -623,6 +628,48 @@ def test_state_raises_where_the_nc_sum_does():
     with pytest.raises(TruncationError):
         space.state_eval(word)
     assert space.state_eval((c, c, a, b, b, b, b)) == ZERO
+
+
+def kreweras_moment(fa, fb, n):
+    """phi(a b a b ... a b), n of each, for a free from b, as the sum over pi
+    in NC(n) of kappa_pi[a] phi_K(pi)[b] (Nica & Speicher, Lecture 14)."""
+    (la,), (lb,) = fa.letters(), fb.letters()
+    kappa_a = cumulants_from_moment_sequence(
+        MomentSequence.of([fa.phi_word(Word((la,) * k)) for k in range(1, n + 1)])
+    )
+    m_b = [fb.phi_word(Word((lb,) * k)) for k in range(1, n + 1)]
+    total = ZERO
+    for pi in enumerate_nc(n):
+        term = ONE
+        for block in pi.blocks:
+            term = term * kappa_a[len(block) - 1]
+        for block in kreweras(pi).blocks:
+            term = term * m_b[len(block) - 1]
+        total = total + term
+    return total
+
+
+def alternating_moment(fa, fb, n):
+    """phi(a b a b ... a b), n of each, from the product state."""
+    (la,), (lb,) = fa.letters(), fb.letters()
+    return ProductSpace([fa, fb]).state_eval((la, lb) * n)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_state_matches_the_kreweras_formula(rng, n):
+    for _ in range(2):  # two pairs of measures, the same for every n
+        fa = measure_factor_state(rng, "A1", "a", 2 * n)
+        fb = measure_factor_state(rng, "A2", "b", 2 * n)
+        assert alternating_moment(fa, fb, n) == kreweras_moment(fa, fb, n)
+
+
+@settings(deadline=None, max_examples=25)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5))
+def test_state_matches_the_kreweras_formula_on_random_measures(seed, n):
+    rng = random.Random(seed)
+    fa = measure_factor_state(rng, "A1", "a", 2 * n)
+    fb = measure_factor_state(rng, "A2", "b", 2 * n)
+    assert alternating_moment(fa, fb, n) == kreweras_moment(fa, fb, n)
 
 
 def test_centered_tensor_words_are_null(rng):

@@ -4,18 +4,26 @@ root binds exactly what the benchmark reads from it.
 No linter ships with the project, so this walks each module's syntax tree
 with the standard library: a name bound by an import and never read
 elsewhere in the module is an unused import.  ``__init__.py`` binds names
-for the benchmark to read, so it is checked against ``ncbench/child.py``
-instead: the names it imports must be the ``ncprob.<name>`` attributes the
-child reads, and each submodule the child reads must be one the root
-imports from.  The modules use ``from __future__ import annotations``, so
-no name needs to hide in a quoted annotation, and one that does counts as
-unused.
+lazily for the benchmark to read, so it is checked against
+``ncbench/child.py`` instead: its map of name to defining module must offer
+exactly the ``ncprob.<name>`` attributes the child reads, each submodule the
+child reads must be one of those modules, each name must be the object its
+module defines, an unknown name must raise ``AttributeError``, and a bare
+``import ncprob`` must load no submodule.  The modules use ``from __future__
+import annotations``, so no name needs to hide in a quoted annotation, and
+one that does counts as unused.
 """
 
 import ast
+import os
+import subprocess
+import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
+
+import ncprob
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ncprob"
@@ -69,15 +77,23 @@ def attributes_read(tree: ast.Module, package: str) -> set[str]:
 
 
 def test_package_root_binds_what_the_benchmark_reads():
-    root = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     child = ast.parse((ROOT / "ncbench" / "child.py").read_text(encoding="utf-8"))
     read = attributes_read(child, "ncprob")
     submodules = {name for name in read if (PACKAGE / f"{name}.py").is_file()}
-    assert set(imported_names(root)) == read - submodules
-    imported_from = {
-        node.module for node in root.body if isinstance(node, ast.ImportFrom)
-    }
-    assert submodules <= imported_from
+    # The root offers the names the child reads, and loading their modules
+    # binds the submodules the child reads.
+    assert set(ncprob._LAZY) == read - submodules
+    assert submodules <= set(ncprob._LAZY.values())
+    for name, module in ncprob._LAZY.items():
+        assert getattr(ncprob, name) is getattr(import_module(f"ncprob.{module}"), name)
+    with pytest.raises(AttributeError, match="has no attribute 'Partition'"):
+        ncprob.Partition
+    code = "import sys, ncprob; print(sorted(m for m in sys.modules if 'ncprob' in m))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30
+    )
+    assert (proc.returncode, proc.stdout) == (0, "['ncprob']\n")
 
 
 def test_the_check_sees_the_attributes_read():

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from itertools import combinations
 
@@ -121,9 +120,9 @@ def test_enumeration_equals_rgs_oracle(n):
 def test_partition_is_slotted_frozen_and_hashable():
     p = Partition.of(4, [[1, 4], [2, 3]])
     assert not hasattr(p, "__dict__")
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="cannot assign to field 'n'"):
         p.n = 5
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="cannot assign to field 'blocks'"):
         p.blocks = ((1, 2, 3, 4),)
     q = parse_partition("{1,4}{2,3}")
     assert p == q and p is not q and hash(p) == hash(q)
