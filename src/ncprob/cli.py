@@ -9,7 +9,8 @@ Exit status: 0 on success, 1 when ``verify`` finds a mathematical violation,
 2 on parse/validation errors.
 
 Each command imports the modules it runs when it runs, so a cold ``nc`` loads
-the lattice alone, and only ``verify`` loads the checks.
+the lattice alone, only ``verify`` loads the checks, and ``convolve``, and
+``cumulants`` or ``moments`` on a sequence, load no word layer.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import NCProbError, SpecFormatError
 
@@ -103,35 +104,38 @@ def _cmd_moebius(args) -> int:
     return 0
 
 
-def _letter_tuples(letters: Sequence[Letter], max_order: int):
+def _factor_table(
+    owner, letters: Sequence[Letter], key: str, kernel: Callable, given: Callable
+) -> tuple[dict, list[str]]:
+    """The payload and table lines of a factor spec's ``key`` table: ``kernel``
+    of ``given`` on every letter tuple of order 1..N of ``owner``, shortest
+    first, with one memo for the whole table."""
+    from .nc_lattice import check_lattice_size
+
+    check_lattice_size(owner.degree_bound)
+    memo: dict = {}
+    values = {}
     tuples: list[tuple[Letter, ...]] = [()]
-    for _ in range(max_order):
+    for _ in range(owner.degree_bound):
         tuples = [t + (l,) for t in tuples for l in letters]
-        yield from tuples
+        for tup in tuples:
+            values[" ".join(l.text() for l in tup)] = str(kernel(tup, given, memo))
+    payload = {"factor": owner.factor, "degree_bound": owner.degree_bound, key: values}
+    return payload, [f"{w}  {v}" for w, v in sorted(values.items())]
 
 
 def _cmd_cumulants(args) -> int:
     from . import cumulant_calculus as cc
-    from .moment_space import Word, factor_state_from_json
-    from .nc_lattice import check_lattice_size
 
     obj = _load_json(args.from_moments)
     if isinstance(obj, dict) and "generators" in obj:
+        from .moment_space import Word, factor_state_from_json
+
         state = factor_state_from_json(obj)
-        check_lattice_size(state.degree_bound)
-        kappas: dict[tuple[Letter, ...], ComplexRational] = {}
-        values = {}
-        for tup in _letter_tuples(state.letters(), state.degree_bound):
-            kappa = cc.first_block_cumulant(
-                tup, lambda sub: state.phi_word(Word(sub)), kappas
-            )
-            values[Word(tup).text()] = str(kappa)
-        payload = {
-            "factor": state.factor,
-            "degree_bound": state.degree_bound,
-            "cumulants": values,
-        }
-        lines = [f"{w}  {v}" for w, v in sorted(values.items())]
+        payload, lines = _factor_table(
+            state, state.letters(), "cumulants", cc.first_block_cumulant,
+            lambda sub: state.phi_word(Word(sub)),
+        )
     else:
         moments = _parse_moment_file(obj, "moments", args.from_moments)
         kappas = cc.cumulants_from_moment_sequence(cc.MomentSequence.of(moments))
@@ -143,23 +147,15 @@ def _cmd_cumulants(args) -> int:
 
 def _cmd_moments(args) -> int:
     from . import cumulant_calculus as cc
-    from .moment_space import Word
-    from .nc_lattice import check_lattice_size
 
     obj = _load_json(args.from_cumulants)
     if isinstance(obj, dict) and "generators" in obj:
-        table, letters = cc.cumulant_table_from_json(obj)
-        check_lattice_size(table.degree_bound)
-        phis: dict[tuple[Letter, ...], tuple[ComplexRational, bool]] = {}
-        out = {}
-        for tup in _letter_tuples(letters, table.degree_bound):
-            out[Word(tup).text()] = str(cc.first_block_moment(tup, table.value, phis))
-        payload = {
-            "factor": table.factor,
-            "degree_bound": table.degree_bound,
-            "moments": out,
-        }
-        lines = [f"{w}  {v}" for w, v in sorted(out.items())]
+        from .moment_space import cumulant_table_from_json
+
+        table, letters = cumulant_table_from_json(obj)
+        payload, lines = _factor_table(
+            table, letters, "moments", cc.first_block_moment, table.value
+        )
     else:
         kappas = _parse_moment_file(obj, "cumulants", args.from_cumulants)
         seq = cc.moment_sequence_from_cumulants(kappas)

@@ -16,8 +16,7 @@ Both kernels recurse on argument sub-tuples and keep no memo of their own:
 each fills the dict its caller passes, keyed by argument tuples.  The
 ``cumulants`` and ``moments`` commands pass one dict for a whole table, a
 ``ProductSpace`` its state memo, so each sub-tuple is computed once per table
-or space; one-off callers pass {}.  A ``CumulantTable`` only holds given
-values, for ``first_block_moment`` to read.
+or space; one-off callers pass {}.
 
 ``cumulants_from_moment_sequence`` sums over NC(n) directly: kappa_n is the
 sum over sigma of mu(sigma, 1_n) times the moments of sigma's blocks
@@ -29,14 +28,9 @@ exact.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Mapping, Sequence, TypeVar
+from typing import Callable, Hashable, Sequence, TypeVar
 
-from .errors import (
-    DimensionMismatchError,
-    TruncationError,
-    ValidationError,
-)
-from .moment_space import Letter, generator_letters, parse_factor_spec
+from .errors import DimensionMismatchError, TruncationError, ValidationError
 from .nc_lattice import check_lattice_size, enumerate_nc, moebius_to_top
 from .scalar import ONE, ZERO, ComplexRational
 from .value import Value
@@ -148,50 +142,6 @@ def first_block_cumulant(
     return kappa(tuple(args))
 
 
-class CumulantTable:
-    """Given kappa values of one factor, keyed by letter tuples of length <= N.
-
-    ``value`` reads a stored cumulant; the table computes nothing.
-    """
-
-    def __init__(
-        self,
-        factor: str,
-        degree_bound: int,
-        values: Mapping[tuple[Letter, ...], ComplexRational],
-    ):
-        self.factor = factor
-        self.degree_bound = degree_bound
-        self._values = dict(values)
-
-    def value(self, letters: tuple[Letter, ...]) -> ComplexRational:
-        if not letters or len(letters) > self.degree_bound:
-            raise TruncationError(
-                f"cumulant order {len(letters)} outside 1..{self.degree_bound}"
-            )
-        value = self._values.get(letters)
-        if value is None:
-            raise ValidationError(
-                f"no cumulant value for letters {' '.join(l.text() for l in letters)!r}"
-            )
-        return value
-
-
-def cumulant_table_from_json(
-    obj: object,
-) -> tuple[CumulantTable, tuple[Letter, ...]]:
-    """Load a factor's cumulant table and its letters.
-
-    The schema is the factor spec of ``factor_state_from_json`` with a
-    ``"cumulants"`` object of word -> scalar in place of ``"moments"``.
-    """
-    factor, degree_bound, generators, values = parse_factor_spec(obj, "cumulants")
-    table = CumulantTable(
-        factor, degree_bound, {word.letters: v for word, v in values.items()}
-    )
-    return table, generator_letters(factor, generators)
-
-
 class MomentSequence(Value):
     """Moments m_1..m_N of a single selfadjoint variable."""
 
@@ -246,12 +196,13 @@ def moment_sequence_from_cumulants(
 ) -> MomentSequence:
     """Rebuild m_1..m_N from (kappa_1, ..., kappa_N) by the first-block recursion.
 
-    N past the enumeration cap is refused before any moment is computed; an
-    empty sequence is refused by ``MomentSequence``.
+    An empty sequence is refused, and N past the enumeration cap is refused
+    before any moment is computed.
     """
     kappas = [ComplexRational.of(c) for c in cumulants]
-    if kappas:
-        check_lattice_size(len(kappas))
+    if not kappas:
+        raise ValidationError("need at least one cumulant, got none")
+    check_lattice_size(len(kappas))
     phis: dict[tuple[int, ...], tuple[ComplexRational, bool]] = {}
     return MomentSequence.of([
         first_block_moment((0,) * n, lambda block: kappas[len(block) - 1], phis)

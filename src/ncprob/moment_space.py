@@ -5,7 +5,8 @@ every word of degree <= N (the factor's degree bound).  Star structure is
 normalized at construction: starred selfadjoint letters are rewritten
 unstarred, each {w, w*} orbit is checked under one canonical key, and the
 table holds phi(w*) = conj(phi(w)) beside phi(w).  States are immutable
-after validation.
+after validation.  A ``CumulantTable`` only holds a factor spec's given free
+cumulants, for the first-block moment kernel of ``cumulant_calculus`` to read.
 
 Positivity of a factor state is NOT assumed here; ``verification`` checks it.
 """
@@ -398,6 +399,60 @@ def factor_state_from_json(obj: object) -> FactorState:
         raise SpecFormatError(str(exc)) from exc
 
 
+class CumulantTable:
+    """Given kappa values of one factor, keyed by letter tuples of length 1..N.
+
+    ``value`` reads a stored cumulant; the table computes nothing.  A key of
+    any other length is refused here, since no lookup could reach it.
+    """
+
+    def __init__(
+        self,
+        factor: str,
+        degree_bound: int,
+        values: Mapping[tuple[Letter, ...], ComplexRational],
+    ):
+        for letters in values:
+            if not 1 <= len(letters) <= degree_bound:
+                raise TruncationError(
+                    f"cumulant word {Word(letters).text()!r} has order "
+                    f"{len(letters)}, outside 1..{degree_bound} of factor {factor!r}"
+                )
+        self.factor = factor
+        self.degree_bound = degree_bound
+        self._values = dict(values)
+
+    def value(self, letters: tuple[Letter, ...]) -> ComplexRational:
+        if not letters or len(letters) > self.degree_bound:
+            raise TruncationError(
+                f"cumulant order {len(letters)} outside 1..{self.degree_bound}"
+            )
+        value = self._values.get(letters)
+        if value is None:
+            raise ValidationError(
+                f"no cumulant value for letters {' '.join(l.text() for l in letters)!r}"
+            )
+        return value
+
+
+def cumulant_table_from_json(
+    obj: object,
+) -> tuple[CumulantTable, tuple[Letter, ...]]:
+    """Load a factor's cumulant table and its letters.
+
+    The schema is the factor spec of ``factor_state_from_json`` with a
+    ``"cumulants"`` object of word -> scalar in place of ``"moments"``.
+    """
+    factor, degree_bound, generators, values = parse_factor_spec(obj, "cumulants")
+    try:
+        table = CumulantTable(
+            factor, degree_bound, {word.letters: v for word, v in values.items()}
+        )
+    except TruncationError as exc:
+        raise SpecFormatError(str(exc)) from exc
+    return table, generator_letters(factor, generators)
+
+
 def parse_factor_spec(
     obj: object, table_key: str
 ) -> tuple[str, int, list[GeneratorSymbol], dict[Word, ComplexRational]]:
@@ -429,9 +484,7 @@ def parse_factor_spec(
                 f"generator #{idx}: 'selfadjoint' must be true or false"
             )
         generators.append(GeneratorSymbol(g["name"], selfadjoint))
-    letters_by_name = {}
-    for g in generators:
-        letters_by_name[g.name] = Letter(g, False, factor)
+    letters_by_name = {g.name: Letter(g, False, factor) for g in generators}
     if not isinstance(table_raw, dict):
         raise SpecFormatError(f"{table_key!r} must be an object of word -> scalar")
     table: dict[Word, ComplexRational] = {}

@@ -318,7 +318,22 @@ def test_empty_sequence_needs_one_value(tmp_path, capsys, command, key):
     src.write_text(json.dumps({key: []}))
     code, _, err = run(capsys, [command, f"--from-{key}", src])
     assert code == 2
-    assert "at least one moment" in err
+    assert err == f"error: need at least one {key[:-1]}, got none\n"
+
+
+@pytest.mark.parametrize("word, order", [("1", 0), ("a a a", 3)], ids=["order-0", "order-3"])
+def test_cumulant_table_refuses_a_word_outside_its_orders(tmp_path, word, order):
+    # Order 0 and a word past the degree bound used to be dropped silently.
+    spec = {"factor": "A", "degree_bound": 2,
+            "generators": [{"name": "a", "selfadjoint": True}],
+            "cumulants": {"a": "0", "a a": "1", word: "1"}}
+    src = tmp_path / "cumulants.json"
+    src.write_text(json.dumps(spec))
+    proc = run_process(["moments", "--from-cumulants", str(src)], timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", (
+        f"error: cumulant word {word!r} has order {order}, "
+        "outside 1..2 of factor 'A'\n"
+    ))
 
 
 @pytest.mark.parametrize("command,key", [
@@ -377,37 +392,50 @@ def test_only_verify_loads_the_checks(monkeypatch, argv, loaded):
 
 
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
-SEQUENCE_MODULES = {"cumulant_calculus", "moment_space", "nc_lattice", "scalar"}
+SEQUENCE_MODULES = {"cumulant_calculus", "nc_lattice", "scalar"}
+FACTOR_MODULES = SEQUENCE_MODULES | {"moment_space"}
+SEQUENCE = str(SPECS / "semicircle_std.json")
 COMMAND_MODULES = {
-    "nc": {"nc_lattice"},
-    "moebius": {"nc_lattice", "scalar"},
-    "cumulants": SEQUENCE_MODULES,
-    "moments": SEQUENCE_MODULES,
-    "convolve": SEQUENCE_MODULES,
-    "product-eval": SEQUENCE_MODULES | {"free_product"},
-    "verify": SEQUENCE_MODULES | {"free_product", "verification"},
+    "nc": (["nc", "7"], {"nc_lattice"}),
+    "moebius": (["moebius", "3", "{1}{2}{3}", "{1,2,3}"], {"nc_lattice", "scalar"}),
+    "cumulants-sequence": (["cumulants", "--from-moments", SEQUENCE], SEQUENCE_MODULES),
+    "cumulants-factor": (
+        ["cumulants", "--from-moments", str(GOLDEN_INPUTS / "factor_u.json")],
+        FACTOR_MODULES,
+    ),
+    "moments-sequence": (
+        ["moments", "--from-cumulants", "cumulants.json"],  # written by the test
+        SEQUENCE_MODULES,
+    ),
+    "moments-factor": (
+        ["moments", "--from-cumulants", str(GOLDEN_INPUTS / "cumulants_u.json")],
+        FACTOR_MODULES,
+    ),
+    "convolve": (["convolve", SEQUENCE, SEQUENCE], SEQUENCE_MODULES),
+    "product-eval": (
+        ["product-eval", "--spec", str(SPECS / "two_semicircles.json"), "--word", "a b a b"],
+        FACTOR_MODULES | {"free_product"},
+    ),
+    "verify": (
+        ["verify", "--spec", str(SPECS / "two_semicircles.json"), "--max-degree", "2"],
+        FACTOR_MODULES | {"free_product", "verification"},
+    ),
 }
 
 
-@pytest.mark.parametrize("argv", [
-    ["nc", "7"],
-    ["moebius", "3", "{1}{2}{3}", "{1,2,3}"],
-    ["cumulants", "--from-moments", str(SPECS / "semicircle_std.json")],
-    ["moments", "--from-cumulants", str(GOLDEN_INPUTS / "cumulants_u.json")],
-    ["convolve", str(SPECS / "semicircle_std.json"), str(SPECS / "semicircle_std.json")],
-    ["product-eval", "--spec", str(SPECS / "two_semicircles.json"), "--word", "a b a b"],
-    ["verify", "--spec", str(SPECS / "two_semicircles.json"), "--max-degree", "2"],
-], ids=lambda argv: argv[0])
-def test_each_command_loads_only_the_modules_it_runs(monkeypatch, argv):
+@pytest.mark.parametrize("argv, modules", COMMAND_MODULES.values(), ids=COMMAND_MODULES)
+def test_each_command_loads_only_the_modules_it_runs(monkeypatch, tmp_path, argv, modules):
     # Every command loads the exception types and the value-type base besides
     # its own modules, and none loads dataclasses or the inspect module it
-    # would bring along.
+    # would bring along.  Only a factor spec loads the word layer.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cumulants.json").write_text(json.dumps({"cumulants": ["0", "1"]}))
     monkeypatch.setenv("PYTHONPROFILEIMPORTTIME", "1")
     proc = run_process(argv, timeout=30)
     assert proc.returncode == 0 and proc.stdout
     imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
     library = {m.removeprefix("ncprob.") for m in imported if m.startswith("ncprob.")}
-    assert library == COMMAND_MODULES[argv[0]] | {"errors", "value"}
+    assert library == modules | {"errors", "value"}
     assert not imported & {"dataclasses", "inspect"}
 
 

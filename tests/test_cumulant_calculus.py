@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -6,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncprob import cumulant_calculus
 from ncprob.cumulant_calculus import (
-    CumulantTable,
     MomentSequence,
-    cumulant_table_from_json,
     cumulants_from_moment_sequence,
     first_block_cumulant,
     first_block_moment,
@@ -24,7 +24,15 @@ from ncprob.errors import (
     ValidationError,
 )
 from ncprob.free_product import ProductSpace
-from ncprob.moment_space import FactorState, GeneratorSymbol, Letter, Polynomial, Word
+from ncprob.moment_space import (
+    CumulantTable,
+    FactorState,
+    GeneratorSymbol,
+    Letter,
+    Polynomial,
+    Word,
+    cumulant_table_from_json,
+)
 from ncprob.nc_lattice import Partition, enumerate_nc, moebius
 from ncprob.scalar import ONE, ZERO, ComplexRational
 
@@ -211,6 +219,23 @@ def test_cumulant_table_errors():
         table.value((la, la))
     with pytest.raises(TruncationError):
         table.value((la,) * 3)
+
+
+@pytest.mark.parametrize("order", [0, 3])
+def test_cumulant_table_refuses_an_order_it_cannot_read(order):
+    # ``value`` refuses a lookup outside orders 1..N, so such a key could
+    # never be read: the table refuses it when it is built.
+    la = Letter(GeneratorSymbol("a", selfadjoint=True), False, "A")
+    with pytest.raises(TruncationError, match=f"has order {order}, outside 1..2"):
+        CumulantTable("A", 2, {(la,): ONE, (la,) * order: ONE})
+
+
+@pytest.mark.parametrize("word", ["1", "u u* u"])
+def test_cumulant_table_from_json_names_a_word_it_cannot_read(word):
+    spec = cumulant_spec()
+    spec["cumulants"][word] = "1"
+    with pytest.raises(SpecFormatError, match=f"cumulant word '{re.escape(word)}'"):
+        cumulant_table_from_json(spec)
 
 
 def test_unital_cumulants_vanish(rng):
@@ -624,8 +649,17 @@ def test_cumulants_from_moment_sequence_match_first_block_kernel(rng):
 def test_empty_moment_sequence_message():
     with pytest.raises(ValidationError, match="at least one moment"):
         MomentSequence.of([])
-    with pytest.raises(ValidationError, match="at least one moment"):
+    with pytest.raises(ValidationError, match="at least one cumulant"):
         moment_sequence_from_cumulants([])
+
+
+def test_empty_cumulant_sequence_is_refused_before_the_size_check(monkeypatch):
+    def fail(n):
+        raise AssertionError("the size was checked first")
+
+    monkeypatch.setattr(cumulant_calculus, "check_lattice_size", fail)
+    with pytest.raises(ValidationError, match="^need at least one cumulant, got none$"):
+        moment_sequence_from_cumulants(())
 
 
 def cumulant_spec():

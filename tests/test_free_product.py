@@ -728,6 +728,20 @@ def test_product_space_from_json():
         space.resolve_letter("zz")
 
 
+def test_resolve_letter_refuses_a_name_two_factors_share():
+    # Specs are refused before this (below), so only a space built in the
+    # library reaches it.
+    space = ProductSpace([semicircle_factor("A1", "a", 2), semicircle_factor("A2", "a", 2)])
+    with pytest.raises(
+        SpecFormatError, match=r"^letter 'a' is ambiguous across factors \['A1', 'A2'\]$"
+    ):
+        space.parse_letters("a a*")
+    spec = make_product_spec()
+    spec["factors"][1] = dict(spec["factors"][0], factor="A2")
+    with pytest.raises(SpecFormatError, match="generator 'a' appears in factors"):
+        product_space_from_json(spec)
+
+
 def bool_degree_bound(spec):
     # JSON true must not pass as the integer 1 these degree-1 factors declare.
     spec["degree_bound"] = True

@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and the package
-root binds exactly what the benchmark reads from it.
+"""Every module of the package uses each name it imports, imports only
+modules of a lower layer, and the package root binds exactly what the
+benchmark reads from it.
 
 No linter ships with the project, so this walks each module's syntax tree
 with the standard library: a name bound by an import and never read
@@ -12,6 +13,12 @@ module defines, an unknown name must raise ``AttributeError``, and a bare
 ``import ncprob`` must load no submodule.  The modules use ``from __future__
 import annotations``, so no name needs to hide in a quoted annotation, and
 one that does counts as unused.
+
+The layers rank the modules from the exception types and the value-type base
+(0) up to the CLI (5).  An import of a package module at any depth, inside a
+function too, must name a module of lower rank, so the word layer
+(``moment_space``) and the cumulant kernels (``cumulant_calculus``) stay side
+by side, and neither loads the other.
 """
 
 import ast
@@ -62,6 +69,64 @@ def test_module_has_no_unused_imports(path):
 def test_the_check_sees_an_unused_import():
     tree = ast.parse("from x import a, b\nimport c.d\nprint(a, 'b', c.d)\n")
     assert set(imported_names(tree)) - used_names(tree) == {"b"}
+
+
+RANKS = {
+    "errors": 0, "value": 0,
+    "scalar": 1, "nc_lattice": 1,
+    "cumulant_calculus": 2, "moment_space": 2,
+    "free_product": 3,
+    "verification": 4,
+    "cli": 5,
+}
+
+
+def package_imports(tree: ast.Module, package: str = "ncprob") -> set[str]:
+    """Every module of ``package`` an import anywhere in the tree names."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(
+                alias.name.split(".")[1]
+                for alias in node.names
+                if alias.name.startswith(package + ".")
+            )
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                if module != package and not module.startswith(package + "."):
+                    continue
+                module = module[len(package) + 1 :]
+            if module:
+                names.add(module.split(".")[0])
+            else:
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_module_has_a_rank():
+    assert set(RANKS) == {p.stem for p in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_imports_only_lower_layers(path):
+    rank = RANKS[path.stem]
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    upward = sorted(
+        f"{name} (rank {RANKS.get(name, 'none')})"
+        for name in package_imports(tree)
+        if RANKS.get(name, rank) >= rank
+    )
+    assert not upward, f"{path.name} (rank {rank}) imports {upward}"
+
+
+def test_the_check_sees_every_package_import():
+    tree = ast.parse(
+        "import os, ncprob.a\nfrom ncprob.b.c import x\nfrom ncprob import d\n"
+        "from . import e as ee, f\nfrom .g import y\nfrom typing import z\n"
+        "def h():\n    from .i import w\n"
+    )
+    assert package_imports(tree) == {"a", "b", "d", "e", "f", "g", "i"}
 
 
 def attributes_read(tree: ast.Module, package: str) -> set[str]:
