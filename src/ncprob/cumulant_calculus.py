@@ -15,8 +15,8 @@ A cumulant of n arguments costs at most 3^(n-1) terms, and a moment at most
 Both kernels recurse on argument sub-tuples and keep no memo of their own:
 each fills the dict its caller passes, keyed by argument tuples.  The
 ``cumulants`` and ``moments`` commands pass one dict for a whole table, a
-``ProductSpace`` its state memo, so each sub-tuple is computed once per table
-or space; one-off callers pass {}.
+``ProductSpace`` its state memo and its memo of word-tuple cumulants, so each
+sub-tuple is computed once per table or space; one-off callers pass {}.
 
 ``cumulants_from_moment_sequence`` sums over NC(n) directly: kappa_n is the
 sum over sigma of mu(sigma, 1_n) times the moments of sigma's blocks

@@ -20,9 +20,11 @@ An atom is a (factor, polynomial) pair, and each letter is one atom built
 with the space.  Mixed cumulants vanish, so the state is the first-block
 kernel (``cumulant_calculus.first_block_moment``) on the atoms, over blocks
 that stay inside the first atom's factor, with ``_phi_memo`` as its memo.  A
-pure cumulant is the factor's cumulant of its atoms: the first-block kernel
-(``cumulant_calculus.first_block_cumulant``) on the atoms, with the factor's
-phi of their product, and ``_kappa_base_memo`` as the kernel's memo.  A
+pure cumulant of one atom is its phi; of n >= 2 atoms it is multilinear and
+0 on the unit, so it sums the first-block kernel
+(``cumulant_calculus.first_block_cumulant``) over tuples of non-unit words,
+with phi of their concatenation and ``_word_kappa_memo`` as its memo.  One
+polynomial per centered (factor, word) makes the memos match by identity.  A
 cumulant of grouped products is the same kernel on the groups, with the
 state of their concatenation as phi and a fresh memo per term.  Everything
 is exact; the memos of a ``ProductSpace`` are plain per-instance dicts.
@@ -210,7 +212,9 @@ class ProductSpace:
             for f in factors
             for letter in f.letters()
         }
+        self._centered: dict[tuple[str, Word], Polynomial] = {}
         self._kappa_base_memo: dict[tuple[Atom, ...], ComplexRational] = {}
+        self._word_kappa_memo: dict[tuple[Word, ...], ComplexRational] = {}
         self._phi_memo: dict[tuple[Atom, ...], tuple[ComplexRational, bool]] = {}
 
     # -- elements ---------------------------------------------------------
@@ -222,11 +226,14 @@ class ProductSpace:
             raise FactorMismatchError(f"unknown factor {index!r}") from None
 
     def centered_word(self, index: str, word: Word) -> Polynomial:
-        """The canonical basis vector w - phi_i(w) 1 of the centered subspace."""
-        if word.degree == 0:
-            raise ValidationError("the empty word has no centered basis vector")
-        value = self.factor_state(index).phi_word(word)
-        return Polynomial({word: ONE, EMPTY_WORD: -value})
+        """The centered basis vector w - phi_i(w) 1, one object per (factor, word)."""
+        poly = self._centered.get((index, word))
+        if poly is None:
+            if word.degree == 0:
+                raise ValidationError("the empty word has no centered basis vector")
+            value = self.factor_state(index).phi_word(word)
+            poly = self._centered[index, word] = Polynomial({word: ONE, EMPTY_WORD: -value})
+        return poly
 
     def _expand_to_basis(
         self, components: tuple[tuple[str, Polynomial], ...]
@@ -325,17 +332,28 @@ class ProductSpace:
 
     def _kappa_base_atoms(self, atoms: tuple[Atom, ...]) -> ComplexRational:
         value = self._kappa_base_memo.get(atoms)
-        if value is None:
-            present = {f for f, _ in atoms}
-            if len(present) > 1:
-                value = self._kappa_base_memo[atoms] = ZERO
-            else:
-                state = self.factor_state(present.pop())
-                value = first_block_cumulant(
-                    atoms,
-                    lambda sub: state.eval_phi_n([p for _, p in sub]),
-                    self._kappa_base_memo,
+        if value is not None:
+            return value
+        present = {f for f, _ in atoms}
+        value = ZERO  # mixed cumulants vanish
+        if len(present) == 1 and len(atoms) == 1:
+            value = self.factor_state(present.pop()).phi_poly(atoms[0][1])
+        elif len(present) == 1:
+            # kappa_n, n >= 2, is multilinear and 0 on the unit: expand over words
+            state = self.factor_state(present.pop())
+            for combo in iter_product(*([t for t in p.items() if t[0].degree] for _, p in atoms)):
+                term = first_block_cumulant(
+                    tuple(w for w, _ in combo),
+                    lambda sub: state.phi_word(Word(tuple(l for w in sub for l in w.letters))),
+                    self._word_kappa_memo,
                 )
+                for _, c in combo:
+                    if term.is_zero():
+                        break
+                    term = term * c
+                else:
+                    value = value + term
+        self._kappa_base_memo[atoms] = value
         return value
 
     def kappa_base(self, letters: Sequence[Letter]) -> ComplexRational:

@@ -6,7 +6,8 @@ normalized at construction: starred selfadjoint letters are rewritten
 unstarred, each {w, w*} orbit is checked under one canonical key, and the
 table holds phi(w*) = conj(phi(w)) beside phi(w).  States are immutable
 after validation.  A ``CumulantTable`` only holds a factor spec's given free
-cumulants, for the first-block moment kernel of ``cumulant_calculus`` to read.
+cumulants, for the first-block moment kernel of ``cumulant_calculus`` to read;
+read from a spec, it holds every letter tuple of order 1..N.
 
 Positivity of a factor state is NOT assumed here; ``verification`` checks it.
 """
@@ -129,10 +130,6 @@ class Polynomial:
                 cleaned[word] = value
         self._terms = cleaned
         self._hash: int | None = None
-
-    @classmethod
-    def one(cls) -> "Polynomial":
-        return cls({EMPTY_WORD: ONE})
 
     @classmethod
     def monomial(cls, word: Word, coeff: ComplexRational | RationalLike = 1) -> "Polynomial":
@@ -348,13 +345,6 @@ class FactorState:
             total = total + coeff * self.phi_word(word)
         return total
 
-    def eval_phi_n(self, args: Sequence[Polynomial]) -> ComplexRational:
-        """phi(a_1 a_2 ... a_n): multiply the polynomials, sum coeff * moment."""
-        product = Polynomial.one()
-        for p in args:
-            product = product * p
-        return self.phi_poly(product)
-
     def __repr__(self) -> str:
         return (
             f"FactorState({self.factor!r}, N={self.degree_bound}, "
@@ -441,7 +431,8 @@ def cumulant_table_from_json(
     """Load a factor's cumulant table and its letters.
 
     The schema is the factor spec of ``factor_state_from_json`` with a
-    ``"cumulants"`` object of word -> scalar in place of ``"moments"``.
+    ``"cumulants"`` object of word -> scalar in place of ``"moments"``, which
+    must hold every word of order 1..N, as the moments must.
     """
     factor, degree_bound, generators, values = parse_factor_spec(obj, "cumulants")
     try:
@@ -450,7 +441,14 @@ def cumulant_table_from_json(
         )
     except TruncationError as exc:
         raise SpecFormatError(str(exc)) from exc
-    return table, generator_letters(factor, generators)
+    letters = generator_letters(factor, generators)
+    for word in all_words(letters, degree_bound):
+        if word.degree and word not in values:
+            raise SpecFormatError(
+                f"factor {factor!r}: missing cumulant for word {word.text()!r} "
+                f"(degree bound {degree_bound})"
+            )
+    return table, letters
 
 
 def parse_factor_spec(

@@ -191,22 +191,19 @@ def check_freeness_moments(target: JointState, max_degree: int) -> FreenessRepor
 def _phi_of_centered_product(
     joint: JointState, slots: Sequence[tuple[str, Word]]
 ) -> ComplexRational:
-    # Expand prod_j (w_j - phi_j(w_j) 1) slot by slot into (coefficient,
-    # joint word) terms, the word before the mean within each slot; a slot
-    # of mean 0 has no mean branch, so no coefficient is ever 0.
-    terms: list[tuple[ComplexRational, tuple[Letter, ...]]] = [(ONE, ())]
-    for index, word in slots:
-        minus_mean = -joint.factor_state(index).phi_word(word)
-        expanded = []
-        for coeff, letters in terms:
-            expanded.append((coeff, letters + word.letters))
-            if minus_mean:
-                expanded.append((minus_mean * coeff, letters))
-        terms = expanded
-    total = ZERO
-    for coeff, letters in terms:
-        total = total + coeff * joint.state_eval(letters)
-    return total
+    # phi of prod_j (w_j - m_j 1), m_j = phi_j(w_j), nested slot by slot:
+    # F(j, p) = F(j + 1, p w_j) - m_j F(j + 1, p), F(k, p) = phi(p), the word
+    # branch first; a mean branch runs only if m_j != 0, and adds if nonzero.
+    means = [joint.factor_state(index).phi_word(word) for index, word in slots]
+
+    def nested(j: int, letters: tuple[Letter, ...]) -> ComplexRational:
+        if j == len(slots):
+            return joint.state_eval(letters)
+        value = nested(j + 1, letters + slots[j][1].letters)
+        rest = nested(j + 1, letters) if means[j] else ZERO
+        return value - means[j] * rest if rest else value
+
+    return nested(0, ())
 
 
 def check_freeness_cumulants(target: JointState, max_degree: int) -> FreenessReport:
@@ -244,9 +241,12 @@ def check_freeness_cumulants(target: JointState, max_degree: int) -> FreenessRep
 def _factor_kappa2(
     state: FactorState, left: Polynomial, right: Polynomial
 ) -> ComplexRational:
-    # kappa_2(x, y) = phi(xy) - phi(x) phi(y), from the factor's moments; the
-    # product-state kappa_2 it is checked against is read off the Gram.
-    return state.phi_poly(left * right) - state.phi_poly(left) * state.phi_poly(right)
+    # kappa_2 is bilinear and 0 on the unit, so it sums c d (phi(vw) - phi(v)
+    # phi(w)) over non-unit words, from the factor's moments alone.
+    return sum((
+        c * d * (state.phi_word(v * w) - state.phi_word(v) * state.phi_word(w))
+        for v, c in left.items() if v.degree for w, d in right.items() if w.degree
+    ), ZERO)
 
 
 def variance_factorization(
@@ -389,15 +389,17 @@ def check_positivity(space: ProductSpace, basis_degree: int) -> PositivityResult
     The basis is the unit plus every alternating tensor word of centered
     factor monomials of degree <= basis_degree; entry (s, t) is the state on
     the concatenated atoms of b_s* and b_t, which the state evaluates
-    without multiplying the words.  A factor is checked as the one-factor
-    space ``ProductSpace([state])``, whose basis words are its centered
-    monomials.  By the paper's Lemma 3 an entry between the unit and a word,
-    or between words of different factor patterns, is exactly 0 (checked,
-    like the Hermitian symmetry), so the Gram is 1 plus one block per
-    pattern and ``ldlt_psd``, which skips zero rows, factors it block by
-    block.  The Lemma-3 structure is verified on the side: on each family of
-    same-pattern tensor words the kappa_2 Gram equals the entrywise product
-    of the per-slot kappa_2 matrices.
+    without multiplying the words.  Both are the space's own centered words,
+    b_s* those of the starred monomials, so the state's memos match them by
+    identity.  A factor is checked as the one-factor space
+    ``ProductSpace([state])``.  By the paper's Lemma 3 an entry between the
+    unit and a word, or between words of different factor patterns, is
+    exactly 0 (checked, like the Hermitian symmetry), so the Gram is 1 plus
+    one block per pattern and ``ldlt_psd``, which skips zero rows, factors
+    it block by block.  The Lemma-3 structure is verified on the side, from
+    the factors' moment tables alone: on each family of same-pattern tensor
+    words the kappa_2 Gram equals the entrywise product of the per-slot
+    kappa_2 matrices.
     """
     if not isinstance(space, ProductSpace):
         raise ValidationError(f"cannot treat {space!r} as a product space")
@@ -408,9 +410,14 @@ def check_positivity(space: ProductSpace, basis_degree: int) -> PositivityResult
             f"Gram at degree {basis_degree} needs moments up to "
             f"{2 * basis_degree} > bound {space.degree_bound}"
         )
-    words = centered_word_basis(space, basis_degree)
+    basis = centered_basis(space, basis_degree)
+    words = [word for word, _ in basis]
     labels = ("1",) + tuple(w.text() for w in words)
-    left = [()] + [w.star().components for w in words]
+    # b_s* is centered w* over the slots of b_s reversed: phi(w*) = conj phi(w)
+    left = [()] + [
+        tuple((f, space.centered_word(f, w.star())) for f, w in reversed(slots))
+        for _, slots in basis
+    ]
     right = [()] + [w.components for w in words]
     entries = tuple(tuple(space.state_eval(ls + rt) for rt in right) for ls in left)
     schur_ok = _lemma3_structure_holds(space, words, labels, entries)
@@ -419,17 +426,14 @@ def check_positivity(space: ProductSpace, basis_degree: int) -> PositivityResult
     return PositivityResult(psd, pivots, witness, gram, schur_ok)
 
 
-def centered_word_basis(space: ProductSpace, max_degree: int) -> list[TensorWord]:
-    """Alternating tensor words of centered factor monomials, degree <= max."""
+def centered_basis(space: ProductSpace, max_degree: int) -> list[tuple[TensorWord, tuple]]:
+    """Alternating tensor words of centered factor monomials, degree <= max,
+    each beside its (factor, monomial) slots."""
     out = [
-        TensorWord(
-            tuple(
-                (index, space.centered_word(index, word)) for index, word in slots
-            )
-        )
+        (TensorWord(tuple((f, space.centered_word(f, w)) for f, w in slots)), slots)
         for slots in _alternating_slot_sequences(space, max_degree)
     ]
-    out.sort(key=TensorWord.sort_key)
+    out.sort(key=lambda pair: pair[0].sort_key())
     return out
 
 

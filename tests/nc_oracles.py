@@ -25,6 +25,12 @@ are the routes it is checked against, and the NC(n) join the tests use:
                                atoms, by multilinear expansion into word
                                tuples, each one ``kappa_words`` (below) of the
                                factor;
+* ``kappa_base_atoms_by_kernel`` - the same cumulant by the first-block
+                               kernel on the atoms themselves, with phi of a
+                               sub-tuple ``eval_phi_n`` of its polynomials;
+* ``phi_of_centered_product_by_terms`` - phi of an alternating product of
+                               centered monomials, expanded into the list of
+                               all (coefficient, joint word) terms first;
 * ``join_nc_by_rescan``      - the package's only NC(n) join, merging one
                                crossing pair of blocks per rescan of all
                                pairs; ``admissible_tops`` uses it, and the
@@ -41,12 +47,14 @@ are the routes it is checked against, and the NC(n) join the tests use:
 Helpers serve the tests where the library has no method of its own:
 
 * on factor states: ``eval_phi_pi``, the multiplicative extension phi_pi;
-  ``words_up_to``, every word of a factor up to a degree; ``center``,
-  p - phi(p) 1; ``kappa_words``, the joint cumulant of factor words by the
-  first-block kernel; and ``kappa_n``, its case of one-letter words;
+  ``eval_phi_n``, phi of a product of polynomials; ``words_up_to``, every
+  word of a factor up to a degree; ``center``, p - phi(p) 1;
+  ``kappa_words``, the joint cumulant of factor words by the first-block
+  kernel; and ``kappa_n``, its case of one-letter words;
 * on NC(n): ``singletons`` (0_n), ``one_block`` (1_n) and
   ``partition_from_rgs``;
-* on product spaces: ``embed_letter``, one letter as an algebra element.
+* on product spaces: ``embed_letter``, one letter as an algebra element, and
+  ``centered_word_basis``, the positivity basis words alone.
 """
 
 from __future__ import annotations
@@ -77,9 +85,10 @@ from ncprob.nc_lattice import (
     moebius_to_top,
 )
 from ncprob.scalar import ONE, ZERO, ComplexRational
+from ncprob.verification import centered_basis
 
 # The unit as a grouped-word atom: a slot with no factor.
-UNIT_ATOM = (None, Polynomial.one())
+UNIT_ATOM = (None, Polynomial.monomial(EMPTY_WORD))
 
 
 def lattice_sum(
@@ -137,6 +146,14 @@ def eval_phi_pi(
         word = Word(tuple(letters[i - 1] for i in block))
         total = total * state.phi_word(word)
     return total
+
+
+def eval_phi_n(state: FactorState, args: Sequence[Polynomial]) -> ComplexRational:
+    """phi(a_1 a_2 ... a_n): multiply the polynomials, sum coeff * moment."""
+    product = Polynomial.monomial(EMPTY_WORD)
+    for p in args:
+        product = product * p
+    return state.phi_poly(product)
 
 
 def words_up_to(state: FactorState, max_degree: int) -> Iterator[Word]:
@@ -284,6 +301,40 @@ def kappa_base_atoms(space: ProductSpace, atoms: tuple) -> ComplexRational:
         for _, c in combo:
             coeff = coeff * c
         total = total + coeff * kappa_words(state, tuple(w for w, _ in combo))
+    return total
+
+
+def kappa_base_atoms_by_kernel(space: ProductSpace, atoms: tuple) -> ComplexRational:
+    """The factor cumulant of (factor, polynomial) atoms by the first-block
+    kernel on the atoms, phi of a sub-tuple being ``eval_phi_n`` of its
+    polynomials; 0 when the atoms straddle two factors."""
+    present = {f for f, _ in atoms}
+    if len(present) > 1:
+        return ZERO
+    state = space.factor_state(present.pop())
+    return first_block_cumulant(
+        atoms, lambda sub: eval_phi_n(state, [p for _, p in sub]), {}
+    )
+
+
+def phi_of_centered_product_by_terms(
+    joint, slots: Sequence[tuple[str, Word]]
+) -> ComplexRational:
+    """phi of prod_j (w_j - phi_j(w_j) 1) on a joint state: expand slot by slot
+    into (coefficient, joint word) terms, the word before the mean within each
+    slot, then sum coefficient * phi(word) in that order."""
+    terms: list[tuple[ComplexRational, tuple[Letter, ...]]] = [(ONE, ())]
+    for index, word in slots:
+        minus_mean = -joint.factor_state(index).phi_word(word)
+        expanded = []
+        for coeff, letters in terms:
+            expanded.append((coeff, letters + word.letters))
+            if minus_mean:
+                expanded.append((minus_mean * coeff, letters))
+        terms = expanded
+    total = ZERO
+    for coeff, letters in terms:
+        total = total + coeff * joint.state_eval(letters)
     return total
 
 
@@ -491,6 +542,11 @@ def _iter_nc_rgs(n: int) -> Iterator[tuple[int, ...]]:
         yield from walk(pos + 1, stack + (next_label,), next_label + 1)
 
     yield from walk(0, (), 0)
+
+
+def centered_word_basis(space: ProductSpace, max_degree: int) -> list:
+    """The tensor words of ``centered_basis``, without their slots."""
+    return [word for word, _ in centered_basis(space, max_degree)]
 
 
 def plain_word_gram(

@@ -336,6 +336,31 @@ def test_cumulant_table_refuses_a_word_outside_its_orders(tmp_path, word, order)
     ))
 
 
+def test_cumulant_table_missing_a_word_is_refused_at_load(monkeypatch, tmp_path, capsys):
+    # Every word over u, u* of order 1..8 but u*^8: the table is refused as
+    # it is read, before a single moment is computed, as a moment table is.
+    words = [()]
+    table = {}
+    for _ in range(8):
+        words = [w + (l,) for w in words for l in ("u", "u*")]
+        table.update({" ".join(w): "1" for w in words})
+    missing = " ".join(["u*"] * 8)
+    del table[missing]
+    spec = {"factor": "A", "degree_bound": 8,
+            "generators": [{"name": "u", "selfadjoint": False}], "cumulants": table}
+    src = tmp_path / "cumulants.json"
+    src.write_text(json.dumps(spec))
+    expected = f"error: factor 'A': missing cumulant for word {missing!r} (degree bound 8)\n"
+    proc = run_process(["moments", "--from-cumulants", str(src)], timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", expected)
+
+    def fail(*args):
+        raise AssertionError("computed before the table was checked")
+
+    monkeypatch.setattr(cumulant_calculus, "first_block_moment", fail)
+    assert run(capsys, ["moments", "--from-cumulants", src]) == (2, "", expected)
+
+
 @pytest.mark.parametrize("command,key", [
     ("cumulants", "moments"), ("moments", "cumulants"),
 ])

@@ -43,6 +43,7 @@ from conftest import (
     small_fraction,
 )
 from nc_oracles import (
+    eval_phi_n,
     kappa_n,
     kappa_pi_via_moebius,
     kappa_words,
@@ -261,7 +262,7 @@ def test_shift_relation(rng):
     )
     shifted_moments = {}
     for k in range(1, 6):
-        shifted_moments[Word((la,) * k)] = state.eval_phi_n([shifted_poly] * k)
+        shifted_moments[Word((la,) * k)] = eval_phi_n(state, [shifted_poly] * k)
     shifted = FactorState("A", 5, state.generators, shifted_moments)
     assert kappa_n(shifted, (la,)) == kappa_n(state, (la,)) + ComplexRational.of(c)
     for n in range(2, 6):
@@ -282,7 +283,7 @@ def test_homogeneity(rng):
         for sigma in enumerate_nc(n):
             term = ONE
             for block in sigma.blocks:
-                term = term * state.eval_phi_n([args[i - 1] for i in block])
+                term = term * eval_phi_n(state, [args[i - 1] for i in block])
             lhs = lhs + term * moebius(sigma, top)
         rhs = kappa_n(state, (la,) * n)
         for c in cs:
@@ -679,6 +680,18 @@ def test_cumulant_table_from_json():
     assert (lu.text(), lus.text()) == ("u", "u*")
     # phi(u u*) = kappa(u u*) + kappa(u) kappa(u*)
     assert first_block_moment((lu, lus), table.value, {}) == ComplexRational.of(2)
+
+
+@pytest.mark.parametrize("word", ["u", "u* u", "u* u*"])
+def test_cumulant_table_from_json_refuses_a_missing_word(word):
+    spec = cumulant_spec()
+    del spec["cumulants"][word]
+    with pytest.raises(
+        SpecFormatError,
+        match=f"^factor 'A': missing cumulant for word '{re.escape(word)}' "
+        r"\(degree bound 2\)$",
+    ):
+        cumulant_table_from_json(spec)
 
 
 @pytest.mark.parametrize(

@@ -37,7 +37,6 @@ from ncprob.moment_space import (
 )
 from ncprob.nc_lattice import Partition, enumerate_nc, kreweras
 from ncprob.scalar import ONE, ZERO, ComplexRational
-from ncprob.verification import centered_word_basis
 
 from conftest import (
     measure_factor_state,
@@ -49,8 +48,10 @@ from conftest import (
 from nc_oracles import (
     GroupedWord,
     center,
+    centered_word_basis,
     embed_letter,
     kappa_base_atoms,
+    kappa_base_atoms_by_kernel,
     kappa_n,
     kappa_pi_products,
     kappa_products,
@@ -85,7 +86,7 @@ def random_element(rng, space, size=2):
 
 
 def test_embed_identity(two_semicircles):
-    assert two_semicircles.embed("A1", Polynomial.one()) == FreeElement.one()
+    assert two_semicircles.embed("A1", Polynomial.monomial(EMPTY_WORD)) == FreeElement.one()
 
 
 def test_embed_letter_structure(two_semicircles):
@@ -103,7 +104,8 @@ def test_embed_respects_star(rng):
     other = random_factor_state(rng, "A2", ("v",), 4, selfadjoint=False)
     space = ProductSpace([state, other])
     lu = state.letter("u")
-    p = Polynomial.from_letter(lu) * Polynomial.from_letter(lu.star()) + Polynomial.one()
+    p = Polynomial.from_letter(lu) * Polynomial.from_letter(lu.star())
+    p = p + Polynomial.monomial(EMPTY_WORD)
     assert space.embed("A1", p.star()) == space.embed("A1", p).star()
 
 
@@ -120,7 +122,7 @@ def test_embed_is_multiplicative(rng):
 
 def test_embed_errors(two_semicircles):
     with pytest.raises(Exception):
-        two_semicircles.embed("nope", Polynomial.one())
+        two_semicircles.embed("nope", Polynomial.monomial(EMPTY_WORD))
     la = two_semicircles.factor_state("A1").letter("a")
     with pytest.raises(TruncationError):
         two_semicircles.embed("A1", Polynomial.monomial(Word((la,) * 7)))
@@ -442,8 +444,8 @@ def test_kappa_elements_matches_join_sum_within_bound(degrees, seed):
 
 def test_kappa_base_atoms_matches_word_expansion_on_basis_pairs(rng):
     # Every pure atom tuple the state reaches on the Gram entries of
-    # centered_word_basis (d = 3, N = 6), with one kernel memo for the space:
-    # the kernel on the polynomials against the expansion into word tuples.
+    # centered_word_basis (d = 3, N = 6), with the space's memos: the
+    # library's route against the expansion into all word tuples, units too.
     space = a_plus_u_space(rng, 6)
     words = centered_word_basis(space, 3)
     for ws in words:
@@ -476,6 +478,91 @@ def test_kappa_base_atoms_matches_word_expansion_within_bound(degrees, index, se
     state = KAPPA_SPACE.factor_state(index)
     atoms = tuple((index, random_polynomial(rng, state, d)) for d in degrees)
     assert KAPPA_SPACE._kappa_base_atoms(atoms) == kappa_base_atoms(KAPPA_SPACE, atoms)
+
+
+def atoms_with_units(space, index):
+    """The unit, a pure scalar, each letter plain, centered and as 3 x + 1,
+    and each centered word of degree 2, of one factor."""
+    state = space.factor_state(index)
+    one = Polynomial.monomial(EMPTY_WORD)
+    out = [one, Polynomial.monomial(EMPTY_WORD, -2)]
+    for word in words_up_to(state, 2):
+        if word.degree == 1:
+            out += [Polynomial.monomial(word), Polynomial.monomial(word, 3) + one]
+        if word.degree:
+            out.append(space.centered_word(index, word))
+    return [(index, p) for p in out]
+
+
+def test_kappa_base_atoms_matches_atom_kernel_exhaustively(rng):
+    # Every pure tuple of up to three atoms within N = 3, over letters, centered
+    # words, words plus the unit and pure scalars: the word-tuple kernel with
+    # unit terms dropped against the kernel on the polynomials themselves.
+    space = a_plus_u_space(rng, 3)
+    checked = 0
+    for index in ("A1", "A2"):
+        pool = atoms_with_units(space, index)
+        tuples = [()]
+        for _ in range(3):
+            tuples = [t + (a,) for t in tuples for a in pool
+                      if sum(p.degree for _, p in t) + a[1].degree <= 3]
+            for atoms in tuples:
+                assert space._kappa_base_atoms(atoms) == kappa_base_atoms_by_kernel(
+                    space, atoms
+                )
+                checked += 1
+    assert checked > 1000
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    degrees=st.lists(st.integers(0, 3), min_size=1, max_size=4).filter(
+        lambda ds: sum(ds) <= 6
+    ),
+    index=st.sampled_from(("A1", "A2")),
+    seed=st.integers(0, 10**6),
+)
+def test_kappa_base_atoms_matches_atom_kernel_within_bound(degrees, index, seed):
+    # Random polynomials, unit terms and pure scalars among them.
+    rng = random.Random(seed)
+    state = KAPPA_SPACE.factor_state(index)
+    atoms = tuple((index, random_polynomial(rng, state, d)) for d in degrees)
+    expected = kappa_base_atoms_by_kernel(KAPPA_SPACE, atoms)
+    assert KAPPA_SPACE._kappa_base_atoms(atoms) == expected
+
+
+def test_kappa_base_atoms_past_bound_raises_or_agrees(rng):
+    # Past the bound the atom kernel raises on the top word of the product.
+    # The word route raises on the same degree, except that a pure scalar
+    # among n >= 2 atoms has no non-unit word, and its cumulant is 0.
+    space = a_plus_u_space(rng, 4)
+    raised = 0
+    for _ in range(200):
+        index = rng.choice(("A1", "A2"))
+        state = space.factor_state(index)
+        atoms = tuple(
+            (index, random_polynomial(rng, state, rng.randint(0, 3)))
+            for _ in range(rng.randint(2, 4))
+        )
+        degrees = [p.degree for _, p in atoms]
+        if sum(degrees) <= 4:
+            continue
+        new = truncated_or_value(lambda: space._kappa_base_atoms(atoms))
+        old = truncated_or_value(lambda: kappa_base_atoms_by_kernel(space, atoms))
+        if 0 in degrees:
+            assert new in (ZERO, old)
+        else:
+            assert new == old == "raised"
+            raised += 1
+    assert raised > 20
+
+
+def test_centered_words_are_handed_out_once(rng):
+    space = a_plus_u_space(rng, 4)
+    for index in ("A1", "A2"):
+        for word in words_up_to(space.factor_state(index), 2):
+            if word.degree:
+                assert space.centered_word(index, word) is space.centered_word(index, word)
 
 
 def test_kappa_elements_past_bound_raises_or_agrees(rng):

@@ -23,6 +23,7 @@ from ncprob.free_product import (
     product_space_from_json,
 )
 from ncprob.moment_space import (
+    EMPTY_WORD,
     FactorState,
     GeneratorSymbol,
     Letter,
@@ -37,7 +38,6 @@ from ncprob.scalar import ONE, ZERO, ComplexRational
 from ncprob.verification import (
     ExplicitJointState,
     GramMatrix,
-    centered_word_basis,
     check_freeness_cumulants,
     check_freeness_moments,
     check_positivity,
@@ -52,7 +52,15 @@ from conftest import (
     semicircle_factor,
     small_scalar,
 )
-from nc_oracles import center, lattice_sum, ldlt_psd_by_recursion, plain_word_gram
+from nc_oracles import (
+    center,
+    centered_word_basis,
+    eval_phi_n,
+    lattice_sum,
+    ldlt_psd_by_recursion,
+    phi_of_centered_product_by_terms,
+    plain_word_gram,
+)
 
 
 def scalar(x) -> ComplexRational:
@@ -224,6 +232,31 @@ def test_freeness_cumulants_matches_per_tuple_joint_kappa(rng):
     assert check_freeness_cumulants(joint, 4).violations == tuple(expected)
 
 
+def test_centered_product_nested_matches_term_list(monkeypatch, rng):
+    # Every alternating slot tuple up to degree 4 on random non-free joint
+    # states: the nested expansion gives the term list's value, from the same
+    # state_eval calls in the same order.
+    for _ in range(3):
+        joint = random_joint_state(rng, 4)
+        exact = joint.state_eval
+        calls = []
+
+        def record(letters):
+            calls.append(tuple(letters))
+            return exact(letters)
+
+        monkeypatch.setattr(joint, "state_eval", record)
+        slot_tuples = list(verification._alternating_slot_sequences(joint, 4))
+        assert len(slot_tuples) > 50
+        for slots in slot_tuples:
+            calls.clear()
+            expected = phi_of_centered_product_by_terms(joint, slots)
+            oracle_calls = list(calls)
+            calls.clear()
+            assert verification._phi_of_centered_product(joint, slots) == expected
+            assert calls == oracle_calls
+
+
 def test_freeness_checks_reject_negative_degree(two_semicircles):
     for check in (check_freeness_moments, check_freeness_cumulants):
         with pytest.raises(ValidationError):
@@ -352,7 +385,7 @@ def test_variance_single_slot_is_phi_of_product(rng):
     value = variance_factorization(
         space, TensorWord((("A1", a0),)), TensorWord((("A1", b0),)), {}
     )
-    assert value == state.eval_phi_n([a0.star(), b0])
+    assert value == eval_phi_n(state, [a0.star(), b0])
 
 
 def test_variance_self_pairing_nonnegative(rng):
@@ -691,6 +724,26 @@ def test_schur_check_computes_each_slot_kappa2_once(monkeypatch):
     )
     assert check_positivity(space, 3).schur_consistent is True
     assert len(calls) == len(set(calls)) == 205
+
+
+def test_positivity_matches_atoms_by_identity(monkeypatch):
+    # Semicircle a + Haar u, N = 6, d = 3: the rows b_s* take the space's own
+    # centered words, so no memo hit compares two polynomials by value.
+    space = product_space_from_json(
+        json.loads((GOLDEN_INPUTS / "semicircle_and_haar_u_6.json").read_text())
+    )
+    exact = Polynomial.__eq__
+    calls = []
+
+    def counting(self, other):
+        calls.append(1)
+        return exact(self, other)
+
+    monkeypatch.setattr(Polynomial, "__eq__", counting)
+    assert check_positivity(space, 3).psd is True
+    assert calls == []
+    assert Polynomial.monomial(EMPTY_WORD) == Polynomial.monomial(EMPTY_WORD)
+    assert calls == [1]
 
 
 def test_centered_word_basis_degrees(two_semicircles):
