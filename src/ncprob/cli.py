@@ -110,16 +110,16 @@ def _factor_table(
     """The payload and table lines of a factor spec's ``key`` table: ``kernel``
     of ``given`` on every letter tuple of order 1..N of ``owner``, shortest
     first, with one memo for the whole table."""
+    from .moment_space import all_words
     from .nc_lattice import check_lattice_size
 
     check_lattice_size(owner.degree_bound)
     memo: dict = {}
-    values = {}
-    tuples: list[tuple[Letter, ...]] = [()]
-    for _ in range(owner.degree_bound):
-        tuples = [t + (l,) for t in tuples for l in letters]
-        for tup in tuples:
-            values[" ".join(l.text() for l in tup)] = str(kernel(tup, given, memo))
+    values = {
+        word.text(): str(kernel(word.letters, given, memo))
+        for word in all_words(letters, owner.degree_bound)
+        if word.degree
+    }
     payload = {"factor": owner.factor, "degree_bound": owner.degree_bound, key: values}
     return payload, [f"{w}  {v}" for w, v in sorted(values.items())]
 

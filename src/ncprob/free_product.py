@@ -135,8 +135,10 @@ class FreeElement:
     def items(self) -> list[tuple[TensorWord, ComplexRational]]:
         return sorted(self.words.items(), key=lambda kv: kv[0].sort_key())
 
-    def is_zero(self) -> bool:
-        return not self.scalar and not self.words
+    def terms(self) -> list[tuple[ComplexRational, tuple[Atom, ...]]]:
+        """(coefficient, components) of each term; the unit's components are ()."""
+        unit = [(self.scalar, ())] if self.scalar else []
+        return unit + [(c, w.components) for w, c in self.words.items()]
 
     def __add__(self, other: "FreeElement") -> "FreeElement":
         if not isinstance(other, FreeElement):
@@ -146,23 +148,9 @@ class FreeElement:
             merged[word] = merged.get(word, ZERO) + coeff
         return FreeElement(self.scalar + other.scalar, merged)
 
-    def __sub__(self, other: "FreeElement") -> "FreeElement":
-        if not isinstance(other, FreeElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "FreeElement":
-        return FreeElement(-self.scalar, {w: -c for w, c in self.words.items()})
-
     def scale(self, c: ComplexRational) -> "FreeElement":
         c = ComplexRational.of(c)
         return FreeElement(self.scalar * c, {w: x * c for w, x in self.words.items()})
-
-    def __rmul__(self, other) -> "FreeElement":
-        try:
-            return self.scale(ComplexRational.of(other))
-        except TypeError:
-            return NotImplemented
 
     def star(self) -> "FreeElement":
         return FreeElement(
@@ -254,8 +242,6 @@ class ProductSpace:
                 for word, coeff in poly.items()
                 if word.degree > 0
             ]
-            if not choices:
-                return FreeElement()
             slot_choices.append(choices)
         total = FreeElement()
         for combo in iter_product(*slot_choices):
@@ -286,18 +272,11 @@ class ProductSpace:
 
     def multiply(self, x: FreeElement, y: FreeElement) -> FreeElement:
         """Bilinear extension of concatenation-and-reduction, in normal form."""
-        x = self.normal_form(x)
-        y = self.normal_form(y)
-        total = FreeElement(x.scalar * y.scalar)
-        for word, coeff in y.words.items():
-            total = total + FreeElement.from_word(word, x.scalar * coeff)
-        for word, coeff in x.words.items():
-            total = total + FreeElement.from_word(word, y.scalar * coeff)
-        for wx, cx in x.words.items():
-            for wy, cy in y.words.items():
-                total = total + self._multiply_components(
-                    wx.components, wy.components
-                ).scale(cx * cy)
+        left_terms, right_terms = self.normal_form(x).terms(), self.normal_form(y).terms()
+        total = FreeElement()
+        for cx, left in left_terms:
+            for cy, right in right_terms:
+                total = total + self._multiply_components(left, right).scale(cx * cy)
         return total
 
     def _multiply_components(
@@ -307,23 +286,15 @@ class ProductSpace:
     ) -> FreeElement:
         if not left and not right:
             return FreeElement.one()
-        if not left:
-            return self._expand_to_basis(right)
-        if not right:
-            return self._expand_to_basis(left)
-        factor_left, poly_left = left[-1]
-        factor_right, poly_right = right[0]
-        if factor_left != factor_right:
+        if not left or not right or left[-1][0] != right[0][0]:
             return self._expand_to_basis(left + right)
-        state = self.factor_state(factor_left)
+        (factor, poly_left), (_, poly_right) = left[-1], right[0]
         merged = poly_left * poly_right
-        value = state.phi_poly(merged)  # raises past the degree bound
+        value = self.factor_state(factor).phi_poly(merged)  # raises past the degree bound
         centered = merged - Polynomial.monomial(EMPTY_WORD, value)
         out = FreeElement()
         if not centered.is_zero():
-            out = out + self._expand_to_basis(
-                left[:-1] + ((factor_left, centered),) + right[1:]
-            )
+            out = out + self._expand_to_basis(left[:-1] + ((factor, centered),) + right[1:])
         if value:
             out = out + self._multiply_components(left[:-1], right[1:]).scale(value)
         return out
@@ -396,16 +367,8 @@ class ProductSpace:
         """
         if not args:
             raise ValidationError("kappa_elements needs at least one argument")
-        expansions = []
-        for element in args:
-            choices: list[tuple[ComplexRational, tuple[Atom, ...]]] = []
-            if element.scalar:
-                choices.append((element.scalar, ()))
-            for word, coeff in element.words.items():
-                choices.append((coeff, word.components))
-            expansions.append(choices)
         total = ZERO
-        for combo in iter_product(*expansions):
+        for combo in iter_product(*(element.terms() for element in args)):
             coeff = ONE
             for c, _ in combo:
                 coeff = coeff * c
@@ -438,9 +401,9 @@ class ProductSpace:
         tensor word's components.  Every sub-tuple's moment stays memoized.
         """
         if isinstance(x, FreeElement):
-            total = x.scalar
-            for word, coeff in x.words.items():
-                total = total + coeff * self._phi_atoms(tuple(word.components))
+            total = ZERO
+            for coeff, components in x.terms():
+                total = total + coeff * self._phi_atoms(components)
             return total
         return self._phi_atoms(self._as_atoms(x))
 

@@ -229,6 +229,8 @@ def normalize_moments(
     degree_bound over ``letters`` must be covered.  The table holds both w
     and w* (with phi(w*) = conj(phi(w))), so a moment is one lookup.
     """
+    if entries.get(EMPTY_WORD, ONE) != ONE:
+        raise ValidationError(f"{context}: phi(1) must be 1")
     table: dict[Word, ComplexRational] = {EMPTY_WORD: ONE}
     for word, value in entries.items():
         key, conjugated = canonical_moment_key(word)
@@ -243,8 +245,6 @@ def normalize_moments(
                 f"{context}: phi({key.text()}) must be real, got {stored}"
             )
         table[key] = stored
-    if table[EMPTY_WORD] != ONE:
-        raise ValidationError(f"{context}: phi(1) must be 1")
     for key, value in list(table.items()):
         table[key.star()] = value.conjugate()
     for word in all_words(letters, degree_bound):
@@ -331,13 +331,13 @@ class FactorState:
             )
 
     def phi_word(self, word: Word) -> ComplexRational:
-        self._check_word(word)
-        try:
-            return self._moments[word]
-        except KeyError:
+        value = self._moments.get(word)
+        if value is None:  # every stored word passed _check_word
+            self._check_word(word)
             raise ValidationError(
                 f"word {word.text()!r} is not over factor {self.factor!r}"
-            ) from None
+            )
+        return value
 
     def phi_poly(self, p: Polynomial) -> ComplexRational:
         total = ZERO
@@ -441,6 +441,13 @@ def cumulant_table_from_json(
         )
     except TruncationError as exc:
         raise SpecFormatError(str(exc)) from exc
+    for word, value in values.items():  # kappa(w*) = conj kappa(w)
+        starred = values.get(word.star(), value.conjugate())
+        if starred != value.conjugate():
+            raise SpecFormatError(
+                f"factor {factor!r}: kappa({word.star().text()!r}) = {starred} is not "
+                f"the conjugate of kappa({word.text()!r}) = {value}"
+            )
     letters = generator_letters(factor, generators)
     for word in all_words(letters, degree_bound):
         if word.degree and word not in values:

@@ -54,11 +54,10 @@ class ComplexRational(Value):
 
     @staticmethod
     def of(value: "ComplexRational | RationalLike") -> "ComplexRational":
-        if isinstance(value, ComplexRational):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return ComplexRational(Fraction(value))
-        raise TypeError(f"cannot interpret {value!r} as a complex rational")
+        scalar = _coerce(value)
+        if scalar is None:
+            raise TypeError(f"cannot interpret {value!r} as a complex rational")
+        return scalar
 
     @staticmethod
     def parse(text: str) -> "ComplexRational":

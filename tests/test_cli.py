@@ -361,6 +361,52 @@ def test_cumulant_table_missing_a_word_is_refused_at_load(monkeypatch, tmp_path,
     assert run(capsys, ["moments", "--from-cumulants", src]) == (2, "", expected)
 
 
+def test_star_inconsistent_cumulant_table_is_refused(tmp_path, capsys):
+    # kappa(u*) must be conj kappa(u): from these values the table would print
+    # phi(u) = 1 and phi(u*) = 5, which no moment table accepts.
+    spec = {"factor": "A", "degree_bound": 1,
+            "generators": [{"name": "u", "selfadjoint": False}],
+            "cumulants": {"u": "1", "u*": "5"}}
+    src = tmp_path / "cumulants.json"
+    src.write_text(json.dumps(spec))
+    assert run(capsys, ["moments", "--from-cumulants", src]) == (2, "", (
+        "error: factor 'A': kappa('u*') = 5 is not the conjugate of kappa('u') = 1\n"
+    ))
+
+
+def test_moment_of_the_unit_must_be_one(tmp_path, capsys):
+    spec = {"factor": "A", "degree_bound": 1,
+            "generators": [{"name": "a", "selfadjoint": True}],
+            "moments": {"1": "2", "a": "0"}}
+    src = tmp_path / "moments.json"
+    src.write_text(json.dumps(spec))
+    assert run(capsys, ["cumulants", "--from-moments", src]) == (
+        2, "", "error: factor 'A': phi(1) must be 1\n"
+    )
+
+
+SEMICIRCLE_A = {"factor": "A", "degree_bound": 1,
+                "generators": [{"name": "a", "selfadjoint": True}], "moments": {"a": "0"}}
+
+
+@pytest.mark.parametrize("spec, word, message", [
+    (SEMICIRCLE_A, "", "empty word"),
+    ({**SEMICIRCLE_A, "moments": {"a": "0", "": "1"}}, "a", "empty word text ''"),
+    ([1, 2], "a", "factor spec must be a JSON object"),
+    ({**SEMICIRCLE_A, "generators": [{"name": "a b"}]}, "a", "bad generator name 'a b'"),
+    ({**SEMICIRCLE_A, "generators": [{"name": "a", "selfadjoint": True}] * 2}, "a",
+     "duplicate generator names in factor 'A'"),
+    ({**SEMICIRCLE_A, "generators": [], "moments": {}}, "a", "factor 'A' has no generators"),
+], ids=["empty-word", "empty-key", "not-an-object", "bad-name", "duplicate-names",
+        "no-generators"])
+def test_malformed_product_eval_input_is_one_error_line(tmp_path, capsys, spec, word, message):
+    src = tmp_path / "spec.json"
+    src.write_text(json.dumps(spec))
+    assert run(capsys, ["product-eval", "--spec", src, "--word", word]) == (
+        2, "", f"error: {message}\n"
+    )
+
+
 @pytest.mark.parametrize("command,key", [
     ("cumulants", "moments"), ("moments", "cumulants"),
 ])

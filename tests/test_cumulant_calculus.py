@@ -694,6 +694,33 @@ def test_cumulant_table_from_json_refuses_a_missing_word(word):
         cumulant_table_from_json(spec)
 
 
+@pytest.mark.parametrize("given, message", [
+    ({"u": "1", "u*": "5"}, "kappa('u*') = 5 is not the conjugate of kappa('u') = 1"),
+    ({"u": "1+i", "u*": "1+i"},
+     "kappa('u*') = 1+1 i is not the conjugate of kappa('u') = 1+1 i"),
+    ({"u u*": "i"}, "kappa('u u*') = 1 i is not the conjugate of kappa('u u*') = 1 i"),
+], ids=["real-pair", "complex-pair", "self-star"])
+def test_cumulant_table_from_json_refuses_star_inconsistent_values(given, message):
+    spec = cumulant_spec()
+    spec["cumulants"].update(given)
+    with pytest.raises(SpecFormatError, match=f"^factor 'A': {re.escape(message)}$"):
+        cumulant_table_from_json(spec)
+    # Checked after the orders and before totality, so those messages stand.
+    spec["cumulants"]["1"] = "1"
+    with pytest.raises(SpecFormatError, match="has order 0"):
+        cumulant_table_from_json(spec)
+    del spec["cumulants"]["1"], spec["cumulants"]["u u"]
+    with pytest.raises(SpecFormatError, match=f"^factor 'A': {re.escape(message)}$"):
+        cumulant_table_from_json(spec)
+
+
+def test_cumulant_table_from_json_takes_conjugate_values():
+    spec = cumulant_spec()
+    spec["cumulants"].update({"u": "1+i", "u*": "1-i", "u u": "2 i", "u* u*": "-2 i"})
+    table, (lu, lus) = cumulant_table_from_json(spec)
+    assert table.value((lus, lus)) == table.value((lu, lu)).conjugate()
+
+
 @pytest.mark.parametrize(
     "mutate",
     [

@@ -10,7 +10,9 @@ lazily for the benchmark to read, so it is checked against
 exactly the ``ncprob.<name>`` attributes the child reads, each submodule the
 child reads must be one of those modules, each name must be the object its
 module defines, an unknown name must raise ``AttributeError``, and a bare
-``import ncprob`` must load no submodule.  The modules use ``from __future__
+``import ncprob`` must load no submodule.  The benchmark's tracer wraps the
+scalar methods named in its ``SCALAR_DUNDERS``, so ``ComplexRational`` must
+define each of them itself.  The modules use ``from __future__
 import annotations``, so no name needs to hide in a quoted annotation, and
 one that does counts as unused.
 
@@ -31,6 +33,7 @@ from pathlib import Path
 import pytest
 
 import ncprob
+from ncprob.scalar import ComplexRational
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ncprob"
@@ -159,6 +162,19 @@ def test_package_root_binds_what_the_benchmark_reads():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30
     )
     assert (proc.returncode, proc.stdout) == (0, "['ncprob']\n")
+
+
+def test_the_scalar_type_defines_what_the_benchmark_tracer_wraps():
+    # The tracer wraps each name with getattr on the class, so a method that
+    # nothing calls must still stay, or every traced run fails to start.
+    tracer = ast.parse((ROOT / "ncbench" / "tracer.py").read_text(encoding="utf-8"))
+    wrapped = [
+        ast.literal_eval(node.value) for node in tracer.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "SCALAR_DUNDERS" for t in node.targets)
+    ]
+    assert len(wrapped) == 1 and wrapped[0]
+    assert set(wrapped[0]) <= set(vars(ComplexRational))
 
 
 def test_the_check_sees_the_attributes_read():
