@@ -73,13 +73,9 @@ def _parse_moment_file(obj: object, key: str, path: str) -> list[ComplexRational
 
 
 def _cmd_nc(args) -> int:
-    from .nc_lattice import block_text, enumerate_nc
+    from .nc_lattice import nc_texts
 
-    rendered: dict[tuple[int, ...], str] = {}  # each distinct block once
-    texts = [
-        "".join([rendered.get(b) or rendered.setdefault(b, block_text(b)) for b in p.blocks])
-        for p in enumerate_nc(args.n)
-    ]
+    texts = nc_texts(args.n)
     _emit(args, {"n": args.n, "count": len(texts), "partitions": texts}, texts)
     return 0
 

@@ -114,10 +114,10 @@ class FreeElement:
         scalar: ComplexRational = ZERO,
         words: Mapping[TensorWord, ComplexRational] | None = None,
     ):
-        self.scalar = ComplexRational.of(scalar)
+        self.scalar = scalar if scalar.__class__ is ComplexRational else ComplexRational.of(scalar)
         cleaned: dict[TensorWord, ComplexRational] = {}
         for word, coeff in (words or {}).items():
-            value = ComplexRational.of(coeff)
+            value = coeff if coeff.__class__ is ComplexRational else ComplexRational.of(coeff)
             if value:
                 cleaned[word] = value
         self.words = cleaned

@@ -37,11 +37,27 @@ class GeneratorSymbol(Value):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "selfadjoint", selfadjoint)
 
+
+class _Cached(Value):
+    """A value type that caches its hash, set at construction, and its star
+    partner.  The caches are this class's slots, so a subclass's
+    ``__slots__`` lists its fields alone, as ``repr`` and the hash read them."""
+
+    __slots__ = ("_hash", "_star")
+
     def __hash__(self) -> int:
-        return hash((self.name, self.selfadjoint))
+        return self._hash
+
+    def star(self):
+        partner = getattr(self, "_star", None)  # unset until the first call
+        if partner is None:
+            partner = self._build_star()
+            object.__setattr__(self, "_star", partner)
+            object.__setattr__(partner, "_star", self)
+        return partner
 
 
-class Letter(Value):
+class Letter(_Cached):
     """A generator or its star, tagged with its factor index."""
 
     __slots__ = ("generator", "starred", "factor")
@@ -52,6 +68,7 @@ class Letter(Value):
         object.__setattr__(self, "generator", generator)
         object.__setattr__(self, "starred", starred)
         object.__setattr__(self, "factor", factor)
+        object.__setattr__(self, "_hash", hash((generator, starred, factor)))
 
     def __eq__(self, other):
         if other.__class__ is Letter:
@@ -59,10 +76,9 @@ class Letter(Value):
                 other.generator, other.starred, other.factor)
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash((self.generator, self.starred, self.factor))
+    __hash__ = _Cached.__hash__  # a class that defines __eq__ alone is unhashable
 
-    def star(self) -> "Letter":
+    def _build_star(self) -> "Letter":
         return Letter(self.generator, not self.starred, self.factor)
 
     @property
@@ -76,27 +92,27 @@ class Letter(Value):
         return (self.factor, self.name, self.starred)
 
 
-class Word(Value):
+class Word(_Cached):
     """A monomial in letters; the empty word is the identity."""
 
     __slots__ = ("letters",)
 
     def __init__(self, letters: tuple[Letter, ...] = ()):
         object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "_hash", hash((letters,)))
 
     def __eq__(self, other):
         if other.__class__ is Word:
             return self.letters == other.letters
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash((self.letters,))
+    __hash__ = _Cached.__hash__
 
     @property
     def degree(self) -> int:
         return len(self.letters)
 
-    def star(self) -> "Word":
+    def _build_star(self) -> "Word":
         return Word(tuple(l.star() for l in reversed(self.letters)))
 
     def __mul__(self, other: "Word") -> "Word":
@@ -125,7 +141,7 @@ class Polynomial:
     def __init__(self, terms: Mapping[Word, ComplexRational | RationalLike] | None = None):
         cleaned: dict[Word, ComplexRational] = {}
         for word, coeff in (terms or {}).items():
-            value = ComplexRational.of(coeff)
+            value = coeff if coeff.__class__ is ComplexRational else ComplexRational.of(coeff)
             if value:
                 cleaned[word] = value
         self._terms = cleaned

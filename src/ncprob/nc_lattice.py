@@ -1,12 +1,14 @@
 """The lattice NC(n) of non-crossing partitions of {1..n}.
 
 Partitions are kept in canonical form (blocks ascending, sorted by least
-element) so equality and hashing are structural.  ``enumerate_nc`` walks
-1..n with a stack of open blocks, extending one shared block tuple per
-branch, and lists NC(n) in lexicographic order of the restricted-growth
-string: it starts at the one-block partition ``1_n`` and ends at the
-all-singletons partition ``0_n``.  The enumeration cap is ``MAX_ENUM_N`` =
-12 (Catalan(12) = 208012 partitions).
+element) so equality and hashing are structural.  One walk of 1..n with a
+stack of open blocks lists NC(n) in lexicographic order of the
+restricted-growth string: it starts at the one-block partition ``1_n`` and
+ends at the all-singletons partition ``0_n``.  The walk has two leaf forms:
+``enumerate_nc`` grows block tuples and records ``Partition`` objects, and
+``nc_texts`` grows block texts and records each partition's text, the
+concatenation of its ``block_text``s, with no ``Partition`` built.  The
+enumeration cap is ``MAX_ENUM_N`` = 12 (Catalan(12) = 208012 partitions).
 
 The partial order is reverse refinement.  The Moebius function is the
 closed form (Nica & Speicher, Lectures 9-10): every interval [s, p] is a
@@ -25,7 +27,7 @@ values are immutable.
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -161,41 +163,62 @@ def check_lattice_size(n: int) -> None:
 def enumerate_nc(n: int) -> tuple[Partition, ...]:
     """All of NC(n), in lexicographic restricted-growth-string order.
 
-    Non-crossing partitions are exactly those built by one scan of 1..n with
-    a stack of open blocks: element k either joins an open block, closing
-    every block opened after it, or opens a new one.  Trying the open blocks
-    bottom-up and then a fresh one gives the lexicographic order.  The walk
-    keeps the blocks as tuples and extends one per branch, so each block
-    tuple is built once per walk node and shared by every partition below
-    it.  The count is the n-th Catalan number.  Results are cached per n.
+    The walk's tuple form: each block tuple is built once per walk node and
+    shared by every partition below it.  The count is the n-th Catalan
+    number.  Results are cached per n.
     """
     check_lattice_size(n)
     cached = _nc_cache.get(n)
     if cached is not None:
         return cached
-    found: list[Partition] = []
-    blocks: list[tuple[int, ...]] = []  # sorted by least element
+    singletons = [(k,) for k in range(n + 1)]
+
+    def leaf(blocks: list[tuple[int, ...]]) -> Partition:
+        p = object.__new__(Partition)  # canonical by construction: no validation
+        object.__setattr__(p, "n", n)
+        object.__setattr__(p, "blocks", tuple(blocks))
+        return p
+
+    cached = _nc_cache[n] = tuple(_walk_nc(n, singletons, singletons, leaf))
+    return cached
+
+
+def nc_texts(n: int) -> list[str]:
+    """``[str(p) for p in enumerate_nc(n)]``, by the walk's text form, which
+    builds no ``Partition``.  A block's text grows without its closing brace,
+    so ``"{1,3"`` grows by 5 in one concatenation, as a tuple does."""
+    check_lattice_size(n)
+    opened = ["{%d" % k for k in range(n + 1)]
+    grown = [",%d" % k for k in range(n + 1)]
+    return _walk_nc(n, opened, grown, lambda blocks: "}".join(blocks) + "}")
+
+
+def _walk_nc(n: int, opened: Sequence, grown: Sequence, leaf: Callable) -> list:
+    # Non-crossing partitions are exactly those built by one scan of 1..n
+    # with a stack of open blocks: element k either joins an open block,
+    # closing every block opened after it, or opens a new one.  Trying the
+    # open blocks bottom-up and then a fresh one gives the lexicographic
+    # order.  A block opens at k as opened[k] and grows by k to
+    # block + grown[k]; leaf(blocks) records a partition.
+    found = []
+    blocks: list = []  # sorted by least element
 
     def walk(k: int, stack: tuple[int, ...]) -> None:
         if k > n:
-            # Canonical by construction, so validation is skipped.
-            p = object.__new__(Partition)
-            object.__setattr__(p, "n", n)
-            object.__setattr__(p, "blocks", tuple(blocks))
-            found.append(p)
+            found.append(leaf(blocks))
             return
+        grow = grown[k]
         for depth, i in enumerate(stack):
             block = blocks[i]
-            blocks[i] = block + (k,)
+            blocks[i] = block + grow
             walk(k + 1, stack[: depth + 1])
             blocks[i] = block
-        blocks.append((k,))
+        blocks.append(opened[k])
         walk(k + 1, stack + (len(blocks) - 1,))
         blocks.pop()
 
     walk(1, ())
-    cached = _nc_cache[n] = tuple(found)
-    return cached
+    return found
 
 
 def catalan(n: int) -> int:

@@ -21,6 +21,7 @@ from ncprob.nc_lattice import (
     leq,
     moebius,
     moebius_to_top,
+    nc_texts,
     parse_partition,
 )
 
@@ -115,6 +116,21 @@ def test_enumeration_equals_rgs_oracle(n):
     assert isinstance(walked, tuple) and len(walked) == len(expected)
     for p, q in zip(walked, expected):
         assert (p.n, p.blocks) == (q.n, q.blocks)
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_nc_texts_equal_the_partition_texts(n):
+    texts = nc_texts(n)
+    assert texts == [str(p) for p in enumerate_nc(n)]
+    assert texts == [str(p) for p in enumerate_nc_by_rgs(n)]
+
+
+def test_nc_texts_count_and_cap():
+    for n in range(1, 13):
+        assert len(nc_texts(n)) == catalan_formula(n)
+    for n in (0, 13):
+        with pytest.raises(SizeOutOfRangeError, match=f"got {n}"):
+            nc_texts(n)
 
 
 def test_partition_is_slotted_frozen_and_hashable():
