@@ -65,6 +65,9 @@ def test_word_star_reverses_and_flips():
     assert w.star() == Word((lv.star(), lu.star()))
     assert EMPTY_WORD.star() == EMPTY_WORD
     assert w.star().star() == w
+    # Each letter and word keeps its one star partner.
+    assert w.star() is w.star() and w.star().star() is w
+    assert lu.star().star() is lu and w.star().letters[1] is lu.star()
 
 
 def test_polynomial_algebra():
