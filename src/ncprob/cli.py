@@ -101,22 +101,23 @@ def _cmd_moebius(args) -> int:
 
 
 def _factor_table(
-    owner, letters: Sequence[Letter], key: str, kernel: Callable, given: Callable
+    factor: str, degree_bound: int, letters: Sequence[Letter], key: str,
+    kernel: Callable, given: Callable,
 ) -> tuple[dict, list[str]]:
     """The payload and table lines of a factor spec's ``key`` table: ``kernel``
-    of ``given`` on every letter tuple of order 1..N of ``owner``, shortest
-    first, with one memo for the whole table."""
+    of ``given`` on every letter tuple of order 1..``degree_bound`` over
+    ``letters``, shortest first, with one memo for the whole table."""
     from .moment_space import all_words
     from .nc_lattice import check_lattice_size
 
-    check_lattice_size(owner.degree_bound)
+    check_lattice_size(degree_bound)
     memo: dict = {}
     values = {
         word.text(): str(kernel(word.letters, given, memo))
-        for word in all_words(letters, owner.degree_bound)
+        for word in all_words(letters, degree_bound)
         if word.degree
     }
-    payload = {"factor": owner.factor, "degree_bound": owner.degree_bound, key: values}
+    payload = {"factor": factor, "degree_bound": degree_bound, key: values}
     return payload, [f"{w}  {v}" for w, v in sorted(values.items())]
 
 
@@ -129,8 +130,8 @@ def _cmd_cumulants(args) -> int:
 
         state = factor_state_from_json(obj)
         payload, lines = _factor_table(
-            state, state.letters(), "cumulants", cc.first_block_cumulant,
-            lambda sub: state.phi_word(Word(sub)),
+            state.factor, state.degree_bound, state.letters(), "cumulants",
+            cc.first_block_cumulant, lambda sub: state.phi_word(Word(sub)),
         )
     else:
         moments = _parse_moment_file(obj, "moments", args.from_moments)
@@ -148,9 +149,11 @@ def _cmd_moments(args) -> int:
     if isinstance(obj, dict) and "generators" in obj:
         from .moment_space import cumulant_table_from_json
 
-        table, letters = cumulant_table_from_json(obj)
+        factor, degree_bound, letters, kappas = cumulant_table_from_json(obj)
+        # Cannot miss: the kernel reads sub-tuples of words of order <= N, all loaded.
         payload, lines = _factor_table(
-            table, letters, "moments", cc.first_block_moment, table.value
+            factor, degree_bound, letters, "moments", cc.first_block_moment,
+            kappas.__getitem__,
         )
     else:
         kappas = _parse_moment_file(obj, "cumulants", args.from_cumulants)

@@ -3,11 +3,12 @@
 A factor is a set of generator symbols plus a moment functional phi given on
 every word of degree <= N (the factor's degree bound).  Star structure is
 normalized at construction: starred selfadjoint letters are rewritten
-unstarred, each {w, w*} orbit is checked under one canonical key, and the
-table holds phi(w*) = conj(phi(w)) beside phi(w).  States are immutable
-after validation.  A ``CumulantTable`` only holds a factor spec's given free
-cumulants, for the first-block moment kernel of ``cumulant_calculus`` to read;
-read from a spec, it holds every letter tuple of order 1..N.
+unstarred, a conflict between phi(w) and phi(w*) is reported under one
+canonical key of {w, w*}, and the table holds phi(w*) = conj(phi(w)) beside
+phi(w).  States are immutable after validation.  A factor spec's given free
+cumulants load as a plain dict of letter tuple -> kappa, checked to hold
+every tuple of order 1..N and no other, for the first-block moment kernel of
+``cumulant_calculus`` to read.
 
 Positivity of a factor state is NOT assumed here; ``verification`` checks it.
 """
@@ -249,20 +250,20 @@ def normalize_moments(
         raise ValidationError(f"{context}: phi(1) must be 1")
     table: dict[Word, ComplexRational] = {EMPTY_WORD: ONE}
     for word, value in entries.items():
-        key, conjugated = canonical_moment_key(word)
-        stored = value.conjugate() if conjugated else value
-        if key in table and table[key] != stored:
+        if table.get(word, value) != value:
+            key, conjugated = canonical_moment_key(word)
+            stored = value.conjugate() if conjugated else value
             raise ValidationError(
                 f"{context}: conflicting moments for {key.text()!r} "
                 f"({table[key]} vs {stored})"
             )
-        if key == key.star() and not stored.is_real():
+        starred = word.star()
+        if starred == word and not value.is_real():
             raise ValidationError(
-                f"{context}: phi({key.text()}) must be real, got {stored}"
+                f"{context}: phi({word.text()}) must be real, got {value}"
             )
-        table[key] = stored
-    for key, value in list(table.items()):
-        table[key.star()] = value.conjugate()
+        table[word] = value
+        table[starred] = value.conjugate()
     for word in all_words(letters, degree_bound):
         if word not in table:
             raise ValidationError(
@@ -318,7 +319,9 @@ class FactorState:
         entries = {}
         for word, value in moments.items():
             self._check_word(word)
-            entries[word] = ComplexRational.of(value)
+            entries[word] = (
+                value if value.__class__ is ComplexRational else ComplexRational.of(value)
+            )
         self._moments = normalize_moments(
             entries, self.letters(), degree_bound, f"factor {factor!r}"
         )
@@ -405,58 +408,24 @@ def factor_state_from_json(obj: object) -> FactorState:
         raise SpecFormatError(str(exc)) from exc
 
 
-class CumulantTable:
-    """Given kappa values of one factor, keyed by letter tuples of length 1..N.
-
-    ``value`` reads a stored cumulant; the table computes nothing.  A key of
-    any other length is refused here, since no lookup could reach it.
-    """
-
-    def __init__(
-        self,
-        factor: str,
-        degree_bound: int,
-        values: Mapping[tuple[Letter, ...], ComplexRational],
-    ):
-        for letters in values:
-            if not 1 <= len(letters) <= degree_bound:
-                raise TruncationError(
-                    f"cumulant word {Word(letters).text()!r} has order "
-                    f"{len(letters)}, outside 1..{degree_bound} of factor {factor!r}"
-                )
-        self.factor = factor
-        self.degree_bound = degree_bound
-        self._values = dict(values)
-
-    def value(self, letters: tuple[Letter, ...]) -> ComplexRational:
-        if not letters or len(letters) > self.degree_bound:
-            raise TruncationError(
-                f"cumulant order {len(letters)} outside 1..{self.degree_bound}"
-            )
-        value = self._values.get(letters)
-        if value is None:
-            raise ValidationError(
-                f"no cumulant value for letters {' '.join(l.text() for l in letters)!r}"
-            )
-        return value
-
-
 def cumulant_table_from_json(
     obj: object,
-) -> tuple[CumulantTable, tuple[Letter, ...]]:
-    """Load a factor's cumulant table and its letters.
+) -> tuple[str, int, tuple[Letter, ...], dict[tuple[Letter, ...], ComplexRational]]:
+    """Load a factor's cumulant table: its factor, degree bound, letters, and
+    the given kappa values keyed by letter tuple.
 
     The schema is the factor spec of ``factor_state_from_json`` with a
     ``"cumulants"`` object of word -> scalar in place of ``"moments"``, which
-    must hold every word of order 1..N, as the moments must.
+    must hold every word of order 1..N, as the moments must, and no other;
+    kappa(w*) must be conj kappa(w).
     """
     factor, degree_bound, generators, values = parse_factor_spec(obj, "cumulants")
-    try:
-        table = CumulantTable(
-            factor, degree_bound, {word.letters: v for word, v in values.items()}
-        )
-    except TruncationError as exc:
-        raise SpecFormatError(str(exc)) from exc
+    for word in values:
+        if not 1 <= word.degree <= degree_bound:
+            raise SpecFormatError(
+                f"cumulant word {word.text()!r} has order {word.degree}, "
+                f"outside 1..{degree_bound} of factor {factor!r}"
+            )
     for word, value in values.items():  # kappa(w*) = conj kappa(w)
         starred = values.get(word.star(), value.conjugate())
         if starred != value.conjugate():
@@ -471,7 +440,7 @@ def cumulant_table_from_json(
                 f"factor {factor!r}: missing cumulant for word {word.text()!r} "
                 f"(degree bound {degree_bound})"
             )
-    return table, letters
+    return factor, degree_bound, letters, {w.letters: v for w, v in values.items()}
 
 
 def parse_factor_spec(

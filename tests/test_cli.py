@@ -3,6 +3,8 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
+from itertools import product as iproduct
 from pathlib import Path
 
 import pytest
@@ -114,6 +116,33 @@ def test_joint_table_round_trip(tmp_path, capsys):
     reconstructed = json.loads(out2)["moments"]
     for word, value in factor_spec["moments"].items():
         assert ComplexRational.parse(reconstructed[word]) == ComplexRational.parse(value)
+
+
+def test_two_generator_table_round_trip(tmp_path, capsys):
+    # A selfadjoint a beside a non-selfadjoint u at N = 3: moments -> cumulants
+    # -> moments gives back every entry, w* always conj(w), self-star real.
+    flip = {"a": "a", "u": "u*", "u*": "u"}
+    moments = {}
+    for n in range(1, 4):
+        for k, word in enumerate(iproduct(("a", "u", "u*"), repeat=n)):
+            star = " ".join(flip[t] for t in reversed(word))
+            if star not in moments:
+                im = 0 if star == " ".join(word) else Fraction(n, k + 2)
+                value = ComplexRational(Fraction(k - 4, n + 1), im)
+                moments[" ".join(word)] = str(value)
+                moments[star] = str(value.conjugate())
+    spec = {"factor": "A", "degree_bound": 3,
+            "generators": [{"name": "a", "selfadjoint": True}, {"name": "u"}],
+            "moments": moments}
+    src = tmp_path / "factor.json"
+    src.write_text(json.dumps(spec))
+    code, out, _ = run(capsys, ["cumulants", "--from-moments", src])
+    assert code == 0
+    back = tmp_path / "back.json"
+    back.write_text(json.dumps({**spec, "cumulants": json.loads(out)["cumulants"]}))
+    code, out, _ = run(capsys, ["moments", "--from-cumulants", back])
+    assert code == 0
+    assert json.loads(out) == {"factor": "A", "degree_bound": 3, "moments": moments}
 
 
 def test_product_eval(capsys):

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -119,6 +120,17 @@ def test_validation_rejects_conflicting_star_entries():
     }
     with pytest.raises(ValidationError, match="conflicting"):
         FactorState("A", 2, [u.__class__("u")], base)
+    # The message names the canonical word of {w, w*} and gives both values
+    # in its orientation, the earlier one first, whichever word came first.
+    z = ComplexRational.parse("1+i")
+    uu, usus = Word((lu, lu)), Word((lu.star(), lu.star()))
+    for first, second, values in [(uu, usus, "1+1 i vs 1-1 i"), (usus, uu, "1-1 i vs 1+1 i")]:
+        moments = {w: v for w, v in base.items() if w not in (uu, usus)}
+        moments[first] = moments[second] = z
+        with pytest.raises(ValidationError, match=(
+            rf"^factor 'A': conflicting moments for 'u u' \({re.escape(values)}\)$"
+        )):
+            FactorState("A", 2, [u], moments)
 
 
 def test_validation_rejects_complex_selfpaired_moment():
@@ -131,7 +143,7 @@ def test_validation_rejects_complex_selfpaired_moment():
         Word((lu, lu.star())): ComplexRational.parse("i"),  # (u u*)* = u u*
         Word((lu.star(), lu)): ONE,
     }
-    with pytest.raises(ValidationError, match="must be real"):
+    with pytest.raises(ValidationError, match=r"^factor 'A': phi\(u u\*\) must be real, got 1 i$"):
         FactorState("A", 2, [u], moments)
 
 
