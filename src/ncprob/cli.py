@@ -6,7 +6,8 @@ aligned table; scalars print as exact rational strings, never floats, and
 the output is byte-identical across runs for identical inputs.
 
 Exit status: 0 on success, 1 when ``verify`` finds a mathematical violation,
-2 on parse/validation errors.
+2 on parse/validation errors or when stdout cannot be written (a closed pipe,
+a full disk), which ``nc`` may find partway through its output.
 
 Each command imports the modules it runs when it runs, so a cold ``nc`` loads
 the lattice alone, only ``verify`` loads the checks, and ``convolve``, and
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -73,10 +75,25 @@ def _parse_moment_file(obj: object, key: str, path: str) -> list[ComplexRational
 
 
 def _cmd_nc(args) -> int:
-    from .nc_lattice import nc_texts
+    """Write NC(n) batch by batch as the lattice walk hands it on, in the
+    bytes ``_emit`` prints for the whole list of texts."""
+    from itertools import chain, repeat
 
-    texts = nc_texts(args.n)
-    _emit(args, {"n": args.n, "count": len(texts), "partitions": texts}, texts)
+    from .nc_lattice import catalan, check_lattice_size, nc_text_batches
+
+    n = args.n
+    check_lattice_size(n)
+    if args.output == "table":
+        head, sep, foot, quote = "", "\n", "\n", None
+    else:
+        payload = {"n": n, "count": catalan(n), "partitions": [None]}
+        head, foot = json.dumps(payload, sort_keys=True, indent=2).split("null")
+        sep, foot, quote = ",\n    ", foot + "\n", json.encoder.encode_basestring_ascii
+    write = sys.stdout.write
+    leads = chain([head], repeat(sep))
+    nc_text_batches(n, lambda texts: write(
+        next(leads) + sep.join(texts if quote is None else map(quote, texts))))
+    write(foot)
     return 0
 
 
@@ -280,9 +297,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except NCProbError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # from stdout: input files raise SpecFormatError
+        # What stdout still buffers goes to the null device, so the flush at
+        # interpreter exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
         return 2
 
 

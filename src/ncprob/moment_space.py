@@ -15,6 +15,7 @@ Positivity of a factor state is NOT assumed here; ``verification`` checks it.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterator, Mapping, Sequence
 
 from .errors import (
@@ -80,6 +81,8 @@ class Letter(_Cached):
     __hash__ = _Cached.__hash__  # a class that defines __eq__ alone is unhashable
 
     def _build_star(self) -> "Letter":
+        if self.generator.selfadjoint:
+            return self
         return Letter(self.generator, not self.starred, self.factor)
 
     @property
@@ -273,15 +276,19 @@ def normalize_moments(
     return table
 
 
+@cache
 def generator_letters(
-    factor: str, generators: Sequence[GeneratorSymbol]
+    factor: str, generators: tuple[GeneratorSymbol, ...]
 ) -> tuple[Letter, ...]:
-    """Each generator's letter, followed by its star unless it is selfadjoint."""
+    """Each generator's letter, followed by its star unless it is selfadjoint.
+    Built once per factor and generators, each with its star as its partner,
+    so every word of a factor shares one ``Letter`` object per letter."""
     out = []
     for g in generators:
-        out.append(Letter(g, False, factor))
+        letter = Letter(g, False, factor)
+        out.append(letter)
         if not g.selfadjoint:
-            out.append(Letter(g, True, factor))
+            out.append(letter.star())
     return tuple(out)
 
 
@@ -316,6 +323,7 @@ class FactorState:
         self.factor = factor
         self.degree_bound = degree_bound
         self.generators = tuple(generators)
+        self._letters = generator_letters(factor, self.generators)
         entries = {}
         for word, value in moments.items():
             self._check_word(word)
@@ -323,16 +331,16 @@ class FactorState:
                 value if value.__class__ is ComplexRational else ComplexRational.of(value)
             )
         self._moments = normalize_moments(
-            entries, self.letters(), degree_bound, f"factor {factor!r}"
+            entries, self._letters, degree_bound, f"factor {factor!r}"
         )
 
     def letters(self) -> tuple[Letter, ...]:
-        return generator_letters(self.factor, self.generators)
+        return self._letters
 
     def letter(self, name: str) -> Letter:
-        for g in self.generators:
-            if g.name == name:
-                return Letter(g, False, self.factor)
+        for l in self._letters:
+            if l.name == name:
+                return l  # the unstarred letter comes first
         raise ValidationError(f"no generator {name!r} in factor {self.factor!r}")
 
     def _check_word(self, word: Word) -> None:
@@ -445,7 +453,7 @@ def cumulant_table_from_json(
 
 def parse_factor_spec(
     obj: object, table_key: str
-) -> tuple[str, int, list[GeneratorSymbol], dict[Word, ComplexRational]]:
+) -> tuple[str, int, tuple[GeneratorSymbol, ...], dict[Word, ComplexRational]]:
     """Read the factor, degree bound, generators and word -> scalar table of a
     factor spec whose table sits under ``table_key``."""
     if not isinstance(obj, dict):
@@ -474,7 +482,9 @@ def parse_factor_spec(
                 f"generator #{idx}: 'selfadjoint' must be true or false"
             )
         generators.append(GeneratorSymbol(g["name"], selfadjoint))
-    letters_by_name = {g.name: Letter(g, False, factor) for g in generators}
+    generators = tuple(generators)
+    letters = generator_letters(factor, generators)
+    letters_by_name = {l.name: l for l in letters if not l.starred}
     if not isinstance(table_raw, dict):
         raise SpecFormatError(f"{table_key!r} must be an object of word -> scalar")
     table: dict[Word, ComplexRational] = {}

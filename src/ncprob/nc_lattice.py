@@ -4,11 +4,12 @@ Partitions are kept in canonical form (blocks ascending, sorted by least
 element) so equality and hashing are structural.  One walk of 1..n with a
 stack of open blocks lists NC(n) in lexicographic order of the
 restricted-growth string: it starts at the one-block partition ``1_n`` and
-ends at the all-singletons partition ``0_n``.  The walk has two leaf forms:
-``enumerate_nc`` grows block tuples and records ``Partition`` objects, and
-``nc_texts`` grows block texts and records each partition's text, the
-concatenation of its ``block_text``s, with no ``Partition`` built.  The
-enumeration cap is ``MAX_ENUM_N`` = 12 (Catalan(12) = 208012 partitions).
+ends at the all-singletons partition ``0_n``.  The walk hands on its leaves
+in batches of ``NC_BATCH`` and has two leaf forms: ``enumerate_nc`` grows
+block tuples and collects ``Partition`` objects, and ``nc_text_batches``
+grows block texts and passes on each partition's text, the concatenation of
+its ``block_text``s, with no ``Partition`` built and no list of all texts.
+The enumeration cap is ``MAX_ENUM_N`` = 12 (Catalan(12) = 208012).
 
 The partial order is reverse refinement.  The Moebius function is the
 closed form (Nica & Speicher, Lectures 9-10): every interval [s, p] is a
@@ -39,6 +40,7 @@ from .errors import (
 from .value import Value
 
 MAX_ENUM_N = 12
+NC_BATCH = 4096  # leaves per batch the walk hands on
 
 _nc_cache: dict[int, tuple["Partition", ...]] = {}
 
@@ -179,33 +181,44 @@ def enumerate_nc(n: int) -> tuple[Partition, ...]:
         object.__setattr__(p, "blocks", tuple(blocks))
         return p
 
-    cached = _nc_cache[n] = tuple(_walk_nc(n, singletons, singletons, leaf))
+    found: list[Partition] = []
+    _walk_nc(n, singletons, singletons, leaf, found.extend)
+    cached = _nc_cache[n] = tuple(found)
     return cached
 
 
-def nc_texts(n: int) -> list[str]:
-    """``[str(p) for p in enumerate_nc(n)]``, by the walk's text form, which
+def nc_text_batches(n: int, sink: Callable[[list[str]], object]) -> None:
+    """Hand ``[str(p) for p in enumerate_nc(n)]`` to ``sink`` in order, in
+    lists of at most ``NC_BATCH`` texts, by the walk's text form, which
     builds no ``Partition``.  A block's text grows without its closing brace,
     so ``"{1,3"`` grows by 5 in one concatenation, as a tuple does."""
     check_lattice_size(n)
     opened = ["{%d" % k for k in range(n + 1)]
     grown = [",%d" % k for k in range(n + 1)]
-    return _walk_nc(n, opened, grown, lambda blocks: "}".join(blocks) + "}")
+    _walk_nc(n, opened, grown, lambda blocks: "}".join(blocks) + "}", sink)
 
 
-def _walk_nc(n: int, opened: Sequence, grown: Sequence, leaf: Callable) -> list:
+def _walk_nc(
+    n: int, opened: Sequence, grown: Sequence, leaf: Callable, sink: Callable
+) -> None:
     # Non-crossing partitions are exactly those built by one scan of 1..n
     # with a stack of open blocks: element k either joins an open block,
     # closing every block opened after it, or opens a new one.  Trying the
     # open blocks bottom-up and then a fresh one gives the lexicographic
     # order.  A block opens at k as opened[k] and grows by k to
-    # block + grown[k]; leaf(blocks) records a partition.
-    found = []
+    # block + grown[k]; leaf(blocks) makes a partition's record, and sink
+    # takes each full batch of records, then what is left.
+    size = NC_BATCH
+    batch: list = []
     blocks: list = []  # sorted by least element
 
     def walk(k: int, stack: tuple[int, ...]) -> None:
+        nonlocal batch
         if k > n:
-            found.append(leaf(blocks))
+            batch.append(leaf(blocks))
+            if len(batch) == size:
+                sink(batch)
+                batch = []
             return
         grow = grown[k]
         for depth, i in enumerate(stack):
@@ -218,7 +231,8 @@ def _walk_nc(n: int, opened: Sequence, grown: Sequence, leaf: Callable) -> list:
         blocks.pop()
 
     walk(1, ())
-    return found
+    if batch:
+        sink(batch)
 
 
 def catalan(n: int) -> int:

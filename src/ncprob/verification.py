@@ -68,7 +68,7 @@ class ExplicitJointState:
             raise ValidationError("degree bound must be >= 1")
         self.degree_bound = degree_bound
         letters = {
-            index: generator_letters(index, gens)
+            index: generator_letters(index, tuple(gens))
             for index, gens in sorted(factor_generators.items())
         }
         all_letters = [l for ls in letters.values() for l in ls]

@@ -3,18 +3,20 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import product as iproduct
 from pathlib import Path
 
 import pytest
 
-from ncprob import cumulant_calculus, verification
+from ncprob import cumulant_calculus, nc_lattice, verification
 from ncprob.cli import main
 from ncprob.nc_lattice import catalan
 from ncprob.scalar import ONE, ComplexRational
 
 from conftest import SPECS
+from nc_oracles import enumerate_nc_by_rgs
 
 
 def run(capsys, argv):
@@ -66,6 +68,49 @@ def test_nc_stdout_is_pinned_up_to_the_cap(capsys, n, output):
     code, out, err = run(capsys, ["nc", n, "--output", output])
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == NC_STDOUT_SHA256[n, output]
+
+
+def printed_nc(n):
+    """The stdout of ``nc n`` in each format, printed whole from the oracle
+    enumeration, as the command printed it before it streamed."""
+    texts = [str(p) for p in enumerate_nc_by_rgs(n)]
+    payload = {"count": len(texts), "n": n, "partitions": texts}
+    return {
+        "json": json.dumps(payload, sort_keys=True, indent=2) + "\n",
+        "table": "\n".join(texts) + "\n",
+    }
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_nc_streams_the_bytes_printed_whole(capsys, n):
+    for output, expected in printed_nc(n).items():
+        assert run(capsys, ["nc", n, "--output", output]) == (0, expected, "")
+
+
+@pytest.mark.parametrize("size", [1, 3])
+def test_nc_bytes_do_not_depend_on_the_batch_size(capsys, monkeypatch, size):
+    # Catalan(1..6) = 1, 2, 5, 14, 42, 132: batches of 1 end at every text,
+    # and batches of 3 end short (n <= 4) or exactly on the last text (n >= 5).
+    monkeypatch.setattr(nc_lattice, "NC_BATCH", size)
+    for n in range(1, 7):
+        for output, expected in printed_nc(n).items():
+            assert run(capsys, ["nc", n, "--output", output]) == (0, expected, "")
+
+
+@pytest.mark.parametrize("output", ["json", "table"])
+def test_nc_at_the_cap_holds_no_list_of_all_texts(monkeypatch, output):
+    # Printed whole, nc 12 peaks at 46 MB of traced allocations (json) and
+    # 32 MB (table); streamed in batches, at about 1 MB.
+    main(["nc", "1"])  # imports done before tracing
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            assert main(["nc", "12", "--output", output]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_moebius(capsys):
@@ -462,17 +507,51 @@ def test_over_cap_is_refused_before_any_work(
     assert (code, out, err) == (2, "", "error: n must be within 1..12, got 13\n")
 
 
+def process_env():
+    package_root = Path(__file__).resolve().parent.parent / "src"
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(package_root), os.environ.get("PYTHONPATH", "")]
+    )}
+
+
 def run_process(argv, timeout):
     # A separate process, so a hang is cut by the timeout and a traceback
     # shows on stderr.
-    package_root = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(package_root), os.environ.get("PYTHONPATH", "")]
-    )}
     return subprocess.run(
         [sys.executable, "-m", "ncprob.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=timeout,
+        capture_output=True, text=True, env=process_env(), timeout=timeout,
     )
+
+
+def test_nc_into_a_closed_pipe_is_status_2():
+    # ``ncprob nc 12 | head -c 100``: the reader leaves after 100 bytes.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ncprob.cli", "nc", "12"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=process_env(),
+    )
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert head.startswith(b'{\n  "count": 208012,')
+    assert err == "error: cannot write output: Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("n", [3, 12])
+def test_nc_into_a_full_disk_is_status_2(n):
+    # ``ncprob nc n > /dev/full``.  With stdout buffered, nc 3 fits in the
+    # buffer and fails only when it is flushed.
+    env = process_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ncprob.cli", "nc", str(n)],
+            stdout=full, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr.decode() == "error: cannot write output: No space left on device\n"
 
 
 @pytest.mark.parametrize("argv, loaded", [

@@ -261,6 +261,22 @@ def test_factor_state_from_json():
     assert parse_word("a*", {"a": la}) == Word((la,))
 
 
+def test_a_loaded_factor_shares_one_letter_object_per_letter():
+    # A selfadjoint a, whose star is itself, beside a u with a distinct u*;
+    # 0 is a valid moment table once every word is given.
+    names = ("a", "u", "u*")
+    spec = {"factor": "A1", "degree_bound": 2,
+            "generators": [{"name": "a", "selfadjoint": True}, {"name": "u"}],
+            "moments": {" ".join(w): "0" for w in
+                        [(x,) for x in names] + [(x, y) for x in names for y in names]}}
+    state = factor_state_from_json(spec)
+    la, lu, lu_star = state.letters()
+    assert state.letter("a") is la and la.star() is la
+    assert state.letter("u") is lu and lu.star() is lu_star and lu_star.star() is lu
+    table_letters = {id(l) for word in state._moments for l in word.letters}
+    assert table_letters == {id(la), id(lu), id(lu_star)}
+
+
 @pytest.mark.parametrize(
     "mutate",
     [

@@ -13,6 +13,7 @@ from ncprob.errors import (
     ValidationError,
 )
 from ncprob.nc_lattice import (
+    NC_BATCH,
     Partition,
     catalan,
     enumerate_nc,
@@ -21,7 +22,7 @@ from ncprob.nc_lattice import (
     leq,
     moebius,
     moebius_to_top,
-    nc_texts,
+    nc_text_batches,
     parse_partition,
 )
 
@@ -118,6 +119,13 @@ def test_enumeration_equals_rgs_oracle(n):
         assert (p.n, p.blocks) == (q.n, q.blocks)
 
 
+def nc_texts(n):
+    """The texts ``nc_text_batches`` hands on, collected into one list."""
+    texts = []
+    nc_text_batches(n, texts.extend)
+    return texts
+
+
 @pytest.mark.parametrize("n", range(1, 12))
 def test_nc_texts_equal_the_partition_texts(n):
     texts = nc_texts(n)
@@ -131,6 +139,13 @@ def test_nc_texts_count_and_cap():
     for n in (0, 13):
         with pytest.raises(SizeOutOfRangeError, match=f"got {n}"):
             nc_texts(n)
+
+
+def test_nc_text_batches_are_full_but_the_last():
+    sizes = []
+    nc_text_batches(12, lambda batch: sizes.append(len(batch)))
+    full, rest = divmod(catalan_formula(12), NC_BATCH)
+    assert sizes == [NC_BATCH] * full + [rest]
 
 
 def test_partition_is_slotted_frozen_and_hashable():
