@@ -12,11 +12,13 @@ side; ``first_block_cumulant`` solves the identity for its term V = {1..n}.
 A cumulant of n arguments costs at most 3^(n-1) terms, and a moment at most
 2^(n-1) per sub-tuple, against Catalan(n) terms for a sum over NC(n).
 
-Both kernels recurse on argument sub-tuples and keep no memo of their own:
-each fills the dict its caller passes, keyed by argument tuples.  The
-``cumulants`` and ``moments`` commands pass one dict for a whole table, a
-``ProductSpace`` its state memo and its memo of word-tuple cumulants, so each
-sub-tuple is computed once per table or space; one-off callers pass {}.
+Both kernels recurse on argument sub-tuples and fill the dict their caller
+passes, keyed by argument tuples: the ``cumulants`` and ``moments`` commands
+pass one for a whole table, a ``ProductSpace`` its state memo and its memo of
+word-tuple cumulants, so each sub-tuple is computed once per table or space;
+one-off callers pass {}.  ``first_block_cumulant`` also memoizes phi for one
+call: without it ``cumulants`` on N = 8 and 10 Haar tables took 3-21% more
+CPU, and ``verify`` on free products 2-3.5% more (CHANGES.md).
 
 ``cumulants_from_moment_sequence`` sums over NC(n) directly: kappa_n is the
 sum over sigma of mu(sigma, 1_n) times the moments of sigma's blocks

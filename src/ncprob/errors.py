@@ -28,10 +28,6 @@ class OrderViolationError(NCProbError, ValueError):
 class TruncationError(NCProbError, ValueError):
     """A computation needs a moment beyond the state's degree bound."""
 
-    def __init__(self, message: str, word: str | None = None):
-        super().__init__(message)
-        self.word = word
-
 
 class FactorMismatchError(NCProbError, ValueError):
     """A letter or polynomial belongs to a different factor than required."""

@@ -260,13 +260,12 @@ def normalize_moments(
                 f"{context}: conflicting moments for {key.text()!r} "
                 f"({table[key]} vs {stored})"
             )
-        starred = word.star()
-        if starred == word and not value.is_real():
+        table[word] = value
+        table[word.star()] = value.conjugate()
+        if table[word] is not value and not value.is_real():  # phi(w*) replaced phi(w)
             raise ValidationError(
                 f"{context}: phi({word.text()}) must be real, got {value}"
             )
-        table[word] = value
-        table[starred] = value.conjugate()
     for word in all_words(letters, degree_bound):
         if word not in table:
             raise ValidationError(
@@ -353,8 +352,7 @@ class FactorState:
         if word.degree > self.degree_bound:
             raise TruncationError(
                 f"word {word.text()!r} exceeds degree bound {self.degree_bound} "
-                f"of factor {self.factor!r}",
-                word=word.text(),
+                f"of factor {self.factor!r}"
             )
 
     def phi_word(self, word: Word) -> ComplexRational:

@@ -77,9 +77,7 @@ class ExplicitJointState:
         )
         self.factors: dict[str, FactorState] = {}
         for index, ls in letters.items():
-            marginal = {
-                w: self.state_eval(w.letters) for w in all_words(ls, degree_bound)
-            }
+            marginal = {w: self._moments[w] for w in all_words(ls, degree_bound)}
             self.factors[index] = FactorState(
                 index, degree_bound, factor_generators[index], marginal
             )
@@ -94,8 +92,7 @@ class ExplicitJointState:
         word = Word(tuple(letters))
         if word.degree > self.degree_bound:
             raise TruncationError(
-                f"word {word.text()!r} exceeds degree bound {self.degree_bound}",
-                word=word.text(),
+                f"word {word.text()!r} exceeds degree bound {self.degree_bound}"
             )
         try:
             return self._moments[word]
@@ -141,12 +138,10 @@ def _alternating_slot_sequences(
 ) -> Iterator[tuple[tuple[str, Word], ...]]:
     """Alternating tuples of (factor, monomial) slots of total degree <= max."""
     indices = sorted(joint.factors)
-    words_by_factor: dict[str, dict[int, list[Word]]] = {
-        i: {d: [] for d in range(max_degree + 1)} for i in indices
+    words_by_factor = {
+        i: [w for w in all_words(joint.factors[i].letters(), max_degree) if w.degree]
+        for i in indices
     }
-    for i in indices:
-        for w in all_words(joint.factors[i].letters(), max_degree):
-            words_by_factor[i][w.degree].append(w)
 
     def extend(
         slots: tuple[tuple[str, Word], ...], used: int
@@ -156,9 +151,10 @@ def _alternating_slot_sequences(
         for index in indices:
             if slots and slots[-1][0] == index:
                 continue
-            for degree in range(1, max_degree - used + 1):
-                for word in words_by_factor[index][degree]:
-                    yield from extend(slots + ((index, word),), used + degree)
+            for word in words_by_factor[index]:
+                if used + word.degree > max_degree:
+                    break  # all_words yields the shortest words first
+                yield from extend(slots + ((index, word),), used + word.degree)
 
     yield from extend((), 0)
 
@@ -440,26 +436,24 @@ def centered_basis(space: ProductSpace, max_degree: int) -> list[tuple[TensorWor
 def _lemma3_structure_holds(
     space: ProductSpace, words: Sequence[TensorWord], labels, entries
 ) -> bool:
-    # Index 0 is the unit, of empty pattern, and index k is words[k - 1].  An
-    # entry across patterns must be exactly 0, else it is an internal error.
-    # Within a pattern kappa_2(b_s*, b_t) = phi(b_s* b_t) - phi(b_s*) phi(b_t)
-    # must factor over the slots (each computed once).  phi(b_s*) is the
-    # entry (s, 0), across the unit's empty pattern, so the first loop has
-    # already seen it is 0 and kappa_2 is the Gram entry itself.
+    # Index 0 is the unit, of empty pattern; index k is words[k - 1].  In one
+    # row-major pass an entry across patterns must be 0, else it is an internal
+    # error, also after a kappa_2 mismatch.  Up to the first mismatch, within a
+    # pattern kappa_2(b_s*, b_t) = phi(b_s* b_t) must factor over the slots (each
+    # computed once): row s has met phi(b_s*), the entry (s, 0), as 0.
     patterns = [()] + [tuple(f for f, _ in w.components) for w in words]
+    kappa2s: dict = {}
+    consistent = True
     for s, row in enumerate(entries):
         for t, entry in enumerate(row):
-            if entry and patterns[s] != patterns[t]:
-                raise RuntimeError(
-                    f"internal error: Gram entry ({labels[s]}, {labels[t]}) "
-                    f"across factor patterns is {entry}, not 0"
-                )
-    kappa2s: dict = {}
-    for s in range(1, len(entries)):
-        for t in range(1, len(entries)):
             if patterns[s] != patterns[t]:
-                continue
-            expected = variance_factorization(space, words[s - 1], words[t - 1], kappa2s)
-            if entries[s][t] != expected:
-                return False
-    return True
+                if entry:
+                    raise RuntimeError(
+                        f"internal error: Gram entry ({labels[s]}, {labels[t]}) "
+                        f"across factor patterns is {entry}, not 0"
+                    )
+            elif s and consistent:
+                consistent = entry == variance_factorization(
+                    space, words[s - 1], words[t - 1], kappa2s
+                )
+    return consistent

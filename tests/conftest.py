@@ -18,6 +18,14 @@ from ncprob.scalar import ComplexRational
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
+
+def assert_refused(make, error: type, message: str) -> None:
+    """``make()`` raises exactly the class ``error``, with exactly ``message``."""
+    with pytest.raises(error) as info:
+        make()
+    assert (info.type, str(info.value)) == (error, message)
+
+
 def semicircle_factor(index: str, name: str, degree_bound: int = 6) -> FactorState:
     """The standard semicircle: m_k is Catalan(k/2) for even k, 0 for odd k."""
     g = GeneratorSymbol(name, selfadjoint=True)

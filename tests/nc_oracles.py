@@ -31,6 +31,10 @@ are the routes it is checked against, and the NC(n) join the tests use:
 * ``phi_of_centered_product_by_terms`` - phi of an alternating product of
                                centered monomials, expanded into the list of
                                all (coefficient, joint word) terms first;
+* ``alternating_slots_by_brute_force`` - the freeness checks' alternating
+                               (factor, word) slot tuples, filtered from all
+                               slot tuples of each length, then sorted into
+                               depth-first order;
 * ``join_nc_by_rescan``      - the package's only NC(n) join, merging one
                                crossing pair of blocks per rescan of all
                                pairs; ``admissible_tops`` uses it, and the
@@ -336,6 +340,31 @@ def phi_of_centered_product_by_terms(
     for coeff, letters in terms:
         total = total + coeff * joint.state_eval(letters)
     return total
+
+
+def alternating_slots_by_brute_force(
+    joint, max_degree: int
+) -> list[tuple[tuple[str, Word], ...]]:
+    """Every alternating tuple of (factor, non-unit word) slots of total degree
+    <= max_degree, depth first: slots rank by factor in sorted order, then by
+    word in ``all_words`` order, and a tuple comes before its extensions."""
+    slots = [
+        (index, word)
+        for index in sorted(joint.factors)
+        for word in all_words(joint.factor_state(index).letters(), max_degree)
+        if word.degree
+    ]
+    rank = {slot: k for k, slot in enumerate(slots)}
+    found = []
+    for length in range(1, max_degree + 1):
+        # each slot leaves at least one degree for every later one
+        short = [s for s in slots if s[1].degree <= max_degree - length + 1]
+        for tup in iter_product(short, repeat=length):
+            if sum(w.degree for _, w in tup) <= max_degree and all(
+                x[0] != y[0] for x, y in zip(tup, tup[1:])
+            ):
+                found.append(tup)
+    return sorted(found, key=lambda tup: [rank[s] for s in tup])
 
 
 def kappa_products_atoms(space: ProductSpace, groups: Sequence[tuple]) -> ComplexRational:

@@ -3,12 +3,15 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from fractions import Fraction
 from itertools import product as iproduct
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ncprob import cumulant_calculus, nc_lattice, verification
 from ncprob.cli import main
@@ -471,8 +474,11 @@ SEMICIRCLE_A = {"factor": "A", "degree_bound": 1,
     ({**SEMICIRCLE_A, "generators": [{"name": "a", "selfadjoint": True}] * 2}, "a",
      "duplicate generator names in factor 'A'"),
     ({**SEMICIRCLE_A, "generators": [], "moments": {}}, "a", "factor 'A' has no generators"),
+    ({"degree_bound": 1, "factors": [SEMICIRCLE_A, {
+        **SEMICIRCLE_A, "generators": [{"name": "b", "selfadjoint": True}],
+        "moments": {"b": "0"}}]}, "a", "duplicate factor indices in ['A', 'A']"),
 ], ids=["empty-word", "empty-key", "not-an-object", "bad-name", "duplicate-names",
-        "no-generators"])
+        "no-generators", "duplicate-index"])
 def test_malformed_product_eval_input_is_one_error_line(tmp_path, capsys, spec, word, message):
     src = tmp_path / "spec.json"
     src.write_text(json.dumps(spec))
@@ -514,12 +520,12 @@ def process_env():
     )}
 
 
-def run_process(argv, timeout):
+def run_process(argv, timeout, cwd=None):
     # A separate process, so a hang is cut by the timeout and a traceback
     # shows on stderr.
     return subprocess.run(
         [sys.executable, "-m", "ncprob.cli", *argv],
-        capture_output=True, text=True, env=process_env(), timeout=timeout,
+        capture_output=True, text=True, env=process_env(), timeout=timeout, cwd=cwd,
     )
 
 
@@ -694,3 +700,140 @@ def test_moebius_of_a_large_interval(capsys):
     code, out, _ = run(capsys, ["moebius", "2000", *bottom_and_top(2000)])
     assert code == 0
     assert json.loads(out)["moebius"] == -catalan(1999)
+
+
+# -- CLI fuzz -------------------------------------------------------------------
+
+
+def fuzz_factor(index, name, selfadjoint, degree_bound, key):
+    """A valid one-generator factor spec: a standard semicircle or a Haar
+    unitary (phi(w) = 1 iff w has as many u as u*) by its moments, or, with
+    ``key`` "cumulants", the same laws by their cumulants (kappa_2 alone)."""
+    letters = [name] if selfadjoint else [name, name + "*"]
+    table = {}
+    for k in range(1, degree_bound + 1):
+        for tup in iproduct(letters, repeat=k):
+            if key == "cumulants":
+                value = int(k == 2 and (selfadjoint or tup[0] != tup[1]))
+            elif selfadjoint:
+                value = 0 if k % 2 else catalan(k // 2)
+            else:
+                value = int(tup.count(name) == tup.count(name + "*"))
+            table[" ".join(tup)] = str(value)
+    return {"factor": index, "degree_bound": degree_bound,
+            "generators": [{"name": name, "selfadjoint": selfadjoint}], key: table}
+
+
+FUZZ_COMMANDS = ("nc", "moebius", "cumulants", "moments", "product-eval",
+                 "convolve", "verify")
+
+
+@st.composite
+def valid_cli_input(draw, command):
+    """Input files (name -> JSON object) and argv for ``command``: product specs
+    have one or two factors and a degree bound N <= 3."""
+    n = draw(st.integers(1, 3))
+    sequence = st.lists(st.integers(-2, 2).map(str), min_size=n, max_size=n)
+    files = {}
+    if command == "nc":
+        argv = ["nc", str(draw(st.integers(1, 7)))]
+    elif command == "moebius":
+        size = draw(st.integers(1, 4))
+        argv = ["moebius", str(size), *bottom_and_top(size)]
+    elif command in ("cumulants", "moments"):
+        key = "moments" if command == "cumulants" else "cumulants"
+        if draw(st.booleans()):
+            files["in.json"] = fuzz_factor("A", "u", draw(st.booleans()), n, key)
+        else:
+            files["in.json"] = {key: draw(sequence)}
+        argv = [command, f"--from-{key}", "in.json"]
+    elif command == "convolve":
+        files["x.json"] = {"moments": draw(sequence)}
+        files["y.json"] = {"moments": draw(sequence)}
+        argv = ["convolve", "x.json", "y.json"]
+    else:
+        factors = [fuzz_factor("A1", "u", draw(st.booleans()), n, "moments")]
+        if draw(st.booleans()):
+            factors.append(fuzz_factor("A2", "b", True, n, "moments"))
+        files["spec.json"] = {"degree_bound": n, "factors": factors}
+        if command == "product-eval":
+            letters = st.sampled_from(["u", "u*", "b"][: len(factors) + 1])
+            word = " ".join(draw(st.lists(letters, min_size=1, max_size=n)))
+            argv = ["product-eval", "--spec", "spec.json", "--word", word]
+        else:
+            mode = draw(st.sampled_from(["moments", "cumulants", "both", "positivity"]))
+            degree = draw(st.integers(0, n // 2 if mode == "positivity" else n))
+            argv = ["verify", "--spec", "spec.json", "--max-degree", str(degree),
+                    "--mode", mode]
+    if draw(st.booleans()):
+        argv += ["--output", "table"]
+    return files, argv
+
+
+def json_entries(obj):
+    """(container, key) of every entry of a JSON object, nested ones too."""
+    pairs = enumerate(obj) if isinstance(obj, list) else obj.items()
+    for key, value in list(pairs):
+        yield obj, key
+        if isinstance(value, (dict, list)):
+            yield from json_entries(value)
+
+
+@st.composite
+def mutated_cli_input(draw, command):
+    """``valid_cli_input`` with one mutation: a key dropped, a value of another
+    type, a corrupted scalar or word string, another degree bound, or another
+    number or flag in argv."""
+    files, argv = draw(valid_cli_input(command))
+    kind = draw(st.sampled_from(
+        ["drop", "retype", "corrupt", "bound", "argv"] if files else ["argv"]
+    ))
+    if kind == "argv":
+        spots = [i for i, a in enumerate(argv) if a.isdigit() or a.startswith("--")]
+        argv[draw(st.sampled_from(spots))] = draw(st.sampled_from(
+            ["-1", "0", "13", "x", "2.5", "", "--bogus", "--output=xml"]
+        ))
+        return files, argv
+    obj = files[draw(st.sampled_from(sorted(files)))]
+    entries = list(json_entries(obj))
+    if kind == "drop":
+        container, key = draw(st.sampled_from(entries))
+        del container[key]
+    elif kind == "retype":
+        container, key = draw(st.sampled_from(entries))
+        container[key] = draw(st.sampled_from([None, 0, 1.5, True, "x", [], {}]))
+    elif kind == "corrupt":
+        texts = [(c, k) for c, k in entries if isinstance(c[k], str)]
+        words = [(c, k) for c, k in entries if isinstance(c, dict) and " " in k]
+        container, key = draw(st.sampled_from(texts + words or entries))
+        bad = draw(st.sampled_from(["", "1/0", "1e5000", "x", "1/2+i", "u**", "1"]))
+        if (container, key) in words and draw(st.booleans()):
+            container[bad] = container.pop(key)
+        else:
+            container[key] = bad
+    else:
+        bound = draw(st.sampled_from([0, -1, 4, 13, "2", True, 2.5]))
+        bounds = [(c, k) for c, k in entries if k == "degree_bound"]
+        for container, key in bounds:
+            container[key] = bound
+        if not bounds:  # a sequence file: its length is its bound
+            values = next(v for v in obj.values() if isinstance(v, list))
+            values[:] = values[:1] * (bound if isinstance(bound, int) else 0)
+    return files, argv
+
+
+@pytest.mark.parametrize("command", FUZZ_COMMANDS)
+@settings(derandomize=True, max_examples=4, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_cli_input_exits_0_1_or_2_without_a_traceback(command, data):
+    # Seven commands, four examples each.  Exit 0 prints nothing on stderr.
+    files, argv = data.draw(mutated_cli_input(command))
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, obj in files.items():
+            Path(tmp, name).write_text(json.dumps(obj))
+        proc = run_process(argv, timeout=30, cwd=tmp)
+    assert proc.returncode in (0, 1, 2), (argv, files, proc.stderr)
+    assert "Traceback" not in proc.stderr, (argv, files, proc.stderr)
+    if proc.returncode == 0:
+        assert proc.stderr == ""

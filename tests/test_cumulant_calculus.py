@@ -36,6 +36,7 @@ from ncprob.nc_lattice import Partition, enumerate_nc, moebius
 from ncprob.scalar import ONE, ZERO, ComplexRational
 
 from conftest import (
+    assert_refused,
     measure_factor_state,
     random_factor_state,
     semicircle_factor,
@@ -720,3 +721,10 @@ def test_cumulant_table_from_json_rejects(mutate):
     mutate(spec)
     with pytest.raises(SpecFormatError):
         cumulant_table_from_json(spec)
+
+
+def test_moment_past_the_bound_is_refused():
+    assert_refused(
+        lambda: MomentSequence.of([0, 1]).m(3), TruncationError,
+        "moment m_3 outside bound 2",
+    )

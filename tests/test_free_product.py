@@ -39,6 +39,7 @@ from ncprob.nc_lattice import Partition, enumerate_nc, kreweras
 from ncprob.scalar import ONE, ZERO, ComplexRational
 
 from conftest import (
+    assert_refused,
     measure_factor_state,
     random_factor_state,
     random_product_space,
@@ -854,3 +855,46 @@ def test_product_space_from_json_rejects(mutate):
     mutate(spec)
     with pytest.raises(SpecFormatError):
         product_space_from_json(spec)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: ProductSpace([]), ValidationError,
+     "a product space needs at least one factor"),
+    (lambda: ProductSpace([semicircle_factor("A", "a", 2), semicircle_factor("A", "b", 2)]),
+     ValidationError, "duplicate factor indices in ['A', 'A']"),
+    (lambda: ProductSpace([semicircle_factor("A1", "a", 1), semicircle_factor("A2", "b", 2)]),
+     DimensionMismatchError, "factors must share one degree bound, got [1, 2]"),
+    (lambda: ProductSpace([semicircle_factor("A1", "a")]).centered_word("A1", EMPTY_WORD),
+     ValidationError, "the empty word has no centered basis vector"),
+    (lambda: ProductSpace([semicircle_factor("A1", "a")]).state_eval(["a"]),
+     ValidationError, "cannot interpret 'a' as a pure product argument"),
+    (lambda: ProductSpace([semicircle_factor("A1", "a")]).kappa_elements([]),
+     ValidationError, "kappa_elements needs at least one argument"),
+    (lambda: product_space_from_json([]), SpecFormatError,
+     "product spec must be a JSON object"),
+    (lambda: product_space_from_json({"degree_bound": 2, "factors": []}),
+     SpecFormatError, "'factors' must be a non-empty list"),
+], ids=["no-factor", "duplicate-index", "mixed-bounds", "centered-unit",
+        "bad-state-argument", "kappa-of-nothing", "spec-not-an-object", "no-factors"])
+def test_product_space_refusals(make, error, message):
+    assert_refused(make, error, message)
+
+
+def test_loading_a_spec_compares_no_letters_by_value(monkeypatch):
+    # Each letter is one object, and self-adjointness is read back from the
+    # moment table, so loading semicircle a + Haar u at N = 8 runs no
+    # Letter.__eq__.
+    spec = json.loads((GOLDEN_INPUTS / "semicircle_and_haar_u_8.json").read_text())
+    exact = Letter.__eq__
+    calls = []
+
+    def counting(self, other):
+        calls.append(1)
+        return exact(self, other)
+
+    monkeypatch.setattr(Letter, "__eq__", counting)
+    product_space_from_json(spec)
+    assert calls == []
+    g = GeneratorSymbol("u")
+    assert Letter(g, False, "A2") == Letter(g, False, "A2")
+    assert calls == [1]

@@ -26,7 +26,7 @@ from ncprob.moment_space import (
 from ncprob.nc_lattice import Partition, enumerate_nc
 from ncprob.scalar import ONE, ZERO, ComplexRational
 
-from conftest import random_factor_state, semicircle_factor
+from conftest import assert_refused, random_factor_state, semicircle_factor
 from nc_oracles import (
     center,
     eval_phi_n,
@@ -234,7 +234,7 @@ def test_errors():
     la = state.letter("a")
     with pytest.raises(TruncationError) as err:
         state.phi_word(Word((la,) * 4))
-    assert err.value.word == "a a a a"
+    assert str(err.value) == "word 'a a a a' exceeds degree bound 3 of factor 'A1'"
     other = Letter(GeneratorSymbol("b", selfadjoint=True), False, "A2")
     with pytest.raises(FactorMismatchError):
         state.phi_word(Word((other,)))
@@ -307,3 +307,13 @@ def test_all_words_enumeration():
     words = list(all_words([lu, lu.star()], 2))
     assert len(words) == 1 + 2 + 4
     assert words[0] == EMPTY_WORD
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: FactorState("A1", 0, [GeneratorSymbol("a", True)], {}),
+     "degree bound must be >= 1, got 0"),
+    (lambda: semicircle_factor("A1", "a").letter("zz"),
+     "no generator 'zz' in factor 'A1'"),
+], ids=["degree-bound-0", "unknown-generator"])
+def test_factor_state_refusals(make, message):
+    assert_refused(make, ValidationError, message)

@@ -26,6 +26,7 @@ from ncprob.nc_lattice import (
     parse_partition,
 )
 
+from conftest import assert_refused
 from nc_oracles import (
     enumerate_nc_by_rgs,
     join_nc_by_rescan,
@@ -383,3 +384,12 @@ def test_parse_rejects(text):
 
 def test_catalan_helper():
     assert [catalan(n) for n in range(7)] == [1, 1, 2, 5, 14, 42, 132]
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: Partition(0, ()), ValidationError, "ground-set size must be positive, got 0"),
+    (lambda: Partition.of(2, [(1, 2), ()]), ValidationError, "empty block"),
+    (lambda: catalan(-1), SizeOutOfRangeError, "Catalan index must be non-negative, got -1"),
+], ids=["empty-ground-set", "empty-block", "negative-catalan"])
+def test_lattice_refusals(make, error, message):
+    assert_refused(make, error, message)

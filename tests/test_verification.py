@@ -46,6 +46,7 @@ from ncprob.verification import (
 )
 
 from conftest import (
+    assert_refused,
     measure_factor_state,
     random_factor_state,
     random_product_space,
@@ -53,6 +54,7 @@ from conftest import (
     small_scalar,
 )
 from nc_oracles import (
+    alternating_slots_by_brute_force,
     center,
     centered_word_basis,
     eval_phi_n,
@@ -255,6 +257,19 @@ def test_centered_product_nested_matches_term_list(monkeypatch, rng):
             calls.clear()
             assert verification._phi_of_centered_product(joint, slots) == expected
             assert calls == oracle_calls
+
+
+@pytest.mark.parametrize("max_degree", [1, 2, 3, 4])
+def test_slot_sequences_match_brute_force_oracle(rng, max_degree):
+    # Three factors, the middle one a non-selfadjoint u: slots over u, u*.
+    space = ProductSpace([
+        random_factor_state(rng, "A1", ("a",)),
+        random_factor_state(rng, "A2", ("u",), selfadjoint=False),
+        random_factor_state(rng, "A3", ("b",)),
+    ])
+    slot_tuples = list(verification._alternating_slot_sequences(space, max_degree))
+    assert slot_tuples == alternating_slots_by_brute_force(space, max_degree)
+    assert {index for slots in slot_tuples for index, _ in slots} == {"A1", "A2", "A3"}
 
 
 def test_freeness_checks_reject_negative_degree(two_semicircles):
@@ -708,6 +723,33 @@ def test_gram_entry_across_patterns_must_be_zero(monkeypatch, two_semicircles, s
     assert f"({labels[s]}, {labels[t]})" in str(info.value)
 
 
+def test_gram_entry_across_patterns_raises_after_a_kappa2_mismatch(
+    monkeypatch, two_semicircles
+):
+    # Basis 1, a°, b°: a wrong factor kappa_2 makes (a°, a°) a mismatch, which
+    # row a° meets before the corrupted (a°, b°).  The internal error wins.
+    words = centered_word_basis(two_semicircles, 1)
+    a, b = (w.components for w in words)
+    bad = {words[0].star().components + b, words[1].star().components + a}
+    exact_state = ProductSpace.state_eval
+    monkeypatch.setattr(
+        ProductSpace,
+        "state_eval",
+        lambda self, args: exact_state(self, args) + (ONE if tuple(args) in bad else ZERO),
+    )
+    exact_kappa2 = verification._factor_kappa2
+    monkeypatch.setattr(
+        verification, "_factor_kappa2",
+        lambda state, x, y: exact_kappa2(state, x, y) + ONE,
+    )
+    with pytest.raises(RuntimeError) as info:
+        check_positivity(two_semicircles, 1)
+    assert str(info.value) == (
+        f"internal error: Gram entry ({words[0].text()}, {words[1].text()}) "
+        "across factor patterns is 1, not 0"
+    )
+
+
 def test_schur_check_computes_each_slot_kappa2_once(monkeypatch):
     # Semicircle a + Haar u, N = 6, d = 3: the side check reaches 205 distinct
     # (factor, left slot, right slot) triples, and computes each one once.
@@ -751,3 +793,16 @@ def test_centered_word_basis_degrees(two_semicircles):
     assert all(w.degree <= 2 for w in words)
     # 2 letters of degree 1, 2 squares, 2 alternating length-2 patterns
     assert len(words) == 6
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: ExplicitJointState({"A1": [GeneratorSymbol("a", True)]}, 0, {}),
+     ValidationError, "degree bound must be >= 1"),
+    (lambda: nonfree_coupling().state_eval(
+        (nonfree_coupling().factor_state("A1").letter("a"),) * 3),
+     TruncationError, "word 'a a a' exceeds degree bound 2"),
+    (lambda: GramMatrix(("1", "x"), ((ONE,), (ONE,))), ValidationError,
+     "Gram matrix must be square over its basis"),
+], ids=["joint-degree-bound-0", "joint-past-the-bound", "gram-not-square"])
+def test_joint_state_and_gram_refusals(make, error, message):
+    assert_refused(make, error, message)
