@@ -20,13 +20,12 @@ import argparse
 import json
 import os
 import sys
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .errors import NCProbError, SpecFormatError
+from .errors import NCProbError, SizeOutOfRangeError, SpecFormatError
 
 if TYPE_CHECKING:
     from .free_product import ProductSpace
-    from .moment_space import Letter
     from .scalar import ComplexRational
 
 
@@ -101,6 +100,8 @@ def _cmd_moebius(args) -> int:
     from .nc_lattice import moebius, parse_partition
     from .scalar import ComplexRational
 
+    if args.n < 1:
+        raise SizeOutOfRangeError(f"n must be positive, got {args.n}")
     sigma = parse_partition(args.sigma)
     pi = parse_partition(args.pi)
     if sigma.n != args.n or pi.n != args.n:
@@ -118,22 +119,11 @@ def _cmd_moebius(args) -> int:
 
 
 def _factor_table(
-    factor: str, degree_bound: int, letters: Sequence[Letter], key: str,
-    kernel: Callable, given: Callable,
+    factor: str, degree_bound: int, key: str, table: dict
 ) -> tuple[dict, list[str]]:
-    """The payload and table lines of a factor spec's ``key`` table: ``kernel``
-    of ``given`` on every letter tuple of order 1..``degree_bound`` over
-    ``letters``, shortest first, with one memo for the whole table."""
-    from .moment_space import all_words
-    from .nc_lattice import check_lattice_size
-
-    check_lattice_size(degree_bound)
-    memo: dict = {}
-    values = {
-        word.text(): str(kernel(word.letters, given, memo))
-        for word in all_words(letters, degree_bound)
-        if word.degree
-    }
+    """The payload and table lines of a factor spec's ``key`` table, filled by
+    ``cumulant_calculus.letter_table``."""
+    values = {" ".join(l.text() for l in t): str(v) for t, v in table.items()}
     payload = {"factor": factor, "degree_bound": degree_bound, key: values}
     return payload, [f"{w}  {v}" for w, v in sorted(values.items())]
 
@@ -146,9 +136,12 @@ def _cmd_cumulants(args) -> int:
         from .moment_space import Word, factor_state_from_json
 
         state = factor_state_from_json(obj)
+        table = cc.letter_table(
+            state.letters(), state.degree_bound, cc.first_block_cumulant,
+            lambda sub: state.phi_word(Word(sub)),
+        )
         payload, lines = _factor_table(
-            state.factor, state.degree_bound, state.letters(), "cumulants",
-            cc.first_block_cumulant, lambda sub: state.phi_word(Word(sub)),
+            state.factor, state.degree_bound, "cumulants", table
         )
     else:
         moments = _parse_moment_file(obj, "moments", args.from_moments)
@@ -168,10 +161,10 @@ def _cmd_moments(args) -> int:
 
         factor, degree_bound, letters, kappas = cumulant_table_from_json(obj)
         # Cannot miss: the kernel reads sub-tuples of words of order <= N, all loaded.
-        payload, lines = _factor_table(
-            factor, degree_bound, letters, "moments", cc.first_block_moment,
-            kappas.__getitem__,
+        table = cc.letter_table(
+            letters, degree_bound, cc.first_block_moment, kappas.__getitem__
         )
+        payload, lines = _factor_table(factor, degree_bound, "moments", table)
     else:
         kappas = _parse_moment_file(obj, "cumulants", args.from_cumulants)
         seq = cc.moment_sequence_from_cumulants(kappas)

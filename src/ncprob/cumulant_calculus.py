@@ -13,23 +13,27 @@ A cumulant of n arguments costs at most 3^(n-1) terms, and a moment at most
 2^(n-1) per sub-tuple, against Catalan(n) terms for a sum over NC(n).
 
 Both kernels recurse on argument sub-tuples and fill the dict their caller
-passes, keyed by argument tuples: the ``cumulants`` and ``moments`` commands
-pass one for a whole table, a ``ProductSpace`` its state memo and its memo of
-word-tuple cumulants, so each sub-tuple is computed once per table or space;
-one-off callers pass {}.  ``first_block_cumulant`` also memoizes phi for one
-call: without it ``cumulants`` on N = 8 and 10 Haar tables took 3-21% more
-CPU, and ``verify`` on free products 2-3.5% more (CHANGES.md).
+passes, keyed by argument tuples, so each sub-tuple is computed once per dict.
+A ``ProductSpace`` passes its state memo and its memo of word-tuple cumulants;
+``letter_table``, the one walk over a whole table, passes one memo per table
+for ``cumulants`` and ``moments`` on a factor spec,
+``moment_sequence_from_cumulants`` and ``check_freeness_cumulants``.
+``first_block_cumulant`` also memoizes phi for one call: without it
+``cumulants`` on N = 8 and 10 Haar tables took 3-21% more CPU, and ``verify``
+on free products 2-3.5% more (CHANGES.md).
 
 ``cumulants_from_moment_sequence`` sums over NC(n) directly: kappa_n is the
 sum over sigma of mu(sigma, 1_n) times the moments of sigma's blocks
-(Moebius inversion).  The general NC(n) sum, which the tests compare both
-kernels with, is an oracle in ``tests/nc_oracles.py``.  All routes are
-bounded by the enumeration cap ``nc_lattice.MAX_ENUM_N``.  Everything is
-exact.
+(Moebius inversion).  Through ``letter_table`` it runs about 5x faster, but
+the benchmark's peak RSS then reads higher (ROADMAP item 1).  The general
+NC(n) sum, which the tests compare both kernels with, is an oracle in
+``tests/nc_oracles.py``.  All routes are bounded by the enumeration cap
+``nc_lattice.MAX_ENUM_N``.  Everything is exact.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Callable, Hashable, Sequence, TypeVar
 
 from .errors import DimensionMismatchError, TruncationError, ValidationError
@@ -144,6 +148,19 @@ def first_block_cumulant(
     return kappa(tuple(args))
 
 
+def letter_table(
+    letters: Sequence[Arg], top: int, kernel: Callable, given: Callable,
+    keep: Callable[[tuple[Arg, ...]], bool] | None = None,
+) -> dict[tuple[Arg, ...], ComplexRational]:
+    """``kernel(t, given, memo)`` on every tuple t of 1..``top`` ``letters`` that
+    ``keep`` accepts, shortest first, in ``itertools.product`` order within a
+    length, with one memo; ``top`` past the cap is refused before any call."""
+    check_lattice_size(top)
+    memo: dict = {}
+    tuples = (t for n in range(1, top + 1) for t in product(letters, repeat=n))
+    return {t: kernel(t, given, memo) for t in tuples if keep is None or keep(t)}
+
+
 class MomentSequence(Value):
     """Moments m_1..m_N of a single selfadjoint variable."""
 
@@ -204,12 +221,10 @@ def moment_sequence_from_cumulants(
     kappas = [ComplexRational.of(c) for c in cumulants]
     if not kappas:
         raise ValidationError("need at least one cumulant, got none")
-    check_lattice_size(len(kappas))
-    phis: dict[tuple[int, ...], tuple[ComplexRational, bool]] = {}
-    return MomentSequence.of([
-        first_block_moment((0,) * n, lambda block: kappas[len(block) - 1], phis)
-        for n in range(1, len(kappas) + 1)
-    ])
+    table = letter_table(
+        (0,), len(kappas), first_block_moment, lambda block: kappas[len(block) - 1]
+    )
+    return MomentSequence(tuple(table.values()))
 
 
 def free_convolve_additive(x: MomentSequence, y: MomentSequence) -> MomentSequence:

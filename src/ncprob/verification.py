@@ -24,10 +24,9 @@ these, and that reduction is itself exercised by the test suite.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as iter_product
 from typing import Iterator, Mapping, Sequence
 
-from .cumulant_calculus import first_block_cumulant
+from .cumulant_calculus import first_block_cumulant, letter_table
 from .errors import FactorMismatchError, TruncationError, ValidationError
 from .moment_space import (
     FactorState,
@@ -40,7 +39,6 @@ from .moment_space import (
     normalize_moments,
 )
 from .free_product import ProductSpace, TensorWord
-from .nc_lattice import check_lattice_size
 from .scalar import ONE, ZERO, ComplexRational
 from .value import Value
 
@@ -206,29 +204,23 @@ def check_freeness_cumulants(target: JointState, max_degree: int) -> FreenessRep
     """Definition by cumulants: every mixed kappa_n vanishes, n <= max_degree.
 
     Each kappa_n is recomputed from the joint moments by the first-block
-    recursion, with one kernel memo for the whole check, so a sub-tuple
-    shared by many letter tuples is computed once.  With two or more factors,
-    a max degree past the enumeration cap is refused before any cumulant is
-    computed.
+    recursion over the mixed letter tuples of ``letter_table``, so a
+    sub-tuple shared by many letter tuples is computed once; a pure tuple is
+    computed only as a sub-tuple.  With two or more factors, a max degree
+    past the enumeration cap is refused before any cumulant is computed.
     """
     _check_target(target, max_degree)
-    if len(target.factors) > 1 and max_degree > 1:
-        check_lattice_size(max_degree)
-    letters = [
-        l for _, state in sorted(target.factors.items()) for l in state.letters()
-    ]
     kappas: dict[tuple[Letter, ...], ComplexRational] = {}
-    violations = []
-    checked = 0
-    for n in range(2, max_degree + 1):
-        for tup in iter_product(letters, repeat=n):
-            if len({l.factor for l in tup}) < 2:
-                continue
-            checked += 1
-            value = first_block_cumulant(tup, target.state_eval, kappas)
-            if value:
-                violations.append((" ".join(l.text() for l in tup), value))
-    return FreenessReport("cumulants", max_degree, checked, tuple(violations))
+    if len(target.factors) > 1 and max_degree > 1:
+        letters = [l for _, s in sorted(target.factors.items()) for l in s.letters()]
+        kappas = letter_table(
+            letters, max_degree, first_block_cumulant, target.state_eval,
+            keep=lambda t: len({l.factor for l in t}) > 1,
+        )
+    violations = tuple(
+        (" ".join(l.text() for l in t), value) for t, value in kappas.items() if value
+    )
+    return FreenessReport("cumulants", max_degree, len(kappas), violations)
 
 
 # -- variance factorization ---------------------------------------------------

@@ -193,6 +193,41 @@ def test_two_generator_table_round_trip(tmp_path, capsys):
     assert json.loads(out) == {"factor": "A", "degree_bound": 3, "moments": moments}
 
 
+def two_generator_factor(generators):
+    """A factor with selfadjoint a and b at N = 4, generators listed in the
+    given order; phi(w) depends on the word alone, so every listing is one
+    state, and phi(w*) = phi(w) by symmetry under reversal."""
+    moments = {}
+    for n in range(1, 5):
+        for word in iproduct("ab", repeat=n):
+            turns = sum(x != y for x, y in zip(word, word[1:]))
+            moments[" ".join(word)] = str(Fraction(word.count("a") - turns, n + 1))
+    return {"factor": "A", "degree_bound": 4, "moments": moments,
+            "generators": [{"name": g, "selfadjoint": True} for g in generators]}
+
+
+@pytest.mark.parametrize("output", ["json", "table"])
+def test_factor_tables_do_not_depend_on_the_generator_order(tmp_path, capsys, output):
+    # The table walk takes the letters in spec order, and all_words sorted
+    # them: both listings print the same cumulants, and the same moments back.
+    printed = {}
+    for generators in (["a", "b"], ["b", "a"]):
+        spec = two_generator_factor(generators)
+        src = tmp_path / "moments.json"
+        src.write_text(json.dumps(spec))
+        code, kappas, err = run(capsys, ["cumulants", "--from-moments", src])
+        assert (code, err) == (0, "")
+        _, table, _ = run(capsys, ["cumulants", "--from-moments", src, "--output", output])
+        del spec["moments"]
+        src.write_text(json.dumps({**spec, "cumulants": json.loads(kappas)["cumulants"]}))
+        argv = ["moments", "--from-cumulants", src, "--output", output]
+        code, moments, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        printed[tuple(generators)] = table, moments
+    assert printed[("a", "b")] == printed[("b", "a")]
+    assert all("b a b a" in text for text in printed[("a", "b")])
+
+
 def test_product_eval(capsys):
     spec = SPECS / "two_semicircles.json"
     code, out, _ = run(
@@ -694,6 +729,20 @@ def test_moebius_too_long_to_print_is_status_2():
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("n", [-1, 0])
+def test_moebius_n_below_one_is_refused_before_the_partitions(capsys, n):
+    for sigma in ("{1}", "not a partition"):
+        code, out, err = run(capsys, ["moebius", n, sigma, "{1}"])
+        assert (code, out, err) == (2, "", f"error: n must be positive, got {n}\n")
+
+
+def test_moebius_is_not_capped_at_12(capsys):
+    # The closed form needs no enumeration, so n = 13 is served.
+    code, out, _ = run(capsys, ["moebius", "13", *bottom_and_top(13)])
+    assert code == 0
+    assert json.loads(out)["moebius"] == catalan(12)
 
 
 def test_moebius_of_a_large_interval(capsys):

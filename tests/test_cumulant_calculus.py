@@ -14,6 +14,7 @@ from ncprob.cumulant_calculus import (
     first_block_cumulant,
     first_block_moment,
     free_convolve_additive,
+    letter_table,
     moment_sequence_from_cumulants,
 )
 from ncprob.errors import (
@@ -573,6 +574,51 @@ def test_self_filling_table_matches_fresh_kappa_n(rng):
                 tup, lambda sub: state.phi_word(Word(sub)), kappas
             )
             assert value == kappa_n(state, tup)
+
+
+def recording_kernel(calls):
+    """A kernel that records (tuple, given, memo) and returns the tuple's length."""
+    def kernel(t, given, memo):
+        calls.append((t, given, memo))
+        return ComplexRational.of(len(t))
+
+    return kernel
+
+
+@pytest.mark.parametrize("top", [0, 13, -1])
+def test_letter_table_refuses_top_outside_the_cap_before_any_kernel_call(top):
+    calls = []
+    message = rf"^n must be within 1\.\.12, got {top}$"
+    with pytest.raises(SizeOutOfRangeError, match=message):
+        letter_table("ab", top, recording_kernel(calls), None)
+    assert calls == []
+
+
+def test_letter_table_goes_shortest_first_in_product_order():
+    calls = []
+    table = letter_table("ba", 3, recording_kernel(calls), None)
+    expected = [t for n in (1, 2, 3) for t in iproduct("ba", repeat=n)]
+    assert [t for t, _, _ in calls] == list(table) == expected
+    assert expected[:3] == [("b",), ("a",), ("b", "b")]
+    assert all(value == ComplexRational.of(len(t)) for t, value in table.items())
+
+
+def test_letter_table_passes_one_memo_and_the_given_to_every_call():
+    calls = []
+    given = object()
+    letter_table("xyz", 2, recording_kernel(calls), given)
+    assert len(calls) == 3 + 9
+    memo = calls[0][2]
+    assert memo == {}
+    assert all(g is given and m is memo for _, g, m in calls)
+
+
+def test_letter_table_runs_the_kernel_only_on_tuples_keep_accepts():
+    calls = []
+    table = letter_table("ab", 3, recording_kernel(calls), None,
+                         keep=lambda t: "a" in t and "b" in t)
+    expected = [t for n in (2, 3) for t in iproduct("ab", repeat=n) if len(set(t)) == 2]
+    assert [t for t, _, _ in calls] == list(table) == expected
 
 
 def test_moments_from_cumulants_match_lattice_sum_exhaustively(rng):

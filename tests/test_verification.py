@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncprob import verification
-from ncprob.cumulant_calculus import first_block_cumulant
+from ncprob.cumulant_calculus import first_block_cumulant, letter_table
 from ncprob.errors import (
     FactorMismatchError,
     SizeOutOfRangeError,
@@ -187,11 +187,13 @@ def test_classical_independence_is_not_freeness():
     assert not check_freeness_moments(joint, 4).ok
 
 
-def random_joint_state(rng, degree_bound):
-    """Random star-consistent joint moments of a and u, u*: not free in general."""
-    ga = GeneratorSymbol("a", selfadjoint=True)
-    gu = GeneratorSymbol("u", selfadjoint=False)
-    ls = (Letter(ga, False, "A1"), Letter(gu, False, "A2"), Letter(gu, True, "A2"))
+def random_joint_state(rng, degree_bound, a1_names=("a",)):
+    """Random star-consistent joint moments of selfadjoint ``a1_names`` (factor
+    A1, listed in that order) and u, u* (A2): not free in general."""
+    gens = {"A1": [GeneratorSymbol(name, selfadjoint=True) for name in a1_names],
+            "A2": [GeneratorSymbol("u", selfadjoint=False)]}
+    ls = [Letter(g, starred, index) for index, gs in gens.items() for g in gs
+          for starred in (False, True)[: 1 + (not g.selfadjoint)]]
     moments = {}
     for n in range(1, degree_bound + 1):
         for tup in iproduct(ls, repeat=n):
@@ -199,7 +201,7 @@ def random_joint_state(rng, degree_bound):
             if key not in moments:
                 value = small_scalar(rng)
                 moments[key] = CR(value.re) if key == key.star() else value
-    return ExplicitJointState({"A1": [ga], "A2": [gu]}, degree_bound, moments)
+    return ExplicitJointState(gens, degree_bound, moments)
 
 
 def test_joint_kappa_matches_lattice_sum(rng):
@@ -220,18 +222,48 @@ def test_joint_kappa_matches_lattice_sum(rng):
 
 def test_freeness_cumulants_matches_per_tuple_joint_kappa(rng):
     # One kernel memo for the whole check: the same violations, in the same
-    # order, as a fresh kernel memo per letter tuple.
-    joint = random_joint_state(rng, 4)
-    ls = [l for i in sorted(joint.factors) for l in joint.factor_state(i).letters()]
-    expected = []
-    for n in range(2, 5):
-        for tup in iproduct(ls, repeat=n):
-            if len({l.factor for l in tup}) > 1:
-                value = first_block_cumulant(tup, joint.state_eval, {})
-                if value:
-                    expected.append((" ".join(l.text() for l in tup), value))
-    assert len(expected) > 50
-    assert check_freeness_cumulants(joint, 4).violations == tuple(expected)
+    # order, as a fresh kernel memo per letter tuple.  Letters go in spec
+    # order, so A1 listed as [b, a] walks b before a, unlike sorted words.
+    for a1_names in (("a",), ("b", "a")):
+        joint = random_joint_state(rng, 4, a1_names)
+        ls = [l for i in sorted(joint.factors) for l in joint.factor_state(i).letters()]
+        assert [l.text() for l in ls] == [*a1_names, "u", "u*"]
+        expected = []
+        for n in range(2, 5):
+            for tup in iproduct(ls, repeat=n):
+                if len({l.factor for l in tup}) > 1:
+                    value = first_block_cumulant(tup, joint.state_eval, {})
+                    if value:
+                        expected.append((" ".join(l.text() for l in tup), value))
+        assert len(expected) > 50
+        assert check_freeness_cumulants(joint, 4).violations == tuple(expected)
+
+
+def test_freeness_cumulants_fills_only_the_mixed_tuples(monkeypatch):
+    # Semicircle a + Haar u, N = 6, d = 6: the check reaches the pure tuples
+    # only as sub-tuples, 2,617 state evaluations for 960 mixed tuples.  A
+    # fill of every tuple, pure ones of order up to 6 included, makes 2,878.
+    def counted_space():
+        space = product_space_from_json(
+            json.loads((GOLDEN_INPUTS / "semicircle_and_haar_u_6.json").read_text())
+        )
+        exact = space.state_eval
+        calls = []
+
+        def counting(letters):
+            calls.append(1)
+            return exact(letters)
+
+        monkeypatch.setattr(space, "state_eval", counting)
+        return space, calls
+
+    space, calls = counted_space()
+    assert check_freeness_cumulants(space, 6).checked_words == 960
+    assert len(calls) == 2617
+    space, calls = counted_space()
+    letters = [l for i in sorted(space.factors) for l in space.factor_state(i).letters()]
+    full = letter_table(letters, 6, first_block_cumulant, space.state_eval)
+    assert len(full) == 1092 and len(calls) == 2878
 
 
 def test_centered_product_nested_matches_term_list(monkeypatch, rng):
