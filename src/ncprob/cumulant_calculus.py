@@ -24,11 +24,12 @@ on free products 2-3.5% more (CHANGES.md).
 
 ``cumulants_from_moment_sequence`` sums over NC(n) directly: kappa_n is the
 sum over sigma of mu(sigma, 1_n) times the moments of sigma's blocks
-(Moebius inversion).  Through ``letter_table`` it runs about 5x faster, but
-the benchmark's peak RSS then reads higher (ROADMAP item 1).  The general
-NC(n) sum, which the tests compare both kernels with, is an oracle in
-``tests/nc_oracles.py``.  All routes are bounded by the enumeration cap
-``nc_lattice.MAX_ENUM_N``.  Everything is exact.
+(Moebius inversion).  It keeps no memo, nor runs through ``letter_table``,
+which made it about 5x faster: either would let the benchmark's ``session``
+fit more passes, and its peak RSS, which grows with the passes, would read
+higher (ROADMAP item 1).  The NC(n) sum that the tests compare both kernels
+with is an oracle in ``tests/nc_oracles.py``.  All routes are bounded by the
+enumeration cap ``nc_lattice.MAX_ENUM_N``.  Everything is exact.
 """
 
 from __future__ import annotations

@@ -19,15 +19,15 @@ Cumulant functions are layered exactly as they are defined:
 An atom is a (factor, polynomial) pair, and each letter is one atom built
 with the space.  Mixed cumulants vanish, so the state is the first-block
 kernel (``cumulant_calculus.first_block_moment``) on the atoms, over blocks
-that stay inside the first atom's factor, with ``_phi_memo`` as its memo.  A
-pure cumulant of one atom is its phi; of n >= 2 atoms it is multilinear and
-0 on the unit, so it sums the first-block kernel
-(``cumulant_calculus.first_block_cumulant``) over tuples of non-unit words,
-with phi of their concatenation and ``_word_kappa_memo`` as its memo.  One
-polynomial per centered (factor, word) makes the memos match by identity.  A
-cumulant of grouped products is the same kernel on the groups, with the
-state of their concatenation as phi and a fresh memo per term.  Everything
-is exact; the memos of a ``ProductSpace`` are plain per-instance dicts.
+inside the first atom's factor, with ``_phi_memo`` as its memo, whose hits
+are read before the kernel is entered.  A pure cumulant of one atom is its
+phi; of n >= 2 atoms it is multilinear and 0 on the unit, so it sums the
+first-block kernel (``cumulant_calculus.first_block_cumulant``) over tuples
+of non-unit words, with phi of their concatenation and ``_word_kappa_memo``
+as its memo.  One polynomial per centered (factor, word) makes the memos
+match by identity.  A cumulant of grouped products is the same kernel on the
+groups, with the state of their concatenation as phi and a fresh memo per
+term.  Everything is exact; the memos are plain per-instance dicts.
 """
 
 from __future__ import annotations
@@ -382,6 +382,8 @@ class ProductSpace:
     # -- the state ---------------------------------------------------------
 
     def _phi_atoms(self, atoms: tuple[Atom, ...]) -> ComplexRational:
+        if (hit := self._phi_memo.get(atoms)) is not None:  # a hit skips the kernel's setup
+            return hit[0]
         if not atoms:
             return ONE
         return first_block_moment(
@@ -392,13 +394,13 @@ class ProductSpace:
         self,
         x: FreeElement | Sequence[Letter] | Sequence[tuple[str, Polynomial]],
     ) -> ComplexRational:
-        """The constructed state phi.
+        """The constructed state phi, memoized per sub-tuple of atoms.
 
         For a flat product of pure arguments (letters, or (factor,
         polynomial) pairs) this is the sum over NC(n) of blockwise base
         cumulants, by the first-block recursion on their atoms; for a
-        FreeElement it is the scalar part plus the same sum applied to each
-        tensor word's components.  Every sub-tuple's moment stays memoized.
+        FreeElement, the scalar part plus that sum on each tensor word's
+        components.  A memoized tuple is read before the kernel is entered.
         """
         if isinstance(x, FreeElement):
             total = ZERO
@@ -408,7 +410,13 @@ class ProductSpace:
         return self._phi_atoms(self._as_atoms(x))
 
     def _as_atoms(self, args: Iterable) -> tuple[Atom, ...]:
-        atoms: list[Atom] = []
+        try:  # all letters: one pass in C; pairs skip it
+            if args[0].__class__ is Letter:
+                if None not in (atoms := tuple(map(self._letter_atoms.get, args))):
+                    return atoms
+        except (LookupError, TypeError):  # empty, not indexable, or an unhashable argument
+            pass
+        atoms = []
         for arg in args:
             if isinstance(arg, Letter):
                 atom = self._letter_atoms.get(arg)
@@ -420,9 +428,7 @@ class ProductSpace:
                 self.factor_state(arg[0])
                 atoms.append((arg[0], arg[1]))
             else:
-                raise ValidationError(
-                    f"cannot interpret {arg!r} as a pure product argument"
-                )
+                raise ValidationError(f"cannot interpret {arg!r} as a pure product argument")
         return tuple(atoms)
 
     # -- letter resolution --------------------------------------------------

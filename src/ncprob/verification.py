@@ -87,7 +87,10 @@ class ExplicitJointState:
             raise FactorMismatchError(f"unknown factor {index!r}") from None
 
     def state_eval(self, letters: Sequence[Letter]) -> ComplexRational:
-        word = Word(tuple(letters))
+        for arg in (letters := tuple(letters)):
+            if not isinstance(arg, Letter):
+                raise ValidationError(f"cannot interpret {arg!r} as a pure product argument")
+        word = Word(letters)
         if word.degree > self.degree_bound:
             raise TruncationError(
                 f"word {word.text()!r} exceeds degree bound {self.degree_bound}"

@@ -12,11 +12,13 @@ from ncprob.cumulant_calculus import (
     MomentSequence,
     cumulants_from_moment_sequence,
     first_block_cumulant,
+    first_block_moment,
 )
 from ncprob.errors import (
     DimensionMismatchError,
     FactorMismatchError,
     NCProbError,
+    SizeOutOfRangeError,
     SpecFormatError,
     TruncationError,
     ValidationError,
@@ -628,6 +630,63 @@ def test_each_letter_is_one_atom_per_space(two_semicircles):
     assert first[0] is first[1] is space._as_atoms([Letter(la.generator, False, "A1")])[0]
 
 
+def test_a_warm_memo_bypasses_no_refusal(two_semicircles):
+    space = two_semicircles
+    la, lb = space.factor_state("A1").letter("a"), space.factor_state("A2").letter("b")
+    for word in ([la], [la, lb], [la, lb, la], [lb, la] * 3):
+        space.state_eval(word)
+    zz = GeneratorSymbol("zz", selfadjoint=True)
+    assert_refused(lambda: space.state_eval([la, lb] * 6 + [la]), SizeOutOfRangeError,
+                   "n must be within 1..12, got 13")
+    assert_refused(lambda: space.state_eval([la, Letter(zz, False, "A1")]), ValidationError,
+                   "no generator 'zz' in factor 'A1'")
+    assert_refused(lambda: space.state_eval([la, Letter(zz, False, "Z")]), FactorMismatchError,
+                   "unknown factor 'Z'")
+    assert_refused(lambda: space.state_eval([la, lb, [1]]), ValidationError,
+                   "cannot interpret [1] as a pure product argument")
+
+
+def test_a_repeated_word_is_read_from_the_memo(monkeypatch, two_semicircles):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return first_block_moment(*args, **kwargs)
+
+    monkeypatch.setattr("ncprob.free_product.first_block_moment", counting)
+    space = two_semicircles
+    la, lb = space.factor_state("A1").letter("a"), space.factor_state("A2").letter("b")
+    word = [la, lb, lb, la, lb, lb]
+    assert space.state_eval(word) == ONE
+    assert len(calls) == 1
+    assert space.state_eval(tuple(word)) == ONE
+    assert space.state_eval([lb, lb]) == ONE  # a gap of the block {1, 4}
+    assert len(calls) == 1
+
+
+def test_state_eval_takes_a_one_pass_iterator(two_semicircles):
+    space = two_semicircles
+    la, lb = space.factor_state("A1").letter("a"), space.factor_state("A2").letter("b")
+    word = [la, la, lb, lb, la, la]
+    pairs = [(l.factor, Polynomial.from_letter(l)) for l in word]
+    two = ComplexRational.of(2)
+    assert space.state_eval(iter(word)) == space.state_eval(iter(pairs)) == two
+    assert space.state_eval(word) == space.state_eval(pairs) == two
+
+
+def test_misses_fill_the_state_memo_as_before():
+    # Every word of degree <= 5 over a, u, u* on a + Haar u at N = 6: each
+    # word and each of its gaps is one entry, 363 in all.
+    space = product_space_from_json(
+        json.loads((GOLDEN_INPUTS / "semicircle_and_haar_u_6.json").read_text())
+    )
+    letters = [space.resolve_letter(name) for name in ("a", "u", "u*")]
+    for n in range(1, 6):
+        for word in iproduct(letters, repeat=n):
+            space.state_eval(word)
+    assert len(space._phi_memo) == 363
+
+
 def test_state_restricts_to_factors(rng):
     space = random_product_space(rng, 3, 4)
     for index in space.factors:
@@ -868,6 +927,10 @@ def test_product_space_from_json_rejects(mutate):
      ValidationError, "the empty word has no centered basis vector"),
     (lambda: ProductSpace([semicircle_factor("A1", "a")]).state_eval(["a"]),
      ValidationError, "cannot interpret 'a' as a pure product argument"),
+    (lambda: ProductSpace([semicircle_factor("A1", "a")]).state_eval([[1]]),
+     ValidationError, "cannot interpret [1] as a pure product argument"),
+    (lambda: ProductSpace([semicircle_factor("A1", "a")]).state_eval([{}]),
+     ValidationError, "cannot interpret {} as a pure product argument"),
     (lambda: ProductSpace([semicircle_factor("A1", "a")]).kappa_elements([]),
      ValidationError, "kappa_elements needs at least one argument"),
     (lambda: product_space_from_json([]), SpecFormatError,
@@ -875,7 +938,8 @@ def test_product_space_from_json_rejects(mutate):
     (lambda: product_space_from_json({"degree_bound": 2, "factors": []}),
      SpecFormatError, "'factors' must be a non-empty list"),
 ], ids=["no-factor", "duplicate-index", "mixed-bounds", "centered-unit",
-        "bad-state-argument", "kappa-of-nothing", "spec-not-an-object", "no-factors"])
+        "bad-state-argument", "unhashable-state-argument", "dict-state-argument",
+        "kappa-of-nothing", "spec-not-an-object", "no-factors"])
 def test_product_space_refusals(make, error, message):
     assert_refused(make, error, message)
 

@@ -181,6 +181,7 @@ def test_classical_independence_is_not_freeness():
     lb = joint.factor_state("A2").letters()[0]
     # mixed fourth cumulant: only 1_4 contributes, phi(abab) = 1
     assert first_block_cumulant((la, lb, la, lb), joint.state_eval, {}) == ONE
+    assert joint.state_eval(iter([la, lb, la, lb])) == joint.state_eval([la, lb, la, lb]) == ONE
     r_c = check_freeness_cumulants(joint, 4)
     assert not r_c.ok
     assert ("a b a b", ONE) in r_c.violations
@@ -833,8 +834,13 @@ def test_centered_word_basis_degrees(two_semicircles):
     (lambda: nonfree_coupling().state_eval(
         (nonfree_coupling().factor_state("A1").letter("a"),) * 3),
      TruncationError, "word 'a a a' exceeds degree bound 2"),
+    (lambda: nonfree_coupling().state_eval(["x"]), ValidationError,
+     "cannot interpret 'x' as a pure product argument"),
+    (lambda: nonfree_coupling().state_eval([[1]]), ValidationError,
+     "cannot interpret [1] as a pure product argument"),
     (lambda: GramMatrix(("1", "x"), ((ONE,), (ONE,))), ValidationError,
      "Gram matrix must be square over its basis"),
-], ids=["joint-degree-bound-0", "joint-past-the-bound", "gram-not-square"])
+], ids=["joint-degree-bound-0", "joint-past-the-bound", "joint-not-a-letter",
+        "joint-unhashable", "gram-not-square"])
 def test_joint_state_and_gram_refusals(make, error, message):
     assert_refused(make, error, message)
