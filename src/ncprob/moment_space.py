@@ -1,21 +1,22 @@
 """Factor *-probability spaces presented by generators and truncated moments.
 
 A factor is a set of generator symbols plus a moment functional phi given on
-every word of degree <= N (the factor's degree bound).  Star structure is
-normalized at construction: starred selfadjoint letters are rewritten
-unstarred, a conflict between phi(w) and phi(w*) is reported under one
-canonical key of {w, w*}, and the table holds phi(w*) = conj(phi(w)) beside
-phi(w).  States are immutable after validation.  A factor spec's given free
-cumulants load as a plain dict of letter tuple -> kappa, checked to hold
-every tuple of order 1..N and no other, for the first-block moment kernel of
-``cumulant_calculus`` to read.
+every word of degree <= N (the factor's degree bound).  Each letter, a
+generator or its star in one factor, is one object, compared and hashed by
+identity, and ``generator_letters`` is the one place a generator list
+becomes letters.  Star structure is normalized at construction: starred
+selfadjoint letters are rewritten unstarred, a conflict between phi(w) and
+phi(w*) is reported under one canonical key of {w, w*}, and the table holds
+phi(w*) = conj(phi(w)) beside phi(w).  States are immutable after
+validation.  A factor spec's given free cumulants load as a plain dict of
+letter tuple -> kappa, checked to hold every tuple of order 1..N and no
+other, for the first-block moment kernel of ``cumulant_calculus`` to read.
 
 Positivity of a factor state is NOT assumed here; ``verification`` checks it.
 """
 
 from __future__ import annotations
 
-from functools import cache
 from typing import Iterator, Mapping, Sequence
 
 from .errors import (
@@ -41,14 +42,11 @@ class GeneratorSymbol(Value):
 
 
 class _Cached(Value):
-    """A value type that caches its hash, set at construction, and its star
-    partner.  The caches are this class's slots, so a subclass's
+    """A value type that caches its star partner (``_hash`` is ``Word``'s, set
+    at construction).  The caches are this class's slots, so a subclass's
     ``__slots__`` lists its fields alone, as ``repr`` and the hash read them."""
 
     __slots__ = ("_hash", "_star")
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def star(self):
         partner = getattr(self, "_star", None)  # unset until the first call
@@ -60,25 +58,24 @@ class _Cached(Value):
 
 
 class Letter(_Cached):
-    """A generator or its star, tagged with its factor index."""
+    """A generator or its star, tagged with its factor index.  There is one
+    object per (generator, starred unless selfadjoint, factor), made at the
+    first call, so letters compare and hash by identity."""
 
     __slots__ = ("generator", "starred", "factor")
+    _made: dict[tuple, "Letter"] = {}
 
-    def __init__(self, generator: GeneratorSymbol, starred: bool, factor: str):
-        if generator.selfadjoint and starred:
-            starred = False
-        object.__setattr__(self, "generator", generator)
-        object.__setattr__(self, "starred", starred)
-        object.__setattr__(self, "factor", factor)
-        object.__setattr__(self, "_hash", hash((generator, starred, factor)))
+    def __new__(cls, generator: GeneratorSymbol, starred: bool, factor: str):
+        key = (generator, starred and not generator.selfadjoint, factor)
+        letter = cls._made.get(key)
+        if letter is None:
+            letter = cls._made[key] = object.__new__(cls)
+            for name, value in zip(cls.__slots__, key):
+                object.__setattr__(letter, name, value)
+        return letter
 
-    def __eq__(self, other):
-        if other.__class__ is Letter:
-            return (self.generator, self.starred, self.factor) == (
-                other.generator, other.starred, other.factor)
-        return NotImplemented
-
-    __hash__ = _Cached.__hash__  # a class that defines __eq__ alone is unhashable
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def _build_star(self) -> "Letter":
         if self.generator.selfadjoint:
@@ -110,7 +107,8 @@ class Word(_Cached):
             return self.letters == other.letters
         return NotImplemented
 
-    __hash__ = _Cached.__hash__
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def degree(self) -> int:
@@ -275,17 +273,20 @@ def normalize_moments(
     return table
 
 
-@cache
 def generator_letters(
     factor: str, generators: tuple[GeneratorSymbol, ...]
 ) -> tuple[Letter, ...]:
     """Each generator's letter, followed by its star unless it is selfadjoint.
-    Built once per factor and generators, each with its star as its partner,
-    so every word of a factor shares one ``Letter`` object per letter."""
+    The one place a generator list becomes letters, so every loader refuses
+    an empty list and a duplicated name here."""
+    names = [g.name for g in generators]
+    if len(set(names)) != len(names):
+        raise ValidationError(f"duplicate generator names in factor {factor!r}")
+    if not generators:
+        raise ValidationError(f"factor {factor!r} has no generators")
     out = []
     for g in generators:
-        letter = Letter(g, False, factor)
-        out.append(letter)
+        out.append(letter := Letter(g, False, factor))
         if not g.selfadjoint:
             out.append(letter.star())
     return tuple(out)
@@ -314,11 +315,6 @@ class FactorState:
     ):
         if degree_bound < 1:
             raise ValidationError(f"degree bound must be >= 1, got {degree_bound}")
-        names = [g.name for g in generators]
-        if len(set(names)) != len(names):
-            raise ValidationError(f"duplicate generator names in factor {factor!r}")
-        if not generators:
-            raise ValidationError(f"factor {factor!r} has no generators")
         self.factor = factor
         self.degree_bound = degree_bound
         self.generators = tuple(generators)
@@ -481,7 +477,10 @@ def parse_factor_spec(
             )
         generators.append(GeneratorSymbol(g["name"], selfadjoint))
     generators = tuple(generators)
-    letters = generator_letters(factor, generators)
+    try:
+        letters = generator_letters(factor, generators)
+    except ValidationError as exc:  # a spec's faults are format errors
+        raise SpecFormatError(str(exc)) from exc
     letters_by_name = {l.name: l for l in letters if not l.starred}
     if not isinstance(table_raw, dict):
         raise SpecFormatError(f"{table_key!r} must be an object of word -> scalar")

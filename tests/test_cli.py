@@ -522,6 +522,27 @@ def test_malformed_product_eval_input_is_one_error_line(tmp_path, capsys, spec, 
     )
 
 
+@pytest.mark.parametrize("generators, table, message", [
+    ([], {}, "factor 'A' has no generators"),
+    ([{"name": "a", "selfadjoint": True}] * 2, {"a": "0"},
+     "duplicate generator names in factor 'A'"),
+    ([], {"a": "0"}, "factor 'A' has no generators"),
+], ids=["no-generators", "duplicate-names", "no-generators-before-an-unknown-letter"])
+@pytest.mark.parametrize("command,key", [
+    ("cumulants", "moments"), ("moments", "cumulants"),
+])
+def test_factor_spec_commands_refuse_the_same_generator_lists(
+    tmp_path, capsys, generators, table, message, command, key
+):
+    # A moment spec and the same spec given by cumulants go through one
+    # generator-list check, before any word is read, so both commands
+    # refuse with one error line.
+    spec = {"factor": "A", "degree_bound": 1, "generators": generators, key: table}
+    src = tmp_path / "spec.json"
+    src.write_text(json.dumps(spec))
+    assert run(capsys, [command, f"--from-{key}", src]) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("command,key", [
     ("cumulants", "moments"), ("moments", "cumulants"),
 ])

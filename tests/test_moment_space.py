@@ -20,6 +20,7 @@ from ncprob.moment_space import (
     Polynomial,
     Word,
     all_words,
+    cumulant_table_from_json,
     factor_state_from_json,
     parse_word,
 )
@@ -314,6 +315,22 @@ def test_all_words_enumeration():
      "degree bound must be >= 1, got 0"),
     (lambda: semicircle_factor("A1", "a").letter("zz"),
      "no generator 'zz' in factor 'A1'"),
-], ids=["degree-bound-0", "unknown-generator"])
+    (lambda: FactorState("A1", 1, [], {}), "factor 'A1' has no generators"),
+    (lambda: FactorState("A1", 1, [GeneratorSymbol("a", True)] * 2, {}),
+     "duplicate generator names in factor 'A1'"),
+], ids=["degree-bound-0", "unknown-generator", "no-generators", "duplicate-names"])
 def test_factor_state_refusals(make, message):
     assert_refused(make, ValidationError, message)
+
+
+@pytest.mark.parametrize("generators, message", [
+    ([], "factor 'A' has no generators"),
+    ([{"name": "a"}, {"name": "a", "selfadjoint": True}],
+     "duplicate generator names in factor 'A'"),
+], ids=["no-generators", "duplicate-names"])
+@pytest.mark.parametrize("key, load", [
+    ("moments", factor_state_from_json), ("cumulants", cumulant_table_from_json),
+], ids=["moments", "cumulants"])
+def test_spec_loaders_refuse_a_generator_list_as_a_format_error(generators, message, key, load):
+    spec = {"factor": "A", "degree_bound": 1, "generators": generators, key: {}}
+    assert_refused(lambda: load(spec), SpecFormatError, message)

@@ -3,19 +3,31 @@
 Each case builds two instances from equal fields.  They must be equal with
 equal hashes, refuse assignment, differ from the tuple of their fields, and
 print exactly as the dataclass printed (the strings below were recorded from
-the dataclass version).
+the dataclass version).  ``Letter`` is the exception: one object per letter,
+compared and hashed by identity.
 """
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from ncprob.cumulant_calculus import MomentSequence
 from ncprob.free_product import TensorWord
-from ncprob.moment_space import EMPTY_WORD, GeneratorSymbol, Letter, Polynomial, Word
+from ncprob.moment_space import (
+    EMPTY_WORD,
+    GeneratorSymbol,
+    Letter,
+    Polynomial,
+    Word,
+    factor_state_from_json,
+)
 from ncprob.nc_lattice import Partition
 from ncprob.scalar import ONE, ZERO, ComplexRational
 from ncprob.verification import FreenessReport, GramMatrix, PositivityResult
+
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 
 def a():
@@ -43,11 +55,6 @@ CASES = {
     "GeneratorSymbol": (
         lambda: GeneratorSymbol("a", True),
         "GeneratorSymbol(name='a', selfadjoint=True)",
-    ),
-    "Letter": (
-        u_star,
-        "Letter(generator=GeneratorSymbol(name='u', selfadjoint=False), starred=True, "
-        "factor='A2')",
     ),
     "Word": (lambda: Word((a(), u_star())), "Word(a u*)"),
     "Partition": (lambda: Partition.of(4, [[1, 4], [2, 3]]), "Partition({1,4}{2,3})"),
@@ -92,6 +99,34 @@ def test_value_type_contract(name):
     assert x == y and not x != y and hash(x) == hash(y) == hash(fields)
     assert x != fields and fields != x
     assert repr(x) == text
+
+
+def test_letter_is_one_object_per_letter():
+    # Letter keeps the contract above but for identity: equal fields give
+    # the same object, which hashes as an object does, not as its fields.
+    x, y = u_star(), u_star()
+    assert type(x) is Letter and x is y
+    assert Letter.__eq__ is object.__eq__ and Letter.__hash__ is object.__hash__
+    assert not hasattr(x, "__dict__") and getattr(x, "_hash", None) is None
+    fields = tuple(getattr(x, f) for f in Letter.__slots__)
+    for field, value in zip(Letter.__slots__, fields):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(x, field, value)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+            delattr(x, field)
+    assert x == y and not x != y
+    assert x != fields and fields != x
+    assert repr(x) == (
+        "Letter(generator=GeneratorSymbol(name='u', selfadjoint=False), starred=True, "
+        "factor='A2')"
+    )
+    g = GeneratorSymbol("a", True)
+    assert Letter(g, True, "A1") is Letter(g, False, "A1") is a()
+    spec = json.loads((GOLDEN_INPUTS / "factor_u.json").read_text())
+    first, second = factor_state_from_json(spec), factor_state_from_json(spec)
+    assert first is not second
+    assert all(l is m for l, m in zip(first.letters(), second.letters(), strict=True))
+    assert Letter(GeneratorSymbol("u"), True, "A1") is first.letters()[1]
 
 
 def test_value_types_differ_by_class_and_fields():

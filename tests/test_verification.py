@@ -831,6 +831,8 @@ def test_centered_word_basis_degrees(two_semicircles):
 @pytest.mark.parametrize("make, error, message", [
     (lambda: ExplicitJointState({"A1": [GeneratorSymbol("a", True)]}, 0, {}),
      ValidationError, "degree bound must be >= 1"),
+    (lambda: ExplicitJointState({"A1": [GeneratorSymbol("a", True)], "A2": []}, 1, {}),
+     ValidationError, "factor 'A2' has no generators"),
     (lambda: nonfree_coupling().state_eval(
         (nonfree_coupling().factor_state("A1").letter("a"),) * 3),
      TruncationError, "word 'a a a' exceeds degree bound 2"),
@@ -840,7 +842,7 @@ def test_centered_word_basis_degrees(two_semicircles):
      "cannot interpret [1] as a pure product argument"),
     (lambda: GramMatrix(("1", "x"), ((ONE,), (ONE,))), ValidationError,
      "Gram matrix must be square over its basis"),
-], ids=["joint-degree-bound-0", "joint-past-the-bound", "joint-not-a-letter",
-        "joint-unhashable", "gram-not-square"])
+], ids=["joint-degree-bound-0", "joint-no-generators", "joint-past-the-bound",
+        "joint-not-a-letter", "joint-unhashable", "gram-not-square"])
 def test_joint_state_and_gram_refusals(make, error, message):
     assert_refused(make, error, message)
