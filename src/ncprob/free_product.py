@@ -16,24 +16,25 @@ Cumulant functions are layered exactly as they are defined:
                        into unit/tensor-word slots, each term the cumulant of
                        grouped products read off the state.
 
-An atom is a (factor, polynomial) pair, and each letter is one atom built
-with the space.  Mixed cumulants vanish, so the state is the first-block
+An atom is a letter of the space, which is its own atom, or a (factor,
+polynomial) pair.  Mixed cumulants vanish, so the state is the first-block
 kernel (``cumulant_calculus.first_block_moment``) on the atoms, over blocks
-inside the first atom's factor, with ``_phi_memo`` as its memo, whose hits
-are read before the kernel is entered.  A pure cumulant of one atom is its
-phi; of n >= 2 atoms it is multilinear and 0 on the unit, so it sums the
-first-block kernel (``cumulant_calculus.first_block_cumulant``) over tuples
-of non-unit words, with phi of their concatenation and ``_word_kappa_memo``
-as its memo.  One polynomial per centered (factor, word) makes the memos
-match by identity.  A cumulant of grouped products is the same kernel on the
-groups, with the state of their concatenation as phi and a fresh memo per
-term.  Everything is exact; the memos are plain per-instance dicts.
+inside the first atom's factor, with ``_phi_memo`` as its memo.  The memo
+holds checked tuples only, and a caller's tuple is read from it before it is
+checked, so a repeated word of letters is one dict lookup.  A pure cumulant
+of one atom is its phi; of n >= 2 atoms it is multilinear and 0 on the unit,
+so it sums the first-block kernel (``cumulant_calculus.first_block_cumulant``)
+over tuples of non-unit words, with phi of their concatenation and
+``_word_kappa_memo`` as its memo.  One polynomial per centered (factor, word)
+makes the memos match by identity.  A cumulant of grouped products is the
+same kernel on the groups, with the state of their concatenation as phi and a
+fresh memo per term.  Everything is exact; the memos are plain per-instance
+dicts.
 """
 
 from __future__ import annotations
 
 from itertools import product as iter_product
-from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .cumulant_calculus import first_block_cumulant, first_block_moment
@@ -56,7 +57,11 @@ from .nc_lattice import Partition
 from .scalar import ONE, ZERO, ComplexRational
 from .value import Value
 
-Atom = tuple[str, Polynomial]
+Atom = Letter | tuple[str, Polynomial]
+
+
+def _factor_of(atom: Atom) -> str:
+    return atom.factor if atom.__class__ is Letter else atom[0]
 
 
 class TensorWord(Value):
@@ -195,11 +200,7 @@ class ProductSpace:
             )
         self.factors: dict[str, FactorState] = {f.factor: f for f in factors}
         self.degree_bound = bounds.pop()
-        self._letter_atoms: dict[Letter, Atom] = {
-            letter: (f.factor, Polynomial.from_letter(letter))
-            for f in factors
-            for letter in f.letters()
-        }
+        self._letters = frozenset(l for f in factors for l in f.letters())
         self._centered: dict[tuple[str, Word], Polynomial] = {}
         self._kappa_base_memo: dict[tuple[Atom, ...], ComplexRational] = {}
         self._word_kappa_memo: dict[tuple[Word, ...], ComplexRational] = {}
@@ -305,14 +306,16 @@ class ProductSpace:
         value = self._kappa_base_memo.get(atoms)
         if value is not None:
             return value
-        present = {f for f, _ in atoms}
+        present = {_factor_of(a) for a in atoms}
+        # a letter reads as its one-letter word with coefficient 1
+        polys = [Polynomial.from_letter(a) if a.__class__ is Letter else a[1] for a in atoms]
         value = ZERO  # mixed cumulants vanish
         if len(present) == 1 and len(atoms) == 1:
-            value = self.factor_state(present.pop()).phi_poly(atoms[0][1])
+            value = self.factor_state(present.pop()).phi_poly(polys[0])
         elif len(present) == 1:
             # kappa_n, n >= 2, is multilinear and 0 on the unit: expand over words
             state = self.factor_state(present.pop())
-            for combo in iter_product(*([t for t in p.items() if t[0].degree] for _, p in atoms)):
+            for combo in iter_product(*([t for t in p.items() if t[0].degree] for p in polys)):
                 term = first_block_cumulant(
                     tuple(w for w, _ in combo),
                     lambda sub: state.phi_word(Word(tuple(l for w in sub for l in w.letters))),
@@ -387,7 +390,7 @@ class ProductSpace:
         if not atoms:
             return ONE
         return first_block_moment(
-            atoms, self._kappa_base_atoms, self._phi_memo, colour=itemgetter(0)
+            atoms, self._kappa_base_atoms, self._phi_memo, colour=_factor_of
         )
 
     def state_eval(
@@ -400,8 +403,15 @@ class ProductSpace:
         polynomial) pairs) this is the sum over NC(n) of blockwise base
         cumulants, by the first-block recursion on their atoms; for a
         FreeElement, the scalar part plus that sum on each tensor word's
-        components.  A memoized tuple is read before the kernel is entered.
+        components.  The caller's own tuple is looked up in the memo first,
+        which holds checked tuples only; anything else, an unhashable
+        argument included, is checked before the kernel is entered.
         """
+        try:
+            if (hit := self._phi_memo.get(x)) is not None:  # a word of letters hashes in C
+                return hit[0]
+        except TypeError:  # unhashable: a FreeElement, or refused below
+            pass
         if isinstance(x, FreeElement):
             total = ZERO
             for coeff, components in x.terms():
@@ -410,26 +420,20 @@ class ProductSpace:
         return self._phi_atoms(self._as_atoms(x))
 
     def _as_atoms(self, args: Iterable) -> tuple[Atom, ...]:
-        try:  # all letters: one pass in C; pairs skip it
-            if args[0].__class__ is Letter:
-                if None not in (atoms := tuple(map(self._letter_atoms.get, args))):
-                    return atoms
-        except (LookupError, TypeError):  # empty, not indexable, or an unhashable argument
-            pass
         atoms = []
         for arg in args:
             if isinstance(arg, Letter):
-                atom = self._letter_atoms.get(arg)
-                if atom is None:
+                if arg not in self._letters:
                     self.factor_state(arg.factor)
                     raise ValidationError(f"no generator {arg.name!r} in factor {arg.factor!r}")
-                atoms.append(atom)
+                atoms.append(arg)
             elif isinstance(arg, tuple) and len(arg) == 2 and isinstance(arg[1], Polynomial):
                 self.factor_state(arg[0])
                 atoms.append((arg[0], arg[1]))
             else:
                 raise ValidationError(f"cannot interpret {arg!r} as a pure product argument")
-        return tuple(atoms)
+        atoms = tuple(atoms)
+        return args if atoms == args else atoms  # an equal caller's tuple keys the memo itself
 
     # -- letter resolution --------------------------------------------------
 

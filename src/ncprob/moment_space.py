@@ -465,21 +465,21 @@ def parse_factor_spec(
     if not isinstance(generators_raw, list):
         raise SpecFormatError("'generators' must be a list")
     generators = []
-    for idx, g in enumerate(generators_raw):
-        if not isinstance(g, dict) or "name" not in g:
-            raise SpecFormatError(f"generator #{idx} must be {{'name': ..}}")
-        if not isinstance(g["name"], str):
-            raise SpecFormatError(f"generator #{idx}: 'name' must be a string")
-        selfadjoint = g.get("selfadjoint", False)
-        if not isinstance(selfadjoint, bool):
-            raise SpecFormatError(
-                f"generator #{idx}: 'selfadjoint' must be true or false"
-            )
-        generators.append(GeneratorSymbol(g["name"], selfadjoint))
-    generators = tuple(generators)
-    try:
+    try:  # a bad name or generator list is a format fault of the spec
+        for idx, g in enumerate(generators_raw):
+            if not isinstance(g, dict) or "name" not in g:
+                raise SpecFormatError(f"generator #{idx} must be {{'name': ..}}")
+            if not isinstance(g["name"], str):
+                raise SpecFormatError(f"generator #{idx}: 'name' must be a string")
+            selfadjoint = g.get("selfadjoint", False)
+            if not isinstance(selfadjoint, bool):
+                raise SpecFormatError(
+                    f"generator #{idx}: 'selfadjoint' must be true or false"
+                )
+            generators.append(GeneratorSymbol(g["name"], selfadjoint))
+        generators = tuple(generators)
         letters = generator_letters(factor, generators)
-    except ValidationError as exc:  # a spec's faults are format errors
+    except ValidationError as exc:
         raise SpecFormatError(str(exc)) from exc
     letters_by_name = {l.name: l for l in letters if not l.starred}
     if not isinstance(table_raw, dict):

@@ -382,20 +382,23 @@ def kappa_products_atoms(space: ProductSpace, groups: Sequence[tuple]) -> Comple
     return total
 
 
-def _letter_atoms(letters: Sequence[Letter]) -> tuple:
-    return tuple((l.factor, Polynomial.from_letter(l)) for l in letters)
+def as_pairs(atoms: Sequence) -> tuple:
+    """Atoms as (factor, polynomial) pairs: a letter is its one-letter word."""
+    return tuple(
+        (a.factor, Polynomial.from_letter(a)) if isinstance(a, Letter) else a for a in atoms
+    )
 
 
 def kappa_products(space: ProductSpace, gw: GroupedWord) -> ComplexRational:
     """Cumulant of the grouped products: the join-constrained lattice sum."""
-    return kappa_products_atoms(space, [_letter_atoms(g) for g in gw.groups()])
+    return kappa_products_atoms(space, [as_pairs(g) for g in gw.groups()])
 
 
 def kappa_pi_products(
     space: ProductSpace, pi: Partition, gw: GroupedWord
 ) -> ComplexRational:
     """Blockwise extension over groups, order preserved within blocks."""
-    group_atoms = [_letter_atoms(g) for g in gw.groups()]
+    group_atoms = [as_pairs(g) for g in gw.groups()]
     if pi.n != len(group_atoms):
         raise DimensionMismatchError(
             f"partition of {pi.n} applied to {len(group_atoms)} groups"

@@ -50,6 +50,7 @@ from conftest import (
 )
 from nc_oracles import (
     GroupedWord,
+    as_pairs,
     center,
     centered_word_basis,
     embed_letter,
@@ -447,17 +448,23 @@ def test_kappa_elements_matches_join_sum_within_bound(degrees, seed):
 
 def test_kappa_base_atoms_matches_word_expansion_on_basis_pairs(rng):
     # Every pure atom tuple the state reaches on the Gram entries of
-    # centered_word_basis (d = 3, N = 6), with the space's memos: the
-    # library's route against the expansion into all word tuples, units too.
+    # centered_word_basis (d = 3, N = 6) and on every word of degree <= 4
+    # over a, u, u*, with the space's memos: the library's route against the
+    # expansion into all word tuples, units too.  A letter is its own atom.
     space = a_plus_u_space(rng, 6)
     words = centered_word_basis(space, 3)
     for ws in words:
         for wt in words:
             space.state_eval(ws.star().components + wt.components)
-    pure = [a for a in space._kappa_base_memo if len({f for f, _ in a}) == 1]
-    assert len(pure) > 100
+    letters = [l for state in space.factors.values() for l in state.letters()]
+    for n in range(1, 5):
+        for word in iproduct(letters, repeat=n):
+            space.state_eval(word)
+    pure = [a for a in space._kappa_base_memo if len({f for f, _ in as_pairs(a)}) == 1]
+    lettered = [a for a in pure if all(isinstance(l, Letter) for l in a)]
+    assert len(pure) - len(lettered) > 100 and len(lettered) > 20
     for atoms in pure:
-        assert space._kappa_base_atoms(atoms) == kappa_base_atoms(space, atoms)
+        assert space._kappa_base_atoms(atoms) == kappa_base_atoms(space, as_pairs(atoms))
 
 
 def random_polynomial(rng, state, degree):
@@ -624,10 +631,13 @@ def test_shared_state_memo_matches_a_fresh_space(spec, data):
 
 
 def test_each_letter_is_one_atom_per_space(two_semicircles):
+    # A known letter is its own atom, so a tuple of them is its own atom tuple.
     space = two_semicircles
-    la = space.factor_state("A1").letter("a")
-    first = space._as_atoms([la, la])
-    assert first[0] is first[1] is space._as_atoms([Letter(la.generator, False, "A1")])[0]
+    la, lb = space.factor_state("A1").letter("a"), space.factor_state("A2").letter("b")
+    word = (la, lb, Letter(la.generator, False, "A1"))
+    assert space._as_atoms(word) is word and word[0] is word[2] is la
+    atoms = space._as_atoms(list(word))
+    assert atoms == word and all(a is l for a, l in zip(atoms, word))
 
 
 def test_a_warm_memo_bypasses_no_refusal(two_semicircles):
@@ -635,33 +645,62 @@ def test_a_warm_memo_bypasses_no_refusal(two_semicircles):
     la, lb = space.factor_state("A1").letter("a"), space.factor_state("A2").letter("b")
     for word in ([la], [la, lb], [la, lb, la], [lb, la] * 3):
         space.state_eval(word)
+        space.state_eval(tuple(word))
     zz = GeneratorSymbol("zz", selfadjoint=True)
-    assert_refused(lambda: space.state_eval([la, lb] * 6 + [la]), SizeOutOfRangeError,
-                   "n must be within 1..12, got 13")
-    assert_refused(lambda: space.state_eval([la, Letter(zz, False, "A1")]), ValidationError,
-                   "no generator 'zz' in factor 'A1'")
-    assert_refused(lambda: space.state_eval([la, Letter(zz, False, "Z")]), FactorMismatchError,
-                   "unknown factor 'Z'")
-    assert_refused(lambda: space.state_eval([la, lb, [1]]), ValidationError,
-                   "cannot interpret [1] as a pure product argument")
+    # The memo is read first for a tuple; (la, lb, [1]) does not hash.
+    for form in (list, tuple):
+        assert_refused(lambda: space.state_eval(form([la, lb] * 6 + [la])),
+                       SizeOutOfRangeError, "n must be within 1..12, got 13")
+        assert_refused(lambda: space.state_eval(form([la, Letter(zz, False, "A1")])),
+                       ValidationError, "no generator 'zz' in factor 'A1'")
+        assert_refused(lambda: space.state_eval(form([la, Letter(zz, False, "Z")])),
+                       FactorMismatchError, "unknown factor 'Z'")
+        assert_refused(lambda: space.state_eval(form([la, lb, [1]])), ValidationError,
+                       "cannot interpret [1] as a pure product argument")
+
+
+@settings(deadline=None, max_examples=30)
+@given(seed=st.integers(0, 10**6), data=st.data())
+def test_letters_pairs_and_a_mix_give_one_state(seed, data):
+    # One word as letters, as (factor, polynomial) pairs and as a mix of both:
+    # equal values on fresh spaces and on one space whose memo they share.
+    space = a_plus_u_space(random.Random(seed), 4)
+    letters = [l for state in space.factors.values() for l in state.letters()]
+    word = data.draw(st.lists(st.sampled_from(letters), min_size=1, max_size=4))
+    mixed = data.draw(st.lists(st.booleans(), min_size=len(word), max_size=len(word)))
+    pairs = as_pairs(word)
+    forms = [tuple(word), pairs, tuple(p if m else l for l, p, m in zip(word, pairs, mixed))]
+    cold = [a_plus_u_space(random.Random(seed), 4).state_eval(f) for f in forms]
+    warm = [space.state_eval(f) for f in forms + forms]
+    assert all(v == cold[0] for v in cold + warm)
 
 
 def test_a_repeated_word_is_read_from_the_memo(monkeypatch, two_semicircles):
+    # A repeated tuple of letters, the caller's own or an equal one, makes no
+    # _as_atoms, kernel or Polynomial.__hash__ call; a list does not hash, so
+    # it is checked before the memo is read.
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return first_block_moment(*args, **kwargs)
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr("ncprob.free_product.first_block_moment", counting)
+    monkeypatch.setattr(ProductSpace, "_as_atoms", counting("atoms", ProductSpace._as_atoms))
+    monkeypatch.setattr("ncprob.free_product.first_block_moment",
+                        counting("kernel", first_block_moment))
+    monkeypatch.setattr(Polynomial, "__hash__", counting("hash", Polynomial.__hash__))
     space = two_semicircles
     la, lb = space.factor_state("A1").letter("a"), space.factor_state("A2").letter("b")
-    word = [la, lb, lb, la, lb, lb]
+    word = (la, lb, lb, la, lb, lb)
     assert space.state_eval(word) == ONE
-    assert len(calls) == 1
-    assert space.state_eval(tuple(word)) == ONE
-    assert space.state_eval([lb, lb]) == ONE  # a gap of the block {1, 4}
-    assert len(calls) == 1
+    assert calls == ["atoms", "kernel"]
+    assert space.state_eval(word) == space.state_eval(tuple(list(word))) == ONE
+    assert space.state_eval((lb, lb)) == ONE  # a gap of the block {1, 4}
+    assert calls == ["atoms", "kernel"]
+    assert space.state_eval(list(word)) == ONE
+    assert calls == ["atoms", "kernel", "atoms"]
 
 
 def test_state_eval_takes_a_one_pass_iterator(two_semicircles):

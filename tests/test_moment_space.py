@@ -327,7 +327,9 @@ def test_factor_state_refusals(make, message):
     ([], "factor 'A' has no generators"),
     ([{"name": "a"}, {"name": "a", "selfadjoint": True}],
      "duplicate generator names in factor 'A'"),
-], ids=["no-generators", "duplicate-names"])
+    ([{"name": "a b"}], "bad generator name 'a b'"),
+    ([{"name": "1"}], "bad generator name '1': 1 denotes the identity"),
+], ids=["no-generators", "duplicate-names", "bad-name", "name-1"])
 @pytest.mark.parametrize("key, load", [
     ("moments", factor_state_from_json), ("cumulants", cumulant_table_from_json),
 ], ids=["moments", "cumulants"])
