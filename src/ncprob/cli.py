@@ -123,7 +123,9 @@ def _factor_table(
 ) -> tuple[dict, list[str]]:
     """The payload and table lines of a factor spec's ``key`` table, filled by
     ``cumulant_calculus.letter_table``."""
-    values = {" ".join(l.text() for l in t): str(v) for t, v in table.items()}
+    from .moment_space import word_text
+
+    values = {word_text(t): str(v) for t, v in table.items()}
     payload = {"factor": factor, "degree_bound": degree_bound, key: values}
     return payload, [f"{w}  {v}" for w, v in sorted(values.items())]
 
@@ -133,12 +135,11 @@ def _cmd_cumulants(args) -> int:
 
     obj = _load_json(args.from_moments)
     if isinstance(obj, dict) and "generators" in obj:
-        from .moment_space import Word, factor_state_from_json
+        from .moment_space import factor_state_from_json
 
         state = factor_state_from_json(obj)
         table = cc.letter_table(
-            state.letters(), state.degree_bound, cc.first_block_cumulant,
-            lambda sub: state.phi_word(Word(sub)),
+            state.letters(), state.degree_bound, cc.first_block_cumulant, state.phi_word
         )
         payload, lines = _factor_table(
             state.factor, state.degree_bound, "cumulants", table

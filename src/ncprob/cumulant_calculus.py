@@ -17,10 +17,9 @@ passes, keyed by argument tuples, so each sub-tuple is computed once per dict.
 A ``ProductSpace`` passes its state memo and its memo of word-tuple cumulants;
 ``letter_table``, the one walk over a whole table, passes one memo per table
 for ``cumulants`` and ``moments`` on a factor spec,
-``moment_sequence_from_cumulants`` and ``check_freeness_cumulants``.
-``first_block_cumulant`` also memoizes phi for one call: without it
-``cumulants`` on N = 8 and 10 Haar tables took 3-21% more CPU, and ``verify``
-on free products 2-3.5% more (CHANGES.md).
+``moment_sequence_from_cumulants`` and ``check_freeness_cumulants``.  Neither
+kernel memoizes its given function: on a word of letters, a tuple, phi and
+kappa are each one dict lookup already.
 
 ``cumulants_from_moment_sequence`` sums over NC(n) directly: kappa_n is the
 sum over sigma of mu(sigma, 1_n) times the moments of sigma's blocks
@@ -116,22 +115,15 @@ def first_block_cumulant(
     ``tests/nc_oracles.py``); a term stops at its first zero factor.
     ``kappas`` is the caller's cumulant memo: it is read and filled with the
     cumulant of every sub-tuple reached, so it must only ever hold values for
-    this phi.  phi is memoized for this call alone.
+    this phi.
     """
     _check_arity(len(args))
-    moments: dict[tuple[Arg, ...], ComplexRational] = {}
-
-    def moment(sub: tuple[Arg, ...]) -> ComplexRational:
-        value = moments.get(sub)
-        if value is None:
-            value = moments[sub] = phi(sub)
-        return value
 
     def kappa(sub: tuple[Arg, ...]) -> ComplexRational:
         value = kappas.get(sub)
         if value is not None:
             return value
-        value = moment(sub)
+        value = phi(sub)
         m = len(sub)
         for mask in range((1 << (m - 1)) - 2, -1, -1):
             block = (0,) + tuple(p for p in range(1, m) if mask >> (p - 1) & 1)
@@ -140,7 +132,7 @@ def first_block_cumulant(
                 if term.is_zero():
                     break
                 if right > left + 1:
-                    term = term * moment(sub[left + 1 : right])
+                    term = term * phi(sub[left + 1 : right])
             else:
                 value = value - term
         kappas[sub] = value

@@ -24,12 +24,12 @@ holds checked tuples only, and a caller's tuple is read from it before it is
 checked, so a repeated word of letters is one dict lookup.  A pure cumulant
 of one atom is its phi; of n >= 2 atoms it is multilinear and 0 on the unit,
 so it sums the first-block kernel (``cumulant_calculus.first_block_cumulant``)
-over tuples of non-unit words, with phi of their concatenation and
-``_word_kappa_memo`` as its memo.  One polynomial per centered (factor, word)
-makes the memos match by identity.  A cumulant of grouped products is the
-same kernel on the groups, with the state of their concatenation as phi and a
-fresh memo per term.  Everything is exact; the memos are plain per-instance
-dicts.
+over tuples of non-unit words, with the factor's phi of their concatenated
+letters and ``_word_kappa_memo``, keyed by those tuples of letter tuples, as
+its memo.  One polynomial per centered (factor, word) makes the memos match
+by identity.  A cumulant of grouped products is the same kernel on the
+groups, with the state of their concatenation as phi and a fresh memo per
+term.  Everything is exact; the memos are plain per-instance dicts.
 """
 
 from __future__ import annotations
@@ -45,13 +45,13 @@ from .errors import (
     ValidationError,
 )
 from .moment_space import (
-    EMPTY_WORD,
     FactorState,
     Letter,
     Polynomial,
     Word,
     check_degree_bound,
     factor_state_from_json,
+    word_sort_key,
 )
 from .nc_lattice import Partition
 from .scalar import ONE, ZERO, ComplexRational
@@ -97,7 +97,7 @@ class TensorWord(Value):
             self.degree,
             len(self.components),
             tuple(
-                (f, tuple((w.sort_key(), str(c)) for w, c in p.items()))
+                (f, tuple((word_sort_key(w), str(c)) for w, c in p.items()))
                 for f, p in self.components
             ),
         )
@@ -218,10 +218,10 @@ class ProductSpace:
         """The centered basis vector w - phi_i(w) 1, one object per (factor, word)."""
         poly = self._centered.get((index, word))
         if poly is None:
-            if word.degree == 0:
+            if not word:
                 raise ValidationError("the empty word has no centered basis vector")
             value = self.factor_state(index).phi_word(word)
-            poly = self._centered[index, word] = Polynomial({word: ONE, EMPTY_WORD: -value})
+            poly = self._centered[index, word] = Polynomial({word: ONE, (): -value})
         return poly
 
     def _expand_to_basis(
@@ -238,11 +238,7 @@ class ProductSpace:
                 raise ValidationError(
                     f"component {poly.text()!r} is not centered in {index!r}"
                 )
-            choices = [
-                (coeff, (index, word))
-                for word, coeff in poly.items()
-                if word.degree > 0
-            ]
+            choices = [(coeff, (index, word)) for word, coeff in poly.items() if word]
             slot_choices.append(choices)
         total = FreeElement()
         for combo in iter_product(*slot_choices):
@@ -266,7 +262,7 @@ class ProductSpace:
         """phi_i(p) * 1  plus the centered part as length-1 tensor words."""
         state = self.factor_state(index)
         value = state.phi_poly(p)
-        centered = p - Polynomial.monomial(EMPTY_WORD, value)
+        centered = p - Polynomial.monomial((), value)
         if centered.is_zero():
             return FreeElement(value)
         return FreeElement(value) + self._expand_to_basis(((index, centered),))
@@ -292,7 +288,7 @@ class ProductSpace:
         (factor, poly_left), (_, poly_right) = left[-1], right[0]
         merged = poly_left * poly_right
         value = self.factor_state(factor).phi_poly(merged)  # raises past the degree bound
-        centered = merged - Polynomial.monomial(EMPTY_WORD, value)
+        centered = merged - Polynomial.monomial((), value)
         out = FreeElement()
         if not centered.is_zero():
             out = out + self._expand_to_basis(left[:-1] + ((factor, centered),) + right[1:])
@@ -315,10 +311,10 @@ class ProductSpace:
         elif len(present) == 1:
             # kappa_n, n >= 2, is multilinear and 0 on the unit: expand over words
             state = self.factor_state(present.pop())
-            for combo in iter_product(*([t for t in p.items() if t[0].degree] for p in polys)):
+            for combo in iter_product(*([t for t in p.items() if t[0]] for p in polys)):
                 term = first_block_cumulant(
                     tuple(w for w, _ in combo),
-                    lambda sub: state.phi_word(Word(tuple(l for w in sub for l in w.letters))),
+                    lambda sub: state.phi_word(sum(sub, ())),
                     self._word_kappa_memo,
                 )
                 for _, c in combo:

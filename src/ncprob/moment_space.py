@@ -4,12 +4,15 @@ A factor is a set of generator symbols plus a moment functional phi given on
 every word of degree <= N (the factor's degree bound).  Each letter, a
 generator or its star in one factor, is one object, compared and hashed by
 identity, and ``generator_letters`` is the one place a generator list
-becomes letters.  Star structure is normalized at construction: starred
+becomes letters.  A word is a plain tuple of letters, () the unit, so it
+hashes in C and keys every moment and cumulant table as it is;
+``star_word``, ``word_text`` and ``word_sort_key`` give its star, its text
+and its order.  Star structure is normalized at construction: starred
 selfadjoint letters are rewritten unstarred, a conflict between phi(w) and
 phi(w*) is reported under one canonical key of {w, w*}, and the table holds
 phi(w*) = conj(phi(w)) beside phi(w).  States are immutable after
 validation.  A factor spec's given free cumulants load as a plain dict of
-letter tuple -> kappa, checked to hold every tuple of order 1..N and no
+word -> kappa, checked to hold every tuple of order 1..N and no
 other, for the first-block moment kernel of ``cumulant_calculus`` to read.
 
 Positivity of a factor state is NOT assumed here; ``verification`` checks it.
@@ -42,11 +45,11 @@ class GeneratorSymbol(Value):
 
 
 class _Cached(Value):
-    """A value type that caches its star partner (``_hash`` is ``Word``'s, set
-    at construction).  The caches are this class's slots, so a subclass's
-    ``__slots__`` lists its fields alone, as ``repr`` and the hash read them."""
+    """A value type that caches its star partner.  The cache is this class's
+    slot, so a subclass's ``__slots__`` lists its fields alone, as ``repr``
+    reads them."""
 
-    __slots__ = ("_hash", "_star")
+    __slots__ = ("_star",)
 
     def star(self):
         partner = getattr(self, "_star", None)  # unset until the first call
@@ -93,46 +96,20 @@ class Letter(_Cached):
         return (self.factor, self.name, self.starred)
 
 
-class Word(_Cached):
-    """A monomial in letters; the empty word is the identity."""
-
-    __slots__ = ("letters",)
-
-    def __init__(self, letters: tuple[Letter, ...] = ()):
-        object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "_hash", hash((letters,)))
-
-    def __eq__(self, other):
-        if other.__class__ is Word:
-            return self.letters == other.letters
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @property
-    def degree(self) -> int:
-        return len(self.letters)
-
-    def _build_star(self) -> "Word":
-        return Word(tuple(l.star() for l in reversed(self.letters)))
-
-    def __mul__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
-
-    def text(self) -> str:
-        if not self.letters:
-            return "1"
-        return " ".join(l.text() for l in self.letters)
-
-    def sort_key(self) -> tuple:
-        return (len(self.letters), tuple(l.sort_key() for l in self.letters))
-
-    def __repr__(self) -> str:
-        return f"Word({self.text()})"
+# A monomial is a tuple of letters; the empty tuple is the identity.
+Word = tuple[Letter, ...]
 
 
-EMPTY_WORD = Word()
+def star_word(word: Word) -> Word:
+    return tuple(l.star() for l in reversed(word))
+
+
+def word_text(word: Word) -> str:
+    return " ".join(l.text() for l in word) if word else "1"
+
+
+def word_sort_key(word: Word) -> tuple:
+    return (len(word), tuple(l.sort_key() for l in word))
 
 
 class Polynomial:
@@ -155,21 +132,21 @@ class Polynomial:
 
     @classmethod
     def from_letter(cls, letter: Letter) -> "Polynomial":
-        return cls.monomial(Word((letter,)))
+        return cls.monomial((letter,))
 
     def items(self) -> Iterator[tuple[Word, ComplexRational]]:
         """Terms in deterministic (degree, letters) order."""
-        return iter(sorted(self._terms.items(), key=lambda kv: kv[0].sort_key()))
+        return iter(sorted(self._terms.items(), key=lambda kv: word_sort_key(kv[0])))
 
     def is_zero(self) -> bool:
         return not self._terms
 
     @property
     def degree(self) -> int:
-        return max((w.degree for w in self._terms), default=0)
+        return max(map(len, self._terms), default=0)
 
     def star(self) -> "Polynomial":
-        return Polynomial({w.star(): c.conjugate() for w, c in self._terms.items()})
+        return Polynomial({star_word(w): c.conjugate() for w, c in self._terms.items()})
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -192,7 +169,7 @@ class Polynomial:
             out: dict[Word, ComplexRational] = {}
             for wa, ca in self._terms.items():
                 for wb, cb in other._terms.items():
-                    word = wa * wb
+                    word = wa + wb
                     out[word] = out.get(word, ZERO) + ca * cb
             return Polynomial(out)
         scalar = _coerce(other)
@@ -219,7 +196,7 @@ class Polynomial:
             return "0"
         parts = []
         for word, coeff in self.items():
-            parts.append(f"({coeff}) {word.text()}" if word.letters else f"({coeff}) 1")
+            parts.append(f"({coeff}) {word_text(word)}")
         return " + ".join(parts)
 
     def __repr__(self) -> str:
@@ -228,8 +205,8 @@ class Polynomial:
 
 def canonical_moment_key(word: Word) -> tuple[Word, bool]:
     """The stored representative of {w, w*} and whether it is the star of w."""
-    starred = word.star()
-    if starred.sort_key() < word.sort_key():
+    starred = star_word(word)
+    if word_sort_key(starred) < word_sort_key(word):
         return starred, True
     return word, False
 
@@ -247,27 +224,27 @@ def normalize_moments(
     degree_bound over ``letters`` must be covered.  The table holds both w
     and w* (with phi(w*) = conj(phi(w))), so a moment is one lookup.
     """
-    if entries.get(EMPTY_WORD, ONE) != ONE:
+    if entries.get((), ONE) != ONE:
         raise ValidationError(f"{context}: phi(1) must be 1")
-    table: dict[Word, ComplexRational] = {EMPTY_WORD: ONE}
+    table: dict[Word, ComplexRational] = {(): ONE}
     for word, value in entries.items():
         if table.get(word, value) != value:
             key, conjugated = canonical_moment_key(word)
             stored = value.conjugate() if conjugated else value
             raise ValidationError(
-                f"{context}: conflicting moments for {key.text()!r} "
+                f"{context}: conflicting moments for {word_text(key)!r} "
                 f"({table[key]} vs {stored})"
             )
         table[word] = value
-        table[word.star()] = value.conjugate()
+        table[star_word(word)] = value.conjugate()
         if table[word] is not value and not value.is_real():  # phi(w*) replaced phi(w)
             raise ValidationError(
-                f"{context}: phi({word.text()}) must be real, got {value}"
+                f"{context}: phi({word_text(word)}) must be real, got {value}"
             )
     for word in all_words(letters, degree_bound):
         if word not in table:
             raise ValidationError(
-                f"{context}: missing moment for word {word.text()!r} "
+                f"{context}: missing moment for word {word_text(word)!r} "
                 f"(degree bound {degree_bound})"
             )
     return table
@@ -296,11 +273,10 @@ def all_words(letters: Sequence[Letter], max_degree: int) -> Iterator[Word]:
     """Every word of degree 0..max_degree over ``letters``, shortest first."""
     ordered = sorted(set(letters), key=Letter.sort_key)
     stack: list[tuple[Letter, ...]] = [()]
-    yield EMPTY_WORD
+    yield ()
     for _ in range(max_degree):
         stack = [prefix + (l,) for prefix in stack for l in ordered]
-        for tup in stack:
-            yield Word(tup)
+        yield from stack
 
 
 class FactorState:
@@ -339,15 +315,15 @@ class FactorState:
         raise ValidationError(f"no generator {name!r} in factor {self.factor!r}")
 
     def _check_word(self, word: Word) -> None:
-        for l in word.letters:
+        for l in word:
             if l.factor != self.factor:
                 raise FactorMismatchError(
                     f"letter {l.text()!r} belongs to factor {l.factor!r}, "
                     f"not {self.factor!r}"
                 )
-        if word.degree > self.degree_bound:
+        if len(word) > self.degree_bound:
             raise TruncationError(
-                f"word {word.text()!r} exceeds degree bound {self.degree_bound} "
+                f"word {word_text(word)!r} exceeds degree bound {self.degree_bound} "
                 f"of factor {self.factor!r}"
             )
 
@@ -356,7 +332,7 @@ class FactorState:
         if value is None:  # every stored word passed _check_word
             self._check_word(word)
             raise ValidationError(
-                f"word {word.text()!r} is not over factor {self.factor!r}"
+                f"word {word_text(word)!r} is not over factor {self.factor!r}"
             )
         return value
 
@@ -377,7 +353,7 @@ def parse_word(text: str, letters_by_name: Mapping[str, Letter]) -> Word:
     """Parse a space-separated word; a trailing ``*`` marks a starred letter."""
     tokens = text.split()
     if tokens == ["1"]:
-        return EMPTY_WORD
+        return ()
     out = []
     for token in tokens:
         starred = token.endswith("*")
@@ -388,7 +364,7 @@ def parse_word(text: str, letters_by_name: Mapping[str, Letter]) -> Word:
         out.append(base.star() if starred else base)
     if not out:
         raise SpecFormatError(f"empty word text {text!r}")
-    return Word(tuple(out))
+    return tuple(out)
 
 
 def factor_state_from_json(obj: object) -> FactorState:
@@ -423,26 +399,26 @@ def cumulant_table_from_json(
     """
     factor, degree_bound, generators, values = parse_factor_spec(obj, "cumulants")
     for word in values:
-        if not 1 <= word.degree <= degree_bound:
+        if not 1 <= len(word) <= degree_bound:
             raise SpecFormatError(
-                f"cumulant word {word.text()!r} has order {word.degree}, "
+                f"cumulant word {word_text(word)!r} has order {len(word)}, "
                 f"outside 1..{degree_bound} of factor {factor!r}"
             )
     for word, value in values.items():  # kappa(w*) = conj kappa(w)
-        starred = values.get(word.star(), value.conjugate())
+        starred = values.get(star_word(word), value.conjugate())
         if starred != value.conjugate():
             raise SpecFormatError(
-                f"factor {factor!r}: kappa({word.star().text()!r}) = {starred} is not "
-                f"the conjugate of kappa({word.text()!r}) = {value}"
+                f"factor {factor!r}: kappa({word_text(star_word(word))!r}) = {starred} is not "
+                f"the conjugate of kappa({word_text(word)!r}) = {value}"
             )
     letters = generator_letters(factor, generators)
     for word in all_words(letters, degree_bound):
-        if word.degree and word not in values:
+        if word and word not in values:
             raise SpecFormatError(
-                f"factor {factor!r}: missing cumulant for word {word.text()!r} "
+                f"factor {factor!r}: missing cumulant for word {word_text(word)!r} "
                 f"(degree bound {degree_bound})"
             )
-    return factor, degree_bound, letters, {w.letters: v for w, v in values.items()}
+    return factor, degree_bound, letters, values
 
 
 def parse_factor_spec(
@@ -485,16 +461,16 @@ def parse_factor_spec(
     if not isinstance(table_raw, dict):
         raise SpecFormatError(f"{table_key!r} must be an object of word -> scalar")
     table: dict[Word, ComplexRational] = {}
-    for word_text, scalar_text in table_raw.items():
-        word = parse_word(word_text, letters_by_name)
+    for text, scalar_text in table_raw.items():
+        word = parse_word(text, letters_by_name)
         if not isinstance(scalar_text, str):
             raise SpecFormatError(
-                f"{table_key} entry of {word_text!r} must be a scalar string"
+                f"{table_key} entry of {text!r} must be a scalar string"
             )
         value = ComplexRational.parse(scalar_text)
         if word in table and table[word] != value:
             raise SpecFormatError(
-                f"conflicting entries for word {word.text()!r} "
+                f"conflicting entries for word {word_text(word)!r} "
                 f"(keys normalize via selfadjoint flags)"
             )
         table[word] = value

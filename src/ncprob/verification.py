@@ -37,6 +37,8 @@ from .moment_space import (
     all_words,
     generator_letters,
     normalize_moments,
+    star_word,
+    word_text,
 )
 from .free_product import ProductSpace, TensorWord
 from .scalar import ONE, ZERO, ComplexRational
@@ -90,16 +92,15 @@ class ExplicitJointState:
         for arg in (letters := tuple(letters)):
             if not isinstance(arg, Letter):
                 raise ValidationError(f"cannot interpret {arg!r} as a pure product argument")
-        word = Word(letters)
-        if word.degree > self.degree_bound:
+        if len(letters) > self.degree_bound:
             raise TruncationError(
-                f"word {word.text()!r} exceeds degree bound {self.degree_bound}"
+                f"word {word_text(letters)!r} exceeds degree bound {self.degree_bound}"
             )
         try:
-            return self._moments[word]
+            return self._moments[letters]
         except KeyError:
             raise ValidationError(
-                f"word {word.text()!r} is not over the joint state's generators"
+                f"word {word_text(letters)!r} is not over the joint state's generators"
             ) from None
 
 
@@ -140,7 +141,7 @@ def _alternating_slot_sequences(
     """Alternating tuples of (factor, monomial) slots of total degree <= max."""
     indices = sorted(joint.factors)
     words_by_factor = {
-        i: [w for w in all_words(joint.factors[i].letters(), max_degree) if w.degree]
+        i: [w for w in all_words(joint.factors[i].letters(), max_degree) if w]
         for i in indices
     }
 
@@ -153,9 +154,9 @@ def _alternating_slot_sequences(
             if slots and slots[-1][0] == index:
                 continue
             for word in words_by_factor[index]:
-                if used + word.degree > max_degree:
+                if used + len(word) > max_degree:
                     break  # all_words yields the shortest words first
-                yield from extend(slots + ((index, word),), used + word.degree)
+                yield from extend(slots + ((index, word),), used + len(word))
 
     yield from extend((), 0)
 
@@ -180,7 +181,7 @@ def check_freeness_moments(target: JointState, max_degree: int) -> FreenessRepor
         value = _phi_of_centered_product(target, slots)
         checked += 1
         if value:
-            text = " ".join(f"({w.text()})°" for _, w in slots)
+            text = " ".join(f"({word_text(w)})°" for _, w in slots)
             violations.append((text, value))
     return FreenessReport("moments", max_degree, checked, tuple(violations))
 
@@ -196,7 +197,7 @@ def _phi_of_centered_product(
     def nested(j: int, letters: tuple[Letter, ...]) -> ComplexRational:
         if j == len(slots):
             return joint.state_eval(letters)
-        value = nested(j + 1, letters + slots[j][1].letters)
+        value = nested(j + 1, letters + slots[j][1])
         rest = nested(j + 1, letters) if means[j] else ZERO
         return value - means[j] * rest if rest else value
 
@@ -213,16 +214,14 @@ def check_freeness_cumulants(target: JointState, max_degree: int) -> FreenessRep
     past the enumeration cap is refused before any cumulant is computed.
     """
     _check_target(target, max_degree)
-    kappas: dict[tuple[Letter, ...], ComplexRational] = {}
+    kappas: dict[Word, ComplexRational] = {}
     if len(target.factors) > 1 and max_degree > 1:
         letters = [l for _, s in sorted(target.factors.items()) for l in s.letters()]
         kappas = letter_table(
             letters, max_degree, first_block_cumulant, target.state_eval,
             keep=lambda t: len({l.factor for l in t}) > 1,
         )
-    violations = tuple(
-        (" ".join(l.text() for l in t), value) for t, value in kappas.items() if value
-    )
+    violations = tuple((word_text(t), value) for t, value in kappas.items() if value)
     return FreenessReport("cumulants", max_degree, len(kappas), violations)
 
 
@@ -235,8 +234,8 @@ def _factor_kappa2(
     # kappa_2 is bilinear and 0 on the unit, so it sums c d (phi(vw) - phi(v)
     # phi(w)) over non-unit words, from the factor's moments alone.
     return sum((
-        c * d * (state.phi_word(v * w) - state.phi_word(v) * state.phi_word(w))
-        for v, c in left.items() if v.degree for w, d in right.items() if w.degree
+        c * d * (state.phi_word(v + w) - state.phi_word(v) * state.phi_word(w))
+        for v, c in left.items() if v for w, d in right.items() if w
     ), ZERO)
 
 
@@ -406,7 +405,7 @@ def check_positivity(space: ProductSpace, basis_degree: int) -> PositivityResult
     labels = ("1",) + tuple(w.text() for w in words)
     # b_s* is centered w* over the slots of b_s reversed: phi(w*) = conj phi(w)
     left = [()] + [
-        tuple((f, space.centered_word(f, w.star())) for f, w in reversed(slots))
+        tuple((f, space.centered_word(f, star_word(w))) for f, w in reversed(slots))
         for _, slots in basis
     ]
     right = [()] + [w.components for w in words]

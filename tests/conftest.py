@@ -10,9 +10,9 @@ from ncprob.moment_space import (
     FactorState,
     GeneratorSymbol,
     Letter,
-    Word,
     all_words,
     canonical_moment_key,
+    star_word,
 )
 from ncprob.scalar import ComplexRational
 
@@ -31,7 +31,7 @@ def semicircle_factor(index: str, name: str, degree_bound: int = 6) -> FactorSta
     g = GeneratorSymbol(name, selfadjoint=True)
     letter = Letter(g, False, index)
     moments = {
-        Word((letter,) * k): ComplexRational.of(
+        (letter,) * k: ComplexRational.of(
             0 if k % 2 else math.comb(k, k // 2) // (k // 2 + 1)
         )
         for k in range(1, degree_bound + 1)
@@ -65,13 +65,13 @@ def random_factor_state(
             letters.append(Letter(g, True, index))
     moments = {}
     for word in all_words(letters, degree_bound):
-        if word.degree == 0:
+        if not word:
             continue
         key, _ = canonical_moment_key(word)
         if key in moments:
             continue
         value = small_scalar(rng, complex_ok=not selfadjoint)
-        if key == key.star():
+        if key == star_word(key):
             value = ComplexRational(value.re)
         moments[key] = value
     return FactorState(index, degree_bound, generators, moments)
@@ -101,7 +101,7 @@ def measure_factor_state(
     moments = {}
     for k in range(1, degree_bound + 1):
         mk = sum((w * a**k for w, a in zip(weights, atoms)), Fraction(0))
-        moments[Word((letter,) * k)] = ComplexRational(mk)
+        moments[(letter,) * k] = ComplexRational(mk)
     return FactorState(index, degree_bound, [g], moments)
 
 

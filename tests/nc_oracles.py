@@ -73,12 +73,13 @@ from ncprob.cumulant_calculus import first_block_cumulant
 from ncprob.errors import DimensionMismatchError, TruncationError, ValidationError
 from ncprob.free_product import FreeElement, ProductSpace
 from ncprob.moment_space import (
-    EMPTY_WORD,
     FactorState,
     Letter,
     Polynomial,
     Word,
     all_words,
+    star_word,
+    word_sort_key,
 )
 from ncprob.nc_lattice import (
     Partition,
@@ -92,7 +93,7 @@ from ncprob.scalar import ONE, ZERO, ComplexRational
 from ncprob.verification import centered_basis
 
 # The unit as a grouped-word atom: a slot with no factor.
-UNIT_ATOM = (None, Polynomial.monomial(EMPTY_WORD))
+UNIT_ATOM = (None, Polynomial.monomial(()))
 
 
 def lattice_sum(
@@ -147,14 +148,13 @@ def eval_phi_pi(
         )
     total = ONE
     for block in pi.blocks:
-        word = Word(tuple(letters[i - 1] for i in block))
-        total = total * state.phi_word(word)
+        total = total * state.phi_word(tuple(letters[i - 1] for i in block))
     return total
 
 
 def eval_phi_n(state: FactorState, args: Sequence[Polynomial]) -> ComplexRational:
     """phi(a_1 a_2 ... a_n): multiply the polynomials, sum coeff * moment."""
-    product = Polynomial.monomial(EMPTY_WORD)
+    product = Polynomial.monomial(())
     for p in args:
         product = product * p
     return state.phi_poly(product)
@@ -170,7 +170,7 @@ def words_up_to(state: FactorState, max_degree: int) -> Iterator[Word]:
 
 def center(state: FactorState, p: Polynomial) -> Polynomial:
     """p - phi(p) 1; afterwards phi of it is 0 exactly."""
-    return p - Polynomial.monomial(EMPTY_WORD, state.phi_poly(p))
+    return p - Polynomial.monomial((), state.phi_poly(p))
 
 
 def kappa_words(state: FactorState, words: Sequence[Word]) -> ComplexRational:
@@ -179,16 +179,12 @@ def kappa_words(state: FactorState, words: Sequence[Word]) -> ComplexRational:
     Words may be empty (the identity); the total degree of every block
     evaluation must stay within the state's bound.
     """
-    return first_block_cumulant(
-        words,
-        lambda sub: state.phi_word(Word(tuple(l for w in sub for l in w.letters))),
-        {},
-    )
+    return first_block_cumulant(words, lambda sub: state.phi_word(sum(sub, ())), {})
 
 
 def kappa_n(state: FactorState, letters: Sequence[Letter]) -> ComplexRational:
     """kappa_n(a_1, ..., a_n) for single-letter arguments."""
-    return kappa_words(state, [Word((l,)) for l in letters])
+    return kappa_words(state, [(l,) for l in letters])
 
 
 def singletons(n: int) -> Partition:
@@ -332,7 +328,7 @@ def phi_of_centered_product_by_terms(
         minus_mean = -joint.factor_state(index).phi_word(word)
         expanded = []
         for coeff, letters in terms:
-            expanded.append((coeff, letters + word.letters))
+            expanded.append((coeff, letters + word))
             if minus_mean:
                 expanded.append((minus_mean * coeff, letters))
         terms = expanded
@@ -352,15 +348,15 @@ def alternating_slots_by_brute_force(
         (index, word)
         for index in sorted(joint.factors)
         for word in all_words(joint.factor_state(index).letters(), max_degree)
-        if word.degree
+        if word
     ]
     rank = {slot: k for k, slot in enumerate(slots)}
     found = []
     for length in range(1, max_degree + 1):
         # each slot leaves at least one degree for every later one
-        short = [s for s in slots if s[1].degree <= max_degree - length + 1]
+        short = [s for s in slots if len(s[1]) <= max_degree - length + 1]
         for tup in iter_product(short, repeat=length):
-            if sum(w.degree for _, w in tup) <= max_degree and all(
+            if sum(len(w) for _, w in tup) <= max_degree and all(
                 x[0] != y[0] for x, y in zip(tup, tup[1:])
             ):
                 found.append(tup)
@@ -590,7 +586,7 @@ def plain_word_gram(
     this Gram is PSD exactly when ``check_positivity`` on the one-factor
     product space finds its Gram PSD.
     """
-    basis = sorted(all_words(state.letters(), basis_degree), key=Word.sort_key)
+    basis = sorted(all_words(state.letters(), basis_degree), key=word_sort_key)
     return tuple(
-        tuple(state.phi_word(ws.star() * wt) for wt in basis) for ws in basis
+        tuple(state.phi_word(star_word(ws) + wt) for wt in basis) for ws in basis
     )

@@ -1,13 +1,16 @@
+import json
 import random
 import re
 from fractions import Fraction
 from itertools import product as iproduct
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncprob import cumulant_calculus
+from ncprob.cli import main
 from ncprob.cumulant_calculus import (
     MomentSequence,
     cumulants_from_moment_sequence,
@@ -30,8 +33,11 @@ from ncprob.moment_space import (
     GeneratorSymbol,
     Letter,
     Polynomial,
-    Word,
+    all_words,
     cumulant_table_from_json,
+    factor_state_from_json,
+    parse_word,
+    word_text,
 )
 from ncprob.nc_lattice import Partition, enumerate_nc, moebius
 from ncprob.scalar import ONE, ZERO, ComplexRational
@@ -52,6 +58,8 @@ from nc_oracles import (
     one_block,
     singletons,
 )
+
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 
 # -- independent scalar oracle: nested first-block recursion --------------------
@@ -105,7 +113,7 @@ def test_oracle_self_consistency():
 def test_kappa_order_one_is_phi(rng):
     state = random_factor_state(rng, "A", ("u",), 3, selfadjoint=False)
     for l in state.letters():
-        assert kappa_n(state, (l,)) == state.phi_word(Word((l,)))
+        assert kappa_n(state, (l,)) == state.phi_word((l,))
 
 
 def test_kappa_order_two_formula(rng):
@@ -113,9 +121,7 @@ def test_kappa_order_two_formula(rng):
     ls = state.letters()
     for a in ls:
         for b in ls:
-            expected = state.phi_word(Word((a, b))) - state.phi_word(
-                Word((a,))
-            ) * state.phi_word(Word((b,)))
+            expected = state.phi_word((a, b)) - state.phi_word((a,)) * state.phi_word((b,))
             assert kappa_n(state, (a, b)) == expected
 
 
@@ -206,7 +212,7 @@ def test_round_trip_moments_to_cumulants(rng):
         for n in range(1, 5):
             for _ in range(4):
                 tup = tuple(rng.choice(ls) for _ in range(n))
-                phi = state.phi_word(Word(tup))
+                phi = state.phi_word(tup)
                 assert first_block_moment(tup, kappas.__getitem__, {}) == phi
 
 
@@ -225,11 +231,11 @@ def test_unital_cumulants_vanish(rng):
     # kappa_1(1) = 1 and kappa_n(..., 1, ...) = 0 for n >= 2
     state = random_factor_state(rng, "A", ("a",), 4)
     la = state.letter("a")
-    one = Word()
+    one = ()
     assert kappa_words(state, (one,)) == ONE
     assert kappa_words(state, (one, one)) == ZERO
     for position in range(3):
-        words = [Word((la,))] * 3
+        words = [(la,)] * 3
         words[position] = one
         assert kappa_words(state, tuple(words)) == ZERO
 
@@ -240,11 +246,11 @@ def test_shift_relation(rng):
     la = state.letter("a")
     c = small_fraction(rng)
     shifted_poly = Polynomial.from_letter(la) + Polynomial.monomial(
-        Word(), ComplexRational.of(c)
+        (), ComplexRational.of(c)
     )
     shifted_moments = {}
     for k in range(1, 6):
-        shifted_moments[Word((la,) * k)] = eval_phi_n(state, [shifted_poly] * k)
+        shifted_moments[(la,) * k] = eval_phi_n(state, [shifted_poly] * k)
     shifted = FactorState("A", 5, state.generators, shifted_moments)
     assert kappa_n(shifted, (la,)) == kappa_n(state, (la,)) + ComplexRational.of(c)
     for n in range(2, 6):
@@ -331,7 +337,7 @@ def moments_of(state):
     """The moment sequence of a one-letter factor state."""
     (letter,) = state.letters()
     return MomentSequence.of(
-        [state.phi_word(Word((letter,) * k)) for k in range(1, state.degree_bound + 1)]
+        [state.phi_word((letter,) * k) for k in range(1, state.degree_bound + 1)]
     )
 
 
@@ -546,20 +552,18 @@ def test_kappa_words_match_lattice_sum_exhaustively(rng):
     def oracle(words):
         return lattice_sum(
             len(words),
-            lambda block: state.phi_word(
-                Word(tuple(l for i in block for l in words[i - 1].letters))
-            ),
+            lambda block: state.phi_word(tuple(l for i in block for l in words[i - 1])),
             weighted=True,
         )
 
     tuples = [t for n in range(1, 7) for t in iproduct(ls, repeat=n)]
     tuples += [tuple(rng.choice(ls) for _ in range(7)) for _ in range(8)]
     for tup in tuples:
-        assert kappa_n(state, tup) == oracle([Word((l,)) for l in tup])
-    words = [Word(()), Word((ls[0],)), Word((ls[1], ls[0]))]
+        assert kappa_n(state, tup) == oracle([(l,) for l in tup])
+    words = [(), (ls[0],), (ls[1], ls[0])]
     for n in range(1, 4):
         for tup in iproduct(words, repeat=n):
-            if sum(w.degree for w in tup) <= 7:
+            if sum(map(len, tup)) <= 7:
                 assert kappa_words(state, tup) == oracle(tup)
 
 
@@ -570,9 +574,7 @@ def test_self_filling_table_matches_fresh_kappa_n(rng):
     ls = state.letters()
     for n in range(6, 0, -1):
         for tup in iproduct(ls, repeat=n):
-            value = first_block_cumulant(
-                tup, lambda sub: state.phi_word(Word(sub)), kappas
-            )
+            value = first_block_cumulant(tup, state.phi_word, kappas)
             assert value == kappa_n(state, tup)
 
 
@@ -745,6 +747,38 @@ def test_cumulant_table_from_json_takes_conjugate_values():
     spec["cumulants"].update({"u": "1+i", "u*": "1-i", "u u": "2 i", "u* u*": "-2 i"})
     _, _, (lu, lus), kappas = cumulant_table_from_json(spec)
     assert kappas[lus, lus] == kappas[lu, lu].conjugate()
+
+
+def test_a_word_is_one_plain_tuple_from_spec_to_kernel(capsys):
+    # Parsed, enumerated, loaded as a moment or a cumulant key, or read by a
+    # product space: the same word is the same plain tuple of letters, so the
+    # factor's phi_word is the kernel's phi as it stands.
+    path = GOLDEN_INPUTS / "factor_u.json"
+    spec = json.loads(path.read_text())
+    state = factor_state_from_json(spec)
+    lu, lus = state.letters()
+    words = list(all_words(state.letters(), state.degree_bound))
+    kappa_spec = {key: spec[key] for key in ("factor", "degree_bound", "generators")}
+    kappa_spec["cumulants"] = {word_text(w): "0" for w in words if w}
+    _, _, _, kappas = cumulant_table_from_json(kappa_spec)
+    for keys in (words, state._moments, kappas):
+        assert all(type(w) is tuple for w in keys)
+    word = (lu, lus, lu)
+    found = [
+        parse_word("u u* u", {"u": lu}),
+        next(w for w in words if w == word),
+        next(w for w in state._moments if w == word),
+        next(w for w in kappas if w == word),
+        ProductSpace([state]).parse_letters("u u* u"),
+    ]
+    assert all(type(w) is tuple and w == word for w in found)
+    table = letter_table(
+        state.letters(), state.degree_bound, first_block_cumulant, state.phi_word
+    )
+    assert main(["cumulants", "--from-moments", str(path)]) == 0
+    printed = json.loads(capsys.readouterr().out)["cumulants"]
+    assert {word_text(t): str(v) for t, v in table.items()} == printed
+    assert len(printed) == len(kappas) == 14
 
 
 @pytest.mark.parametrize(

@@ -13,16 +13,17 @@ from ncprob.errors import (
     ValidationError,
 )
 from ncprob.moment_space import (
-    EMPTY_WORD,
     FactorState,
     GeneratorSymbol,
     Letter,
     Polynomial,
-    Word,
     all_words,
     cumulant_table_from_json,
     factor_state_from_json,
     parse_word,
+    star_word,
+    word_sort_key,
+    word_text,
 )
 from ncprob.nc_lattice import Partition, enumerate_nc
 from ncprob.scalar import ONE, ZERO, ComplexRational
@@ -63,29 +64,39 @@ def test_word_star_reverses_and_flips():
     u = GeneratorSymbol("u")
     v = GeneratorSymbol("v")
     lu, lv = Letter(u, False, "A"), Letter(v, False, "A")
-    w = Word((lu, lv))
-    assert w.star() == Word((lv.star(), lu.star()))
-    assert EMPTY_WORD.star() == EMPTY_WORD
-    assert w.star().star() == w
-    # Each letter and word keeps its one star partner.
-    assert w.star() is w.star() and w.star().star() is w
-    assert lu.star().star() is lu and w.star().letters[1] is lu.star()
+    w = (lu, lv)
+    assert star_word(w) == (lv.star(), lu.star())
+    assert star_word(()) == ()
+    assert star_word(star_word(w)) == w
+    # Each letter keeps its one star partner, so a starred word holds it.
+    assert all(s is l.star() for s, l in zip(star_word(w), reversed(w), strict=True))
+    assert lu.star().star() is lu and star_word(w)[1] is lu.star()
+
+
+def test_word_text_and_order():
+    a = Letter(GeneratorSymbol("a", selfadjoint=True), False, "A")
+    lu = Letter(GeneratorSymbol("u"), False, "A")
+    assert word_text(()) == "1"
+    assert word_text((a, lu.star(), lu)) == "a u* u"
+    # shortest first, then letter by letter: factor, name, starred
+    words = [(lu.star(),), (a, a), (), (lu,), (a,)]
+    assert sorted(words, key=word_sort_key) == [(), (a,), (lu,), (lu.star(),), (a, a)]
 
 
 def test_polynomial_algebra():
     u = GeneratorSymbol("u")
     lu = Letter(u, False, "A")
     p = Polynomial.from_letter(lu)
-    q = Polynomial.monomial(EMPTY_WORD)
+    q = Polynomial.monomial(())
     assert (p + q) - q == p
     assert (p * q) == p
     assert p - p == Polynomial()
-    assert dict(((p + q) * (p + q)).items())[Word((lu, lu))] == ONE
+    assert dict(((p + q) * (p + q)).items())[(lu, lu)] == ONE
     assert 2 * p == p + p
     # star is an antihomomorphism with conjugated coefficients
     z = ComplexRational(Fraction(1, 2), Fraction(1, 3))
-    r = Polynomial({Word((lu,)): z})
-    assert r.star() == Polynomial({Word((lu.star(),)): z.conjugate()})
+    r = Polynomial({(lu,): z})
+    assert r.star() == Polynomial({(lu.star(),): z.conjugate()})
     assert (p * r).star() == r.star() * p.star()
 
 
@@ -94,8 +105,8 @@ def test_polynomial_algebra():
 def test_star_involution_on_words(pattern):
     u = GeneratorSymbol("u")
     lu = Letter(u, False, "A")
-    w = Word(tuple(lu if b else lu.star() for b in pattern))
-    assert w.star().star() == w
+    w = tuple(lu if b else lu.star() for b in pattern)
+    assert star_word(star_word(w)) == w
 
 
 # -- factor states ---------------------------------------------------------------
@@ -105,26 +116,26 @@ def test_validation_requires_totality():
     g = GeneratorSymbol("a", selfadjoint=True)
     la = Letter(g, False, "A")
     with pytest.raises(ValidationError, match="missing moment"):
-        FactorState("A", 2, [g], {Word((la,)): ZERO})
+        FactorState("A", 2, [g], {(la,): ZERO})
 
 
 def test_validation_rejects_conflicting_star_entries():
     u = GeneratorSymbol("u")
     lu = Letter(u, False, "A")
     base = {
-        Word((lu,)): ZERO,
-        Word((lu.star(),)): ZERO,
-        Word((lu, lu)): ZERO,
-        Word((lu.star(), lu.star())): ONE,  # should equal conj of previous
-        Word((lu, lu.star())): ONE,
-        Word((lu.star(), lu)): ONE,
+        (lu,): ZERO,
+        (lu.star(),): ZERO,
+        (lu, lu): ZERO,
+        (lu.star(), lu.star()): ONE,  # should equal conj of previous
+        (lu, lu.star()): ONE,
+        (lu.star(), lu): ONE,
     }
     with pytest.raises(ValidationError, match="conflicting"):
         FactorState("A", 2, [u.__class__("u")], base)
     # The message names the canonical word of {w, w*} and gives both values
     # in its orientation, the earlier one first, whichever word came first.
     z = ComplexRational.parse("1+i")
-    uu, usus = Word((lu, lu)), Word((lu.star(), lu.star()))
+    uu, usus = (lu, lu), (lu.star(), lu.star())
     for first, second, values in [(uu, usus, "1+1 i vs 1-1 i"), (usus, uu, "1-1 i vs 1+1 i")]:
         moments = {w: v for w, v in base.items() if w not in (uu, usus)}
         moments[first] = moments[second] = z
@@ -138,11 +149,11 @@ def test_validation_rejects_complex_selfpaired_moment():
     u = GeneratorSymbol("u")
     lu = Letter(u, False, "A")
     moments = {
-        Word((lu,)): ZERO,
-        Word((lu.star(),)): ZERO,
-        Word((lu, lu)): ZERO,
-        Word((lu, lu.star())): ComplexRational.parse("i"),  # (u u*)* = u u*
-        Word((lu.star(), lu)): ONE,
+        (lu,): ZERO,
+        (lu.star(),): ZERO,
+        (lu, lu): ZERO,
+        (lu, lu.star()): ComplexRational.parse("i"),  # (u u*)* = u u*
+        (lu.star(), lu): ONE,
     }
     with pytest.raises(ValidationError, match=r"^factor 'A': phi\(u u\*\) must be real, got 1 i$"):
         FactorState("A", 2, [u], moments)
@@ -151,7 +162,7 @@ def test_validation_rejects_complex_selfpaired_moment():
 def test_star_compatibility_holds_on_random_states(rng):
     state = random_factor_state(rng, "A", ("u",), 3, selfadjoint=False)
     for word in words_up_to(state, 3):
-        assert state.phi_word(word.star()) == state.phi_word(word).conjugate()
+        assert state.phi_word(star_word(word)) == state.phi_word(word).conjugate()
 
 
 def test_phi_autofills_star_conjugates():
@@ -159,14 +170,14 @@ def test_phi_autofills_star_conjugates():
     lu = Letter(u, False, "A")
     z = ComplexRational.parse("1/2+1/3 i")
     moments = {
-        Word((lu,)): z,
-        Word((lu, lu)): ZERO,
-        Word((lu, lu.star())): ONE,
-        Word((lu.star(), lu)): ONE,
+        (lu,): z,
+        (lu, lu): ZERO,
+        (lu, lu.star()): ONE,
+        (lu.star(), lu): ONE,
     }
     state = FactorState("A", 2, [u], moments)
-    assert state.phi_word(Word((lu.star(),))) == z.conjugate()
-    assert state.phi_word(Word((lu.star(), lu.star()))) == ZERO
+    assert state.phi_word((lu.star(),)) == z.conjugate()
+    assert state.phi_word((lu.star(), lu.star())) == ZERO
 
 
 # -- evaluation -------------------------------------------------------------------
@@ -174,7 +185,7 @@ def test_phi_autofills_star_conjugates():
 
 def test_eval_phi_n_examples():
     state = semicircle_factor("A1", "a")
-    one = Polynomial.monomial(EMPTY_WORD)
+    one = Polynomial.monomial(())
     assert eval_phi_n(state, [one, one, one]) == ONE
     a = Polynomial.from_letter(state.letter("a"))
     assert eval_phi_n(state, [a]) == ZERO
@@ -186,14 +197,10 @@ def test_eval_phi_pi_examples():
     state = semicircle_factor("A1", "a")
     la = state.letter("a")
     letters = (la, la, la)
-    assert eval_phi_pi(state, one_block(3), letters) == state.phi_word(
-        Word(letters)
-    )
+    assert eval_phi_pi(state, one_block(3), letters) == state.phi_word(letters)
     assert eval_phi_pi(state, singletons(3), letters) == ZERO
     pi = Partition.of(3, [[1, 3], [2]])
-    assert eval_phi_pi(state, pi, letters) == state.phi_word(
-        Word((la, la))
-    ) * state.phi_word(Word((la,)))
+    assert eval_phi_pi(state, pi, letters) == state.phi_word((la, la)) * state.phi_word((la,))
 
 
 def test_eval_phi_pi_is_blockwise_product(rng):
@@ -223,7 +230,7 @@ def test_eval_phi_n_is_multilinear(rng):
 
 def test_centering():
     state = semicircle_factor("A1", "a")
-    assert center(state, Polynomial.monomial(EMPTY_WORD)) == Polynomial()
+    assert center(state, Polynomial.monomial(())) == Polynomial()
     a = Polynomial.from_letter(state.letter("a"))
     centered = center(state, a * a)
     assert state.phi_poly(centered) == ZERO
@@ -234,11 +241,11 @@ def test_errors():
     state = semicircle_factor("A1", "a", degree_bound=3)
     la = state.letter("a")
     with pytest.raises(TruncationError) as err:
-        state.phi_word(Word((la,) * 4))
+        state.phi_word((la,) * 4)
     assert str(err.value) == "word 'a a a a' exceeds degree bound 3 of factor 'A1'"
     other = Letter(GeneratorSymbol("b", selfadjoint=True), False, "A2")
     with pytest.raises(FactorMismatchError):
-        state.phi_word(Word((other,)))
+        state.phi_word((other,))
 
 
 # -- JSON -------------------------------------------------------------------------
@@ -257,9 +264,9 @@ def test_factor_state_from_json():
     state = factor_state_from_json(good_spec())
     assert state.factor == "A1"
     la = state.letter("a")
-    assert state.phi_word(Word((la, la))) == ONE
+    assert state.phi_word((la, la)) == ONE
     # starred selfadjoint letters normalize away
-    assert parse_word("a*", {"a": la}) == Word((la,))
+    assert parse_word("a*", {"a": la}) == (la,)
 
 
 def test_a_loaded_factor_shares_one_letter_object_per_letter():
@@ -274,7 +281,7 @@ def test_a_loaded_factor_shares_one_letter_object_per_letter():
     la, lu, lu_star = state.letters()
     assert state.letter("a") is la and la.star() is la
     assert state.letter("u") is lu and lu.star() is lu_star and lu_star.star() is lu
-    table_letters = {id(l) for word in state._moments for l in word.letters}
+    table_letters = {id(l) for word in state._moments for l in word}
     assert table_letters == {id(la), id(lu), id(lu_star)}
 
 
@@ -307,7 +314,7 @@ def test_all_words_enumeration():
     lu = Letter(g, False, "A")
     words = list(all_words([lu, lu.star()], 2))
     assert len(words) == 1 + 2 + 4
-    assert words[0] == EMPTY_WORD
+    assert words[0] == ()
 
 
 @pytest.mark.parametrize("make, message", [

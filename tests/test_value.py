@@ -16,11 +16,9 @@ import pytest
 from ncprob.cumulant_calculus import MomentSequence
 from ncprob.free_product import TensorWord
 from ncprob.moment_space import (
-    EMPTY_WORD,
     GeneratorSymbol,
     Letter,
     Polynomial,
-    Word,
     factor_state_from_json,
 )
 from ncprob.nc_lattice import Partition
@@ -56,7 +54,6 @@ CASES = {
         lambda: GeneratorSymbol("a", True),
         "GeneratorSymbol(name='a', selfadjoint=True)",
     ),
-    "Word": (lambda: Word((a(), u_star())), "Word(a u*)"),
     "Partition": (lambda: Partition.of(4, [[1, 4], [2, 3]]), "Partition({1,4}{2,3})"),
     "MomentSequence": (
         lambda: MomentSequence.of([0, 1]),
@@ -65,7 +62,7 @@ CASES = {
     "TensorWord": (
         lambda: TensorWord((
             ("A1", Polynomial.from_letter(a())),
-            ("A2", Polynomial.from_letter(u_star()) - Polynomial.monomial(EMPTY_WORD, 2)),
+            ("A2", Polynomial.from_letter(u_star()) - Polynomial.monomial((), 2)),
         )),
         "TensorWord([(1) a]@A1 (x) [(-2) 1 + (1) u*]@A2)",
     ),
@@ -132,8 +129,6 @@ def test_letter_is_one_object_per_letter():
 def test_value_types_differ_by_class_and_fields():
     assert ComplexRational(Fraction(1)) != Fraction(1)
     assert ComplexRational(Fraction(1)) != ComplexRational(Fraction(1), Fraction(1))
-    assert Word((a(),)) != Word((a(), a()))
-    assert Word() == EMPTY_WORD and Word().letters == ()
     assert ComplexRational() == ZERO
     assert GeneratorSymbol("a") != GeneratorSymbol("a", True)
 

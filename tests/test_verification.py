@@ -23,15 +23,14 @@ from ncprob.free_product import (
     product_space_from_json,
 )
 from ncprob.moment_space import (
-    EMPTY_WORD,
     FactorState,
     GeneratorSymbol,
     Letter,
     Polynomial,
-    Word,
     all_words,
     canonical_moment_key,
     factor_state_from_json,
+    star_word,
 )
 from ncprob.scalar import ComplexRational as CR
 from ncprob.scalar import ONE, ZERO, ComplexRational
@@ -77,9 +76,9 @@ def nonfree_coupling():
     ga = GeneratorSymbol("a", selfadjoint=True)
     gb = GeneratorSymbol("b", selfadjoint=True)
     la, lb = Letter(ga, False, "A1"), Letter(gb, False, "A2")
-    moments = {Word((la,)): ZERO, Word((lb,)): ZERO}
+    moments = {(la,): ZERO, (lb,): ZERO}
     for pair in iproduct((la, lb), repeat=2):
-        moments[Word(pair)] = ONE
+        moments[pair] = ONE
     return ExplicitJointState({"A1": [ga], "A2": [gb]}, 2, moments)
 
 
@@ -95,7 +94,7 @@ def classically_independent():
             counts = {"A1": 0, "A2": 0}
             for l in tup:
                 counts[l.factor] += 1
-            moments[Word(tup)] = marginal[counts["A1"]] * marginal[counts["A2"]]
+            moments[tup] = marginal[counts["A1"]] * marginal[counts["A2"]]
     return ExplicitJointState({"A1": [ga], "A2": [gb]}, 4, moments)
 
 
@@ -156,7 +155,7 @@ def test_explicit_copy_of_a_product_space_matches_it(rng):
         random_factor_state(rng, "A2", ("u",), n, selfadjoint=False),
     ])
     ls = [l for i in sorted(space.factors) for l in space.factor_state(i).letters()]
-    moments = {w: space.state_eval(w.letters) for w in all_words(ls, n) if w.degree}
+    moments = {w: space.state_eval(w) for w in all_words(ls, n) if w}
     joint = ExplicitJointState(
         {i: state.generators for i, state in space.factors.items()}, n, moments
     )
@@ -198,10 +197,10 @@ def random_joint_state(rng, degree_bound, a1_names=("a",)):
     moments = {}
     for n in range(1, degree_bound + 1):
         for tup in iproduct(ls, repeat=n):
-            key, _ = canonical_moment_key(Word(tup))
+            key, _ = canonical_moment_key(tup)
             if key not in moments:
                 value = small_scalar(rng)
-                moments[key] = CR(value.re) if key == key.star() else value
+                moments[key] = CR(value.re) if key == star_word(key) else value
     return ExplicitJointState(gens, degree_bound, moments)
 
 
@@ -242,8 +241,8 @@ def test_freeness_cumulants_matches_per_tuple_joint_kappa(rng):
 
 def test_freeness_cumulants_fills_only_the_mixed_tuples(monkeypatch):
     # Semicircle a + Haar u, N = 6, d = 6: the check reaches the pure tuples
-    # only as sub-tuples, 2,617 state evaluations for 960 mixed tuples.  A
-    # fill of every tuple, pure ones of order up to 6 included, makes 2,878.
+    # only as sub-tuples, 2,715 state evaluations for 960 mixed tuples.  A
+    # fill of every tuple, pure ones of order up to 6 included, makes 3,042.
     def counted_space():
         space = product_space_from_json(
             json.loads((GOLDEN_INPUTS / "semicircle_and_haar_u_6.json").read_text())
@@ -260,11 +259,11 @@ def test_freeness_cumulants_fills_only_the_mixed_tuples(monkeypatch):
 
     space, calls = counted_space()
     assert check_freeness_cumulants(space, 6).checked_words == 960
-    assert len(calls) == 2617
+    assert len(calls) == 2715
     space, calls = counted_space()
     letters = [l for i in sorted(space.factors) for l in space.factor_state(i).letters()]
     full = letter_table(letters, 6, first_block_cumulant, space.state_eval)
-    assert len(full) == 1092 and len(calls) == 2878
+    assert len(full) == 1092 and len(calls) == 3042
 
 
 def test_centered_product_nested_matches_term_list(monkeypatch, rng):
@@ -341,10 +340,10 @@ def test_perturbed_product_fails_both_ways(two_semicircles):
     moments = {}
     for n in range(1, 5):
         for tup in iproduct((la, lb), repeat=n):
-            moments[Word(tup)] = two_semicircles.state_eval(tup)
+            moments[tup] = two_semicircles.state_eval(tup)
     # star-consistency forces phi(b a) = conj(phi(a b))
-    moments[Word((la, lb))] = ONE
-    moments[Word((lb, la))] = ONE
+    moments[(la, lb)] = ONE
+    moments[(lb, la)] = ONE
     ga = two_semicircles.factor_state("A1").generators[0]
     gb = two_semicircles.factor_state("A2").generators[0]
     joint = ExplicitJointState({"A1": [ga], "A2": [gb]}, 4, moments)
@@ -403,7 +402,7 @@ def test_variance_factorization_on_a_non_tracial_factor(rng):
     # every same-pattern pair of the centered basis, d = 2.
     u_state = random_factor_state(rng, "A2", ("u",), 4, selfadjoint=False)
     lu = u_state.letter("u")
-    assert u_state.phi_word(Word((lu, lu.star()))) != u_state.phi_word(Word((lu.star(), lu)))
+    assert u_state.phi_word((lu, lu.star())) != u_state.phi_word((lu.star(), lu))
     space = ProductSpace([semicircle_factor("A1", "a", 4), u_state])
     words = centered_word_basis(space, 2)
     pairs = 0
@@ -629,8 +628,8 @@ def test_negative_factor_state_witness():
     g = GeneratorSymbol("g", selfadjoint=True)
     lg = Letter(g, False, "F")
     state = {
-        Word((lg,)): ZERO,
-        Word((lg, lg)): scalar(-1),
+        (lg,): ZERO,
+        (lg, lg): scalar(-1),
     }
     factor = FactorState("F", 2, [g], state)
     result = check_positivity(ProductSpace([factor]), 1)
@@ -817,7 +816,7 @@ def test_positivity_matches_atoms_by_identity(monkeypatch):
     monkeypatch.setattr(Polynomial, "__eq__", counting)
     assert check_positivity(space, 3).psd is True
     assert calls == []
-    assert Polynomial.monomial(EMPTY_WORD) == Polynomial.monomial(EMPTY_WORD)
+    assert Polynomial.monomial(()) == Polynomial.monomial(())
     assert calls == [1]
 
 
