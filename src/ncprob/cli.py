@@ -161,7 +161,7 @@ def _cmd_moments(args) -> int:
         from .moment_space import cumulant_table_from_json
 
         factor, degree_bound, letters, kappas = cumulant_table_from_json(obj)
-        # Cannot miss: the kernel reads sub-tuples of words of order <= N, all loaded.
+        # Cannot miss: the walk reads the kappa of every word of order 1..N, all loaded.
         table = cc.letter_table(
             letters, degree_bound, cc.first_block_moment, kappas.__getitem__
         )

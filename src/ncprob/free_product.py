@@ -5,16 +5,9 @@ sequences of centered factor polynomials.  Multiplication concatenates and,
 when boundary factors coincide, merges the boundary pair into its centered
 part plus a scalar times the recursively reduced shorter product.
 
-Cumulant functions are layered exactly as they are defined:
-
-* ``kappa_base``     - pure tuples: the factor cumulant, or 0 when the
-                       arguments straddle two factors;
-* ``kappa_pure_pi``  - blockwise multiplicative extension of the above;
-* ``state_eval``     - the state, phi(a_1..a_n) = sum over sigma in NC(n) of
-                       the blockwise base-cumulant product;
-* ``kappa_elements`` - arbitrary algebra elements, by multilinear expansion
-                       into unit/tensor-word slots, each term the cumulant of
-                       grouped products read off the state.
+The state phi(a_1..a_n) is the sum over sigma in NC(n) of the blockwise
+product of base cumulants: a factor's own on a pure block, 0 on a block that
+straddles two factors.  Cumulants of elements are oracles in the tests.
 
 An atom is a letter of the space, which is its own atom, or a (factor,
 polynomial) pair.  Mixed cumulants vanish, so the state is the first-block
@@ -22,14 +15,14 @@ kernel (``cumulant_calculus.first_block_moment``) on the atoms, over blocks
 inside the first atom's factor, with ``_phi_memo`` as its memo.  The memo
 holds checked tuples only, and a caller's tuple is read from it before it is
 checked, so a repeated word of letters is one dict lookup.  A pure cumulant
-of one atom is its phi; of n >= 2 atoms it is multilinear and 0 on the unit,
-so it sums the first-block kernel (``cumulant_calculus.first_block_cumulant``)
-over tuples of non-unit words, with the factor's phi of their concatenated
-letters and ``_word_kappa_memo``, keyed by those tuples of letter tuples, as
-its memo.  One polynomial per centered (factor, word) makes the memos match
-by identity.  A cumulant of grouped products is the same kernel on the
-groups, with the state of their concatenation as phi and a fresh memo per
-term.  Everything is exact; the memos are plain per-instance dicts.
+of letters is the first-block kernel (``cumulant_calculus.first_block_cumulant``)
+on them with the factor's phi and ``_kappa_base_memo`` as its memo.  A pure
+cumulant of one pair atom is its phi; of n >= 2 atoms, some of them pairs,
+it is multilinear and 0 on the unit, so it sums the same kernel over tuples
+of non-unit words, with the factor's phi of their concatenated letters and
+``_word_kappa_memo``, keyed by those tuples of letter tuples, as its memo.
+One polynomial per centered (factor, word) makes the memos match by
+identity.  Everything is exact; the memos are plain per-instance dicts.
 """
 
 from __future__ import annotations
@@ -53,7 +46,6 @@ from .moment_space import (
     factor_state_from_json,
     word_sort_key,
 )
-from .nc_lattice import Partition
 from .scalar import ONE, ZERO, ComplexRational
 from .value import Value
 
@@ -303,14 +295,18 @@ class ProductSpace:
         if value is not None:
             return value
         present = {_factor_of(a) for a in atoms}
-        # a letter reads as its one-letter word with coefficient 1
-        polys = [Polynomial.from_letter(a) if a.__class__ is Letter else a[1] for a in atoms]
-        value = ZERO  # mixed cumulants vanish
-        if len(present) == 1 and len(atoms) == 1:
-            value = self.factor_state(present.pop()).phi_poly(polys[0])
-        elif len(present) == 1:
-            # kappa_n, n >= 2, is multilinear and 0 on the unit: expand over words
-            state = self.factor_state(present.pop())
+        state = self.factor_state(present.pop()) if len(present) == 1 else None
+        if state is None:
+            value = ZERO  # mixed cumulants vanish
+        elif all(a.__class__ is Letter for a in atoms):  # the kernel fills this memo
+            return first_block_cumulant(atoms, state.phi_word, self._kappa_base_memo)
+        elif len(atoms) == 1:
+            value = state.phi_poly(atoms[0][1])
+        else:
+            # kappa_n, n >= 2, is multilinear and 0 on the unit: expand over
+            # words; a letter reads as its one-letter word with coefficient 1
+            polys = [Polynomial.from_letter(a) if a.__class__ is Letter else a[1] for a in atoms]
+            value = ZERO
             for combo in iter_product(*([t for t in p.items() if t[0]] for p in polys)):
                 term = first_block_cumulant(
                     tuple(w for w, _ in combo),
@@ -325,58 +321,6 @@ class ProductSpace:
                     value = value + term
         self._kappa_base_memo[atoms] = value
         return value
-
-    def kappa_base(self, letters: Sequence[Letter]) -> ComplexRational:
-        """Factor cumulant if all letters share a factor, otherwise 0."""
-        if not letters:
-            raise ValidationError("kappa_base needs at least one letter")
-        return self._kappa_base_atoms(self._as_atoms(letters))
-
-    def kappa_pure_pi(
-        self, pi: Partition, letters: Sequence[Letter]
-    ) -> ComplexRational:
-        """Blockwise multiplicative extension of kappa_base."""
-        if len(letters) != pi.n:
-            raise DimensionMismatchError(
-                f"partition of {pi.n} applied to {len(letters)} letters"
-            )
-        atoms = self._as_atoms(letters)
-        total = ONE
-        for block in pi.blocks:
-            total = total * self._kappa_base_atoms(tuple(atoms[i - 1] for i in block))
-            if total.is_zero():
-                break
-        return total
-
-    def kappa_elements(self, args: Sequence[FreeElement]) -> ComplexRational:
-        """kappa_m on arbitrary elements, by multilinear expansion.
-
-        Each argument splits into its scalar part (a unit slot) and its
-        tensor words.  A term of the expansion is the cumulant of m grouped
-        products: the first-block kernel on the groups, with phi of a
-        sub-tuple the state on its groups' components, concatenated.  A unit
-        slot is the empty group, on which phi is 1.
-
-        Within the degree bound this equals the sum over pi in NC(n) whose
-        join with the group interval partition is 1_n (Nica & Speicher,
-        Theorem 11.12), kept in the tests as the oracle.  Past the bound the
-        two routes evaluate different moments, so either may raise
-        TruncationError where the other returns a value; where both return
-        a value, it is the same.
-        """
-        if not args:
-            raise ValidationError("kappa_elements needs at least one argument")
-        total = ZERO
-        for combo in iter_product(*(element.terms() for element in args)):
-            coeff = ONE
-            for c, _ in combo:
-                coeff = coeff * c
-            total = total + coeff * first_block_cumulant(
-                tuple(group for _, group in combo),
-                lambda sub: self._phi_atoms(tuple(a for group in sub for a in group)),
-                {},
-            )
-        return total
 
     # -- the state ---------------------------------------------------------
 

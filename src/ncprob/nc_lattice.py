@@ -262,14 +262,6 @@ def moebius_to_top(sigma: Partition) -> int:
     return _closed_form_moebius(sigma.n, sigma.blocks, (tuple(range(1, sigma.n + 1)),))
 
 
-def kreweras(sigma: Partition) -> Partition:
-    """The Kreweras complement K(sigma) of a non-crossing partition."""
-    if not is_noncrossing(sigma):
-        raise ValidationError(f"{sigma} is crossing")
-    top = (tuple(range(1, sigma.n + 1)),)
-    return Partition.of(sigma.n, _kreweras_cycles(sigma.n, sigma.blocks, top))
-
-
 def _kreweras_cycles(
     n: int, lower: Iterable[tuple[int, ...]], upper: Iterable[tuple[int, ...]]
 ) -> list[list[int]]:

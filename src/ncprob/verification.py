@@ -173,12 +173,12 @@ def _check_target(target: object, max_degree: int) -> None:
 
 
 def check_freeness_moments(target: JointState, max_degree: int) -> FreenessReport:
-    """Definition by moments: phi of every alternating centered product is 0."""
+    """Definition by moments: phi of every alternating centered product is 0,
+    each expanded with one memo per check of the shared sub-expansions."""
     _check_target(target, max_degree)
-    violations = []
-    checked = 0
+    violations, checked, memo = [], 0, {}
     for slots in _alternating_slot_sequences(target, max_degree):
-        value = _phi_of_centered_product(target, slots)
+        value = _phi_of_centered_product(target, slots, memo)
         checked += 1
         if value:
             text = " ".join(f"({word_text(w)})°" for _, w in slots)
@@ -187,19 +187,24 @@ def check_freeness_moments(target: JointState, max_degree: int) -> FreenessRepor
 
 
 def _phi_of_centered_product(
-    joint: JointState, slots: Sequence[tuple[str, Word]]
+    joint: JointState, slots: tuple[tuple[str, Word], ...], memo: dict
 ) -> ComplexRational:
     # phi of prod_j (w_j - m_j 1), m_j = phi_j(w_j), nested slot by slot:
     # F(j, p) = F(j + 1, p w_j) - m_j F(j + 1, p), F(k, p) = phi(p), the word
     # branch first; a mean branch runs only if m_j != 0, and adds if nonzero.
+    # ``memo`` holds the finished F(j, p), keyed by p and the slots from j on.
     means = [joint.factor_state(index).phi_word(word) for index, word in slots]
 
     def nested(j: int, letters: tuple[Letter, ...]) -> ComplexRational:
         if j == len(slots):
             return joint.state_eval(letters)
-        value = nested(j + 1, letters + slots[j][1])
-        rest = nested(j + 1, letters) if means[j] else ZERO
-        return value - means[j] * rest if rest else value
+        key = letters, slots[j:]
+        value = memo.get(key)
+        if value is None:
+            value = nested(j + 1, letters + slots[j][1])
+            rest = nested(j + 1, letters) if means[j] else ZERO
+            value = memo[key] = value - means[j] * rest if rest else value
+        return value
 
     return nested(0, ())
 
@@ -207,11 +212,11 @@ def _phi_of_centered_product(
 def check_freeness_cumulants(target: JointState, max_degree: int) -> FreenessReport:
     """Definition by cumulants: every mixed kappa_n vanishes, n <= max_degree.
 
-    Each kappa_n is recomputed from the joint moments by the first-block
-    recursion over the mixed letter tuples of ``letter_table``, so a
-    sub-tuple shared by many letter tuples is computed once; a pure tuple is
-    computed only as a sub-tuple.  With two or more factors, a max degree
-    past the enumeration cap is refused before any cumulant is computed.
+    Each kappa_n is recomputed from the joint moments by the sparse walk of
+    ``letter_table``: it fills every tuple below the max degree, pure ones
+    too, and the mixed ones at it, and reports the mixed ones of each order.
+    With two or more factors, a max degree past the enumeration cap is
+    refused before any cumulant is computed.
     """
     _check_target(target, max_degree)
     kappas: dict[Word, ComplexRational] = {}

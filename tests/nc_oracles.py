@@ -9,8 +9,8 @@ are the routes it is checked against, and the NC(n) join the tests use:
                                mu(sigma, 1_n) for cumulants (Moebius
                                inversion); the oracle for both first-block
                                kernels;
-* ``kappa_pi_via_moebius``   - kappa_pi of a factor state, which the library
-                               computes as ``kappa_pure_pi`` of
+* ``kappa_pi_via_moebius``   - kappa_pi of a factor state, which
+                               ``kappa_pure_pi`` (below) computes on
                                ``ProductSpace([state])``, as the Moebius sum
                                of phi_sigma over sigma in [0_n, pi];
 * ``kappa_products``         - the cumulant of grouped products as the sum of
@@ -21,6 +21,9 @@ are the routes it is checked against, and the NC(n) join the tests use:
 * ``kappa_elements``         - cumulants of free-product elements, by
                                multilinear expansion into unit and tensor-word
                                slots, each term by the join-constrained sum;
+* ``kappa_elements_by_kernel`` - the same cumulants, each term by the
+                               first-block kernel on the groups, with the
+                               state on their concatenated components as phi;
 * ``kappa_base_atoms``       - the pure cumulant of (factor, polynomial)
                                atoms, by multilinear expansion into word
                                tuples, each one ``kappa_words`` (below) of the
@@ -28,6 +31,9 @@ are the routes it is checked against, and the NC(n) join the tests use:
 * ``kappa_base_atoms_by_kernel`` - the same cumulant by the first-block
                                kernel on the atoms themselves, with phi of a
                                sub-tuple ``eval_phi_n`` of its polynomials;
+* ``letter_table_by_kernel`` - a whole table of cumulants or moments of
+                               letter tuples, by the dense first-block kernel
+                               on every tuple, which visits every block;
 * ``phi_of_centered_product_by_terms`` - phi of an alternating product of
                                centered monomials, expanded into the list of
                                all (coefficient, joint word) terms first;
@@ -55,10 +61,12 @@ Helpers serve the tests where the library has no method of its own:
   word of a factor up to a degree; ``center``, p - phi(p) 1;
   ``kappa_words``, the joint cumulant of factor words by the first-block
   kernel; and ``kappa_n``, its case of one-letter words;
-* on NC(n): ``singletons`` (0_n), ``one_block`` (1_n) and
-  ``partition_from_rgs``;
-* on product spaces: ``embed_letter``, one letter as an algebra element, and
-  ``centered_word_basis``, the positivity basis words alone.
+* on NC(n): ``singletons`` (0_n), ``one_block`` (1_n),
+  ``partition_from_rgs``, and ``kreweras``, the Kreweras complement;
+* on product spaces: ``embed_letter``, one letter as an algebra element;
+  ``centered_word_basis``, the positivity basis words alone; and the
+  space's base cumulant on letters, ``kappa_base``, with its blockwise
+  extension ``kappa_pure_pi``.
 """
 
 from __future__ import annotations
@@ -83,8 +91,10 @@ from ncprob.moment_space import (
 )
 from ncprob.nc_lattice import (
     Partition,
+    _kreweras_cycles,
     check_lattice_size,
     enumerate_nc,
+    is_noncrossing,
     leq,
     moebius,
     moebius_to_top,
@@ -317,6 +327,20 @@ def kappa_base_atoms_by_kernel(space: ProductSpace, atoms: tuple) -> ComplexRati
     )
 
 
+def letter_table_by_kernel(
+    letters: Sequence, top: int, kernel: Callable, given: Callable
+) -> dict[tuple, ComplexRational]:
+    """``kernel(t, given, memo)`` on every tuple t of 1..``top`` ``letters``,
+    shortest first, in ``itertools.product`` order within a length, with one
+    memo: the dense first-block kernel on each tuple, every block visited."""
+    memo: dict = {}
+    return {
+        t: kernel(t, given, memo)
+        for n in range(1, top + 1)
+        for t in iter_product(letters, repeat=n)
+    }
+
+
 def phi_of_centered_product_by_terms(
     joint, slots: Sequence[tuple[str, Word]]
 ) -> ComplexRational:
@@ -407,6 +431,63 @@ def kappa_pi_products(
     return total
 
 
+def kappa_base(space: ProductSpace, letters: Sequence[Letter]) -> ComplexRational:
+    """Factor cumulant if all letters share a factor, otherwise 0: the state's
+    own base cumulant on the letters' atoms."""
+    if not letters:
+        raise ValidationError("kappa_base needs at least one letter")
+    return space._kappa_base_atoms(space._as_atoms(letters))
+
+
+def kappa_pure_pi(
+    space: ProductSpace, pi: Partition, letters: Sequence[Letter]
+) -> ComplexRational:
+    """Blockwise multiplicative extension of kappa_base."""
+    if len(letters) != pi.n:
+        raise DimensionMismatchError(
+            f"partition of {pi.n} applied to {len(letters)} letters"
+        )
+    atoms = space._as_atoms(letters)
+    total = ONE
+    for block in pi.blocks:
+        total = total * space._kappa_base_atoms(tuple(atoms[i - 1] for i in block))
+        if total.is_zero():
+            break
+    return total
+
+
+def kappa_elements_by_kernel(
+    space: ProductSpace, args: Sequence[FreeElement]
+) -> ComplexRational:
+    """kappa_m on arbitrary elements, by multilinear expansion.
+
+    Each argument splits into its scalar part (a unit slot) and its tensor
+    words.  A term of the expansion is the cumulant of m grouped products:
+    the first-block kernel on the groups, with phi of a sub-tuple the state
+    on its groups' components, concatenated.  A unit slot is the empty
+    group, on which phi is 1.
+
+    Within the degree bound this equals ``kappa_elements``, the sum over pi
+    in NC(n) whose join with the group interval partition is 1_n (Nica &
+    Speicher, Theorem 11.12).  Past the bound the two routes evaluate
+    different moments, so either may raise TruncationError where the other
+    returns a value; where both return a value, it is the same.
+    """
+    if not args:
+        raise ValidationError("kappa_elements needs at least one argument")
+    total = ZERO
+    for combo in iter_product(*(element.terms() for element in args)):
+        coeff = ONE
+        for c, _ in combo:
+            coeff = coeff * c
+        total = total + coeff * first_block_cumulant(
+            tuple(group for _, group in combo),
+            lambda sub: space._phi_atoms(tuple(a for group in sub for a in group)),
+            {},
+        )
+    return total
+
+
 def kappa_elements(space: ProductSpace, args: Sequence[FreeElement]) -> ComplexRational:
     """kappa_m on arbitrary elements: each argument splits into its scalar part
     (a unit slot) and its tensor words (whose components become the group's
@@ -484,6 +565,16 @@ def join_nc_by_rescan(sigma: Partition, pi: Partition) -> Partition:
                 merged = True
                 break
     return Partition.of(n, blocks)
+
+
+def kreweras(sigma: Partition) -> Partition:
+    """The Kreweras complement K(sigma) of a non-crossing partition: the
+    cycles of sigma^-1 1_n, reading each block as the cycle of its elements
+    in increasing order."""
+    if not is_noncrossing(sigma):
+        raise ValidationError(f"{sigma} is crossing")
+    top = (tuple(range(1, sigma.n + 1)),)
+    return Partition.of(sigma.n, _kreweras_cycles(sigma.n, sigma.blocks, top))
 
 
 def ldlt_psd_by_recursion(

@@ -53,8 +53,10 @@ from nc_oracles import (
     eval_phi_n,
     kappa_n,
     kappa_pi_via_moebius,
+    kappa_pure_pi,
     kappa_words,
     lattice_sum,
+    letter_table_by_kernel,
     one_block,
     singletons,
 )
@@ -149,13 +151,13 @@ def test_kappa_pi_special_partitions(rng):
     space = ProductSpace([state])
     la = state.letter("a")
     tup = (la,) * 4
-    assert space.kappa_pure_pi(one_block(4), tup) == kappa_n(state, tup)
+    assert kappa_pure_pi(space, one_block(4), tup) == kappa_n(state, tup)
     expected_bottom = ONE
     for _ in range(4):
         expected_bottom = expected_bottom * kappa_n(state, (la,))
-    assert space.kappa_pure_pi(singletons(4), tup) == expected_bottom
+    assert kappa_pure_pi(space, singletons(4), tup) == expected_bottom
     nested = Partition.of(4, [[1, 4], [2, 3]])
-    assert space.kappa_pure_pi(nested, tup) == kappa_n(state, (la, la)) * kappa_n(
+    assert kappa_pure_pi(space, nested, tup) == kappa_n(state, (la, la)) * kappa_n(
         state, (la, la)
     )
 
@@ -167,14 +169,14 @@ def test_kappa_pi_two_forms_agree(rng):
     for n in (1, 2, 3, 4):
         tup = tuple(rng.choice(ls) for _ in range(n))
         for pi in enumerate_nc(n):
-            assert space.kappa_pure_pi(pi, tup) == kappa_pi_via_moebius(state, pi, tup)
+            assert kappa_pure_pi(space, pi, tup) == kappa_pi_via_moebius(state, pi, tup)
 
 
 def test_kappa_pi_dimension_error(rng):
     state = random_factor_state(rng, "A", ("a",), 4)
     la = state.letter("a")
     with pytest.raises(DimensionMismatchError):
-        ProductSpace([state]).kappa_pure_pi(one_block(3), (la, la))
+        kappa_pure_pi(ProductSpace([state]), one_block(3), (la, la))
 
 
 # -- moment reconstruction -----------------------------------------------------------
@@ -578,49 +580,127 @@ def test_self_filling_table_matches_fresh_kappa_n(rng):
             assert value == kappa_n(state, tup)
 
 
-def recording_kernel(calls):
-    """A kernel that records (tuple, given, memo) and returns the tuple's length."""
-    def kernel(t, given, memo):
-        calls.append((t, given, memo))
-        return ComplexRational.of(len(t))
+def recording_given(calls, value=ONE):
+    """A given phi or kappa that records each tuple and returns ``value``."""
+    def given(t):
+        calls.append(t)
+        return value
 
-    return kernel
+    return given
 
 
 @pytest.mark.parametrize("top", [0, 13, -1])
 def test_letter_table_refuses_top_outside_the_cap_before_any_kernel_call(top):
     calls = []
     message = rf"^n must be within 1\.\.12, got {top}$"
-    with pytest.raises(SizeOutOfRangeError, match=message):
-        letter_table("ab", top, recording_kernel(calls), None)
+    for kernel in (first_block_cumulant, first_block_moment):
+        with pytest.raises(SizeOutOfRangeError, match=message):
+            letter_table("ab", top, kernel, recording_given(calls))
     assert calls == []
 
 
 def test_letter_table_goes_shortest_first_in_product_order():
-    calls = []
-    table = letter_table("ba", 3, recording_kernel(calls), None)
+    # The given is evaluated once per tuple, in the table's order.  A constant
+    # phi of 1 has kappa_1 = 1 and no other nonzero kappa; every kappa 1 makes
+    # phi of n arguments the number of NC(n) partitions.
     expected = [t for n in (1, 2, 3) for t in iproduct("ba", repeat=n)]
-    assert [t for t, _, _ in calls] == list(table) == expected
     assert expected[:3] == [("b",), ("a",), ("b", "b")]
-    assert all(value == ComplexRational.of(len(t)) for t, value in table.items())
+    catalan = {1: 1, 2: 2, 3: 5}
+    for kernel, value in ((first_block_cumulant, lambda t: int(len(t) == 1)),
+                          (first_block_moment, lambda t: catalan[len(t)])):
+        calls = []
+        table = letter_table("ba", 3, kernel, recording_given(calls))
+        assert calls == list(table) == expected
+        assert all(v == ComplexRational.of(value(t)) for t, v in table.items())
 
 
-def test_letter_table_passes_one_memo_and_the_given_to_every_call():
-    calls = []
-    given = object()
-    letter_table("xyz", 2, recording_kernel(calls), given)
-    assert len(calls) == 3 + 9
-    memo = calls[0][2]
-    assert memo == {}
-    assert all(g is given and m is memo for _, g, m in calls)
+def test_letter_table_fills_below_top_and_returns_the_tuples_keep_accepts():
+    # Below top every tuple is filled, since the prefixes of the nonzero
+    # kappa need it; at top only the kept ones.  The kept tuples of every
+    # order come back, with the values of the full table.
+    def keep(t):
+        return "a" in t and "b" in t
+
+    phi = seeded_values("keep")
+    for kernel in (first_block_cumulant, first_block_moment):
+        calls = []
+        table = letter_table(
+            "ab", 3, kernel, lambda t: calls.append(t) or phi(t), keep=keep
+        )
+        below = [t for n in (1, 2) for t in iproduct("ab", repeat=n)]
+        assert calls == below + [t for t in iproduct("ab", repeat=3) if keep(t)]
+        full = letter_table("ab", 3, kernel, phi)
+        assert table == {t: v for t, v in full.items() if keep(t)}
+        assert list(table) == [t for t in full if keep(t)] and len(table) == 2 + 6
 
 
-def test_letter_table_runs_the_kernel_only_on_tuples_keep_accepts():
-    calls = []
-    table = letter_table("ab", 3, recording_kernel(calls), None,
-                         keep=lambda t: "a" in t and "b" in t)
-    expected = [t for n in (2, 3) for t in iproduct("ab", repeat=n) if len(set(t)) == 2]
-    assert [t for t, _, _ in calls] == list(table) == expected
+def assert_sparse_walk_matches_dense_kernels(letters, top, phi):
+    """Both table kinds against the dense kernels on every tuple: kappa from
+    ``phi``, then phi back from that kappa table."""
+    kappas = letter_table(letters, top, first_block_cumulant, phi)
+    dense = letter_table_by_kernel(letters, top, first_block_cumulant, phi)
+    assert list(kappas.items()) == list(dense.items())
+    moments = letter_table(letters, top, first_block_moment, kappas.__getitem__)
+    dense = letter_table_by_kernel(letters, top, first_block_moment, kappas.__getitem__)
+    assert list(moments.items()) == list(dense.items())
+    assert moments == {t: phi(t) for t in moments}
+    return kappas
+
+
+def haar_unitary(degree_bound):
+    """A Haar unitary u: phi(w) is 1 when w has as many u as u*, else 0."""
+    g = GeneratorSymbol("u", selfadjoint=False)
+    ls = (Letter(g, False, "A"), Letter(g, True, "A"))
+    moments = {
+        w: ComplexRational.of(int(w.count(ls[0]) == w.count(ls[1])))
+        for w in all_words(ls, degree_bound) if w
+    }
+    return FactorState("A", degree_bound, [g], moments)
+
+
+def test_sparse_walk_matches_dense_kernels_on_the_haar_factor():
+    # R-diagonal: the nonzero kappa are the alternating tuples of even order.
+    for top in range(1, 9):
+        state = haar_unitary(top)
+        kappas = assert_sparse_walk_matches_dense_kernels(
+            state.letters(), top, state.phi_word
+        )
+        nonzero = [t for t, v in kappas.items() if v]
+        assert len(nonzero) == 2 * (top // 2)
+        assert all(a is not b for t in nonzero for a, b in zip(t, t[1:]))
+
+
+def test_sparse_walk_matches_dense_kernels_on_a_plus_haar_u():
+    # Every tuple of order <= 6 over a, u, u*: the nonzero kappa are pure.
+    space = ProductSpace([semicircle_factor("A1", "a"), haar_unitary(6)])
+    letters = [l for i in sorted(space.factors) for l in space.factor_state(i).letters()]
+    kappas = assert_sparse_walk_matches_dense_kernels(letters, 6, space.state_eval)
+    assert len(kappas) == 1092
+    assert sum(1 for t, v in kappas.items() if v and len({l.factor for l in t}) == 1) == 7
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    seed=st.integers(0, 10**6),
+    top=st.integers(1, 5),
+    selfadjoint=st.booleans(),
+)
+def test_sparse_walk_matches_dense_kernels_on_random_factor_states(seed, top, selfadjoint):
+    names = ("a", "b") if selfadjoint else ("u",)
+    state = random_factor_state(random.Random(seed), "A", names, top, selfadjoint)
+    assert_sparse_walk_matches_dense_kernels(state.letters(), top, state.phi_word)
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 10**6), top=st.integers(1, 5))
+def test_sparse_walk_matches_dense_kernels_on_random_sparse_cumulants(seed, top):
+    # A kappa table with many zeros, so the prefixes have gaps: the moments it
+    # gives, then the kappa of those moments, which must give the table back.
+    letters = "xyz"[: 1 + seed % 3]
+    kappa = seeded_values(seed, choices=(-1, 0, 0, 0, 1, 2))
+    moments = letter_table(letters, top, first_block_moment, kappa)
+    kappas = assert_sparse_walk_matches_dense_kernels(letters, top, moments.__getitem__)
+    assert kappas == {t: kappa(t) for t in kappas}
 
 
 def test_moments_from_cumulants_match_lattice_sum_exhaustively(rng):

@@ -64,15 +64,11 @@ def referenced_names(tree: ast.AST, inside: tuple[str, ...] = ()) -> set[str]:
     return found
 
 
-# The free-product algebra, its cumulant layers and the Kreweras complement:
-# the paper's objects, which the CLI does not run and the tests do.
+# The free-product algebra: the paper's objects, which the CLI does not run
+# and the tests do.
 TESTED_PAPER_OBJECTS = {
     "ProductSpace.embed",
     "ProductSpace.multiply",
-    "ProductSpace.kappa_base",
-    "ProductSpace.kappa_pure_pi",
-    "ProductSpace.kappa_elements",
-    "kreweras",
 }
 
 

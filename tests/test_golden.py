@@ -14,7 +14,10 @@ each call, before it filled the space's memo; ``verify_positivity_haar_u_4``
 (standard semicircle ``a`` and Haar unitary ``u``, N = 8, basis degree 4, a
 121 x 121 Gram) from the recursive LDL* that copied the whole Schur
 complement at every pivot, before the in-place elimination that touches
-only rows with a nonzero pivot-column entry replaced it.  To capture a new case, add it
+only rows with a nonzero pivot-column entry replaced it; ``cumulants_haar_u_6``,
+``moments_haar_u_6`` and ``verify_cumulants_haar_u_8`` from the table walk that
+ran the dense first-block kernel on every tuple, before the sparse block walk
+replaced it.  To capture a new case, add it
 to ``CASES`` and run from the repository root:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -54,6 +57,10 @@ CASES = {
     "cumulants_bernoulli": ["cumulants", "--from-moments", "specs/bernoulli_pm1.json"],
     "cumulants_factor_u": ["cumulants", "--from-moments", f"{INPUTS}/factor_u.json"],
     "moments_factor_u": ["moments", "--from-cumulants", f"{INPUTS}/cumulants_u.json"],
+    "cumulants_haar_u_6": ["cumulants", "--from-moments", f"{INPUTS}/haar_u_6.json"],
+    "moments_haar_u_6": [
+        "moments", "--from-cumulants", f"{INPUTS}/haar_u_6_cumulants.json",
+    ],
     "convolve_semicircle": [
         "convolve", "specs/semicircle_std.json", "specs/semicircle_std.json",
     ],
@@ -102,6 +109,10 @@ CASES = {
     "verify_positivity_haar_u_4": [
         "verify", "--spec", f"{INPUTS}/semicircle_and_haar_u_8.json", "--max-degree", "4",
         "--mode", "positivity",
+    ],
+    "verify_cumulants_haar_u_8": [
+        "verify", "--spec", f"{INPUTS}/semicircle_and_haar_u_8.json", "--max-degree", "8",
+        "--mode", "cumulants",
     ],
     "verify_table_3": [
         "verify", "--spec", f"{INPUTS}/semicircle_and_u.json", "--max-degree", "3",

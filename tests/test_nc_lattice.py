@@ -18,7 +18,6 @@ from ncprob.nc_lattice import (
     catalan,
     enumerate_nc,
     is_noncrossing,
-    kreweras,
     leq,
     moebius,
     moebius_to_top,
@@ -30,6 +29,7 @@ from conftest import assert_refused
 from nc_oracles import (
     enumerate_nc_by_rgs,
     join_nc_by_rescan,
+    kreweras,
     one_block,
     partition_from_rgs,
     singletons,

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncprob import verification
-from ncprob.cumulant_calculus import first_block_cumulant, letter_table
+from ncprob.cumulant_calculus import first_block_cumulant, first_block_moment, letter_table
 from ncprob.errors import (
     FactorMismatchError,
     SizeOutOfRangeError,
@@ -57,8 +57,10 @@ from nc_oracles import (
     center,
     centered_word_basis,
     eval_phi_n,
+    kappa_elements_by_kernel,
     lattice_sum,
     ldlt_psd_by_recursion,
+    letter_table_by_kernel,
     phi_of_centered_product_by_terms,
     plain_word_gram,
 )
@@ -239,37 +241,54 @@ def test_freeness_cumulants_matches_per_tuple_joint_kappa(rng):
         assert check_freeness_cumulants(joint, 4).violations == tuple(expected)
 
 
+def counted_space(monkeypatch, name):
+    """A golden input's product space, and the list its state_eval calls fill."""
+    space = product_space_from_json(json.loads((GOLDEN_INPUTS / name).read_text()))
+    exact = space.state_eval
+    calls = []
+
+    def counting(letters):
+        calls.append(1)
+        return exact(letters)
+
+    monkeypatch.setattr(space, "state_eval", counting)
+    return space, calls
+
+
 def test_freeness_cumulants_fills_only_the_mixed_tuples(monkeypatch):
-    # Semicircle a + Haar u, N = 6, d = 6: the check reaches the pure tuples
-    # only as sub-tuples, 2,715 state evaluations for 960 mixed tuples.  A
-    # fill of every tuple, pure ones of order up to 6 included, makes 3,042.
-    def counted_space():
-        space = product_space_from_json(
-            json.loads((GOLDEN_INPUTS / "semicircle_and_haar_u_6.json").read_text())
-        )
-        exact = space.state_eval
-        calls = []
-
-        def counting(letters):
-            calls.append(1)
-            return exact(letters)
-
-        monkeypatch.setattr(space, "state_eval", counting)
-        return space, calls
-
-    space, calls = counted_space()
+    # Semicircle a + Haar u, N = 6, d = 6: the sparse walk evaluates the state
+    # once on each of the 363 tuples below order 6, which its prefixes need,
+    # and on the 664 mixed ones of order 6: 1,027 state evaluations for 960
+    # mixed tuples.  A fill of every tuple, the 65 pure ones of order 6
+    # included, makes 1,092.
+    space, calls = counted_space(monkeypatch, "semicircle_and_haar_u_6.json")
     assert check_freeness_cumulants(space, 6).checked_words == 960
-    assert len(calls) == 2715
-    space, calls = counted_space()
+    assert len(calls) == 1027
+    space, calls = counted_space(monkeypatch, "semicircle_and_haar_u_6.json")
     letters = [l for i in sorted(space.factors) for l in space.factor_state(i).letters()]
     full = letter_table(letters, 6, first_block_cumulant, space.state_eval)
-    assert len(full) == 1092 and len(calls) == 3042
+    assert len(full) == 1092 and len(calls) == 1092 > 1027
+
+
+@settings(deadline=None, max_examples=25)
+@given(seed=st.integers(0, 10**6), top=st.integers(1, 4))
+def test_sparse_walk_matches_dense_kernels_on_random_joint_states(seed, top):
+    # Not free, so mixed kappa are nonzero and join the prefixes like pure ones.
+    joint = random_joint_state(random.Random(seed), top)
+    ls = [l for i in sorted(joint.factors) for l in joint.factor_state(i).letters()]
+    table = letter_table(ls, top, first_block_cumulant, joint.state_eval)
+    dense = letter_table_by_kernel(ls, top, first_block_cumulant, joint.state_eval)
+    assert list(table.items()) == list(dense.items())
+    moments = letter_table(ls, top, first_block_moment, table.__getitem__)
+    assert moments == {t: joint.state_eval(t) for t in dense}
 
 
 def test_centered_product_nested_matches_term_list(monkeypatch, rng):
     # Every alternating slot tuple up to degree 4 on random non-free joint
-    # states: the nested expansion gives the term list's value, from the same
-    # state_eval calls in the same order.
+    # states: the nested expansion gives the term list's value.  With a fresh
+    # memo it evaluates the words in the term list's order of first
+    # occurrence, and no more often; with one memo for every tuple, as a
+    # check keeps, the values are the same.
     for _ in range(3):
         joint = random_joint_state(rng, 4)
         exact = joint.state_eval
@@ -282,13 +301,57 @@ def test_centered_product_nested_matches_term_list(monkeypatch, rng):
         monkeypatch.setattr(joint, "state_eval", record)
         slot_tuples = list(verification._alternating_slot_sequences(joint, 4))
         assert len(slot_tuples) > 50
+        shared = {}
         for slots in slot_tuples:
             calls.clear()
             expected = phi_of_centered_product_by_terms(joint, slots)
             oracle_calls = list(calls)
             calls.clear()
-            assert verification._phi_of_centered_product(joint, slots) == expected
-            assert calls == oracle_calls
+            assert verification._phi_of_centered_product(joint, slots, {}) == expected
+            assert list(dict.fromkeys(calls)) == list(dict.fromkeys(oracle_calls))
+            assert len(calls) <= len(oracle_calls)
+            assert verification._phi_of_centered_product(joint, slots, shared) == expected
+
+
+def test_freeness_moments_keeps_one_memo_per_check(monkeypatch):
+    # Semicircle a + Haar u, N = 6, d = 6: 1,092 slot sequences share one
+    # memo of 3,450 finished sub-expansions and 1,453 state evaluations,
+    # where an expansion per sequence made 1,841.
+    space, calls = counted_space(monkeypatch, "semicircle_and_haar_u_6.json")
+    memos = []
+    expand = verification._phi_of_centered_product
+
+    def recording(joint, slots, memo):
+        memos.append(memo)
+        return expand(joint, slots, memo)
+
+    monkeypatch.setattr(verification, "_phi_of_centered_product", recording)
+    assert check_freeness_moments(space, 6).checked_words == len(memos) == 1092
+    assert all(memo is memos[0] for memo in memos)
+    assert len(memos[0]) == 3450 and len(calls) == 1453
+
+
+def test_centered_product_memo_holds_only_finished_values(monkeypatch, two_semicircles):
+    # (a a)° (b b)° expands to a a b b, a a, then b b, which raises here, and
+    # the unit.  The error comes again from the same memo: the word branch of
+    # the first slot finished and stays, the unfinished whole leaves no entry.
+    space = two_semicircles
+    la = space.factor_state("A1").letter("a")
+    lb = space.factor_state("A2").letter("b")
+    exact = space.state_eval
+
+    def state_eval(letters):
+        if letters == (lb, lb):
+            raise TruncationError("b b reached")
+        return exact(letters)
+
+    monkeypatch.setattr(space, "state_eval", state_eval)
+    slots = (("A1", (la, la)), ("A2", (lb, lb)))
+    memo = {}
+    for _ in range(2):
+        with pytest.raises(TruncationError, match="b b reached"):
+            verification._phi_of_centered_product(space, slots, memo)
+        assert memo == {((la, la), slots[1:]): ZERO}
 
 
 @pytest.mark.parametrize("max_degree", [1, 2, 3, 4])
@@ -389,8 +452,8 @@ def test_variance_factorization_matches_grouped_route(rng):
             a = tensor_word_of_letters(space, pa)
             b = tensor_word_of_letters(space, pb)
             direct = variance_factorization(space, a, b, {})
-            general = space.kappa_elements(
-                [FreeElement.from_word(a).star(), FreeElement.from_word(b)]
+            general = kappa_elements_by_kernel(
+                space, [FreeElement.from_word(a).star(), FreeElement.from_word(b)]
             )
             assert direct == general
             if pa != pb:
@@ -410,8 +473,8 @@ def test_variance_factorization_on_a_non_tracial_factor(rng):
         for wt in words:
             if [f for f, _ in ws.components] == [f for f, _ in wt.components]:
                 pairs += 1
-                assert variance_factorization(space, ws, wt, {}) == space.kappa_elements(
-                    [FreeElement.from_word(ws).star(), FreeElement.from_word(wt)]
+                assert variance_factorization(space, ws, wt, {}) == kappa_elements_by_kernel(
+                    space, [FreeElement.from_word(ws).star(), FreeElement.from_word(wt)]
                 )
     assert pairs > 20
 
@@ -457,11 +520,11 @@ def test_kappa2_decomposes_over_patterns(rng):
     ]
     coeffs = [scalar("1/2"), scalar(2), scalar("-1/3"), scalar(1)]
     x = FreeElement(scalar("3/2"), dict(zip(words, coeffs)))
-    total = space.kappa_elements([x.star(), x])
+    total = kappa_elements_by_kernel(space, [x.star(), x])
     expected = ZERO
     for w, c in zip(words, coeffs):
-        expected = expected + c.conjugate() * c * space.kappa_elements(
-            [FreeElement.from_word(w).star(), FreeElement.from_word(w)]
+        expected = expected + c.conjugate() * c * kappa_elements_by_kernel(
+            space, [FreeElement.from_word(w).star(), FreeElement.from_word(w)]
         )
     assert total == expected
 
