@@ -3,7 +3,10 @@
 Subcommands: ``nc``, ``moebius``, ``cumulants``, ``moments``,
 ``product-eval``, ``convolve``, ``verify``.  Output is JSON (default) or an
 aligned table; scalars print as exact rational strings, never floats, and
-the output is byte-identical across runs for identical inputs.
+the output is byte-identical across runs for identical inputs.  ``cumulants``
+and ``moments`` read a factor table (an object with ``generators`` or with an
+object as its table) or else a sequence file, and print the factor table of
+the one as the other reads it.
 
 Exit status: 0 on success, 1 when ``verify`` finds a mathematical violation,
 2 on parse/validation errors or when stdout cannot be written (a closed pipe,
@@ -118,15 +121,23 @@ def _cmd_moebius(args) -> int:
     return 0
 
 
+def _is_factor_table(obj: object, key: str) -> bool:
+    return isinstance(obj, dict) and ("generators" in obj or isinstance(obj.get(key), dict))
+
+
 def _factor_table(
-    factor: str, degree_bound: int, key: str, table: dict
+    letters: tuple, degree_bound: int, key: str, table: dict
 ) -> tuple[dict, list[str]]:
-    """The payload and table lines of a factor spec's ``key`` table, filled by
-    ``cumulant_calculus.letter_table``."""
+    """The payload and table lines of a factor's ``key`` table, filled by
+    ``cumulant_calculus.letter_table``.  The payload lists ``generators``, sorted by
+    name; an object with them, or with an object as its table, is a factor table."""
     from .moment_space import word_text
 
     values = {word_text(t): str(v) for t, v in table.items()}
-    payload = {"factor": factor, "degree_bound": degree_bound, key: values}
+    generators = [{"name": l.name, "selfadjoint": l.generator.selfadjoint}
+                  for l in sorted(letters, key=lambda l: l.name) if not l.starred]
+    payload = {"factor": letters[0].factor, "degree_bound": degree_bound,
+               "generators": generators, key: values}
     return payload, [f"{w}  {v}" for w, v in sorted(values.items())]
 
 
@@ -134,16 +145,14 @@ def _cmd_cumulants(args) -> int:
     from . import cumulant_calculus as cc
 
     obj = _load_json(args.from_moments)
-    if isinstance(obj, dict) and "generators" in obj:
+    if _is_factor_table(obj, "moments"):
         from .moment_space import factor_state_from_json
 
         state = factor_state_from_json(obj)
         table = cc.letter_table(
             state.letters(), state.degree_bound, cc.first_block_cumulant, state.phi_word
         )
-        payload, lines = _factor_table(
-            state.factor, state.degree_bound, "cumulants", table
-        )
+        payload, lines = _factor_table(state.letters(), state.degree_bound, "cumulants", table)
     else:
         moments = _parse_moment_file(obj, "moments", args.from_moments)
         kappas = cc.cumulants_from_moment_sequence(cc.MomentSequence.of(moments))
@@ -157,15 +166,15 @@ def _cmd_moments(args) -> int:
     from . import cumulant_calculus as cc
 
     obj = _load_json(args.from_cumulants)
-    if isinstance(obj, dict) and "generators" in obj:
+    if _is_factor_table(obj, "cumulants"):
         from .moment_space import cumulant_table_from_json
 
-        factor, degree_bound, letters, kappas = cumulant_table_from_json(obj)
+        _, degree_bound, letters, kappas = cumulant_table_from_json(obj)
         # Cannot miss: the walk reads the kappa of every word of order 1..N, all loaded.
         table = cc.letter_table(
             letters, degree_bound, cc.first_block_moment, kappas.__getitem__
         )
-        payload, lines = _factor_table(factor, degree_bound, "moments", table)
+        payload, lines = _factor_table(letters, degree_bound, "moments", table)
     else:
         kappas = _parse_moment_file(obj, "cumulants", args.from_cumulants)
         seq = cc.moment_sequence_from_cumulants(kappas)
