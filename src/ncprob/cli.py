@@ -5,8 +5,8 @@ Subcommands: ``nc``, ``moebius``, ``cumulants``, ``moments``,
 aligned table; scalars print as exact rational strings, never floats, and
 the output is byte-identical across runs for identical inputs.  ``cumulants``
 and ``moments`` read a factor table (an object with ``generators`` or with an
-object as its table) or else a sequence file, and print the factor table of
-the one as the other reads it.
+object as its table) or else a sequence file, and the factor table either one
+prints is one the other reads.
 
 Exit status: 0 on success, 1 when ``verify`` finds a mathematical violation,
 2 on parse/validation errors or when stdout cannot be written (a closed pipe,

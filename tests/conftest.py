@@ -54,10 +54,12 @@ def random_factor_state(
     index: str,
     names: tuple[str, ...] = ("a",),
     degree_bound: int = 4,
-    selfadjoint: bool = True,
+    selfadjoint: bool | tuple[bool, ...] = True,
 ) -> FactorState:
-    """A random star-consistent (not necessarily positive) factor state."""
-    generators = [GeneratorSymbol(n, selfadjoint=selfadjoint) for n in names]
+    """A random star-consistent (not necessarily positive) factor state;
+    ``selfadjoint`` is one flag for every name, or a tuple of one per name."""
+    flags = (selfadjoint,) * len(names) if isinstance(selfadjoint, bool) else selfadjoint
+    generators = [GeneratorSymbol(n, selfadjoint=s) for n, s in zip(names, flags)]
     letters = []
     for g in generators:
         letters.append(Letter(g, False, index))
@@ -70,7 +72,7 @@ def random_factor_state(
         key, _ = canonical_moment_key(word)
         if key in moments:
             continue
-        value = small_scalar(rng, complex_ok=not selfadjoint)
+        value = small_scalar(rng, complex_ok=not all(flags))
         if key == star_word(key):
             value = ComplexRational(value.re)
         moments[key] = value

@@ -1,12 +1,16 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
 import tracemalloc
 from fractions import Fraction
 from itertools import product as iproduct
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -15,10 +19,16 @@ from hypothesis import strategies as st
 
 from ncprob import cumulant_calculus, nc_lattice, verification
 from ncprob.cli import main
+from ncprob.moment_space import (
+    all_words,
+    cumulant_table_from_json,
+    factor_state_from_json,
+    word_text,
+)
 from ncprob.nc_lattice import catalan
 from ncprob.scalar import ONE, ComplexRational
 
-from conftest import SPECS
+from conftest import SPECS, random_factor_state
 from nc_oracles import enumerate_nc_by_rgs
 
 
@@ -153,12 +163,9 @@ def test_joint_table_round_trip(tmp_path, capsys):
     src.write_text(json.dumps(factor_spec))
     code, out, _ = run(capsys, ["cumulants", "--from-moments", src])
     assert code == 0
-    table = json.loads(out)
-    assert table["factor"] == "A1"
-    back_spec = dict(factor_spec)
-    back_spec["cumulants"] = table["cumulants"]
+    assert json.loads(out)["factor"] == "A1"
     back = tmp_path / "back.json"
-    back.write_text(json.dumps(back_spec))
+    back.write_text(out)  # the printed table, as printed
     code, out2, _ = run(capsys, ["moments", "--from-cumulants", back])
     assert code == 0
     reconstructed = json.loads(out2)["moments"]
@@ -190,7 +197,11 @@ def test_two_generator_table_round_trip(tmp_path, capsys):
     back.write_text(json.dumps({**spec, "cumulants": json.loads(out)["cumulants"]}))
     code, out, _ = run(capsys, ["moments", "--from-cumulants", back])
     assert code == 0
-    assert json.loads(out) == {"factor": "A", "degree_bound": 3, "moments": moments}
+    assert json.loads(out) == {
+        "factor": "A", "degree_bound": 3, "moments": moments,
+        "generators": [{"name": "a", "selfadjoint": True},
+                       {"name": "u", "selfadjoint": False}],
+    }
 
 
 def two_generator_factor(generators):
@@ -226,6 +237,75 @@ def test_factor_tables_do_not_depend_on_the_generator_order(tmp_path, capsys, ou
         printed[tuple(generators)] = table, moments
     assert printed[("a", "b")] == printed[("b", "a")]
     assert all("b a b a" in text for text in printed[("a", "b")])
+
+
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+# The command that reads a factor table under one key is named after the
+# other key, and prints its table under that key.
+OTHER_KEY = {"moments": "cumulants", "cumulants": "moments"}
+
+
+def cli_stdout(argv):
+    """The stdout of one CLI run that exits 0, in process and without
+    ``capsys``, so a hypothesis test can call it."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([str(a) for a in argv]) == 0
+    return out.getvalue()
+
+
+def round_trip(src, printed, key):
+    """Feed the stdout of the command that reads the ``key`` table in ``src``
+    unedited to the other command, through the file ``printed``, and return
+    the other command's parsed stdout."""
+    other = OTHER_KEY[key]
+    printed.write_text(cli_stdout([other, f"--from-{key}", src]))
+    return json.loads(cli_stdout([key, f"--from-{other}", printed]))
+
+
+def table_entries(obj, key):
+    """A factor table's value on every word of order 1..N, w* filled in from w."""
+    if key == "cumulants":  # the loader refuses a table without every word
+        return cumulant_table_from_json(obj)[3]
+    state = factor_state_from_json(obj)
+    return {w: state.phi_word(w) for w in all_words(state.letters(), state.degree_bound) if w}
+
+
+@pytest.mark.parametrize("name, key", [
+    ("factor_u.json", "moments"), ("haar_u_6.json", "moments"), ("not_psd.json", "moments"),
+    ("cumulants_u.json", "cumulants"), ("haar_u_6_cumulants.json", "cumulants"),
+])
+def test_a_printed_factor_table_is_the_other_commands_input(tmp_path, name, key):
+    # The stdout of one command, fed to the other, gives back the input's
+    # table, compared as parsed tables.
+    src = GOLDEN_INPUTS / name
+    back = round_trip(src, tmp_path / "printed.json", key)
+    assert table_entries(back, key) == table_entries(json.loads(src.read_text()), key)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), degree_bound=st.integers(1, 3),
+       names=st.permutations(["a", "u"]))
+def test_random_factor_tables_round_trip_through_the_printed_table(seed, degree_bound, names):
+    # One random star-consistent table over a selfadjoint a and a
+    # non-selfadjoint u, read once as moments and once as cumulants: the
+    # table printed from it, fed back, prints it again, with the generators
+    # sorted by name whatever order the input lists them in.
+    state = random_factor_state(
+        random.Random(seed), "A", tuple(names), degree_bound,
+        selfadjoint=tuple(n == "a" for n in names),
+    )
+    table = {word_text(w): str(state.phi_word(w))
+             for w in all_words(state.letters(), degree_bound) if w}
+    generators = [{"name": g.name, "selfadjoint": g.selfadjoint} for g in state.generators]
+    spec = {"factor": "A", "degree_bound": degree_bound, "generators": generators}
+    with tempfile.TemporaryDirectory() as tmp:
+        src, printed = Path(tmp, "table.json"), Path(tmp, "printed.json")
+        for key in OTHER_KEY:
+            src.write_text(json.dumps({**spec, key: table}))
+            assert round_trip(src, printed, key) == {
+                **spec, key: table, "generators": sorted(generators, key=itemgetter("name")),
+            }
 
 
 def test_product_eval(capsys):
@@ -527,7 +607,9 @@ def test_malformed_product_eval_input_is_one_error_line(tmp_path, capsys, spec, 
     ([{"name": "a", "selfadjoint": True}] * 2, {"a": "0"},
      "duplicate generator names in factor 'A'"),
     ([], {"a": "0"}, "factor 'A' has no generators"),
-], ids=["no-generators", "duplicate-names", "no-generators-before-an-unknown-letter"])
+    (None, {"a": "0"}, "factor spec missing key 'generators'"),
+], ids=["no-generators", "duplicate-names", "no-generators-before-an-unknown-letter",
+        "no-generators-key"])
 @pytest.mark.parametrize("command,key", [
     ("cumulants", "moments"), ("moments", "cumulants"),
 ])
@@ -536,8 +618,11 @@ def test_factor_spec_commands_refuse_the_same_generator_lists(
 ):
     # A moment spec and the same spec given by cumulants go through one
     # generator-list check, before any word is read, so both commands
-    # refuse with one error line.
+    # refuse with one error line.  An object-valued table makes a factor
+    # table, so one without the generators key is refused as a factor table.
     spec = {"factor": "A", "degree_bound": 1, "generators": generators, key: table}
+    if generators is None:
+        del spec["generators"]
     src = tmp_path / "spec.json"
     src.write_text(json.dumps(spec))
     assert run(capsys, [command, f"--from-{key}", src]) == (2, "", f"error: {message}\n")
@@ -632,7 +717,6 @@ def test_only_verify_loads_the_checks(monkeypatch, argv, loaded):
     assert ("ncprob.verification" in imported) == loaded
 
 
-GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 SEQUENCE_MODULES = {"cumulant_calculus", "nc_lattice", "scalar"}
 FACTOR_MODULES = SEQUENCE_MODULES | {"moment_space"}
 SEQUENCE = str(SPECS / "semicircle_std.json")

@@ -17,8 +17,12 @@ complement at every pivot, before the in-place elimination that touches
 only rows with a nonzero pivot-column entry replaced it; ``cumulants_haar_u_6``,
 ``moments_haar_u_6`` and ``verify_cumulants_haar_u_8`` from the table walk that
 ran the dense first-block kernel on every tuple, before the sparse block walk
-replaced it.  To capture a new case, add it
-to ``CASES`` and run from the repository root:
+replaced it.  ``cumulants_factor_u``, ``moments_factor_u``,
+``cumulants_haar_u_6`` and ``moments_haar_u_6`` were re-captured by the sparse
+block walk when a printed factor table gained its ``generators`` list, so that
+the other command reads it; each differs from the earlier bytes by that key
+alone.  To capture a new case, add it to ``CASES`` and run from the repository
+root:
 
     PYTHONPATH=src python tests/test_golden.py
 
