@@ -85,11 +85,13 @@ class TensorWord(Value):
         )
 
     def sort_key(self) -> tuple:
+        # A centered component's unit coefficient is -phi of its other terms,
+        # so the key leaves it out: a mean never decides the order.
         return (
             self.degree,
             len(self.components),
             tuple(
-                (f, tuple((word_sort_key(w), str(c)) for w, c in p.items()))
+                (f, tuple((word_sort_key(w), str(c)) for w, c in p.items() if w))
                 for f, p in self.components
             ),
         )

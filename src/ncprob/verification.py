@@ -3,15 +3,18 @@ and exact positivity of states.
 
 Positivity has one route, the Gram of a ProductSpace; a single factor is
 checked as ``ProductSpace([state])``.  The basis is the unit plus the
-alternating tensor words of centered factor monomials, and the Gram entry
-phi(b_s* b_t) is the state on the concatenated atoms of the two words, read
-off the free cumulants without multiplying the words in the algebra.  By the
-paper's Lemma 3 the Gram is 1 plus one block per factor pattern, each built
-from the factors' centered Grams.  Positive semidefiniteness is decided over
-the rationals by pivoted LDL* without square roots: eliminate each positive
-diagonal pivot in place, updating only the entries its Schur complement
-changes, and on failure lift the witness back through the pivots in reverse,
-so a failing matrix always comes with a rational vector x with x* M x < 0.
+alternating tensor words of centered factor monomials, ordered by degree,
+number of slots, then each slot's factor and word, whatever the factor means
+are.  The Gram entry phi(b_s* b_t) is the state on the concatenated atoms of
+the two words, read off the free cumulants without multiplying the words in
+the algebra.  By the paper's Lemma 3 the Gram is 1 plus one block per factor
+pattern, each built from the factors' centered Grams; the side check reads
+each slot's kappa_2 from three moments of its factor.  Positive
+semidefiniteness is decided over the rationals by pivoted LDL* without
+square roots: eliminate each positive diagonal pivot in place, updating only
+the entries its Schur complement changes, and on failure lift the witness
+back through the pivots in reverse, so a failing matrix always comes with a
+rational vector x with x* M x < 0.
 
 Freeness checks run on a joint state: a ProductSpace or an
 ExplicitJointState, which both have ``degree_bound``, ``factors`` (index ->
@@ -32,7 +35,6 @@ from .moment_space import (
     FactorState,
     GeneratorSymbol,
     Letter,
-    Polynomial,
     Word,
     all_words,
     generator_letters,
@@ -105,6 +107,7 @@ class ExplicitJointState:
 
 
 JointState = ProductSpace | ExplicitJointState
+Slots = tuple[tuple[str, Word], ...]  # a centered tensor word's (factor, word) slots
 
 
 # -- freeness reports --------------------------------------------------------
@@ -135,9 +138,7 @@ class FreenessReport(Value):
         }
 
 
-def _alternating_slot_sequences(
-    joint: JointState, max_degree: int
-) -> Iterator[tuple[tuple[str, Word], ...]]:
+def _alternating_slot_sequences(joint: JointState, max_degree: int) -> Iterator[Slots]:
     """Alternating tuples of (factor, monomial) slots of total degree <= max."""
     indices = sorted(joint.factors)
     words_by_factor = {
@@ -145,9 +146,7 @@ def _alternating_slot_sequences(
         for i in indices
     }
 
-    def extend(
-        slots: tuple[tuple[str, Word], ...], used: int
-    ) -> Iterator[tuple[tuple[str, Word], ...]]:
+    def extend(slots: Slots, used: int) -> Iterator[Slots]:
         if slots:
             yield slots
         for index in indices:
@@ -186,9 +185,7 @@ def check_freeness_moments(target: JointState, max_degree: int) -> FreenessRepor
     return FreenessReport("moments", max_degree, checked, tuple(violations))
 
 
-def _phi_of_centered_product(
-    joint: JointState, slots: tuple[tuple[str, Word], ...], memo: dict
-) -> ComplexRational:
+def _phi_of_centered_product(joint: JointState, slots: Slots, memo: dict) -> ComplexRational:
     # phi of prod_j (w_j - m_j 1), m_j = phi_j(w_j), nested slot by slot:
     # F(j, p) = F(j + 1, p w_j) - m_j F(j + 1, p), F(k, p) = phi(p), the word
     # branch first; a mean branch runs only if m_j != 0, and adds if nonzero.
@@ -233,34 +230,31 @@ def check_freeness_cumulants(target: JointState, max_degree: int) -> FreenessRep
 # -- variance factorization ---------------------------------------------------
 
 
-def _factor_kappa2(
-    state: FactorState, left: Polynomial, right: Polynomial
-) -> ComplexRational:
-    # kappa_2 is bilinear and 0 on the unit, so it sums c d (phi(vw) - phi(v)
-    # phi(w)) over non-unit words, from the factor's moments alone.
-    return sum((
-        c * d * (state.phi_word(v + w) - state.phi_word(v) * state.phi_word(w))
-        for v, c in left.items() if v for w, d in right.items() if w
-    ), ZERO)
+def _factor_kappa2(state: FactorState, v: Word, w: Word) -> ComplexRational:
+    # kappa_2(v°*, w°) = phi(v* w) - phi(v*) phi(w): kappa_2 is 0 on the unit,
+    # so the means drop out and three moments of the factor's table remain.
+    vs = star_word(v)
+    return state.phi_word(vs + w) - state.phi_word(vs) * state.phi_word(w)
 
 
 def variance_factorization(
-    space: ProductSpace, a: TensorWord, b: TensorWord, kappa2s: dict
+    space: ProductSpace, a: Slots, b: Slots, kappa2s: dict
 ) -> ComplexRational:
-    """kappa_2(a*, b) via the slotwise product formula.
+    """kappa_2(a*, b) of two centered tensor words via the slotwise product
+    formula, from their (factor, word) slots as ``centered_basis`` gives them.
 
-    Zero unless the two words have equal length and identical factor
-    patterns; otherwise the product over slots u of kappa_2(a_u*, b_u).
-    ``kappa2s`` is the caller's memo of slot kappa_2 by (factor, a_u, b_u),
-    read and filled.
+    Zero unless the two words have the same factor pattern; otherwise the
+    product over slots u of kappa_2(a_u°*, b_u°), each read from three moments
+    of the factor.  ``kappa2s`` is the caller's memo of slot kappa_2 by
+    (factor, a_u, b_u), read and filled.
     """
-    if [f for f, _ in a.components] != [f for f, _ in b.components]:
+    if [f for f, _ in a] != [f for f, _ in b]:
         return ZERO
     total = ONE
-    for (factor, pa), (_, pb) in zip(a.components, b.components):
-        key = (factor, pa, pb)
+    for (factor, v), (_, w) in zip(a, b):
+        key = (factor, v, w)
         if key not in kappa2s:
-            kappa2s[key] = _factor_kappa2(space.factor_state(factor), pa.star(), pb)
+            kappa2s[key] = _factor_kappa2(space.factor_state(factor), v, w)
         total = total * kappa2s[key]
         if total.is_zero():
             break
@@ -382,19 +376,21 @@ def check_positivity(space: ProductSpace, basis_degree: int) -> PositivityResult
     """Exact Gram-matrix PSD check of a product state up to basis_degree.
 
     The basis is the unit plus every alternating tensor word of centered
-    factor monomials of degree <= basis_degree; entry (s, t) is the state on
-    the concatenated atoms of b_s* and b_t, which the state evaluates
-    without multiplying the words.  Both are the space's own centered words,
-    b_s* those of the starred monomials, so the state's memos match them by
-    identity.  A factor is checked as the one-factor space
-    ``ProductSpace([state])``.  By the paper's Lemma 3 an entry between the
-    unit and a word, or between words of different factor patterns, is
-    exactly 0 (checked, like the Hermitian symmetry), so the Gram is 1 plus
-    one block per pattern and ``ldlt_psd``, which skips zero rows, factors
-    it block by block.  The Lemma-3 structure is verified on the side, from
-    the factors' moment tables alone: on each family of same-pattern tensor
-    words the kappa_2 Gram equals the entrywise product of the per-slot
-    kappa_2 matrices.
+    factor monomials of degree <= basis_degree, in the order of
+    ``centered_basis``, which the factor means do not change; entry (s, t)
+    is the state on the concatenated atoms of b_s* and b_t, which the state
+    evaluates without multiplying the words.  Both are the space's own
+    centered words, b_s* those of the starred monomials, so the state's
+    memos match them by identity.  A factor is checked as the one-factor
+    space ``ProductSpace([state])``.  By the paper's Lemma 3 an entry
+    between the unit and a word, or between words of different factor
+    patterns, is exactly 0 (checked, like the Hermitian symmetry), so the
+    Gram is 1 plus one block per pattern and ``ldlt_psd``, which skips zero
+    rows, factors it block by block.  The Lemma-3 structure is verified on
+    the side, from the factors' moment tables alone: on each family of
+    same-pattern tensor words the kappa_2 Gram equals the entrywise product
+    of the per-slot kappa_2 matrices, each slot entry phi(v* w) - phi(v*)
+    phi(w) on the slots' words v and w.
     """
     if not isinstance(space, ProductSpace):
         raise ValidationError(f"cannot treat {space!r} as a product space")
@@ -406,24 +402,24 @@ def check_positivity(space: ProductSpace, basis_degree: int) -> PositivityResult
             f"{2 * basis_degree} > bound {space.degree_bound}"
         )
     basis = centered_basis(space, basis_degree)
-    words = [word for word, _ in basis]
-    labels = ("1",) + tuple(w.text() for w in words)
+    labels = ("1",) + tuple(word.text() for word, _ in basis)
     # b_s* is centered w* over the slots of b_s reversed: phi(w*) = conj phi(w)
     left = [()] + [
         tuple((f, space.centered_word(f, star_word(w))) for f, w in reversed(slots))
         for _, slots in basis
     ]
-    right = [()] + [w.components for w in words]
+    right = [()] + [word.components for word, _ in basis]
     entries = tuple(tuple(space.state_eval(ls + rt) for rt in right) for ls in left)
-    schur_ok = _lemma3_structure_holds(space, words, labels, entries)
+    schur_ok = _lemma3_structure_holds(space, [s for _, s in basis], labels, entries)
     gram = GramMatrix(labels, entries)
     psd, pivots, witness = ldlt_psd(gram.entries)
     return PositivityResult(psd, pivots, witness, gram, schur_ok)
 
 
-def centered_basis(space: ProductSpace, max_degree: int) -> list[tuple[TensorWord, tuple]]:
+def centered_basis(space: ProductSpace, max_degree: int) -> list[tuple[TensorWord, Slots]]:
     """Alternating tensor words of centered factor monomials, degree <= max,
-    each beside its (factor, monomial) slots."""
+    each beside its (factor, monomial) slots, ordered by degree, number of
+    slots, then each slot's factor and word: the factor means do not enter."""
     out = [
         (TensorWord(tuple((f, space.centered_word(f, w)) for f, w in slots)), slots)
         for slots in _alternating_slot_sequences(space, max_degree)
@@ -433,14 +429,14 @@ def centered_basis(space: ProductSpace, max_degree: int) -> list[tuple[TensorWor
 
 
 def _lemma3_structure_holds(
-    space: ProductSpace, words: Sequence[TensorWord], labels, entries
+    space: ProductSpace, slots: Sequence[Slots], labels, entries
 ) -> bool:
-    # Index 0 is the unit, of empty pattern; index k is words[k - 1].  In one
+    # Index 0 is the unit, of empty pattern; index k is slots[k - 1].  In one
     # row-major pass an entry across patterns must be 0, else it is an internal
     # error, also after a kappa_2 mismatch.  Up to the first mismatch, within a
     # pattern kappa_2(b_s*, b_t) = phi(b_s* b_t) must factor over the slots (each
     # computed once): row s has met phi(b_s*), the entry (s, 0), as 0.
-    patterns = [()] + [tuple(f for f, _ in w.components) for w in words]
+    patterns = [()] + [tuple(f for f, _ in ss) for ss in slots]
     kappa2s: dict = {}
     consistent = True
     for s, row in enumerate(entries):
@@ -453,6 +449,6 @@ def _lemma3_structure_holds(
                     )
             elif s and consistent:
                 consistent = entry == variance_factorization(
-                    space, words[s - 1], words[t - 1], kappa2s
+                    space, slots[s - 1], slots[t - 1], kappa2s
                 )
     return consistent
