@@ -392,6 +392,25 @@ def test_verify_schur_inconsistent_is_status_1(monkeypatch, capsys):
     assert payload["schur_consistent"] is False
 
 
+def test_verify_positivity_basis_order_does_not_depend_on_the_means(tmp_path, capsys):
+    # One factor of selfadjoint a and b, N = 2: the basis is 1, a°, b° with
+    # either mean the larger.
+    spec = tmp_path / "spec.json"
+    for mean_a, mean_b in [("1/2", "1/3"), ("1/3", "1/2")]:
+        spec.write_text(json.dumps({
+            "factor": "A", "degree_bound": 2,
+            "generators": [{"name": n, "selfadjoint": True} for n in ("a", "b")],
+            "moments": {"a": mean_a, "b": mean_b, "a a": "1", "a b": "0", "b b": "1"},
+        }))
+        code, out, _ = run(
+            capsys, ["verify", "--spec", spec, "--max-degree", "1", "--mode", "positivity"]
+        )
+        assert code == 0
+        assert json.loads(out)["positivity"]["basis"] == [
+            "1", f"[(-{mean_a}) 1 + (1) a]@A", f"[(-{mean_b}) 1 + (1) b]@A",
+        ]
+
+
 def test_verify_table_output(capsys):
     spec = SPECS / "two_semicircles.json"
     code, out, _ = run(

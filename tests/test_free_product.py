@@ -234,6 +234,19 @@ def test_star_reverses_tensor_words(two_semicircles):
     assert w.star() == TensorWord((("A2", b0.star()), ("A1", a0.star())))
 
 
+def test_free_element_text_lists_words_in_word_order():
+    # phi(a) = 1/3, phi(b) = 1/2: by the text of the means ("-1/2" < "-1/3")
+    # b° would come first; by the words, a° does.
+    ga, gb = GeneratorSymbol("a", selfadjoint=True), GeneratorSymbol("b", selfadjoint=True)
+    la, lb = Letter(ga, False, "A1"), Letter(gb, False, "A1")
+    means = {(la,): ComplexRational.of(Fraction(1, 3)),
+             (lb,): ComplexRational.of(Fraction(1, 2))}
+    space = ProductSpace([FactorState("A1", 1, [ga, gb], means)])
+    a0, b0 = (TensorWord((("A1", space.centered_word("A1", w)),)) for w in means)
+    x = FreeElement(ZERO, {b0: ONE, a0: ONE})
+    assert x.text() == "(1) [(-1/3) 1 + (1) a]@A1 + (1) [(-1/2) 1 + (1) b]@A1"
+
+
 def test_multiply_degree_overflow():
     space = ProductSpace(
         [semicircle_factor("A1", "a", 2), semicircle_factor("A2", "b", 2)]

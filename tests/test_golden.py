@@ -21,8 +21,14 @@ replaced it.  ``cumulants_factor_u``, ``moments_factor_u``,
 ``cumulants_haar_u_6`` and ``moments_haar_u_6`` were re-captured by the sparse
 block walk when a printed factor table gained its ``generators`` list, so that
 the other command reads it; each differs from the earlier bytes by that key
-alone.  To capture a new case, add it to ``CASES`` and run from the repository
-root:
+alone.  ``verify_positivity_haar_u_2``, ``verify_positivity_haar_u_3``,
+``verify_positivity_haar_u_4`` and ``verify_positivity_not_psd_u_2`` were
+re-captured when the basis came to be ordered by its (factor, word) slots
+alone, not by the text of the factor means: each new ``basis`` is a
+permutation of the earlier one, with the same ``psd``, ``schur_consistent``,
+``pivots`` and exit code, and the witness of ``not_psd_u_2`` still has
+x* M x < 0 on the Gram in the new order.  To capture a new case, add it to
+``CASES`` and run from the repository root:
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -143,6 +149,13 @@ def test_golden_output(name):
     assert code == expected_codes[name]
     assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
     assert err == (GOLDEN / f"{name}.err").read_text(encoding="utf-8")
+
+
+def test_cases_goldens_and_exit_codes_name_the_same_cases():
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    outs = {p.stem for p in GOLDEN.glob("*.out")}
+    errs = {p.stem for p in GOLDEN.glob("*.err")}
+    assert set(CASES) == outs == errs == set(codes)
 
 
 if __name__ == "__main__":

@@ -37,6 +37,7 @@ from ncprob.scalar import ONE, ZERO, ComplexRational
 from ncprob.verification import (
     ExplicitJointState,
     GramMatrix,
+    centered_basis,
     check_freeness_cumulants,
     check_freeness_moments,
     check_positivity,
@@ -435,13 +436,14 @@ def test_equivalence_on_random_spaces(rng):
 # -- variance factorization -------------------------------------------------------
 
 
-def tensor_word_of_letters(space, pattern):
-    components = []
-    for index in pattern:
-        state = space.factor_state(index)
-        la = state.letters()[0]
-        components.append((index, center(state, Polynomial.from_letter(la))))
-    return TensorWord(tuple(components))
+def slots_of_letters(space, pattern):
+    """One slot per factor of ``pattern``: its first letter, as a one-letter word."""
+    return tuple((index, space.factor_state(index).letters()[:1]) for index in pattern)
+
+
+def tensor_word(space, slots):
+    """The space's centered tensor word on ``slots``."""
+    return TensorWord(tuple((f, space.centered_word(f, w)) for f, w in slots))
 
 
 def test_variance_factorization_matches_grouped_route(rng):
@@ -449,11 +451,13 @@ def test_variance_factorization_matches_grouped_route(rng):
     patterns = [("A1",), ("A2",), ("A1", "A2"), ("A2", "A1"), ("A1", "A2", "A1")]
     for pa in patterns:
         for pb in patterns:
-            a = tensor_word_of_letters(space, pa)
-            b = tensor_word_of_letters(space, pb)
+            a = slots_of_letters(space, pa)
+            b = slots_of_letters(space, pb)
             direct = variance_factorization(space, a, b, {})
             general = kappa_elements_by_kernel(
-                space, [FreeElement.from_word(a).star(), FreeElement.from_word(b)]
+                space,
+                [FreeElement.from_word(tensor_word(space, a)).star(),
+                 FreeElement.from_word(tensor_word(space, b))],
             )
             assert direct == general
             if pa != pb:
@@ -467,21 +471,23 @@ def test_variance_factorization_on_a_non_tracial_factor(rng):
     lu = u_state.letter("u")
     assert u_state.phi_word((lu, lu.star())) != u_state.phi_word((lu.star(), lu))
     space = ProductSpace([semicircle_factor("A1", "a", 4), u_state])
-    words = centered_word_basis(space, 2)
+    basis = centered_basis(space, 2)
     pairs = 0
-    for ws in words:
-        for wt in words:
-            if [f for f, _ in ws.components] == [f for f, _ in wt.components]:
+    for ws, slots_s in basis:
+        for wt, slots_t in basis:
+            if [f for f, _ in slots_s] == [f for f, _ in slots_t]:
                 pairs += 1
-                assert variance_factorization(space, ws, wt, {}) == kappa_elements_by_kernel(
-                    space, [FreeElement.from_word(ws).star(), FreeElement.from_word(wt)]
+                assert variance_factorization(space, slots_s, slots_t, {}) == (
+                    kappa_elements_by_kernel(
+                        space, [FreeElement.from_word(ws).star(), FreeElement.from_word(wt)]
+                    )
                 )
     assert pairs > 20
 
 
 def test_variance_factorization_mismatched_lengths(two_semicircles):
-    a = tensor_word_of_letters(two_semicircles, ("A1",))
-    b = tensor_word_of_letters(two_semicircles, ("A1", "A2"))
+    a = slots_of_letters(two_semicircles, ("A1",))
+    b = slots_of_letters(two_semicircles, ("A1", "A2"))
     assert variance_factorization(two_semicircles, a, b, {}) == ZERO
 
 
@@ -492,9 +498,7 @@ def test_variance_single_slot_is_phi_of_product(rng):
     la = state.letters()[0]
     a0 = center(state, Polynomial.from_letter(la))
     b0 = center(state, Polynomial.from_letter(la) * Polynomial.from_letter(la))
-    value = variance_factorization(
-        space, TensorWord((("A1", a0),)), TensorWord((("A1", b0),)), {}
-    )
+    value = variance_factorization(space, (("A1", (la,)),), (("A1", (la, la)),), {})
     assert value == eval_phi_n(state, [a0.star(), b0])
 
 
@@ -503,7 +507,7 @@ def test_variance_self_pairing_nonnegative(rng):
         [measure_factor_state(rng, "A1", "a", 6), measure_factor_state(rng, "A2", "b", 6)]
     )
     for pattern in [("A1",), ("A1", "A2"), ("A2", "A1")]:
-        w = tensor_word_of_letters(space, pattern)
+        w = slots_of_letters(space, pattern)
         value = variance_factorization(space, w, w, {})
         assert value.is_real() and value.re >= 0
 
@@ -513,10 +517,8 @@ def test_kappa2_decomposes_over_patterns(rng):
     # pairs: cross-pattern and constant terms vanish exactly
     space = random_product_space(rng, 2, 6)
     words = [
-        tensor_word_of_letters(space, ("A1",)),
-        tensor_word_of_letters(space, ("A2",)),
-        tensor_word_of_letters(space, ("A1", "A2")),
-        tensor_word_of_letters(space, ("A2", "A1")),
+        tensor_word(space, slots_of_letters(space, pattern))
+        for pattern in [("A1",), ("A2",), ("A1", "A2"), ("A2", "A1")]
     ]
     coeffs = [scalar("1/2"), scalar(2), scalar("-1/3"), scalar(1)]
     x = FreeElement(scalar("3/2"), dict(zip(words, coeffs)))
@@ -888,6 +890,22 @@ def test_centered_word_basis_degrees(two_semicircles):
     assert all(w.degree <= 2 for w in words)
     # 2 letters of degree 1, 2 squares, 2 alternating length-2 patterns
     assert len(words) == 6
+
+
+@settings(deadline=None, max_examples=25)
+@given(seeds=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)))
+def test_basis_order_does_not_depend_on_the_moments(seeds):
+    # Two random tables over the same a, b and u, N = 4, each with its own
+    # means: the slot order of the degree-2 basis is the same.
+    orders = []
+    for seed in seeds:
+        rng = random.Random(seed)
+        space = ProductSpace([
+            random_factor_state(rng, "A1", ("a", "b"), 4),
+            random_factor_state(rng, "A2", ("u",), 4, selfadjoint=False),
+        ])
+        orders.append([slots for _, slots in centered_basis(space, 2)])
+    assert orders[0] == orders[1]
 
 
 @pytest.mark.parametrize("make, error, message", [
