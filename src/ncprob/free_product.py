@@ -1,9 +1,12 @@
 """The free product of factor spaces, built cumulant-first.
 
-The algebra is spanned by a unit plus reduced tensor words: alternating
-sequences of centered factor polynomials.  Multiplication concatenates and,
-when boundary factors coincide, merges the boundary pair into its centered
-part plus a scalar times the recursively reduced shorter product.
+The algebra is spanned by the unit and the alternating products of centered
+factor monomials w° = w - phi_i(w) 1 (Nica & Speicher, Lecture 6), each a
+tuple of (factor, word) slots, so every element is in normal form; the
+state reads a slot as its (factor, centered polynomial) pair atom.
+Multiplication concatenates and, where the boundary slots share a factor,
+merges them by v° w° = (vw)° - phi(w) v° - phi(v) w° + (phi(vw) - phi(v)
+phi(w)) 1, recursing on the scalar term.
 
 The state phi(a_1..a_n) is the sum over sigma in NC(n) of the blockwise
 product of base cumulants: a factor's own on a pure block, 0 on a block that
@@ -44,81 +47,66 @@ from .moment_space import (
     Word,
     check_degree_bound,
     factor_state_from_json,
+    star_word,
     word_sort_key,
+    word_text,
 )
 from .scalar import ONE, ZERO, ComplexRational
-from .value import Value
 
 Atom = Letter | tuple[str, Polynomial]
+Slots = tuple[tuple[str, Word], ...]  # a centered tensor word's (factor, word) slots
 
 
 def _factor_of(atom: Atom) -> str:
     return atom.factor if atom.__class__ is Letter else atom[0]
 
 
-class TensorWord(Value):
-    """An alternating tensor word of (factor, centered polynomial) components."""
+def slots_sort_key(slots: Slots) -> tuple:
+    """Degree, number of slots, then each slot's factor and word: the order
+    of the positivity basis and of ``FreeElement.items``."""
+    degree = sum(len(w) for _, w in slots)
+    return degree, len(slots), tuple((f, word_sort_key(w)) for f, w in slots)
 
-    __slots__ = ("components",)
 
-    def __init__(self, components: tuple[tuple[str, Polynomial], ...]):
-        if not components:
-            raise ValidationError("tensor word must have at least one component")
-        previous = None
-        for factor, poly in components:
-            if factor == previous:
-                raise ValidationError(
-                    f"adjacent components share factor {factor!r}"
-                )
-            if poly.is_zero():
-                raise ValidationError("zero component in tensor word")
-            previous = factor
-        object.__setattr__(self, "components", components)
+def star_slots(slots: Slots) -> Slots:
+    """The slots of the starred word: (v° w°)* = (w*)° (v*)°."""
+    return tuple((f, star_word(w)) for f, w in reversed(slots))
 
-    @property
-    def degree(self) -> int:
-        return sum(poly.degree for _, poly in self.components)
 
-    def star(self) -> "TensorWord":
-        return TensorWord(
-            tuple((f, p.star()) for f, p in reversed(self.components))
-        )
+def slots_text(slots: Slots) -> str:
+    """The centered product as ``(a)° (u u*)°``."""
+    return " ".join(f"({word_text(w)})°" for _, w in slots)
 
-    def sort_key(self) -> tuple:
-        # A centered component's unit coefficient is -phi of its other terms,
-        # so the key leaves it out: a mean never decides the order.
-        return (
-            self.degree,
-            len(self.components),
-            tuple(
-                (f, tuple((word_sort_key(w), str(c)) for w, c in p.items() if w))
-                for f, p in self.components
-            ),
-        )
 
-    def text(self) -> str:
-        return " (x) ".join(f"[{p.text()}]@{f}" for f, p in self.components)
-
-    def __repr__(self) -> str:
-        return f"TensorWord({self.text()})"
+def _check_slots(slots: Slots) -> None:
+    if not slots:
+        raise ValidationError("tensor word must have at least one slot")
+    previous = None
+    for factor, word in slots:
+        if factor == previous:
+            raise ValidationError(f"adjacent slots share factor {factor!r}")
+        if not word:
+            raise ValidationError("the unit word is no tensor word slot")
+        previous = factor
 
 
 class FreeElement:
-    """scalar * 1  plus  a combination of reduced tensor words."""
+    """scalar * 1  plus  a combination of centered tensor words, by their slots."""
 
     __slots__ = ("scalar", "words")
 
     def __init__(
         self,
         scalar: ComplexRational = ZERO,
-        words: Mapping[TensorWord, ComplexRational] | None = None,
+        words: Mapping[Slots, ComplexRational] | None = None,
     ):
         self.scalar = scalar if scalar.__class__ is ComplexRational else ComplexRational.of(scalar)
-        cleaned: dict[TensorWord, ComplexRational] = {}
-        for word, coeff in (words or {}).items():
+        cleaned: dict[Slots, ComplexRational] = {}
+        for slots, coeff in (words or {}).items():
+            _check_slots(slots)
             value = coeff if coeff.__class__ is ComplexRational else ComplexRational.of(coeff)
             if value:
-                cleaned[word] = value
+                cleaned[slots] = value
         self.words = cleaned
 
     @classmethod
@@ -126,25 +114,23 @@ class FreeElement:
         return cls(ONE)
 
     @classmethod
-    def from_word(
-        cls, word: TensorWord, coeff: ComplexRational = ONE
-    ) -> "FreeElement":
-        return cls(ZERO, {word: coeff})
+    def from_word(cls, slots: Slots, coeff: ComplexRational = ONE) -> "FreeElement":
+        return cls(ZERO, {slots: coeff})
 
-    def items(self) -> list[tuple[TensorWord, ComplexRational]]:
-        return sorted(self.words.items(), key=lambda kv: kv[0].sort_key())
+    def items(self) -> list[tuple[Slots, ComplexRational]]:
+        return sorted(self.words.items(), key=lambda kv: slots_sort_key(kv[0]))
 
-    def terms(self) -> list[tuple[ComplexRational, tuple[Atom, ...]]]:
-        """(coefficient, components) of each term; the unit's components are ()."""
+    def terms(self) -> list[tuple[ComplexRational, Slots]]:
+        """(coefficient, slots) of each term; the unit's slots are ()."""
         unit = [(self.scalar, ())] if self.scalar else []
-        return unit + [(c, w.components) for w, c in self.words.items()]
+        return unit + [(c, slots) for slots, c in self.words.items()]
 
     def __add__(self, other: "FreeElement") -> "FreeElement":
         if not isinstance(other, FreeElement):
             return NotImplemented
         merged = dict(self.words)
-        for word, coeff in other.words.items():
-            merged[word] = merged.get(word, ZERO) + coeff
+        for slots, coeff in other.words.items():
+            merged[slots] = merged.get(slots, ZERO) + coeff
         return FreeElement(self.scalar + other.scalar, merged)
 
     def scale(self, c: ComplexRational) -> "FreeElement":
@@ -154,7 +140,7 @@ class FreeElement:
     def star(self) -> "FreeElement":
         return FreeElement(
             self.scalar.conjugate(),
-            {w.star(): c.conjugate() for w, c in self.words.items()},
+            {star_slots(slots): c.conjugate() for slots, c in self.words.items()},
         )
 
     def __eq__(self, other) -> bool:
@@ -170,8 +156,8 @@ class FreeElement:
         parts = []
         if self.scalar or not self.words:
             parts.append(f"({self.scalar}) 1")
-        for word, coeff in self.items():
-            parts.append(f"({coeff}) {word.text()}")
+        for slots, coeff in self.items():
+            parts.append(f"({coeff}) {slots_text(slots)}")
         return " + ".join(parts)
 
     def __repr__(self) -> str:
@@ -218,76 +204,40 @@ class ProductSpace:
             poly = self._centered[index, word] = Polynomial({word: ONE, (): -value})
         return poly
 
-    def _expand_to_basis(
-        self, components: tuple[tuple[str, Polynomial], ...]
-    ) -> FreeElement:
-        # A centered polynomial p with word coefficients c_w equals
-        # sum_w c_w (w - phi(w) 1), so tensor words expand multilinearly into
-        # the canonical basis of centered single-word components.  This is
-        # the unique normal form: structural equality of normalized elements
-        # decides equality in the algebra.
-        slot_choices = []
-        for index, poly in components:
-            if self.factor_state(index).phi_poly(poly):
-                raise ValidationError(
-                    f"component {poly.text()!r} is not centered in {index!r}"
-                )
-            choices = [(coeff, (index, word)) for word, coeff in poly.items() if word]
-            slot_choices.append(choices)
-        total = FreeElement()
-        for combo in iter_product(*slot_choices):
-            coeff = ONE
-            slots = []
-            for c, (index, word) in combo:
-                coeff = coeff * c
-                slots.append((index, self.centered_word(index, word)))
-            if coeff:
-                total = total + FreeElement.from_word(TensorWord(tuple(slots)), coeff)
-        return total
-
-    def normal_form(self, x: FreeElement) -> FreeElement:
-        """Re-express x over the canonical centered-word basis."""
-        total = FreeElement(x.scalar)
-        for word, coeff in x.words.items():
-            total = total + self._expand_to_basis(word.components).scale(coeff)
-        return total
+    def centered_atoms(self, slots: Slots) -> tuple[Atom, ...]:
+        """The state's atoms of a tensor word: each slot's centered word pair."""
+        return tuple((f, self.centered_word(f, w)) for f, w in slots)
 
     def embed(self, index: str, p: Polynomial) -> FreeElement:
-        """phi_i(p) * 1  plus the centered part as length-1 tensor words."""
-        state = self.factor_state(index)
-        value = state.phi_poly(p)
-        centered = p - Polynomial.monomial((), value)
-        if centered.is_zero():
-            return FreeElement(value)
-        return FreeElement(value) + self._expand_to_basis(((index, centered),))
+        """phi_i(p) * 1  plus  c_w (w)° for each non-unit word w of p, since
+        p = sum_w c_w (w° + phi_i(w) 1)."""
+        value = self.factor_state(index).phi_poly(p)
+        return FreeElement(value, {((index, w),): c for w, c in p.items() if w})
 
     def multiply(self, x: FreeElement, y: FreeElement) -> FreeElement:
-        """Bilinear extension of concatenation-and-reduction, in normal form."""
-        left_terms, right_terms = self.normal_form(x).terms(), self.normal_form(y).terms()
+        """Bilinear extension of concatenation-and-merge on the slot tuples."""
         total = FreeElement()
-        for cx, left in left_terms:
-            for cy, right in right_terms:
-                total = total + self._multiply_components(left, right).scale(cx * cy)
+        for cx, left in x.terms():
+            for cy, right in y.terms():
+                total = total + self._multiply_slots(left, right).scale(cx * cy)
         return total
 
-    def _multiply_components(
-        self,
-        left: tuple[tuple[str, Polynomial], ...],
-        right: tuple[tuple[str, Polynomial], ...],
-    ) -> FreeElement:
-        if not left and not right:
-            return FreeElement.one()
+    def _multiply_slots(self, left: Slots, right: Slots) -> FreeElement:
         if not left or not right or left[-1][0] != right[0][0]:
-            return self._expand_to_basis(left + right)
-        (factor, poly_left), (_, poly_right) = left[-1], right[0]
-        merged = poly_left * poly_right
-        value = self.factor_state(factor).phi_poly(merged)  # raises past the degree bound
-        centered = merged - Polynomial.monomial((), value)
-        out = FreeElement()
-        if not centered.is_zero():
-            out = out + self._expand_to_basis(left[:-1] + ((factor, centered),) + right[1:])
+            return FreeElement.from_word(left + right) if left or right else FreeElement.one()
+        # v° w° = (vw)° - phi(w) v° - phi(v) w° + (phi(vw) - phi(v) phi(w)) 1
+        (factor, v), (_, w) = left[-1], right[0]
+        state = self.factor_state(factor)
+        mv, mw = state.phi_word(v), state.phi_word(w)
+        value = state.phi_word(v + w) - mv * mw  # raises past the degree bound
+        head, tail = left[:-1], right[1:]
+        words: dict[Slots, ComplexRational] = {}
+        for word, coeff in ((v + w, ONE), (v, -mw), (w, -mv)):  # v = w adds up
+            slots = head + ((factor, word),) + tail
+            words[slots] = words.get(slots, ZERO) + coeff
+        out = FreeElement(ZERO, words)
         if value:
-            out = out + self._multiply_components(left[:-1], right[1:]).scale(value)
+            out = out + self._multiply_slots(head, tail).scale(value)
         return out
 
     # -- cumulant functions -----------------------------------------------
@@ -345,8 +295,8 @@ class ProductSpace:
         polynomial) pairs) this is the sum over NC(n) of blockwise base
         cumulants, by the first-block recursion on their atoms; for a
         FreeElement, the scalar part plus that sum on each tensor word's
-        components.  The caller's own tuple is looked up in the memo first,
-        which holds checked tuples only; anything else, an unhashable
+        ``centered_atoms``.  The caller's own tuple is looked up in the memo
+        first, which holds checked tuples only; anything else, an unhashable
         argument included, is checked before the kernel is entered.
         """
         try:
@@ -356,8 +306,8 @@ class ProductSpace:
             pass
         if isinstance(x, FreeElement):
             total = ZERO
-            for coeff, components in x.terms():
-                total = total + coeff * self._phi_atoms(components)
+            for coeff, slots in x.terms():
+                total = total + coeff * self._phi_atoms(self.centered_atoms(slots))
             return total
         return self._phi_atoms(self._as_atoms(x))
 

@@ -141,10 +141,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    @property
-    def degree(self) -> int:
-        return max(map(len, self._terms), default=0)
-
     def star(self) -> "Polynomial":
         return Polynomial({star_word(w): c.conjugate() for w, c in self._terms.items()})
 

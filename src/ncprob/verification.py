@@ -3,18 +3,19 @@ and exact positivity of states.
 
 Positivity has one route, the Gram of a ProductSpace; a single factor is
 checked as ``ProductSpace([state])``.  The basis is the unit plus the
-alternating tensor words of centered factor monomials, ordered by degree,
-number of slots, then each slot's factor and word, whatever the factor means
-are.  The Gram entry phi(b_s* b_t) is the state on the concatenated atoms of
-the two words, read off the free cumulants without multiplying the words in
-the algebra.  By the paper's Lemma 3 the Gram is 1 plus one block per factor
-pattern, each built from the factors' centered Grams; the side check reads
-each slot's kappa_2 from three moments of its factor.  Positive
-semidefiniteness is decided over the rationals by pivoted LDL* without
-square roots: eliminate each positive diagonal pivot in place, updating only
-the entries its Schur complement changes, and on failure lift the witness
-back through the pivots in reverse, so a failing matrix always comes with a
-rational vector x with x* M x < 0.
+alternating tensor words of centered factor monomials, each its tuple of
+(factor, word) slots, ordered by degree, number of slots, then each slot's
+factor and word, whatever the factor means are.  The Gram entry phi(b_s*
+b_t) is the state on the concatenated atoms of the two words, each slot the
+space's ``centered_word``, read off the free cumulants without multiplying
+the words in the algebra.  By the paper's Lemma 3 the Gram is 1 plus one
+block per factor pattern, each built from the factors' centered Grams; the
+side check reads each slot's kappa_2 from three moments of its factor.
+Positive semidefiniteness is decided over the rationals by pivoted LDL*
+without square roots: eliminate each positive diagonal pivot in place,
+updating only the entries its Schur complement changes, and on failure lift
+the witness back through the pivots in reverse, so a failing matrix always
+comes with a rational vector x with x* M x < 0.
 
 Freeness checks run on a joint state: a ProductSpace or an
 ExplicitJointState, which both have ``degree_bound``, ``factors`` (index ->
@@ -42,7 +43,7 @@ from .moment_space import (
     star_word,
     word_text,
 )
-from .free_product import ProductSpace, TensorWord
+from .free_product import ProductSpace, Slots, slots_sort_key, slots_text, star_slots
 from .scalar import ONE, ZERO, ComplexRational
 from .value import Value
 
@@ -107,7 +108,6 @@ class ExplicitJointState:
 
 
 JointState = ProductSpace | ExplicitJointState
-Slots = tuple[tuple[str, Word], ...]  # a centered tensor word's (factor, word) slots
 
 
 # -- freeness reports --------------------------------------------------------
@@ -180,8 +180,7 @@ def check_freeness_moments(target: JointState, max_degree: int) -> FreenessRepor
         value = _phi_of_centered_product(target, slots, memo)
         checked += 1
         if value:
-            text = " ".join(f"({word_text(w)})°" for _, w in slots)
-            violations.append((text, value))
+            violations.append((slots_text(slots), value))
     return FreenessReport("moments", max_degree, checked, tuple(violations))
 
 
@@ -380,7 +379,7 @@ def check_positivity(space: ProductSpace, basis_degree: int) -> PositivityResult
     ``centered_basis``, which the factor means do not change; entry (s, t)
     is the state on the concatenated atoms of b_s* and b_t, which the state
     evaluates without multiplying the words.  Both are the space's own
-    centered words, b_s* those of the starred monomials, so the state's
+    ``centered_atoms``, b_s* those of its ``star_slots``, so the state's
     memos match them by identity.  A factor is checked as the one-factor
     space ``ProductSpace([state])``.  By the paper's Lemma 3 an entry
     between the unit and a word, or between words of different factor
@@ -402,30 +401,24 @@ def check_positivity(space: ProductSpace, basis_degree: int) -> PositivityResult
             f"{2 * basis_degree} > bound {space.degree_bound}"
         )
     basis = centered_basis(space, basis_degree)
-    labels = ("1",) + tuple(word.text() for word, _ in basis)
-    # b_s* is centered w* over the slots of b_s reversed: phi(w*) = conj phi(w)
-    left = [()] + [
-        tuple((f, space.centered_word(f, star_word(w))) for f, w in reversed(slots))
-        for _, slots in basis
-    ]
-    right = [()] + [word.components for word, _ in basis]
+    left = [()] + [space.centered_atoms(star_slots(slots)) for slots in basis]
+    right = [()] + [space.centered_atoms(slots) for slots in basis]
+    labels = ("1",) + tuple(
+        " (x) ".join(f"[{p.text()}]@{f}" for f, p in atoms) for atoms in right[1:]
+    )
     entries = tuple(tuple(space.state_eval(ls + rt) for rt in right) for ls in left)
-    schur_ok = _lemma3_structure_holds(space, [s for _, s in basis], labels, entries)
+    schur_ok = _lemma3_structure_holds(space, basis, labels, entries)
     gram = GramMatrix(labels, entries)
     psd, pivots, witness = ldlt_psd(gram.entries)
     return PositivityResult(psd, pivots, witness, gram, schur_ok)
 
 
-def centered_basis(space: ProductSpace, max_degree: int) -> list[tuple[TensorWord, Slots]]:
-    """Alternating tensor words of centered factor monomials, degree <= max,
-    each beside its (factor, monomial) slots, ordered by degree, number of
-    slots, then each slot's factor and word: the factor means do not enter."""
-    out = [
-        (TensorWord(tuple((f, space.centered_word(f, w)) for f, w in slots)), slots)
-        for slots in _alternating_slot_sequences(space, max_degree)
-    ]
-    out.sort(key=lambda pair: pair[0].sort_key())
-    return out
+def centered_basis(space: ProductSpace, max_degree: int) -> list[Slots]:
+    """The (factor, monomial) slots of every alternating tensor word of
+    centered factor monomials of degree <= max, in ``slots_sort_key`` order:
+    degree, number of slots, then each slot's factor and word, so the factor
+    means do not enter."""
+    return sorted(_alternating_slot_sequences(space, max_degree), key=slots_sort_key)
 
 
 def _lemma3_structure_holds(

@@ -19,11 +19,16 @@ are the routes it is checked against, and the NC(n) join the tests use:
                                Speicher, Theorem 11.12);
 * ``kappa_pi_products``      - its blockwise extension over groups;
 * ``kappa_elements``         - cumulants of free-product elements, by
-                               multilinear expansion into unit and tensor-word
-                               slots, each term by the join-constrained sum;
+                               multilinear expansion into the unit and tensor
+                               words, each term by the join-constrained sum on
+                               the words' centered atoms;
 * ``kappa_elements_by_kernel`` - the same cumulants, each term by the
                                first-block kernel on the groups, with the
-                               state on their concatenated components as phi;
+                               state on their concatenated atoms as phi;
+* ``multiply_by_polynomials`` - the product of free-product elements through
+                               the centered ``Polynomial``s of the slots: the
+                               boundary pair's product, its phi, and the
+                               centered rest expanded into slots again;
 * ``kappa_base_atoms``       - the pure cumulant of (factor, polynomial)
                                atoms, by multilinear expansion into word
                                tuples, each one ``kappa_words`` (below) of the
@@ -64,9 +69,8 @@ Helpers serve the tests where the library has no method of its own:
 * on NC(n): ``singletons`` (0_n), ``one_block`` (1_n),
   ``partition_from_rgs``, and ``kreweras``, the Kreweras complement;
 * on product spaces: ``embed_letter``, one letter as an algebra element;
-  ``centered_word_basis``, the positivity basis words alone; and the
-  space's base cumulant on letters, ``kappa_base``, with its blockwise
-  extension ``kappa_pure_pi``.
+  and the space's base cumulant on letters, ``kappa_base``, with its
+  blockwise extension ``kappa_pure_pi``.
 """
 
 from __future__ import annotations
@@ -100,7 +104,6 @@ from ncprob.nc_lattice import (
     moebius_to_top,
 )
 from ncprob.scalar import ONE, ZERO, ComplexRational
-from ncprob.verification import centered_basis
 
 # The unit as a grouped-word atom: a slot with no factor.
 UNIT_ATOM = (None, Polynomial.monomial(()))
@@ -463,9 +466,9 @@ def kappa_elements_by_kernel(
 
     Each argument splits into its scalar part (a unit slot) and its tensor
     words.  A term of the expansion is the cumulant of m grouped products:
-    the first-block kernel on the groups, with phi of a sub-tuple the state
-    on its groups' components, concatenated.  A unit slot is the empty
-    group, on which phi is 1.
+    the first-block kernel on the groups, each a word's ``centered_atoms``,
+    with phi of a sub-tuple the state on its groups' atoms, concatenated.  A
+    unit slot is the empty group, on which phi is 1.
 
     Within the degree bound this equals ``kappa_elements``, the sum over pi
     in NC(n) whose join with the group interval partition is 1_n (Nica &
@@ -481,7 +484,7 @@ def kappa_elements_by_kernel(
         for c, _ in combo:
             coeff = coeff * c
         total = total + coeff * first_block_cumulant(
-            tuple(group for _, group in combo),
+            tuple(space.centered_atoms(slots) for _, slots in combo),
             lambda sub: space._phi_atoms(tuple(a for group in sub for a in group)),
             {},
         )
@@ -490,8 +493,8 @@ def kappa_elements_by_kernel(
 
 def kappa_elements(space: ProductSpace, args: Sequence[FreeElement]) -> ComplexRational:
     """kappa_m on arbitrary elements: each argument splits into its scalar part
-    (a unit slot) and its tensor words (whose components become the group's
-    slots), and each term is the join-constrained sum."""
+    (a unit slot) and its tensor words (whose centered atoms become the
+    group's slots), and each term is the join-constrained sum."""
     if not args:
         raise ValidationError("kappa_elements needs at least one argument")
     expansions = []
@@ -499,8 +502,8 @@ def kappa_elements(space: ProductSpace, args: Sequence[FreeElement]) -> ComplexR
         choices = []
         if element.scalar:
             choices.append((element.scalar, (UNIT_ATOM,)))
-        for word, coeff in element.words.items():
-            choices.append((coeff, tuple(word.components)))
+        for slots, coeff in element.words.items():
+            choices.append((coeff, space.centered_atoms(slots)))
         expansions.append(choices)
     total = ZERO
     for combo in iter_product(*expansions):
@@ -512,6 +515,54 @@ def kappa_elements(space: ProductSpace, args: Sequence[FreeElement]) -> ComplexR
                 space, [group for _, group in combo]
             )
     return total
+
+
+def multiply_by_polynomials(
+    space: ProductSpace, x: FreeElement, y: FreeElement
+) -> FreeElement:
+    """x y with each slot its centered ``Polynomial``: where two boundary
+    slots share a factor, their product p q splits into phi(p q) 1, which
+    multiplies the shorter words on each side, and the centered rest, which
+    expands over its non-unit words into slots again."""
+    total = FreeElement()
+    for cx, left in x.terms():
+        for cy, right in y.terms():
+            product = _multiply_centered(
+                space, space.centered_atoms(left), space.centered_atoms(right)
+            )
+            total = total + product.scale(cx * cy)
+    return total
+
+
+def _multiply_centered(space: ProductSpace, left: tuple, right: tuple) -> FreeElement:
+    if not left and not right:
+        return FreeElement.one()
+    if not left or not right or left[-1][0] != right[0][0]:
+        return _expand_centered(left + right)
+    (factor, p), (_, q) = left[-1], right[0]
+    merged = p * q
+    value = space.factor_state(factor).phi_poly(merged)  # raises past the degree bound
+    centered = merged - Polynomial.monomial((), value)
+    out = FreeElement()
+    if not centered.is_zero():
+        out = out + _expand_centered(left[:-1] + ((factor, centered),) + right[1:])
+    if value:
+        out = out + _multiply_centered(space, left[:-1], right[1:]).scale(value)
+    return out
+
+
+def _expand_centered(components: tuple) -> FreeElement:
+    # A centered p = sum_w c_w w is sum_w c_w w° over its non-unit words w,
+    # so a product of centered polynomials expands multilinearly into slots.
+    words: dict = {}
+    choices = [[(f, w, c) for w, c in p.items() if w] for f, p in components]
+    for combo in iter_product(*choices):
+        coeff = ONE
+        for _, _, c in combo:
+            coeff = coeff * c
+        slots = tuple((f, w) for f, w, _ in combo)
+        words[slots] = words.get(slots, ZERO) + coeff
+    return FreeElement(ZERO, words)
 
 
 def _blocks_cross(left: tuple[int, ...], right: tuple[int, ...]) -> bool:
@@ -661,11 +712,6 @@ def _iter_nc_rgs(n: int) -> Iterator[tuple[int, ...]]:
         yield from walk(pos + 1, stack + (next_label,), next_label + 1)
 
     yield from walk(0, (), 0)
-
-
-def centered_word_basis(space: ProductSpace, max_degree: int) -> list:
-    """The tensor words of ``centered_basis``, without their slots."""
-    return [word for word, _ in centered_basis(space, max_degree)]
 
 
 def plain_word_gram(

@@ -6,9 +6,11 @@ No linter ships with the project, so this reads the syntax trees with the
 standard library.  A public name (one not starting with ``_``) defined at the
 top level of a module in ``src/ncprob`` or of ``tests/nc_oracles.py``, or as a
 method of such a class, must be referenced outside its own definition
-somewhere in ``src``, ``tests`` or ``ncbench``.  A reference is an ``ast.Name``, an ``ast.Attribute`` or an
-import alias.  Matching is by name alone, so a reference to any attribute of
-the same name counts.  The imports of ``ncprob/__init__.py`` are not
+somewhere in ``src``, ``tests`` or ``ncbench``.  A reference is an
+``ast.Name``, an ``ast.Attribute`` or an import alias; a method is referenced
+only by an attribute or an import, since a bare name (a loop variable, say)
+cannot call it.  Matching is by name alone, so a reference to any attribute
+of the same name counts.  The imports of ``ncprob/__init__.py`` are not
 references: exporting a name does not use it.
 """
 
@@ -46,22 +48,32 @@ def public_definitions(tree: ast.Module) -> list[str]:
 
 def referenced_names(tree: ast.AST, inside: tuple[str, ...] = ()) -> set[str]:
     """Names referenced in ``tree``, leaving out a reference to a name inside a
-    definition of that same name."""
+    definition of that same name.  An attribute or import reference is also
+    recorded as ``.name``: only those reference a method."""
     found = set()
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, ast.Name):
-            name = node.id
+            names = [node.id]
         elif isinstance(node, ast.Attribute):
-            name = node.attr
+            names = [node.attr, "." + node.attr]
         elif isinstance(node, ast.alias):
             name = node.name.rsplit(".", 1)[-1]
+            names = [name, "." + name]
         else:
-            name = None
-        if name is not None and name not in inside:
-            found.add(name)
+            names = []
+        found.update(name for name in names if name.lstrip(".") not in inside)
         scope = inside + (node.name,) if isinstance(node, DEFINITIONS) else inside
         found |= referenced_names(node, scope)
     return found
+
+
+def unreferenced(definitions: list[str], references: set[str]) -> list[str]:
+    """The definitions nothing references: a method ``Class.name`` needs
+    ``.name``, anything else its bare name."""
+    return [
+        name for name in definitions
+        if ("." + name.rsplit(".", 1)[-1] if "." in name else name) not in references
+    ]
 
 
 # The free-product algebra: the paper's objects, which the CLI does not run
@@ -89,10 +101,7 @@ def all_references(dirs: tuple[str, ...] = ("src", "tests", "ncbench")) -> froze
 def test_public_definitions_are_referenced(path):
     references = all_references()
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    dead = [
-        name for name in public_definitions(tree)
-        if name.rsplit(".", 1)[-1] not in references
-    ]
+    dead = unreferenced(public_definitions(tree), references)
     assert not dead, f"{path.name} defines names nothing references: {dead}"
 
 
@@ -103,8 +112,8 @@ def test_public_definitions_have_a_caller_outside_tests(path):
     references = all_references(("src", "ncbench"))
     tree = ast.parse(path.read_text(encoding="utf-8"))
     test_only = [
-        name for name in public_definitions(tree)
-        if name.rsplit(".", 1)[-1] not in references and name not in TESTED_PAPER_OBJECTS
+        name for name in unreferenced(public_definitions(tree), references)
+        if name not in TESTED_PAPER_OBJECTS
     ]
     assert not test_only, f"{path.name} defines names only tests call: {test_only}"
 
@@ -115,12 +124,16 @@ def test_the_check_sees_a_dead_definition():
         "    def used(self): return self.dead_too\n"
         "    def dead(self): return self.dead()\n"
         "    def _private(self): pass\n"
+        "    def degree(self): pass\n"
         "def f(): return f() + C().used()\n"
         "def g(): pass\n"
         "from m import h as k\n"
         "k\n"
+        "for degree in range(3): pass\n"
     )
-    assert public_definitions(tree) == ["C", "C.used", "C.dead", "f", "g"]
+    assert public_definitions(tree) == ["C", "C.used", "C.dead", "C.degree", "f", "g"]
     references = referenced_names(tree)
-    assert {"C", "used", "dead_too", "h", "k"} <= references
+    assert {"C", "used", "dead_too", "h", "k", "degree"} <= references
     assert not {"dead", "f", "g"} & references
+    # the loop variable degree is a bare name, which references no method
+    assert unreferenced(public_definitions(tree), references) == ["C.dead", "C.degree", "f", "g"]

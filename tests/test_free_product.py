@@ -26,8 +26,8 @@ from ncprob.errors import (
 from ncprob.free_product import (
     FreeElement,
     ProductSpace,
-    TensorWord,
     product_space_from_json,
+    star_slots,
 )
 from ncprob.moment_space import (
     FactorState,
@@ -37,6 +37,7 @@ from ncprob.moment_space import (
 )
 from ncprob.nc_lattice import Partition, enumerate_nc
 from ncprob.scalar import ONE, ZERO, ComplexRational
+from ncprob.verification import centered_basis
 
 from conftest import (
     assert_refused,
@@ -50,7 +51,6 @@ from nc_oracles import (
     GroupedWord,
     as_pairs,
     center,
-    centered_word_basis,
     embed_letter,
     kappa_base,
     kappa_base_atoms,
@@ -62,6 +62,7 @@ from nc_oracles import (
     kappa_pure_pi,
     kreweras,
     lattice_sum,
+    multiply_by_polynomials,
     one_block,
     singletons,
 )
@@ -99,10 +100,8 @@ def test_embed_letter_structure(two_semicircles):
     state = two_semicircles.factor_state("A1")
     la = state.letter("a")
     element = embed_letter(two_semicircles, la)
-    centered = center(state, Polynomial.from_letter(la))
     assert element.scalar == state.phi_word((la,))
-    assert element.words == {TensorWord((("A1", centered),)): ONE}
-    assert two_semicircles.normal_form(element) == element
+    assert element.words == {(("A1", (la,)),): ONE}
 
 
 def test_embed_respects_star(rng):
@@ -154,54 +153,33 @@ def test_four_term_expansion():
     pc, pd = Polynomial.from_letter(lc), Polynomial.from_letter(ld)
     phi1 = f1.phi_word((lc,))
     phi2 = f2.phi_word((ld,))
-    c_centered = center(f1, pc)
-    d_centered = center(f2, pd)
     expected = FreeElement(
         phi1 * phi2,
         {
-            TensorWord((("B2", d_centered),)): phi1,
-            TensorWord((("B1", c_centered),)): phi2,
-            TensorWord((("B1", c_centered), ("B2", d_centered))): ONE,
+            (("B2", (ld,)),): phi1,
+            (("B1", (lc,)),): phi2,
+            (("B1", (lc,)), ("B2", (ld,))): ONE,
         },
     )
     got = space.multiply(space.embed("B1", pc), space.embed("B2", pd))
     assert got == expected
 
 
-def test_non_centered_component_is_rejected(two_semicircles):
-    # phi(a a) = 1, so a a is not centered: it is no tensor-word component.
-    la = two_semicircles.factor_state("A1").letter("a")
-    aa = Polynomial.from_letter(la) * Polynomial.from_letter(la)
-    x = FreeElement.from_word(TensorWord((("A1", aa),)))
-    with pytest.raises(ValidationError, match="not centered"):
-        two_semicircles.normal_form(x)
-    with pytest.raises(ValidationError, match="not centered"):
-        two_semicircles.multiply(FreeElement.one(), x)
-    with pytest.raises(ValidationError, match="not centered"):
-        two_semicircles.multiply(x, FreeElement.one())
-
-
 def test_reduction_rule_merges_boundary(two_semicircles):
     space = two_semicircles
-    f1, f2 = space.factor_state("A1"), space.factor_state("A2")
-    la, lb = f1.letter("a"), f2.letter("b")
-    a0 = center(f1, Polynomial.from_letter(la))
-    b0 = center(f2, Polynomial.from_letter(lb))
-    w_ab = FreeElement.from_word(TensorWord((("A1", a0), ("A2", b0))))
-    w_ba = FreeElement.from_word(TensorWord((("A2", b0), ("A1", a0))))
+    la, lb = space.factor_state("A1").letter("a"), space.factor_state("A2").letter("b")
+    w_ab = FreeElement.from_word((("A1", (la,)), ("A2", (lb,))))
+    w_ba = FreeElement.from_word((("A2", (lb,)), ("A1", (la,))))
     got = space.multiply(w_ab, w_ba)
     # (a° (x) b°)(b° (x) a°) = a° (x) (b b)° (x) a° + phi(b b) (a a)° + phi(b b) phi(a a) 1
-    bb_centered = center(f2, Polynomial.from_letter(lb) * Polynomial.from_letter(lb))
-    aa_centered = center(f1, Polynomial.from_letter(la) * Polynomial.from_letter(la))
     expected = FreeElement(
         ONE,  # phi(bb) * phi(aa) = 1
         {
-            TensorWord((("A1", a0), ("A2", bb_centered), ("A1", a0))): ONE,
-            TensorWord((("A1", aa_centered),)): ONE,
+            (("A1", (la,)), ("A2", (lb, lb)), ("A1", (la,))): ONE,
+            (("A1", (la, la)),): ONE,
         },
     )
     assert got == expected
-    assert space.normal_form(got) == got
 
 
 def test_multiply_associative(rng):
@@ -225,52 +203,78 @@ def test_star_is_antiautomorphism(rng):
     assert FreeElement.one().star() == FreeElement.one()
 
 
-def test_star_reverses_tensor_words(two_semicircles):
-    f1 = two_semicircles.factor_state("A1")
-    f2 = two_semicircles.factor_state("A2")
-    a0 = center(f1, Polynomial.from_letter(f1.letter("a")))
-    b0 = center(f2, Polynomial.from_letter(f2.letter("b")))
-    w = TensorWord((("A1", a0), ("A2", b0)))
-    assert w.star() == TensorWord((("A2", b0.star()), ("A1", a0.star())))
+def test_star_reverses_tensor_words(rng):
+    # (a° (u u u*)°)* = (u u* u*)° a°, with the coefficient conjugated
+    space = a_plus_u_space(rng, 4)
+    la, lu = space.factor_state("A1").letter("a"), space.factor_state("A2").letter("u")
+    c = ComplexRational(Fraction(1, 2), Fraction(1))
+    x = FreeElement(ONE, {(("A1", (la,)), ("A2", (lu, lu, lu.star()))): c})
+    slots = (("A2", (lu, lu.star(), lu.star())), ("A1", (la,)))
+    assert x.star() == FreeElement(ONE, {slots: c.conjugate()})
 
 
 def test_free_element_text_lists_words_in_word_order():
-    # phi(a) = 1/3, phi(b) = 1/2: by the text of the means ("-1/2" < "-1/3")
-    # b° would come first; by the words, a° does.
+    # b° is inserted first; the text lists a° first, by the words.
     ga, gb = GeneratorSymbol("a", selfadjoint=True), GeneratorSymbol("b", selfadjoint=True)
     la, lb = Letter(ga, False, "A1"), Letter(gb, False, "A1")
-    means = {(la,): ComplexRational.of(Fraction(1, 3)),
-             (lb,): ComplexRational.of(Fraction(1, 2))}
-    space = ProductSpace([FactorState("A1", 1, [ga, gb], means)])
-    a0, b0 = (TensorWord((("A1", space.centered_word("A1", w)),)) for w in means)
-    x = FreeElement(ZERO, {b0: ONE, a0: ONE})
-    assert x.text() == "(1) [(-1/3) 1 + (1) a]@A1 + (1) [(-1/2) 1 + (1) b]@A1"
+    x = FreeElement(ZERO, {(("A1", (lb,)),): ONE, (("A1", (la,)),): ONE})
+    assert x.text() == "(1) (a)° + (1) (b)°"
 
 
 def test_multiply_degree_overflow():
     space = ProductSpace(
         [semicircle_factor("A1", "a", 2), semicircle_factor("A2", "b", 2)]
     )
-    f1 = space.factor_state("A1")
-    la = f1.letter("a")
-    aa = center(f1, Polynomial.from_letter(la) * Polynomial.from_letter(la))
-    x = FreeElement.from_word(TensorWord((("A1", aa),)))
-    with pytest.raises(TruncationError):
-        space.multiply(x, x)
+    la = space.factor_state("A1").letter("a")
+    x = FreeElement.from_word((("A1", (la, la)),))
+    assert_refused(lambda: space.multiply(x, x), TruncationError,
+                   "word 'a a a a' exceeds degree bound 2 of factor 'A1'")
+
+
+def product_outcome(multiply, space, x, y):
+    try:
+        return multiply(space, x, y)
+    except TruncationError as exc:
+        return str(exc)
+
+
+@settings(deadline=None, max_examples=20)
+@given(
+    flags=st.lists(st.booleans(), min_size=1, max_size=3),
+    degree_bound=st.sampled_from((6, 3)),
+    seed=st.integers(0, 10**6),
+)
+def test_multiply_matches_the_polynomial_route(flags, degree_bound, seed):
+    # Every pair of one- and two-slot basis words of degree <= 3, over one to
+    # three factors, each a selfadjoint a or a u with its star: the merge rule
+    # against the product of centered polynomials.  At N = 6 every product
+    # fits; at N = 3 some exceed the bound, and both routes raise alike.
+    rng = random.Random(seed)
+    space = ProductSpace([
+        random_factor_state(rng, f"A{k + 1}", ("abc"[k],), degree_bound, selfadjoint=sa)
+        for k, sa in enumerate(flags)
+    ])
+    words = [FreeElement.from_word(w) for w in centered_basis(space, 3) if len(w) <= 2]
+    raised = 0
+    for x in words:
+        for y in words:
+            new = product_outcome(ProductSpace.multiply, space, x, y)
+            assert new == product_outcome(multiply_by_polynomials, space, x, y)
+            raised += isinstance(new, str)
+    assert (raised > 0) == (degree_bound == 3)
 
 
 # -- tensor word and grouped word invariants ------------------------------------------
 
 
 def test_tensor_word_validation(two_semicircles):
-    f1 = two_semicircles.factor_state("A1")
-    a0 = center(f1, Polynomial.from_letter(f1.letter("a")))
-    with pytest.raises(ValidationError):
-        TensorWord(())
-    with pytest.raises(ValidationError):
-        TensorWord((("A1", a0), ("A1", a0)))
-    with pytest.raises(ValidationError):
-        TensorWord((("A1", Polynomial()),))
+    la = two_semicircles.factor_state("A1").letter("a")
+    for slots, message in [
+        ((), "tensor word must have at least one slot"),
+        ((("A1", (la,)), ("A1", (la,))), "adjacent slots share factor 'A1'"),
+        ((("A1", ()),), "the unit word is no tensor word slot"),
+    ]:
+        assert_refused(lambda: FreeElement(ZERO, {slots: ZERO}), ValidationError, message)
 
 
 def test_grouped_word_validation(two_semicircles):
@@ -418,9 +422,17 @@ def a_plus_u_space(rng, degree_bound):
     ])
 
 
+def slots_degree(slots):
+    return sum(len(w) for _, w in slots)
+
+
+def poly_degree(p):
+    return max((len(w) for w, _ in p.items()), default=0)
+
+
 def random_free_element(rng, basis, max_degree):
     """A scalar part plus up to two basis words of degree <= max_degree."""
-    words = [w for w in basis if w.degree <= max_degree]
+    words = [w for w in basis if slots_degree(w) <= max_degree]
     chosen = rng.sample(words, min(len(words), rng.randint(0, 2)))
     scalar = small_scalar(rng) if chosen else ComplexRational.of(rng.choice((1, -2)))
     return FreeElement(scalar, {w: small_scalar(rng) for w in chosen})
@@ -434,10 +446,10 @@ def truncated_or_value(compute):
 
 
 def test_kappa_elements_matches_join_sum_on_every_basis_pair(rng):
-    # kappa_2(b_s*, b_t) over all of centered_word_basis, d = 3, N = 6:
+    # kappa_2(b_s*, b_t) over all of centered_basis, d = 3, N = 6:
     # the first-block kernel against the sum over pi with pi v sigma = 1_n
     space = a_plus_u_space(rng, 6)
-    elements = [FreeElement.from_word(w) for w in centered_word_basis(space, 3)]
+    elements = [FreeElement.from_word(w) for w in centered_basis(space, 3)]
     for xs in elements:
         for xt in elements:
             args = [xs.star(), xt]
@@ -445,7 +457,7 @@ def test_kappa_elements_matches_join_sum_on_every_basis_pair(rng):
 
 
 KAPPA_SPACE = a_plus_u_space(random.Random(20261018), 6)
-KAPPA_BASIS = centered_word_basis(KAPPA_SPACE, 3)
+KAPPA_BASIS = centered_basis(KAPPA_SPACE, 3)
 
 
 @settings(deadline=None, max_examples=40)
@@ -463,14 +475,14 @@ def test_kappa_elements_matches_join_sum_within_bound(degrees, seed):
 
 def test_kappa_base_atoms_matches_word_expansion_on_basis_pairs(rng):
     # Every pure atom tuple the state reaches on the Gram entries of
-    # centered_word_basis (d = 3, N = 6) and on every word of degree <= 4
+    # centered_basis (d = 3, N = 6) and on every word of degree <= 4
     # over a, u, u*, with the space's memos: the library's route against the
     # expansion into all word tuples, units too.  A letter is its own atom.
     space = a_plus_u_space(rng, 6)
-    words = centered_word_basis(space, 3)
+    words = centered_basis(space, 3)
     for ws in words:
         for wt in words:
-            space.state_eval(ws.star().components + wt.components)
+            space.state_eval(space.centered_atoms(star_slots(ws)) + space.centered_atoms(wt))
     letters = [l for state in space.factors.values() for l in state.letters()]
     for n in range(1, 5):
         for word in iproduct(letters, repeat=n):
@@ -530,7 +542,7 @@ def test_kappa_base_atoms_matches_atom_kernel_exhaustively(rng):
         tuples = [()]
         for _ in range(3):
             tuples = [t + (a,) for t in tuples for a in pool
-                      if sum(p.degree for _, p in t) + a[1].degree <= 3]
+                      if sum(poly_degree(p) for _, p in t) + poly_degree(a[1]) <= 3]
             for atoms in tuples:
                 assert space._kappa_base_atoms(atoms) == kappa_base_atoms_by_kernel(
                     space, atoms
@@ -569,7 +581,7 @@ def test_kappa_base_atoms_past_bound_raises_or_agrees(rng):
             (index, random_polynomial(rng, state, rng.randint(0, 3)))
             for _ in range(rng.randint(2, 4))
         )
-        degrees = [p.degree for _, p in atoms]
+        degrees = [poly_degree(p) for _, p in atoms]
         if sum(degrees) <= 4:
             continue
         new = truncated_or_value(lambda: space._kappa_base_atoms(atoms))
@@ -595,11 +607,11 @@ def test_kappa_elements_past_bound_raises_or_agrees(rng):
     # may raise where the other returns a value; when both return a value it
     # is the same.
     space = a_plus_u_space(rng, 4)
-    basis = centered_word_basis(space, 3)
+    basis = centered_basis(space, 3)
     both = raised = 0
     for _ in range(200):
         args = [random_free_element(rng, basis, 3) for _ in range(rng.randint(2, 4))]
-        if sum(max((w.degree for w in x.words), default=0) for x in args) <= 4:
+        if sum(max(map(slots_degree, x.words), default=0) for x in args) <= 4:
             continue
         new = truncated_or_value(lambda: kappa_elements_by_kernel(space, args))
         old = truncated_or_value(lambda: nc_kappa_elements(space, args))
@@ -880,12 +892,8 @@ def test_centered_tensor_words_are_null(rng):
         for pattern in iproduct(indices, repeat=pattern_len):
             if any(a == b for a, b in zip(pattern, pattern[1:])):
                 continue
-            components = []
-            for index in pattern:
-                state = space.factor_state(index)
-                la = state.letters()[0]
-                components.append((index, center(state, Polynomial.from_letter(la))))
-            word = FreeElement.from_word(TensorWord(tuple(components)))
+            slots = tuple((index, space.factor_state(index).letters()[:1]) for index in pattern)
+            word = FreeElement.from_word(slots)
             assert space.state_eval(word) == ZERO
 
 

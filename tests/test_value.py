@@ -14,11 +14,9 @@ from pathlib import Path
 import pytest
 
 from ncprob.cumulant_calculus import MomentSequence
-from ncprob.free_product import TensorWord
 from ncprob.moment_space import (
     GeneratorSymbol,
     Letter,
-    Polynomial,
     factor_state_from_json,
 )
 from ncprob.nc_lattice import Partition
@@ -58,13 +56,6 @@ CASES = {
     "MomentSequence": (
         lambda: MomentSequence.of([0, 1]),
         "MomentSequence(values=(ComplexRational(0), ComplexRational(1)))",
-    ),
-    "TensorWord": (
-        lambda: TensorWord((
-            ("A1", Polynomial.from_letter(a())),
-            ("A2", Polynomial.from_letter(u_star()) - Polynomial.monomial((), 2)),
-        )),
-        "TensorWord([(1) a]@A1 (x) [(-2) 1 + (1) u*]@A2)",
     ),
     "FreenessReport": (
         lambda: FreenessReport("moments", 2, 3, (("a u", ComplexRational(Fraction(1, 2))),)),

@@ -19,8 +19,8 @@ from ncprob.errors import (
 from ncprob.free_product import (
     FreeElement,
     ProductSpace,
-    TensorWord,
     product_space_from_json,
+    star_slots,
 )
 from ncprob.moment_space import (
     FactorState,
@@ -56,7 +56,6 @@ from conftest import (
 from nc_oracles import (
     alternating_slots_by_brute_force,
     center,
-    centered_word_basis,
     eval_phi_n,
     kappa_elements_by_kernel,
     lattice_sum,
@@ -441,11 +440,6 @@ def slots_of_letters(space, pattern):
     return tuple((index, space.factor_state(index).letters()[:1]) for index in pattern)
 
 
-def tensor_word(space, slots):
-    """The space's centered tensor word on ``slots``."""
-    return TensorWord(tuple((f, space.centered_word(f, w)) for f, w in slots))
-
-
 def test_variance_factorization_matches_grouped_route(rng):
     space = random_product_space(rng, 2, 6)
     patterns = [("A1",), ("A2",), ("A1", "A2"), ("A2", "A1"), ("A1", "A2", "A1")]
@@ -456,8 +450,7 @@ def test_variance_factorization_matches_grouped_route(rng):
             direct = variance_factorization(space, a, b, {})
             general = kappa_elements_by_kernel(
                 space,
-                [FreeElement.from_word(tensor_word(space, a)).star(),
-                 FreeElement.from_word(tensor_word(space, b))],
+                [FreeElement.from_word(a).star(), FreeElement.from_word(b)],
             )
             assert direct == general
             if pa != pb:
@@ -473,13 +466,14 @@ def test_variance_factorization_on_a_non_tracial_factor(rng):
     space = ProductSpace([semicircle_factor("A1", "a", 4), u_state])
     basis = centered_basis(space, 2)
     pairs = 0
-    for ws, slots_s in basis:
-        for wt, slots_t in basis:
+    for slots_s in basis:
+        for slots_t in basis:
             if [f for f, _ in slots_s] == [f for f, _ in slots_t]:
                 pairs += 1
                 assert variance_factorization(space, slots_s, slots_t, {}) == (
                     kappa_elements_by_kernel(
-                        space, [FreeElement.from_word(ws).star(), FreeElement.from_word(wt)]
+                        space,
+                        [FreeElement.from_word(slots_s).star(), FreeElement.from_word(slots_t)],
                     )
                 )
     assert pairs > 20
@@ -517,7 +511,7 @@ def test_kappa2_decomposes_over_patterns(rng):
     # pairs: cross-pattern and constant terms vanish exactly
     space = random_product_space(rng, 2, 6)
     words = [
-        tensor_word(space, slots_of_letters(space, pattern))
+        slots_of_letters(space, pattern)
         for pattern in [("A1",), ("A2",), ("A1", "A2"), ("A2", "A1")]
     ]
     coeffs = [scalar("1/2"), scalar(2), scalar("-1/3"), scalar(1)]
@@ -746,15 +740,14 @@ GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 def test_gram_matches_multiply_oracle(two_semicircles, spec):
     # Oracle: multiply b_s* and b_t in the algebra, then apply the state.
     # The a/u spaces put a non-selfadjoint factor in the basis, so star()
-    # reverses several components with conjugated coefficients.
+    # reverses several slots and stars their words.
     space = (
         two_semicircles
         if spec is None
         else product_space_from_json(json.loads((GOLDEN_INPUTS / spec).read_text()))
     )
     result = check_positivity(space, 2)
-    words = centered_word_basis(space, 2)
-    basis = [FreeElement.one()] + [FreeElement.from_word(w) for w in words]
+    basis = [FreeElement.one()] + [FreeElement.from_word(w) for w in centered_basis(space, 2)]
     assert len(result.gram.entries) == len(basis)
     for bs, row in zip(basis, result.gram.entries):
         for bt, entry in zip(basis, row):
@@ -804,9 +797,11 @@ def test_one_factor_positivity_matches_plain_word_gram():
 def test_gram_entry_across_patterns_must_be_zero(monkeypatch, two_semicircles, s, t):
     # Corrupt phi(b_s* b_t) and phi(b_t* b_s) alike, so the Gram stays
     # Hermitian: (1, a°) or (a°, b°), both exactly 0 by Lemma 3.
-    words = centered_word_basis(two_semicircles, 1)
-    right = [()] + [w.components for w in words]
-    left = [()] + [w.star().components for w in words]
+    space = two_semicircles
+    labels = check_positivity(space, 1).gram.labels
+    words = centered_basis(space, 1)
+    right = [()] + [space.centered_atoms(w) for w in words]
+    left = [()] + [space.centered_atoms(star_slots(w)) for w in words]
     bad = {left[s] + right[t], left[t] + right[s]}
     exact = ProductSpace.state_eval
     monkeypatch.setattr(
@@ -814,9 +809,8 @@ def test_gram_entry_across_patterns_must_be_zero(monkeypatch, two_semicircles, s
         "state_eval",
         lambda self, args: exact(self, args) + (ONE if tuple(args) in bad else ZERO),
     )
-    labels = ["1"] + [w.text() for w in words]
     with pytest.raises(RuntimeError, match="internal error") as info:
-        check_positivity(two_semicircles, 1)
+        check_positivity(space, 1)
     assert f"({labels[s]}, {labels[t]})" in str(info.value)
 
 
@@ -825,9 +819,10 @@ def test_gram_entry_across_patterns_raises_after_a_kappa2_mismatch(
 ):
     # Basis 1, a°, b°: a wrong factor kappa_2 makes (a°, a°) a mismatch, which
     # row a° meets before the corrupted (a°, b°).  The internal error wins.
-    words = centered_word_basis(two_semicircles, 1)
-    a, b = (w.components for w in words)
-    bad = {words[0].star().components + b, words[1].star().components + a}
+    space = two_semicircles
+    a, b = (space.centered_atoms(w) for w in centered_basis(space, 1))
+    a_star, b_star = (space.centered_atoms(star_slots(w)) for w in centered_basis(space, 1))
+    bad = {a_star + b, b_star + a}
     exact_state = ProductSpace.state_eval
     monkeypatch.setattr(
         ProductSpace,
@@ -840,9 +835,9 @@ def test_gram_entry_across_patterns_raises_after_a_kappa2_mismatch(
         lambda state, x, y: exact_kappa2(state, x, y) + ONE,
     )
     with pytest.raises(RuntimeError) as info:
-        check_positivity(two_semicircles, 1)
+        check_positivity(space, 1)
     assert str(info.value) == (
-        f"internal error: Gram entry ({words[0].text()}, {words[1].text()}) "
+        "internal error: Gram entry ([(1) a]@A1, [(1) b]@A2) "
         "across factor patterns is 1, not 0"
     )
 
@@ -886,8 +881,8 @@ def test_positivity_matches_atoms_by_identity(monkeypatch):
 
 
 def test_centered_word_basis_degrees(two_semicircles):
-    words = centered_word_basis(two_semicircles, 2)
-    assert all(w.degree <= 2 for w in words)
+    words = centered_basis(two_semicircles, 2)
+    assert all(sum(len(w) for _, w in slots) <= 2 for slots in words)
     # 2 letters of degree 1, 2 squares, 2 alternating length-2 patterns
     assert len(words) == 6
 
@@ -904,8 +899,21 @@ def test_basis_order_does_not_depend_on_the_moments(seeds):
             random_factor_state(rng, "A1", ("a", "b"), 4),
             random_factor_state(rng, "A2", ("u",), 4, selfadjoint=False),
         ])
-        orders.append([slots for _, slots in centered_basis(space, 2)])
+        orders.append(centered_basis(space, 2))
     assert orders[0] == orders[1]
+
+
+def test_free_element_items_follow_the_basis_order():
+    # The whole degree-3 basis of semicircle a + Haar u, N = 6, inserted in
+    # reverse with distinct coefficients: items() lists it in basis order.
+    space = product_space_from_json(
+        json.loads((GOLDEN_INPUTS / "semicircle_and_haar_u_6.json").read_text())
+    )
+    basis = centered_basis(space, 3)
+    coeffs = [ComplexRational.of(k + 1) for k in range(len(basis))]
+    x = FreeElement(ZERO, dict(reversed(list(zip(basis, coeffs)))))
+    assert list(x.words) == basis[::-1]
+    assert x.items() == list(zip(basis, coeffs))
 
 
 @pytest.mark.parametrize("make, error, message", [
