@@ -30,4 +30,4 @@ class TruncationError(NCProbError, ValueError):
 
 
 class FactorMismatchError(NCProbError, ValueError):
-    """A letter or polynomial belongs to a different factor than required."""
+    """A letter or word belongs to a different factor than required."""

@@ -2,8 +2,7 @@
 
 The algebra is spanned by the unit and the alternating products of centered
 factor monomials w° = w - phi_i(w) 1 (Nica & Speicher, Lecture 6), each a
-tuple of (factor, word) slots, so every element is in normal form; the
-state reads a slot as its (factor, centered polynomial) pair atom.
+tuple of (factor, word) slots, so every element is in normal form.
 Multiplication concatenates and, where the boundary slots share a factor,
 merges them by v° w° = (vw)° - phi(w) v° - phi(v) w° + (phi(vw) - phi(v)
 phi(w)) 1, recursing on the scalar term.
@@ -13,24 +12,24 @@ product of base cumulants: a factor's own on a pure block, 0 on a block that
 straddles two factors.  Cumulants of elements are oracles in the tests.
 
 An atom is a letter of the space, which is its own atom, or a (factor,
-polynomial) pair.  Mixed cumulants vanish, so the state is the first-block
-kernel (``cumulant_calculus.first_block_moment``) on the atoms, over blocks
-inside the first atom's factor, with ``_phi_memo`` as its memo.  The memo
-holds checked tuples only, and a caller's tuple is read from it before it is
-checked, so a repeated word of letters is one dict lookup.  A pure cumulant
-of letters is the first-block kernel (``cumulant_calculus.first_block_cumulant``)
-on them with the factor's phi and ``_kappa_base_memo`` as its memo.  A pure
-cumulant of one pair atom is its phi; of n >= 2 atoms, some of them pairs,
-it is multilinear and 0 on the unit, so it sums the same kernel over tuples
-of non-unit words, with the factor's phi of their concatenated letters and
+word) slot, which stands for w°; both hash in C.  Mixed cumulants vanish, so
+the state is the first-block kernel (``cumulant_calculus.first_block_moment``)
+on the atoms, over blocks inside the first atom's factor, with ``_phi_memo``
+as its memo.  The memo holds checked tuples only, and a caller's tuple is
+read from it before it is checked, so a repeated tuple is one dict lookup;
+a slot is checked once, by reading its moment, and then kept in ``_slots``.
+A pure cumulant of letters is the first-block kernel
+(``cumulant_calculus.first_block_cumulant``) on them with the factor's phi
+and ``_kappa_base_memo`` as its memo.  With a slot among them: kappa_1(w°)
+= phi(w°) = 0, and kappa_n, n >= 2, is 0 when an argument is the unit
+(Lecture 11), so kappa_n(w_1°, ..., w_n°) = kappa_n(w_1, ..., w_n), the same
+kernel on the words, with the factor's phi of their concatenated letters and
 ``_word_kappa_memo``, keyed by those tuples of letter tuples, as its memo.
-One polynomial per centered (factor, word) makes the memos match by
-identity.  Everything is exact; the memos are plain per-instance dicts.
+Everything is exact; the memos are plain per-instance dicts.
 """
 
 from __future__ import annotations
 
-from itertools import product as iter_product
 from typing import Iterable, Mapping, Sequence
 
 from .cumulant_calculus import first_block_cumulant, first_block_moment
@@ -43,7 +42,6 @@ from .errors import (
 from .moment_space import (
     FactorState,
     Letter,
-    Polynomial,
     Word,
     check_degree_bound,
     factor_state_from_json,
@@ -53,7 +51,7 @@ from .moment_space import (
 )
 from .scalar import ONE, ZERO, ComplexRational
 
-Atom = Letter | tuple[str, Polynomial]
+Atom = Letter | tuple[str, Word]  # a letter, or a (factor, word) slot for w°
 Slots = tuple[tuple[str, Word], ...]  # a centered tensor word's (factor, word) slots
 
 
@@ -108,14 +106,6 @@ class FreeElement:
             if value:
                 cleaned[slots] = value
         self.words = cleaned
-
-    @classmethod
-    def one(cls) -> "FreeElement":
-        return cls(ONE)
-
-    @classmethod
-    def from_word(cls, slots: Slots, coeff: ComplexRational = ONE) -> "FreeElement":
-        return cls(ZERO, {slots: coeff})
 
     def items(self) -> list[tuple[Slots, ComplexRational]]:
         return sorted(self.words.items(), key=lambda kv: slots_sort_key(kv[0]))
@@ -181,10 +171,10 @@ class ProductSpace:
         self.factors: dict[str, FactorState] = {f.factor: f for f in factors}
         self.degree_bound = bounds.pop()
         self._letters = frozenset(l for f in factors for l in f.letters())
-        self._centered: dict[tuple[str, Word], Polynomial] = {}
         self._kappa_base_memo: dict[tuple[Atom, ...], ComplexRational] = {}
         self._word_kappa_memo: dict[tuple[Word, ...], ComplexRational] = {}
         self._phi_memo: dict[tuple[Atom, ...], tuple[ComplexRational, bool]] = {}
+        self._slots: set[tuple[str, Word]] = set()  # the slots _is_slot has checked
 
     # -- elements ---------------------------------------------------------
 
@@ -194,51 +184,42 @@ class ProductSpace:
         except KeyError:
             raise FactorMismatchError(f"unknown factor {index!r}") from None
 
-    def centered_word(self, index: str, word: Word) -> Polynomial:
-        """The centered basis vector w - phi_i(w) 1, one object per (factor, word)."""
-        poly = self._centered.get((index, word))
-        if poly is None:
-            if not word:
-                raise ValidationError("the empty word has no centered basis vector")
-            value = self.factor_state(index).phi_word(word)
-            poly = self._centered[index, word] = Polynomial({word: ONE, (): -value})
-        return poly
-
-    def centered_atoms(self, slots: Slots) -> tuple[Atom, ...]:
-        """The state's atoms of a tensor word: each slot's centered word pair."""
-        return tuple((f, self.centered_word(f, w)) for f, w in slots)
-
-    def embed(self, index: str, p: Polynomial) -> FreeElement:
-        """phi_i(p) * 1  plus  c_w (w)° for each non-unit word w of p, since
-        p = sum_w c_w (w° + phi_i(w) 1)."""
-        value = self.factor_state(index).phi_poly(p)
-        return FreeElement(value, {((index, w),): c for w, c in p.items() if w})
+    def embed(self, index: str, terms: Mapping[Word, ComplexRational]) -> FreeElement:
+        """p = sum_w c_w w, given as its {word: c_w} terms, as phi_i(p) * 1
+        plus c_w (w)° for each non-unit word w, since w = w° + phi_i(w) 1."""
+        state = self.factor_state(index)
+        value = ZERO
+        for w, c in terms.items():  # exact, so the order is free
+            value = value + state.phi_word(w) * c
+        return FreeElement(value, {((index, w),): c for w, c in terms.items() if w})
 
     def multiply(self, x: FreeElement, y: FreeElement) -> FreeElement:
-        """Bilinear extension of concatenation-and-merge on the slot tuples."""
-        total = FreeElement()
+        """Bilinear extension of concatenation-and-merge on the slot tuples,
+        summed into one {slots: coefficient} dict, the unit under ()."""
+        words: dict[Slots, ComplexRational] = {}
         for cx, left in x.terms():
             for cy, right in y.terms():
-                total = total + self._multiply_slots(left, right).scale(cx * cy)
-        return total
+                self._multiply_slots(left, right, cx * cy, words)
+        return FreeElement(words.pop((), ZERO), words)
 
-    def _multiply_slots(self, left: Slots, right: Slots) -> FreeElement:
+    def _multiply_slots(
+        self, left: Slots, right: Slots, coeff: ComplexRational, words: dict
+    ) -> None:
         if not left or not right or left[-1][0] != right[0][0]:
-            return FreeElement.from_word(left + right) if left or right else FreeElement.one()
+            slots = left + right
+            words[slots] = words.get(slots, ZERO) + coeff
+            return
         # v° w° = (vw)° - phi(w) v° - phi(v) w° + (phi(vw) - phi(v) phi(w)) 1
         (factor, v), (_, w) = left[-1], right[0]
         state = self.factor_state(factor)
         mv, mw = state.phi_word(v), state.phi_word(w)
         value = state.phi_word(v + w) - mv * mw  # raises past the degree bound
         head, tail = left[:-1], right[1:]
-        words: dict[Slots, ComplexRational] = {}
-        for word, coeff in ((v + w, ONE), (v, -mw), (w, -mv)):  # v = w adds up
+        for word, c in ((v + w, ONE), (v, -mw), (w, -mv)):  # v = w adds up
             slots = head + ((factor, word),) + tail
-            words[slots] = words.get(slots, ZERO) + coeff
-        out = FreeElement(ZERO, words)
+            words[slots] = words.get(slots, ZERO) + coeff * c
         if value:
-            out = out + self._multiply_slots(head, tail).scale(value)
-        return out
+            self._multiply_slots(head, tail, coeff * value, words)
 
     # -- cumulant functions -----------------------------------------------
 
@@ -253,24 +234,15 @@ class ProductSpace:
         elif all(a.__class__ is Letter for a in atoms):  # the kernel fills this memo
             return first_block_cumulant(atoms, state.phi_word, self._kappa_base_memo)
         elif len(atoms) == 1:
-            value = state.phi_poly(atoms[0][1])
+            value = ZERO  # kappa_1(w°) = phi(w°) = 0
         else:
-            # kappa_n, n >= 2, is multilinear and 0 on the unit: expand over
-            # words; a letter reads as its one-letter word with coefficient 1
-            polys = [Polynomial.from_letter(a) if a.__class__ is Letter else a[1] for a in atoms]
-            value = ZERO
-            for combo in iter_product(*([t for t in p.items() if t[0]] for p in polys)):
-                term = first_block_cumulant(
-                    tuple(w for w, _ in combo),
-                    lambda sub: state.phi_word(sum(sub, ())),
-                    self._word_kappa_memo,
-                )
-                for _, c in combo:
-                    if term.is_zero():
-                        break
-                    term = term * c
-                else:
-                    value = value + term
+            # kappa_n, n >= 2, is 0 when an argument is the unit, so the means
+            # drop out; a letter reads as its one-letter word
+            value = first_block_cumulant(
+                tuple((a,) if a.__class__ is Letter else a[1] for a in atoms),
+                lambda sub: state.phi_word(sum(sub, ())),
+                self._word_kappa_memo,
+            )
         self._kappa_base_memo[atoms] = value
         return value
 
@@ -287,27 +259,27 @@ class ProductSpace:
 
     def state_eval(
         self,
-        x: FreeElement | Sequence[Letter] | Sequence[tuple[str, Polynomial]],
+        x: FreeElement | Sequence[Atom],
     ) -> ComplexRational:
         """The constructed state phi, memoized per sub-tuple of atoms.
 
-        For a flat product of pure arguments (letters, or (factor,
-        polynomial) pairs) this is the sum over NC(n) of blockwise base
-        cumulants, by the first-block recursion on their atoms; for a
+        For a flat product of pure arguments (letters, or (factor, word)
+        slots, each standing for w°) this is the sum over NC(n) of blockwise
+        base cumulants, by the first-block recursion on their atoms; for a
         FreeElement, the scalar part plus that sum on each tensor word's
-        ``centered_atoms``.  The caller's own tuple is looked up in the memo
-        first, which holds checked tuples only; anything else, an unhashable
-        argument included, is checked before the kernel is entered.
+        slots.  The caller's own tuple is looked up in the memo first, which
+        holds checked tuples only; anything else, an unhashable argument
+        included, is checked before the kernel is entered.
         """
         try:
-            if (hit := self._phi_memo.get(x)) is not None:  # a word of letters hashes in C
+            if (hit := self._phi_memo.get(x)) is not None:  # a tuple of atoms hashes in C
                 return hit[0]
         except TypeError:  # unhashable: a FreeElement, or refused below
             pass
         if isinstance(x, FreeElement):
             total = ZERO
             for coeff, slots in x.terms():
-                total = total + coeff * self._phi_atoms(self.centered_atoms(slots))
+                total = total + coeff * self._phi_atoms(self._as_atoms(slots))
             return total
         return self._phi_atoms(self._as_atoms(x))
 
@@ -319,13 +291,30 @@ class ProductSpace:
                     self.factor_state(arg.factor)
                     raise ValidationError(f"no generator {arg.name!r} in factor {arg.factor!r}")
                 atoms.append(arg)
-            elif isinstance(arg, tuple) and len(arg) == 2 and isinstance(arg[1], Polynomial):
-                self.factor_state(arg[0])
-                atoms.append((arg[0], arg[1]))
+            elif self._is_slot(arg):
+                atoms.append(arg)
             else:
                 raise ValidationError(f"cannot interpret {arg!r} as a pure product argument")
         atoms = tuple(atoms)
         return args if atoms == args else atoms  # an equal caller's tuple keys the memo itself
+
+    def _is_slot(self, arg: object) -> bool:
+        # A (factor, word) slot, checked at its first call by reading its
+        # moment, as the kernel reads none of a lone slot: an unknown factor,
+        # a letter of another factor and a word past the bound are refused.
+        try:
+            if arg in self._slots:  # a slot hashes in C
+                return True
+        except TypeError:  # unhashable, so no slot
+            return False
+        if not (
+            isinstance(arg, tuple) and len(arg) == 2 and isinstance(arg[1], tuple)
+            and arg[1] and all(l.__class__ is Letter for l in arg[1])
+        ):
+            return False
+        self.factor_state(arg[0]).phi_word(arg[1])
+        self._slots.add(arg)
+        return True
 
     # -- letter resolution --------------------------------------------------
 

@@ -28,7 +28,7 @@ from .errors import (
     TruncationError,
     ValidationError,
 )
-from .scalar import ONE, ZERO, ComplexRational, RationalLike, _coerce
+from .scalar import ONE, ComplexRational, RationalLike
 from .value import Value
 
 
@@ -110,93 +110,6 @@ def word_text(word: Word) -> str:
 
 def word_sort_key(word: Word) -> tuple:
     return (len(word), tuple(l.sort_key() for l in word))
-
-
-class Polynomial:
-    """A finite linear combination of words with exact scalar coefficients."""
-
-    __slots__ = ("_terms", "_hash")
-
-    def __init__(self, terms: Mapping[Word, ComplexRational | RationalLike] | None = None):
-        cleaned: dict[Word, ComplexRational] = {}
-        for word, coeff in (terms or {}).items():
-            value = coeff if coeff.__class__ is ComplexRational else ComplexRational.of(coeff)
-            if value:
-                cleaned[word] = value
-        self._terms = cleaned
-        self._hash: int | None = None
-
-    @classmethod
-    def monomial(cls, word: Word, coeff: ComplexRational | RationalLike = 1) -> "Polynomial":
-        return cls({word: ComplexRational.of(coeff)})
-
-    @classmethod
-    def from_letter(cls, letter: Letter) -> "Polynomial":
-        return cls.monomial((letter,))
-
-    def items(self) -> Iterator[tuple[Word, ComplexRational]]:
-        """Terms in deterministic (degree, letters) order."""
-        return iter(sorted(self._terms.items(), key=lambda kv: word_sort_key(kv[0])))
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def star(self) -> "Polynomial":
-        return Polynomial({star_word(w): c.conjugate() for w, c in self._terms.items()})
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        merged = dict(self._terms)
-        for word, coeff in other._terms.items():
-            merged[word] = merged.get(word, ZERO) + coeff
-        return Polynomial(merged)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial({w: -c for w, c in self._terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            out: dict[Word, ComplexRational] = {}
-            for wa, ca in self._terms.items():
-                for wb, cb in other._terms.items():
-                    word = wa + wb
-                    out[word] = out.get(word, ZERO) + ca * cb
-            return Polynomial(out)
-        scalar = _coerce(other)
-        if scalar is None:
-            return NotImplemented
-        return Polynomial({w: c * scalar for w, c in self._terms.items()})
-
-    def __rmul__(self, other):
-        scalar = _coerce(other)
-        if scalar is None:
-            return NotImplemented
-        return self * scalar
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
-
-    def text(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for word, coeff in self.items():
-            parts.append(f"({coeff}) {word_text(word)}")
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"Polynomial({self.text()})"
 
 
 def canonical_moment_key(word: Word) -> tuple[Word, bool]:
@@ -331,12 +244,6 @@ class FactorState:
                 f"word {word_text(word)!r} is not over factor {self.factor!r}"
             )
         return value
-
-    def phi_poly(self, p: Polynomial) -> ComplexRational:
-        total = ZERO
-        for word, coeff in p._terms.items():  # exact, so the order is free
-            total = total + coeff * self.phi_word(word)
-        return total
 
     def __repr__(self) -> str:
         return (

@@ -6,9 +6,9 @@ checked as ``ProductSpace([state])``.  The basis is the unit plus the
 alternating tensor words of centered factor monomials, each its tuple of
 (factor, word) slots, ordered by degree, number of slots, then each slot's
 factor and word, whatever the factor means are.  The Gram entry phi(b_s*
-b_t) is the state on the concatenated atoms of the two words, each slot the
-space's ``centered_word``, read off the free cumulants without multiplying
-the words in the algebra.  By the paper's Lemma 3 the Gram is 1 plus one
+b_t) is the state on the concatenated slots of the two words, which are the
+state's own atoms, read off the free cumulants without multiplying the
+words in the algebra.  By the paper's Lemma 3 the Gram is 1 plus one
 block per factor pattern, each built from the factors' centered Grams; the
 side check reads each slot's kappa_2 from three moments of its factor.
 Positive semidefiniteness is decided over the rationals by pivoted LDL*
@@ -377,10 +377,9 @@ def check_positivity(space: ProductSpace, basis_degree: int) -> PositivityResult
     The basis is the unit plus every alternating tensor word of centered
     factor monomials of degree <= basis_degree, in the order of
     ``centered_basis``, which the factor means do not change; entry (s, t)
-    is the state on the concatenated atoms of b_s* and b_t, which the state
-    evaluates without multiplying the words.  Both are the space's own
-    ``centered_atoms``, b_s* those of its ``star_slots``, so the state's
-    memos match them by identity.  A factor is checked as the one-factor
+    is the state on the concatenated slots of b_s* and b_t (``star_slots``
+    of b_s, then b_t), which the state reads as its atoms, each slot w°,
+    without multiplying the words.  A factor is checked as the one-factor
     space ``ProductSpace([state])``.  By the paper's Lemma 3 an entry
     between the unit and a word, or between words of different factor
     patterns, is exactly 0 (checked, like the Hermitian symmetry), so the
@@ -401,16 +400,25 @@ def check_positivity(space: ProductSpace, basis_degree: int) -> PositivityResult
             f"{2 * basis_degree} > bound {space.degree_bound}"
         )
     basis = centered_basis(space, basis_degree)
-    left = [()] + [space.centered_atoms(star_slots(slots)) for slots in basis]
-    right = [()] + [space.centered_atoms(slots) for slots in basis]
-    labels = ("1",) + tuple(
-        " (x) ".join(f"[{p.text()}]@{f}" for f, p in atoms) for atoms in right[1:]
-    )
+    left = [()] + [star_slots(slots) for slots in basis]
+    right = [()] + basis
+    labels = ("1",) + tuple(_basis_label(space, slots) for slots in basis)
     entries = tuple(tuple(space.state_eval(ls + rt) for rt in right) for ls in left)
     schur_ok = _lemma3_structure_holds(space, basis, labels, entries)
     gram = GramMatrix(labels, entries)
     psd, pivots, witness = ldlt_psd(gram.entries)
     return PositivityResult(psd, pivots, witness, gram, schur_ok)
+
+
+def _basis_label(space: ProductSpace, slots: Slots) -> str:
+    # Each slot as its centered polynomial, [(-m) 1 + (1) w]@f, or [(1) w]@f
+    # when m = phi_f(w) is 0.
+    parts = []
+    for f, w in slots:
+        m = space.factor_state(f).phi_word(w)
+        mean = f"({-m}) 1 + " if m else ""
+        parts.append(f"[{mean}(1) {word_text(w)}]@{f}")
+    return " (x) ".join(parts)
 
 
 def centered_basis(space: ProductSpace, max_degree: int) -> list[Slots]:

@@ -21,21 +21,24 @@ are the routes it is checked against, and the NC(n) join the tests use:
 * ``kappa_elements``         - cumulants of free-product elements, by
                                multilinear expansion into the unit and tensor
                                words, each term by the join-constrained sum on
-                               the words' centered atoms;
+                               the words' slots as centered polynomials;
 * ``kappa_elements_by_kernel`` - the same cumulants, each term by the
                                first-block kernel on the groups, with the
-                               state on their concatenated atoms as phi;
+                               state on their concatenated slots as phi;
 * ``multiply_by_polynomials`` - the product of free-product elements through
                                the centered ``Polynomial``s of the slots: the
                                boundary pair's product, its phi, and the
                                centered rest expanded into slots again;
 * ``kappa_base_atoms``       - the pure cumulant of (factor, polynomial)
                                atoms, by multilinear expansion into word
-                               tuples, each one ``kappa_words`` (below) of the
-                               factor;
+                               tuples, units included, each one
+                               ``kappa_words`` (below) of the factor;
 * ``kappa_base_atoms_by_kernel`` - the same cumulant by the first-block
                                kernel on the atoms themselves, with phi of a
                                sub-tuple ``eval_phi_n`` of its polynomials;
+* ``kappa_base_atoms_by_slots`` - the same cumulant through the state's own
+                               on slots: each polynomial split into its mean
+                               and its non-unit words' slots;
 * ``letter_table_by_kernel`` - a whole table of cumulants or moments of
                                letter tuples, by the dense first-block kernel
                                on every tuple, which visits every block;
@@ -61,6 +64,9 @@ are the routes it is checked against, and the NC(n) join the tests use:
 
 Helpers serve the tests where the library has no method of its own:
 
+* ``Polynomial``, a finite combination of words with exact coefficients,
+  with its sum, product, star and text: the factor algebra, which the
+  library reads only as {word: coefficient} terms (``ProductSpace.embed``);
 * on factor states: ``eval_phi_pi``, the multiplicative extension phi_pi;
   ``eval_phi_n``, phi of a product of polynomials; ``words_up_to``, every
   word of a factor up to a degree; ``center``, p - phi(p) 1;
@@ -68,9 +74,11 @@ Helpers serve the tests where the library has no method of its own:
   kernel; and ``kappa_n``, its case of one-letter words;
 * on NC(n): ``singletons`` (0_n), ``one_block`` (1_n),
   ``partition_from_rgs``, and ``kreweras``, the Kreweras complement;
-* on product spaces: ``embed_letter``, one letter as an algebra element;
-  and the space's base cumulant on letters, ``kappa_base``, with its
-  blockwise extension ``kappa_pure_pi``.
+* on product spaces: ``embed_letter`` and ``embed_polynomial``, a letter or
+  a polynomial of one factor as an algebra element; ``as_pairs``, the
+  state's atoms as (factor, polynomial) pairs; and the space's base
+  cumulant on letters, ``kappa_base``, with its blockwise extension
+  ``kappa_pure_pi``.
 """
 
 from __future__ import annotations
@@ -79,7 +87,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product as iter_product
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from ncprob.cumulant_calculus import first_block_cumulant
 from ncprob.errors import DimensionMismatchError, TruncationError, ValidationError
@@ -87,11 +95,11 @@ from ncprob.free_product import FreeElement, ProductSpace
 from ncprob.moment_space import (
     FactorState,
     Letter,
-    Polynomial,
     Word,
     all_words,
     star_word,
     word_sort_key,
+    word_text,
 )
 from ncprob.nc_lattice import (
     Partition,
@@ -104,6 +112,77 @@ from ncprob.nc_lattice import (
     moebius_to_top,
 )
 from ncprob.scalar import ONE, ZERO, ComplexRational
+
+class Polynomial:
+    """A finite linear combination of words with exact scalar coefficients."""
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, terms: Mapping[Word, ComplexRational] | None = None):
+        cleaned: dict[Word, ComplexRational] = {}
+        for word, coeff in (terms or {}).items():
+            value = ComplexRational.of(coeff)
+            if value:
+                cleaned[word] = value
+        self._terms = cleaned
+
+    @classmethod
+    def monomial(cls, word: Word, coeff=1) -> "Polynomial":
+        return cls({word: coeff})
+
+    @classmethod
+    def from_letter(cls, letter: Letter) -> "Polynomial":
+        return cls.monomial((letter,))
+
+    def items(self) -> Iterator[tuple[Word, ComplexRational]]:
+        """Terms in deterministic (degree, letters) order."""
+        return iter(sorted(self._terms.items(), key=lambda kv: word_sort_key(kv[0])))
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def star(self) -> "Polynomial":
+        return Polynomial({star_word(w): c.conjugate() for w, c in self._terms.items()})
+
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        merged = dict(self._terms)
+        for word, coeff in other._terms.items():
+            merged[word] = merged.get(word, ZERO) + coeff
+        return Polynomial(merged)
+
+    def __sub__(self, other: "Polynomial") -> "Polynomial":
+        return self + (-other)
+
+    def __neg__(self) -> "Polynomial":
+        return Polynomial({w: -c for w, c in self._terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, Polynomial):
+            out: dict[Word, ComplexRational] = {}
+            for wa, ca in self._terms.items():
+                for wb, cb in other._terms.items():
+                    out[wa + wb] = out.get(wa + wb, ZERO) + ca * cb
+            return Polynomial(out)
+        scalar = ComplexRational.of(other)
+        return Polynomial({w: c * scalar for w, c in self._terms.items()})
+
+    def __rmul__(self, other):
+        return self * other  # a scalar commutes
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Polynomial) and self._terms == other._terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._terms.items()))
+
+    def text(self) -> str:
+        if self.is_zero():
+            return "0"
+        return " + ".join(f"({c}) {word_text(w)}" for w, c in self.items())
+
+    def __repr__(self) -> str:
+        return f"Polynomial({self.text()})"
+
 
 # The unit as a grouped-word atom: a slot with no factor.
 UNIT_ATOM = (None, Polynomial.monomial(()))
@@ -170,7 +249,10 @@ def eval_phi_n(state: FactorState, args: Sequence[Polynomial]) -> ComplexRationa
     product = Polynomial.monomial(())
     for p in args:
         product = product * p
-    return state.phi_poly(product)
+    total = ZERO
+    for word, coeff in product.items():
+        total = total + coeff * state.phi_word(word)
+    return total
 
 
 def words_up_to(state: FactorState, max_degree: int) -> Iterator[Word]:
@@ -183,7 +265,7 @@ def words_up_to(state: FactorState, max_degree: int) -> Iterator[Word]:
 
 def center(state: FactorState, p: Polynomial) -> Polynomial:
     """p - phi(p) 1; afterwards phi of it is 0 exactly."""
-    return p - Polynomial.monomial((), state.phi_poly(p))
+    return p - Polynomial.monomial((), eval_phi_n(state, [p]))
 
 
 def kappa_words(state: FactorState, words: Sequence[Word]) -> ComplexRational:
@@ -220,7 +302,17 @@ def partition_from_rgs(rgs: Sequence[int]) -> Partition:
 
 def embed_letter(space: ProductSpace, letter: Letter) -> FreeElement:
     """One letter as an element of the free product."""
-    return space.embed(letter.factor, Polynomial.from_letter(letter))
+    return space.embed(letter.factor, {(letter,): ONE})
+
+
+def word_element(slots: tuple[tuple[str, Word], ...]) -> FreeElement:
+    """One tensor word, by its (factor, word) slots, as an algebra element."""
+    return FreeElement(ZERO, {slots: ONE})
+
+
+def embed_polynomial(space: ProductSpace, index: str, p: Polynomial) -> FreeElement:
+    """A polynomial of factor ``index`` as an element of the free product."""
+    return space.embed(index, dict(p.items()))
 
 
 @dataclass(frozen=True)
@@ -330,6 +422,24 @@ def kappa_base_atoms_by_kernel(space: ProductSpace, atoms: tuple) -> ComplexRati
     )
 
 
+def kappa_base_atoms_by_slots(space: ProductSpace, atoms: tuple) -> ComplexRational:
+    """The factor cumulant of same-factor (factor, polynomial) atoms through
+    the state's cumulant on slots: p = phi(p) 1 + sum_w c_w w° over its
+    non-unit words, kappa_1(1) = 1, and kappa_n, n >= 2, is 0 on the unit, so
+    only a single atom keeps its mean."""
+    total = ZERO
+    if len(atoms) == 1:
+        index, p = atoms[0]
+        total = eval_phi_n(space.factor_state(index), [p])  # the mean: phi(p) kappa_1(1)
+    choices = [[((f, w), c) for w, c in p.items() if w] for f, p in atoms]
+    for combo in iter_product(*choices):
+        coeff = ONE
+        for _, c in combo:
+            coeff = coeff * c
+        total = total + coeff * space._kappa_base_atoms(tuple(slot for slot, _ in combo))
+    return total
+
+
 def letter_table_by_kernel(
     letters: Sequence, top: int, kernel: Callable, given: Callable
 ) -> dict[tuple, ComplexRational]:
@@ -405,23 +515,26 @@ def kappa_products_atoms(space: ProductSpace, groups: Sequence[tuple]) -> Comple
     return total
 
 
-def as_pairs(atoms: Sequence) -> tuple:
-    """Atoms as (factor, polynomial) pairs: a letter is its one-letter word."""
+def as_pairs(space: ProductSpace, atoms: Sequence) -> tuple:
+    """The state's atoms as (factor, polynomial) pairs: a letter is its
+    one-letter word, and a slot (f, w) the centered w - phi_f(w) 1."""
     return tuple(
-        (a.factor, Polynomial.from_letter(a)) if isinstance(a, Letter) else a for a in atoms
+        (a.factor, Polynomial.from_letter(a)) if isinstance(a, Letter)
+        else (a[0], center(space.factor_state(a[0]), Polynomial.monomial(a[1])))
+        for a in atoms
     )
 
 
 def kappa_products(space: ProductSpace, gw: GroupedWord) -> ComplexRational:
     """Cumulant of the grouped products: the join-constrained lattice sum."""
-    return kappa_products_atoms(space, [as_pairs(g) for g in gw.groups()])
+    return kappa_products_atoms(space, [as_pairs(space, g) for g in gw.groups()])
 
 
 def kappa_pi_products(
     space: ProductSpace, pi: Partition, gw: GroupedWord
 ) -> ComplexRational:
     """Blockwise extension over groups, order preserved within blocks."""
-    group_atoms = [as_pairs(g) for g in gw.groups()]
+    group_atoms = [as_pairs(space, g) for g in gw.groups()]
     if pi.n != len(group_atoms):
         raise DimensionMismatchError(
             f"partition of {pi.n} applied to {len(group_atoms)} groups"
@@ -466,9 +579,9 @@ def kappa_elements_by_kernel(
 
     Each argument splits into its scalar part (a unit slot) and its tensor
     words.  A term of the expansion is the cumulant of m grouped products:
-    the first-block kernel on the groups, each a word's ``centered_atoms``,
-    with phi of a sub-tuple the state on its groups' atoms, concatenated.  A
-    unit slot is the empty group, on which phi is 1.
+    the first-block kernel on the groups, each a word's slots, with phi of a
+    sub-tuple the state on its groups' slots, concatenated.  A unit slot is
+    the empty group, on which phi is 1.
 
     Within the degree bound this equals ``kappa_elements``, the sum over pi
     in NC(n) whose join with the group interval partition is 1_n (Nica &
@@ -484,8 +597,8 @@ def kappa_elements_by_kernel(
         for c, _ in combo:
             coeff = coeff * c
         total = total + coeff * first_block_cumulant(
-            tuple(space.centered_atoms(slots) for _, slots in combo),
-            lambda sub: space._phi_atoms(tuple(a for group in sub for a in group)),
+            tuple(slots for _, slots in combo),
+            lambda sub: space.state_eval(tuple(a for group in sub for a in group)),
             {},
         )
     return total
@@ -493,8 +606,8 @@ def kappa_elements_by_kernel(
 
 def kappa_elements(space: ProductSpace, args: Sequence[FreeElement]) -> ComplexRational:
     """kappa_m on arbitrary elements: each argument splits into its scalar part
-    (a unit slot) and its tensor words (whose centered atoms become the
-    group's slots), and each term is the join-constrained sum."""
+    (a unit slot) and its tensor words (whose slots, as centered polynomials,
+    become the group's atoms), and each term is the join-constrained sum."""
     if not args:
         raise ValidationError("kappa_elements needs at least one argument")
     expansions = []
@@ -503,7 +616,7 @@ def kappa_elements(space: ProductSpace, args: Sequence[FreeElement]) -> ComplexR
         if element.scalar:
             choices.append((element.scalar, (UNIT_ATOM,)))
         for slots, coeff in element.words.items():
-            choices.append((coeff, space.centered_atoms(slots)))
+            choices.append((coeff, as_pairs(space, slots)))
         expansions.append(choices)
     total = ZERO
     for combo in iter_product(*expansions):
@@ -528,7 +641,7 @@ def multiply_by_polynomials(
     for cx, left in x.terms():
         for cy, right in y.terms():
             product = _multiply_centered(
-                space, space.centered_atoms(left), space.centered_atoms(right)
+                space, as_pairs(space, left), as_pairs(space, right)
             )
             total = total + product.scale(cx * cy)
     return total
@@ -536,12 +649,12 @@ def multiply_by_polynomials(
 
 def _multiply_centered(space: ProductSpace, left: tuple, right: tuple) -> FreeElement:
     if not left and not right:
-        return FreeElement.one()
+        return FreeElement(ONE)
     if not left or not right or left[-1][0] != right[0][0]:
         return _expand_centered(left + right)
     (factor, p), (_, q) = left[-1], right[0]
     merged = p * q
-    value = space.factor_state(factor).phi_poly(merged)  # raises past the degree bound
+    value = eval_phi_n(space.factor_state(factor), [merged])  # raises past the degree bound
     centered = merged - Polynomial.monomial((), value)
     out = FreeElement()
     if not centered.is_zero():

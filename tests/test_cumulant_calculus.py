@@ -32,7 +32,6 @@ from ncprob.moment_space import (
     FactorState,
     GeneratorSymbol,
     Letter,
-    Polynomial,
     all_words,
     cumulant_table_from_json,
     factor_state_from_json,
@@ -50,6 +49,7 @@ from conftest import (
     small_fraction,
 )
 from nc_oracles import (
+    Polynomial,
     eval_phi_n,
     kappa_n,
     kappa_pi_via_moebius,

@@ -1,6 +1,7 @@
 """Every public function, class and method of the package, and every oracle
 of ``tests/nc_oracles.py``, has a caller; in the package, one outside
 ``tests``, unless it is one of the paper's objects that only tests call.
+Every private function and method of the package has a caller in ``src``.
 
 No linter ships with the project, so this reads the syntax trees with the
 standard library.  A public name (one not starting with ``_``) defined at the
@@ -9,9 +10,12 @@ method of such a class, must be referenced outside its own definition
 somewhere in ``src``, ``tests`` or ``ncbench``.  A reference is an
 ``ast.Name``, an ``ast.Attribute`` or an import alias; a method is referenced
 only by an attribute or an import, since a bare name (a loop variable, say)
-cannot call it.  Matching is by name alone, so a reference to any attribute
-of the same name counts.  The imports of ``ncprob/__init__.py`` are not
-references: exporting a name does not use it.
+cannot call it.  A private name (one starting with ``_``, dunders apart)
+defined as a top-level function of a module in ``src/ncprob`` or as a method
+of one of its classes must be referenced the same way inside ``src``.
+Matching is by name alone, so a reference to any attribute of the same name
+counts.  The imports of ``ncprob/__init__.py`` are not references: exporting
+a name does not use it.
 """
 
 import ast
@@ -43,6 +47,25 @@ def public_definitions(tree: ast.Module) -> list[str]:
                     for item in node.body
                     if isinstance(item, FUNCTIONS) and not item.name.startswith("_")
                 ]
+    return names
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_definitions(tree: ast.Module) -> list[str]:
+    """Private top-level functions, and the private methods of every top-level class."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, FUNCTIONS) and is_private(node.name):
+            names.append(node.name)
+        elif isinstance(node, ast.ClassDef):
+            names += [
+                f"{node.name}.{item.name}"
+                for item in node.body
+                if isinstance(item, FUNCTIONS) and is_private(item.name)
+            ]
     return names
 
 
@@ -118,6 +141,16 @@ def test_public_definitions_have_a_caller_outside_tests(path):
     assert not test_only, f"{path.name} defines names only tests call: {test_only}"
 
 
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.parent == PACKAGE], ids=lambda p: p.name
+)
+def test_private_definitions_have_a_caller_in_the_package(path):
+    references = all_references(("src",))
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    dead = unreferenced(private_definitions(tree), references)
+    assert not dead, f"{path.name} defines private names nothing in src calls: {dead}"
+
+
 def test_the_check_sees_a_dead_definition():
     tree = ast.parse(
         "class C:\n"
@@ -125,8 +158,13 @@ def test_the_check_sees_a_dead_definition():
         "    def dead(self): return self.dead()\n"
         "    def _private(self): pass\n"
         "    def degree(self): pass\n"
+        "    def _called(self): pass\n"
+        "    def __init__(self): self._called()\n"
         "def f(): return f() + C().used()\n"
         "def g(): pass\n"
+        "def _dead(): return _dead()\n"
+        "def _alive(): pass\n"
+        "_alive()\n"
         "from m import h as k\n"
         "k\n"
         "for degree in range(3): pass\n"
@@ -137,3 +175,7 @@ def test_the_check_sees_a_dead_definition():
     assert not {"dead", "f", "g"} & references
     # the loop variable degree is a bare name, which references no method
     assert unreferenced(public_definitions(tree), references) == ["C.dead", "C.degree", "f", "g"]
+    # dunders are not private; a private method, too, needs an attribute reference
+    private = private_definitions(tree)
+    assert private == ["C._private", "C._called", "_dead", "_alive"]
+    assert unreferenced(private, references) == ["C._private", "_dead"]

@@ -26,6 +26,7 @@ from ncprob.errors import (
 from ncprob.free_product import (
     FreeElement,
     ProductSpace,
+    _factor_of,
     product_space_from_json,
     star_slots,
 )
@@ -33,7 +34,6 @@ from ncprob.moment_space import (
     FactorState,
     GeneratorSymbol,
     Letter,
-    Polynomial,
 )
 from ncprob.nc_lattice import Partition, enumerate_nc
 from ncprob.scalar import ONE, ZERO, ComplexRational
@@ -49,12 +49,15 @@ from conftest import (
 )
 from nc_oracles import (
     GroupedWord,
+    Polynomial,
     as_pairs,
     center,
     embed_letter,
+    embed_polynomial,
     kappa_base,
     kappa_base_atoms,
     kappa_base_atoms_by_kernel,
+    kappa_base_atoms_by_slots,
     kappa_elements_by_kernel,
     kappa_n,
     kappa_pi_products,
@@ -65,6 +68,7 @@ from nc_oracles import (
     multiply_by_polynomials,
     one_block,
     singletons,
+    word_element,
 )
 from nc_oracles import kappa_elements as nc_kappa_elements, words_up_to
 
@@ -82,7 +86,7 @@ def random_element(rng, space, size=2):
     total = FreeElement(small_scalar(rng, complex_ok=False))
     for _ in range(size):
         word_len = rng.randint(1, 2)
-        piece = FreeElement.one()
+        piece = FreeElement(ONE)
         for _ in range(word_len):
             piece = space.multiply(piece, embed_letter(space, rng.choice(ls)))
         total = total + piece.scale(small_scalar(rng, complex_ok=False))
@@ -93,7 +97,7 @@ def random_element(rng, space, size=2):
 
 
 def test_embed_identity(two_semicircles):
-    assert two_semicircles.embed("A1", Polynomial.monomial(())) == FreeElement.one()
+    assert two_semicircles.embed("A1", {(): ONE}) == FreeElement(ONE)
 
 
 def test_embed_letter_structure(two_semicircles):
@@ -111,7 +115,7 @@ def test_embed_respects_star(rng):
     lu = state.letter("u")
     p = Polynomial.from_letter(lu) * Polynomial.from_letter(lu.star())
     p = p + Polynomial.monomial(())
-    assert space.embed("A1", p.star()) == space.embed("A1", p).star()
+    assert embed_polynomial(space, "A1", p.star()) == embed_polynomial(space, "A1", p).star()
 
 
 def test_embed_is_multiplicative(rng):
@@ -121,16 +125,16 @@ def test_embed_is_multiplicative(rng):
     lu = state.letter("u")
     p = Polynomial.from_letter(lu)
     q = Polynomial.from_letter(lu.star())
-    lhs = space.multiply(space.embed("A1", p), space.embed("A1", q))
-    assert lhs == space.embed("A1", p * q)
+    lhs = space.multiply(embed_polynomial(space, "A1", p), embed_polynomial(space, "A1", q))
+    assert lhs == embed_polynomial(space, "A1", p * q)
 
 
 def test_embed_errors(two_semicircles):
     with pytest.raises(Exception):
-        two_semicircles.embed("nope", Polynomial.monomial(()))
+        two_semicircles.embed("nope", {(): ONE})
     la = two_semicircles.factor_state("A1").letter("a")
     with pytest.raises(TruncationError):
-        two_semicircles.embed("A1", Polynomial.monomial((la,) * 7))
+        two_semicircles.embed("A1", {(la,) * 7: ONE})
 
 
 # -- multiplication -----------------------------------------------------------------
@@ -139,8 +143,8 @@ def test_embed_errors(two_semicircles):
 def test_unit_laws(rng):
     space = random_product_space(rng, 2, 4)
     x = random_element(rng, space)
-    assert space.multiply(x, FreeElement.one()) == x
-    assert space.multiply(FreeElement.one(), x) == x
+    assert space.multiply(x, FreeElement(ONE)) == x
+    assert space.multiply(FreeElement(ONE), x) == x
 
 
 def test_four_term_expansion():
@@ -150,7 +154,6 @@ def test_four_term_expansion():
     f2 = random_factor_state(random.Random(2), "B2", ("d",), 4)
     space = ProductSpace([f1, f2])
     lc, ld = f1.letter("c"), f2.letter("d")
-    pc, pd = Polynomial.from_letter(lc), Polynomial.from_letter(ld)
     phi1 = f1.phi_word((lc,))
     phi2 = f2.phi_word((ld,))
     expected = FreeElement(
@@ -161,15 +164,15 @@ def test_four_term_expansion():
             (("B1", (lc,)), ("B2", (ld,))): ONE,
         },
     )
-    got = space.multiply(space.embed("B1", pc), space.embed("B2", pd))
+    got = space.multiply(space.embed("B1", {(lc,): ONE}), space.embed("B2", {(ld,): ONE}))
     assert got == expected
 
 
 def test_reduction_rule_merges_boundary(two_semicircles):
     space = two_semicircles
     la, lb = space.factor_state("A1").letter("a"), space.factor_state("A2").letter("b")
-    w_ab = FreeElement.from_word((("A1", (la,)), ("A2", (lb,))))
-    w_ba = FreeElement.from_word((("A2", (lb,)), ("A1", (la,))))
+    w_ab = word_element((("A1", (la,)), ("A2", (lb,))))
+    w_ba = word_element((("A2", (lb,)), ("A1", (la,))))
     got = space.multiply(w_ab, w_ba)
     # (a° (x) b°)(b° (x) a°) = a° (x) (b b)° (x) a° + phi(b b) (a a)° + phi(b b) phi(a a) 1
     expected = FreeElement(
@@ -200,7 +203,7 @@ def test_star_is_antiautomorphism(rng):
     y = random_element(rng, space)
     assert space.multiply(x, y).star() == space.multiply(y.star(), x.star())
     assert x.star().star() == x
-    assert FreeElement.one().star() == FreeElement.one()
+    assert FreeElement(ONE).star() == FreeElement(ONE)
 
 
 def test_star_reverses_tensor_words(rng):
@@ -226,7 +229,7 @@ def test_multiply_degree_overflow():
         [semicircle_factor("A1", "a", 2), semicircle_factor("A2", "b", 2)]
     )
     la = space.factor_state("A1").letter("a")
-    x = FreeElement.from_word((("A1", (la, la)),))
+    x = word_element((("A1", (la, la)),))
     assert_refused(lambda: space.multiply(x, x), TruncationError,
                    "word 'a a a a' exceeds degree bound 2 of factor 'A1'")
 
@@ -254,7 +257,7 @@ def test_multiply_matches_the_polynomial_route(flags, degree_bound, seed):
         random_factor_state(rng, f"A{k + 1}", ("abc"[k],), degree_bound, selfadjoint=sa)
         for k, sa in enumerate(flags)
     ])
-    words = [FreeElement.from_word(w) for w in centered_basis(space, 3) if len(w) <= 2]
+    words = [word_element(w) for w in centered_basis(space, 3) if len(w) <= 2]
     raised = 0
     for x in words:
         for y in words:
@@ -300,7 +303,7 @@ def test_kappa_base_examples(two_semicircles, rng):
     lb = space.factor_state("A2").letter("b")
     assert kappa_base(space, [la, lb]) == ZERO
     assert kappa_base(space, [la, la]) == kappa_n(space.factor_state("A1"), (la, la))
-    assert kappa_elements_by_kernel(space, [FreeElement.one()]) == ONE
+    assert kappa_elements_by_kernel(space, [FreeElement(ONE)]) == ONE
     with pytest.raises(ValidationError):
         kappa_base(space, [])
 
@@ -341,7 +344,7 @@ def test_kappa_base_restricted_multilinearity(rng):
     # the element route
     def k2(x, y):
         return kappa_elements_by_kernel(
-            space, [space.embed(index, x), space.embed(index, y)]
+            space, [embed_polynomial(space, index, x), embed_polynomial(space, index, y)]
         )
 
     assert k2(p, c * p + q) == c * k2(p, p) + k2(p, q)
@@ -387,7 +390,7 @@ def test_kappa_unit_slots_vanish(rng):
     # kappa_2(1, w) = kappa_2(w, 1) = 0 for alternating words w
     space = random_product_space(rng, 2, 4)
     ls = letters(space)
-    one = FreeElement.one()
+    one = FreeElement(ONE)
     for pattern in iproduct(ls, repeat=2):
         if pattern[0].factor == pattern[1].factor:
             continue
@@ -449,7 +452,7 @@ def test_kappa_elements_matches_join_sum_on_every_basis_pair(rng):
     # kappa_2(b_s*, b_t) over all of centered_basis, d = 3, N = 6:
     # the first-block kernel against the sum over pi with pi v sigma = 1_n
     space = a_plus_u_space(rng, 6)
-    elements = [FreeElement.from_word(w) for w in centered_basis(space, 3)]
+    elements = [word_element(w) for w in centered_basis(space, 3)]
     for xs in elements:
         for xt in elements:
             args = [xs.star(), xt]
@@ -477,21 +480,22 @@ def test_kappa_base_atoms_matches_word_expansion_on_basis_pairs(rng):
     # Every pure atom tuple the state reaches on the Gram entries of
     # centered_basis (d = 3, N = 6) and on every word of degree <= 4
     # over a, u, u*, with the space's memos: the library's route against the
-    # expansion into all word tuples, units too.  A letter is its own atom.
+    # expansion of each slot's centered polynomial into all word tuples,
+    # units too.  A letter is its own atom.
     space = a_plus_u_space(rng, 6)
     words = centered_basis(space, 3)
     for ws in words:
         for wt in words:
-            space.state_eval(space.centered_atoms(star_slots(ws)) + space.centered_atoms(wt))
+            space.state_eval(star_slots(ws) + wt)
     letters = [l for state in space.factors.values() for l in state.letters()]
     for n in range(1, 5):
         for word in iproduct(letters, repeat=n):
             space.state_eval(word)
-    pure = [a for a in space._kappa_base_memo if len({f for f, _ in as_pairs(a)}) == 1]
+    pure = [a for a in space._kappa_base_memo if len({_factor_of(x) for x in a}) == 1]
     lettered = [a for a in pure if all(isinstance(l, Letter) for l in a)]
     assert len(pure) - len(lettered) > 100 and len(lettered) > 20
     for atoms in pure:
-        assert space._kappa_base_atoms(atoms) == kappa_base_atoms(space, as_pairs(atoms))
+        assert space._kappa_base_atoms(atoms) == kappa_base_atoms(space, as_pairs(space, atoms))
 
 
 def random_polynomial(rng, state, degree):
@@ -511,10 +515,12 @@ def random_polynomial(rng, state, degree):
     seed=st.integers(0, 10**6),
 )
 def test_kappa_base_atoms_matches_word_expansion_within_bound(degrees, index, seed):
+    # Random polynomials through the state's cumulant on their slots against
+    # the expansion into all word tuples, units too.
     rng = random.Random(seed)
     state = KAPPA_SPACE.factor_state(index)
     atoms = tuple((index, random_polynomial(rng, state, d)) for d in degrees)
-    assert KAPPA_SPACE._kappa_base_atoms(atoms) == kappa_base_atoms(KAPPA_SPACE, atoms)
+    assert kappa_base_atoms_by_slots(KAPPA_SPACE, atoms) == kappa_base_atoms(KAPPA_SPACE, atoms)
 
 
 def atoms_with_units(space, index):
@@ -527,27 +533,47 @@ def atoms_with_units(space, index):
         if len(word) == 1:
             out += [Polynomial.monomial(word), Polynomial.monomial(word, 3) + one]
         if word:
-            out.append(space.centered_word(index, word))
+            out.append(center(state, Polynomial.monomial(word)))
     return [(index, p) for p in out]
 
 
+def state_atoms(space, index):
+    """Each letter of one factor, and the slot of each of its words of degree <= 2."""
+    state = space.factor_state(index)
+    return list(state.letters()) + [(index, w) for w in words_up_to(state, 2) if w]
+
+
+def atom_degree(atom):
+    return 1 if isinstance(atom, Letter) else len(atom[1])
+
+
+def tuples_within(pool, degree, top):
+    """Every tuple of one to three atoms of ``pool`` of total ``degree`` <= top."""
+    tuples, out = [()], []
+    for _ in range(3):
+        tuples = [t + (a,) for t in tuples for a in pool
+                  if sum(map(degree, t)) + degree(a) <= top]
+        out += tuples
+    return out
+
+
 def test_kappa_base_atoms_matches_atom_kernel_exhaustively(rng):
-    # Every pure tuple of up to three atoms within N = 3, over letters, centered
-    # words, words plus the unit and pure scalars: the word-tuple kernel with
-    # unit terms dropped against the kernel on the polynomials themselves.
+    # Every pure tuple of up to three atoms within N = 3 against the kernel on
+    # the polynomials themselves: the state's own atoms, letters and slots
+    # mixed; and polynomials over letters, centered words, words plus the
+    # unit and pure scalars, through the state's cumulant on their slots.
     space = a_plus_u_space(rng, 3)
     checked = 0
     for index in ("A1", "A2"):
+        for atoms in tuples_within(state_atoms(space, index), atom_degree, 3):
+            expected = kappa_base_atoms_by_kernel(space, as_pairs(space, atoms))
+            assert space._kappa_base_atoms(atoms) == expected
+            checked += 1
         pool = atoms_with_units(space, index)
-        tuples = [()]
-        for _ in range(3):
-            tuples = [t + (a,) for t in tuples for a in pool
-                      if sum(poly_degree(p) for _, p in t) + poly_degree(a[1]) <= 3]
-            for atoms in tuples:
-                assert space._kappa_base_atoms(atoms) == kappa_base_atoms_by_kernel(
-                    space, atoms
-                )
-                checked += 1
+        for atoms in tuples_within(pool, lambda a: poly_degree(a[1]), 3):
+            expected = kappa_base_atoms_by_kernel(space, atoms)
+            assert kappa_base_atoms_by_slots(space, atoms) == expected
+            checked += 1
     assert checked > 1000
 
 
@@ -560,18 +586,19 @@ def test_kappa_base_atoms_matches_atom_kernel_exhaustively(rng):
     seed=st.integers(0, 10**6),
 )
 def test_kappa_base_atoms_matches_atom_kernel_within_bound(degrees, index, seed):
-    # Random polynomials, unit terms and pure scalars among them.
+    # Random polynomials, unit terms and pure scalars among them, through the
+    # state's cumulant on their slots.
     rng = random.Random(seed)
     state = KAPPA_SPACE.factor_state(index)
     atoms = tuple((index, random_polynomial(rng, state, d)) for d in degrees)
     expected = kappa_base_atoms_by_kernel(KAPPA_SPACE, atoms)
-    assert KAPPA_SPACE._kappa_base_atoms(atoms) == expected
+    assert kappa_base_atoms_by_slots(KAPPA_SPACE, atoms) == expected
 
 
 def test_kappa_base_atoms_past_bound_raises_or_agrees(rng):
     # Past the bound the atom kernel raises on the top word of the product.
-    # The word route raises on the same degree, except that a pure scalar
-    # among n >= 2 atoms has no non-unit word, and its cumulant is 0.
+    # The state's cumulant on the slots raises on the same degree, except
+    # that a pure scalar among n >= 2 atoms has no slot, and its cumulant is 0.
     space = a_plus_u_space(rng, 4)
     raised = 0
     for _ in range(200):
@@ -584,7 +611,7 @@ def test_kappa_base_atoms_past_bound_raises_or_agrees(rng):
         degrees = [poly_degree(p) for _, p in atoms]
         if sum(degrees) <= 4:
             continue
-        new = truncated_or_value(lambda: space._kappa_base_atoms(atoms))
+        new = truncated_or_value(lambda: kappa_base_atoms_by_slots(space, atoms))
         old = truncated_or_value(lambda: kappa_base_atoms_by_kernel(space, atoms))
         if 0 in degrees:
             assert new in (ZERO, old)
@@ -594,12 +621,34 @@ def test_kappa_base_atoms_past_bound_raises_or_agrees(rng):
     assert raised > 20
 
 
-def test_centered_words_are_handed_out_once(rng):
+def count_state_calls(monkeypatch):
+    """The names of the state's _as_atoms and kernel calls, in order."""
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ProductSpace, "_as_atoms", counting("atoms", ProductSpace._as_atoms))
+    monkeypatch.setattr("ncprob.free_product.first_block_moment",
+                        counting("kernel", first_block_moment))
+    return calls
+
+
+def test_a_repeated_slot_tuple_is_read_from_the_memo(monkeypatch, rng):
+    # A slot tuple, the caller's own or an equal one built anew, is checked
+    # and run once; a repeat is one _phi_memo hit.
     space = a_plus_u_space(rng, 4)
-    for index in ("A1", "A2"):
-        for word in words_up_to(space.factor_state(index), 2):
-            if word:
-                assert space.centered_word(index, word) is space.centered_word(index, word)
+    la, lu = space.factor_state("A1").letter("a"), space.factor_state("A2").letter("u")
+    calls = count_state_calls(monkeypatch)
+    slots = (("A1", (la,)), ("A2", (lu, lu.star())), ("A1", (la,)))
+    value = space.state_eval(slots)
+    assert calls == ["atoms", "kernel"] and slots in space._phi_memo
+    again = tuple((f, w) for f, w in slots)
+    assert again is not slots and space.state_eval(again) == space.state_eval(slots) == value
+    assert calls == ["atoms", "kernel"]
 
 
 def test_kappa_elements_past_bound_raises_or_agrees(rng):
@@ -686,38 +735,65 @@ def test_a_warm_memo_bypasses_no_refusal(two_semicircles):
                        "cannot interpret [1] as a pure product argument")
 
 
+@pytest.mark.parametrize("as_element", [True, False], ids=["element", "slot-tuple"])
+def test_a_bad_slot_is_refused_before_the_kernel(two_semicircles, as_element):
+    # The kernel reads no moment of a lone slot, kappa_1(w°) being 0, so each
+    # slot is checked first: past the bound, off its factor, of no factor;
+    # also when a good slot of the same word or factor is known already.
+    space = two_semicircles
+    la = space.factor_state("A1").letter("a")
+    # phi(a° (a^5)°) = phi(a^6) - phi(a) phi(a^5) = 5
+    assert space.state_eval((("A1", (la,)), ("A1", (la,) * 5))) == ComplexRational.of(5)
+    for slots, error, message in [
+        ((("A1", (la,) * 7),), TruncationError,
+         "word 'a a a a a a a' exceeds degree bound 6 of factor 'A1'"),
+        ((("A1", (la,)), ("A2", (la,))), FactorMismatchError,
+         "letter 'a' belongs to factor 'A1', not 'A2'"),
+        ((("Z", (la,)),), FactorMismatchError, "unknown factor 'Z'"),
+    ]:
+        arg = word_element(slots) if as_element else slots
+        assert_refused(lambda: space.state_eval(arg), error, message)
+
+
+def split_state(space, word, split):
+    """phi of ``word`` with each letter l at a ``split`` position written as
+    l° + phi(l) 1, l° its slot: the sum over the positions that take the mean."""
+    total = ZERO
+    for means in iproduct((False, True), repeat=len(word)):
+        if any(m and not c for m, c in zip(means, split)):
+            continue
+        coeff, atoms = ONE, []
+        for l, c, m in zip(word, split, means):
+            if m:
+                coeff = coeff * space.factor_state(l.factor).phi_word((l,))
+            else:
+                atoms.append((l.factor, (l,)) if c else l)
+        total = total + coeff * space.state_eval(tuple(atoms))
+    return total
+
+
 @settings(deadline=None, max_examples=30)
 @given(seed=st.integers(0, 10**6), data=st.data())
-def test_letters_pairs_and_a_mix_give_one_state(seed, data):
-    # One word as letters, as (factor, polynomial) pairs and as a mix of both:
-    # equal values on fresh spaces and on one space whose memo they share.
+def test_letters_slots_and_a_mix_give_one_state(seed, data):
+    # One word as letters, and split into slots and means at every position
+    # or at some: equal values on fresh spaces and on one space whose memo
+    # they share.
     space = a_plus_u_space(random.Random(seed), 4)
     letters = [l for state in space.factors.values() for l in state.letters()]
     word = data.draw(st.lists(st.sampled_from(letters), min_size=1, max_size=4))
     mixed = data.draw(st.lists(st.booleans(), min_size=len(word), max_size=len(word)))
-    pairs = as_pairs(word)
-    forms = [tuple(word), pairs, tuple(p if m else l for l, p, m in zip(word, pairs, mixed))]
-    cold = [a_plus_u_space(random.Random(seed), 4).state_eval(f) for f in forms]
-    warm = [space.state_eval(f) for f in forms + forms]
+    forms = [[False] * len(word), [True] * len(word), mixed]
+    cold = [split_state(a_plus_u_space(random.Random(seed), 4), word, f) for f in forms]
+    warm = [split_state(space, word, f) for f in forms + forms]
+    assert cold[0] == space.state_eval(tuple(word))
     assert all(v == cold[0] for v in cold + warm)
 
 
 def test_a_repeated_word_is_read_from_the_memo(monkeypatch, two_semicircles):
     # A repeated tuple of letters, the caller's own or an equal one, makes no
-    # _as_atoms, kernel or Polynomial.__hash__ call; a list does not hash, so
-    # it is checked before the memo is read.
-    calls = []
-
-    def counting(name, real):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(ProductSpace, "_as_atoms", counting("atoms", ProductSpace._as_atoms))
-    monkeypatch.setattr("ncprob.free_product.first_block_moment",
-                        counting("kernel", first_block_moment))
-    monkeypatch.setattr(Polynomial, "__hash__", counting("hash", Polynomial.__hash__))
+    # _as_atoms or kernel call; a list does not hash, so it is checked before
+    # the memo is read.
+    calls = count_state_calls(monkeypatch)
     space = two_semicircles
     la, lb = space.factor_state("A1").letter("a"), space.factor_state("A2").letter("b")
     word = (la, lb, lb, la, lb, lb)
@@ -734,10 +810,11 @@ def test_state_eval_takes_a_one_pass_iterator(two_semicircles):
     space = two_semicircles
     la, lb = space.factor_state("A1").letter("a"), space.factor_state("A2").letter("b")
     word = [la, la, lb, lb, la, la]
-    pairs = [(l.factor, Polynomial.from_letter(l)) for l in word]
+    # phi((a a)° b b (a a)°) = phi(a a b b a a) - phi(a a b b) - phi(b b a a) + phi(b b)
+    atoms = [("A1", (la, la)), lb, lb, ("A1", (la, la))]
     two = ComplexRational.of(2)
-    assert space.state_eval(iter(word)) == space.state_eval(iter(pairs)) == two
-    assert space.state_eval(word) == space.state_eval(pairs) == two
+    assert space.state_eval(iter(word)) == space.state_eval(word) == two
+    assert space.state_eval(iter(atoms)) == space.state_eval(atoms) == ONE
 
 
 def test_misses_fill_the_state_memo_as_before():
@@ -760,7 +837,7 @@ def test_state_restricts_to_factors(rng):
         for word in words_up_to(state, 4):
             if not word:
                 continue
-            embedded = space.embed(index, Polynomial.monomial(word))
+            embedded = space.embed(index, {word: ONE})
             assert space.state_eval(embedded) == state.phi_word(word)
 
 
@@ -768,7 +845,7 @@ def test_state_examples(two_semicircles):
     space = two_semicircles
     la = space.factor_state("A1").letter("a")
     lb = space.factor_state("A2").letter("b")
-    assert space.state_eval(FreeElement.one()) == ONE
+    assert space.state_eval(FreeElement(ONE)) == ONE
     assert space.state_eval([la, lb, la, lb]) == ZERO
     assert space.state_eval([la, la, lb, lb]) == ONE
     assert space.state_eval([la, lb, lb, la]) == ONE
@@ -781,7 +858,7 @@ def test_state_two_routes_agree(rng):
         for _ in range(5):
             tup = tuple(rng.choice(ls) for _ in range(n))
             direct = space.state_eval(tup)
-            element = FreeElement.one()
+            element = FreeElement(ONE)
             for l in tup:
                 element = space.multiply(element, embed_letter(space, l))
             assert direct == space.state_eval(element)
@@ -893,7 +970,7 @@ def test_centered_tensor_words_are_null(rng):
             if any(a == b for a, b in zip(pattern, pattern[1:])):
                 continue
             slots = tuple((index, space.factor_state(index).letters()[:1]) for index in pattern)
-            word = FreeElement.from_word(slots)
+            word = word_element(slots)
             assert space.state_eval(word) == ZERO
 
 
@@ -985,8 +1062,12 @@ def test_product_space_from_json_rejects(mutate):
      ValidationError, "duplicate factor indices in ['A', 'A']"),
     (lambda: ProductSpace([semicircle_factor("A1", "a", 1), semicircle_factor("A2", "b", 2)]),
      DimensionMismatchError, "factors must share one degree bound, got [1, 2]"),
-    (lambda: ProductSpace([semicircle_factor("A1", "a")]).centered_word("A1", ()),
-     ValidationError, "the empty word has no centered basis vector"),
+    (lambda: ProductSpace([semicircle_factor("A1", "a")]).state_eval([("A1", ())]),
+     ValidationError, "cannot interpret ('A1', ()) as a pure product argument"),
+    (lambda: ProductSpace([semicircle_factor("A1", "a")]).state_eval([("A1", ([1],))]),
+     ValidationError, "cannot interpret ('A1', ([1],)) as a pure product argument"),
+    (lambda: ProductSpace([semicircle_factor("A1", "a")]).state_eval([("A1", ("a",))]),
+     ValidationError, "cannot interpret ('A1', ('a',)) as a pure product argument"),
     (lambda: ProductSpace([semicircle_factor("A1", "a")]).state_eval(["a"]),
      ValidationError, "cannot interpret 'a' as a pure product argument"),
     (lambda: ProductSpace([semicircle_factor("A1", "a")]).state_eval([[1]]),
@@ -1000,7 +1081,7 @@ def test_product_space_from_json_rejects(mutate):
     (lambda: product_space_from_json({"degree_bound": 2, "factors": []}),
      SpecFormatError, "'factors' must be a non-empty list"),
 ], ids=["no-factor", "duplicate-index", "mixed-bounds", "centered-unit",
-        "bad-state-argument", "unhashable-state-argument", "dict-state-argument",
+        "unhashable-slot-word", "slot-of-names", "bad-state-argument", "unhashable-state-argument", "dict-state-argument",
         "kappa-of-nothing", "spec-not-an-object", "no-factors"])
 def test_product_space_refusals(make, error, message):
     assert_refused(make, error, message)

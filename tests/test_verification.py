@@ -26,7 +26,6 @@ from ncprob.moment_space import (
     FactorState,
     GeneratorSymbol,
     Letter,
-    Polynomial,
     all_words,
     canonical_moment_key,
     factor_state_from_json,
@@ -54,6 +53,7 @@ from conftest import (
     small_scalar,
 )
 from nc_oracles import (
+    Polynomial,
     alternating_slots_by_brute_force,
     center,
     eval_phi_n,
@@ -63,6 +63,7 @@ from nc_oracles import (
     letter_table_by_kernel,
     phi_of_centered_product_by_terms,
     plain_word_gram,
+    word_element,
 )
 
 
@@ -450,7 +451,7 @@ def test_variance_factorization_matches_grouped_route(rng):
             direct = variance_factorization(space, a, b, {})
             general = kappa_elements_by_kernel(
                 space,
-                [FreeElement.from_word(a).star(), FreeElement.from_word(b)],
+                [word_element(a).star(), word_element(b)],
             )
             assert direct == general
             if pa != pb:
@@ -473,7 +474,7 @@ def test_variance_factorization_on_a_non_tracial_factor(rng):
                 assert variance_factorization(space, slots_s, slots_t, {}) == (
                     kappa_elements_by_kernel(
                         space,
-                        [FreeElement.from_word(slots_s).star(), FreeElement.from_word(slots_t)],
+                        [word_element(slots_s).star(), word_element(slots_t)],
                     )
                 )
     assert pairs > 20
@@ -520,7 +521,7 @@ def test_kappa2_decomposes_over_patterns(rng):
     expected = ZERO
     for w, c in zip(words, coeffs):
         expected = expected + c.conjugate() * c * kappa_elements_by_kernel(
-            space, [FreeElement.from_word(w).star(), FreeElement.from_word(w)]
+            space, [word_element(w).star(), word_element(w)]
         )
     assert total == expected
 
@@ -747,7 +748,7 @@ def test_gram_matches_multiply_oracle(two_semicircles, spec):
         else product_space_from_json(json.loads((GOLDEN_INPUTS / spec).read_text()))
     )
     result = check_positivity(space, 2)
-    basis = [FreeElement.one()] + [FreeElement.from_word(w) for w in centered_basis(space, 2)]
+    basis = [FreeElement(ONE)] + [word_element(w) for w in centered_basis(space, 2)]
     assert len(result.gram.entries) == len(basis)
     for bs, row in zip(basis, result.gram.entries):
         for bt, entry in zip(basis, row):
@@ -800,8 +801,8 @@ def test_gram_entry_across_patterns_must_be_zero(monkeypatch, two_semicircles, s
     space = two_semicircles
     labels = check_positivity(space, 1).gram.labels
     words = centered_basis(space, 1)
-    right = [()] + [space.centered_atoms(w) for w in words]
-    left = [()] + [space.centered_atoms(star_slots(w)) for w in words]
+    right = [()] + words
+    left = [()] + [star_slots(w) for w in words]
     bad = {left[s] + right[t], left[t] + right[s]}
     exact = ProductSpace.state_eval
     monkeypatch.setattr(
@@ -820,8 +821,8 @@ def test_gram_entry_across_patterns_raises_after_a_kappa2_mismatch(
     # Basis 1, a°, b°: a wrong factor kappa_2 makes (a°, a°) a mismatch, which
     # row a° meets before the corrupted (a°, b°).  The internal error wins.
     space = two_semicircles
-    a, b = (space.centered_atoms(w) for w in centered_basis(space, 1))
-    a_star, b_star = (space.centered_atoms(star_slots(w)) for w in centered_basis(space, 1))
+    a, b = centered_basis(space, 1)
+    a_star, b_star = (star_slots(w) for w in centered_basis(space, 1))
     bad = {a_star + b, b_star + a}
     exact_state = ProductSpace.state_eval
     monkeypatch.setattr(
@@ -860,24 +861,54 @@ def test_schur_check_computes_each_slot_kappa2_once(monkeypatch):
     assert len(calls) == len(set(calls)) == 205
 
 
-def test_positivity_matches_atoms_by_identity(monkeypatch):
-    # Semicircle a + Haar u, N = 6, d = 3: the rows b_s* take the space's own
-    # centered words, so no memo hit compares two polynomials by value.
+def test_positivity_hands_the_state_the_basis_slots(monkeypatch):
+    # Semicircle a + Haar u, N = 6, d = 3: each Gram entry is the state on
+    # star_slots(b_s) + b_t as it stands, and every tuple the state's memos
+    # keep is one of (factor, word) slots.
     space = product_space_from_json(
         json.loads((GOLDEN_INPUTS / "semicircle_and_haar_u_6.json").read_text())
     )
-    exact = Polynomial.__eq__
-    calls = []
-
-    def counting(self, other):
-        calls.append(1)
-        return exact(self, other)
-
-    monkeypatch.setattr(Polynomial, "__eq__", counting)
+    exact = ProductSpace.state_eval
+    seen = []
+    monkeypatch.setattr(
+        ProductSpace, "state_eval", lambda self, x: seen.append(x) or exact(self, x)
+    )
     assert check_positivity(space, 3).psd is True
-    assert calls == []
-    assert Polynomial.monomial(()) == Polynomial.monomial(())
-    assert calls == [1]
+    basis = [()] + centered_basis(space, 3)
+    assert seen == [star_slots(s) + t for s in basis for t in basis]
+    keys = set(space._phi_memo) | set(space._kappa_base_memo)
+    assert len(keys) > 100 and all(
+        slot.__class__ is tuple and slot[0] in space.factors
+        and all(l.__class__ is Letter for l in slot[1])
+        for key in keys for slot in key
+    )
+
+
+def gram_space(name: str) -> ProductSpace:
+    """A golden input, or a space of the benchmark's seed-501 ``product`` inputs."""
+    if name in ("pu6", "r6"):
+        from ncbench import gen
+
+        return product_space_from_json(gen.make("product", 501).files[f"space_{name}.json"])
+    return product_space_from_json(json.loads((GOLDEN_INPUTS / f"{name}.json").read_text()))
+
+
+@pytest.mark.parametrize("name, degree", [
+    ("pu6", 3), ("r6", 3), ("semicircle_and_haar_u_8", 4), ("not_psd_u", 2),
+    ("semicircle_and_haar_u", 2),
+])
+def test_gram_entries_match_the_letter_words(name, degree):
+    # A second route to every Gram entry: phi of the centered product on
+    # star_slots(b_s) + b_t, expanded into letter words, on a fresh space.
+    space = gram_space(name)
+    gram = check_positivity(space, degree).gram.entries
+    letters_only = ProductSpace(list(space.factors.values()))
+    basis = [()] + centered_basis(space, degree)
+    assert len(gram) == len(basis) > 10
+    for s, row in zip(basis, gram):
+        for t, entry in zip(basis, row):
+            slots = star_slots(s) + t
+            assert entry == verification._phi_of_centered_product(letters_only, slots, {})
 
 
 def test_centered_word_basis_degrees(two_semicircles):
